@@ -79,17 +79,59 @@ std::vector<Arrival> PoissonSchedule(double qps, double duration_ms,
   return schedule;
 }
 
-Calibrator::Calibrator() : next_(1u << 24) {
+namespace {
+
+void FillUniform(std::vector<float>* v, SplitMix64* rng) {
+  // Never 0, so no multiply-add is skipped.
+  for (float& x : *v) x = static_cast<float>(0.5 + rng->Uniform());
+}
+
+}  // namespace
+
+Calibrator::Calibrator(const CalibShape& shape)
+    : shape_(shape),
+      tables_(
+          static_cast<size_t>(shape.terms * shape.table_rows * shape.width)),
+      rows_(static_cast<size_t>(shape.steps * shape.batch)),
+      gathered_(static_cast<size_t>(shape.terms * shape.batch * shape.width)),
+      x_(static_cast<size_t>(shape.batch * shape.width)),
+      w_(static_cast<size_t>(shape.width * shape.hidden)),
+      g_(static_cast<size_t>(shape.batch * shape.hidden)),
+      out_(g_.size()),
+      w_grad_(w_.size()),
+      x_grad_(x_.size()),
+      next_(1u << 24) {
+  SplitMix64 rng(0x5EED);
+  FillUniform(&tables_, &rng);
+  FillUniform(&w_, &rng);
+  FillUniform(&g_, &rng);
+  for (int32_t& r : rows_) {
+    r = static_cast<int32_t>(
+        rng.Below(static_cast<uint64_t>(shape.table_rows)));
+  }
   // Sattolo's shuffle: a single cycle through every slot, so the chase
   // never settles into a cache-resident loop.
   for (uint32_t i = 0; i < next_.size(); ++i) next_[i] = i;
-  SplitMix64 rng(0x5EED);
   for (size_t i = next_.size() - 1; i > 0; --i) {
     std::swap(next_[i], next_[rng.Below(i)]);
   }
 }
 
-double Calibrator::RunMs() {
+size_t Calibrator::resident_bytes() const {
+  return (tables_.size() + gathered_.size() + x_.size() + w_.size() +
+          g_.size() + out_.size() + w_grad_.size() + x_grad_.size()) *
+             sizeof(float) +
+         rows_.size() * sizeof(int32_t) + next_.size() * sizeof(uint32_t);
+}
+
+CalibReading Calibrator::Run() {
+  CalibReading r;
+  r.step_ms = RunStepMs();
+  r.memory_ms = RunMemoryMs();
+  return r;
+}
+
+double Calibrator::RunMemoryMs() {
   const auto t0 = std::chrono::steady_clock::now();
   uint32_t p = 0;
   for (int i = 0; i < (1 << 17); ++i) p = next_[p];
@@ -99,10 +141,123 @@ double Calibrator::RunMs() {
   }
   double x = 1.0;
   for (int i = 0; i < (1 << 21); ++i) x = x * 0.999999 + 1e-7;
-  sink_ += acc + static_cast<uint64_t>(x);
+  sink_ += static_cast<double>(acc % 1024) + x;
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double Calibrator::RunStepMs() {
+  const auto t0 = std::chrono::steady_clock::now();
+  const int64_t b = shape_.batch, w = shape_.width, h = shape_.hidden;
+  const auto row_bytes = static_cast<size_t>(w) * sizeof(float);
+  for (int step = 0; step < shape_.steps; ++step) {
+    const int32_t* rows = &rows_[static_cast<size_t>(step * b)];
+    for (int64_t t = 0; t < shape_.terms; ++t) {
+      const float* table =
+          &tables_[static_cast<size_t>(t * shape_.table_rows * w)];
+      float* dst = &gathered_[static_cast<size_t>(t * b * w)];
+      for (int64_t i = 0; i < b; ++i) {
+        std::memcpy(dst + i * w, table + static_cast<int64_t>(rows[i]) * w,
+                    row_bytes);
+      }
+    }
+    std::fill(x_.begin(), x_.end(), 0.0f);
+    for (int64_t t = 0; t < shape_.terms; ++t) {
+      const float* src = &gathered_[static_cast<size_t>(t * b * w)];
+      const auto theta = static_cast<float>(1.0 / static_cast<double>(t + 1));
+      for (size_t i = 0; i < x_.size(); ++i) x_[i] += theta * src[i];
+    }
+    // out = x * w, i-k-j.
+    std::fill(out_.begin(), out_.end(), 0.0f);
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t k = 0; k < w; ++k) {
+        const float a = x_[static_cast<size_t>(i * w + k)];
+        for (int64_t j = 0; j < h; ++j) {
+          out_[static_cast<size_t>(i * h + j)] +=
+              a * w_[static_cast<size_t>(k * h + j)];
+        }
+      }
+    }
+    // w_grad = x^T * g, accumulated over the batch rows.
+    std::fill(w_grad_.begin(), w_grad_.end(), 0.0f);
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t k = 0; k < w; ++k) {
+        const float a = x_[static_cast<size_t>(i * w + k)];
+        for (int64_t j = 0; j < h; ++j) {
+          w_grad_[static_cast<size_t>(k * h + j)] +=
+              a * g_[static_cast<size_t>(i * h + j)];
+        }
+      }
+    }
+    // x_grad = g * w^T, one double-accumulated dot product per element.
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t k = 0; k < w; ++k) {
+        double acc = 0.0;
+        for (int64_t j = 0; j < h; ++j) {
+          acc += static_cast<double>(g_[static_cast<size_t>(i * h + j)]) *
+                 w_[static_cast<size_t>(k * h + j)];
+        }
+        x_grad_[static_cast<size_t>(i * w + k)] = static_cast<float>(acc);
+      }
+    }
+    sink_ += out_[0] + w_grad_[0] + x_grad_[0];
+  }
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+WakeCalibrator::WakeCalibrator(double hold_ms, int handoffs)
+    : hold_(hold_ms), handoffs_(handoffs), worker_([this] { Work(); }) {}
+
+WakeCalibrator::~WakeCalibrator() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  wake_cv_.notify_one();
+  worker_.join();
+}
+
+double WakeCalibrator::RunMs() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    sent_.clear();
+    done_ms_.clear();
+  }
+  const auto gap = std::chrono::duration_cast<Clock::duration>(
+      hold_ + std::chrono::duration<double, std::milli>(0.3));
+  Clock::time_point due = Clock::now();
+  for (int i = 0; i < handoffs_; ++i) {
+    due += gap;
+    std::this_thread::sleep_until(due);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      sent_.emplace_back(due, Clock::now());
+    }
+    wake_cv_.notify_one();
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return done_ms_.size() == sent_.size(); });
+  return Median(done_ms_);
+}
+
+void WakeCalibrator::Work() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    wake_cv_.wait(lock,
+                  [this] { return stop_ || done_ms_.size() < sent_.size(); });
+    if (stop_) return;
+    const auto [due, sent] = sent_[done_ms_.size()];
+    const auto until =
+        sent + std::chrono::duration_cast<Clock::duration>(hold_);
+    while (Clock::now() < until) hold_cv_.wait_until(lock, until);
+    done_ms_.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - due)
+            .count());
+    if (done_ms_.size() == sent_.size()) done_cv_.notify_one();
+  }
 }
 
 void OpenLoopRecorder::Record(double due_ms, double submit_ms,

@@ -9,10 +9,14 @@
 #define PERFBENCH_BENCH_LIB_H_
 
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace perfbench {
@@ -77,21 +81,99 @@ std::vector<Arrival> PoissonSchedule(double qps, double duration_ms,
 // ---------------------------------------------------------------------------
 // Host-speed calibration.
 
-/// Fixed work owned by the benchmark whose wall time tracks how fast the
-/// current core and memory run right now: a pointer chase through a 64 MiB
-/// cycle (larger than the last-level cache), a
-/// streaming pass over it, and a dependent floating-point chain, all on the
-/// calling thread. Nothing under src/ can change it, so dividing a workload
-/// time by it removes the host's speed drift but not a code change.
+/// Shape of the calibration work: mini-batch steps of a first MLP layer fed
+/// from gathered rows of precomputed hop terms.
+struct CalibShape {
+  int64_t terms = 0;       ///< tables gathered from, one per hop term
+  int64_t table_rows = 0;  ///< rows per table
+  int64_t width = 0;       ///< floats per row, the layer's input width
+  int64_t hidden = 0;      ///< the layer's output width
+  int64_t batch = 0;       ///< rows gathered per step
+  int steps = 0;           ///< steps per run
+};
+
+/// Wall times of one calibration run, ms.
+struct CalibReading {
+  double step_ms = 0.0;    ///< the mini-batch-step work
+  double memory_ms = 0.0;  ///< the memory-bound work
+};
+
+/// Fixed work owned by the benchmark, all on the calling thread, whose wall
+/// time tracks how fast the core, the shared cache and memory run right
+/// now. Nothing under src/ can change it, so dividing a workload time by it
+/// removes the host's speed drift but not a code change.
+///
+/// Host slowdowns do not hit all work alike, so the work comes in two
+/// shapes, timed separately:
+///  - step: the shape of the gated MB epoch. Each step gathers `batch`
+///    random rows from every table into its own buffer and sums the buffers
+///    (as GatherRows and CombineTerms do), then runs the layer's three GEMMs
+///    on that batch: the forward product and the weight gradient in i-k-j
+///    order, the input gradient as double-accumulated dot products.
+///  - memory: a pointer chase through a 64 MiB random cycle, two streaming
+///    passes over it and a dependent floating-point chain, the shape of
+///    graph generation and SpMM.
 class Calibrator {
  public:
-  Calibrator();
-  /// Runs the work once; returns its wall time in ms.
+  explicit Calibrator(const CalibShape& shape);
+  /// Runs both works once.
+  CalibReading Run();
+  /// Bytes the calibrator holds for the life of the process, all touched.
+  size_t resident_bytes() const;
+
+ private:
+  double RunStepMs();
+  double RunMemoryMs();
+
+  CalibShape shape_;
+  std::vector<float> tables_;    ///< terms x table_rows x width
+  std::vector<int32_t> rows_;    ///< steps x batch gathered row ids
+  std::vector<float> gathered_;  ///< terms x batch x width
+  std::vector<float> x_;         ///< batch x width, summed terms
+  std::vector<float> w_;         ///< width x hidden
+  std::vector<float> g_;         ///< batch x hidden, output gradient
+  std::vector<float> out_;       ///< batch x hidden
+  std::vector<float> w_grad_;    ///< width x hidden
+  std::vector<float> x_grad_;    ///< batch x width
+  std::vector<uint32_t> next_;   ///< one random cycle over all slots
+  double sink_ = 0.0;
+};
+
+/// Host wake-up calibration for open-loop latency, the shape of one query's
+/// path through a held batch: the calling thread sleeps until a due time
+/// and wakes an idle worker through a condition variable; the worker holds
+/// until `hold_ms` after the wake-up was sent, in a timed wait, and records
+/// how long after the due time it finished. At a low rate the serving
+/// latency is mostly these sleeps, wake-ups and timers, and on a shared VM
+/// their cost swung several-fold between runs. Owned by the benchmark, so
+/// nothing under src/ can change it.
+class WakeCalibrator {
+ public:
+  WakeCalibrator(double hold_ms, int handoffs);
+  ~WakeCalibrator();
+  WakeCalibrator(const WakeCalibrator&) = delete;
+  WakeCalibrator& operator=(const WakeCalibrator&) = delete;
+
+  /// Runs the handoffs, one every hold + 0.3 ms; returns the median
+  /// due-to-done time in ms.
   double RunMs();
 
  private:
-  std::vector<uint32_t> next_;  ///< one random cycle over all slots
-  uint64_t sink_ = 0;
+  using Clock = std::chrono::steady_clock;
+  void Work();
+
+  const std::chrono::duration<double, std::milli> hold_;
+  const int handoffs_;
+  std::mutex mu_;
+  std::condition_variable wake_cv_;
+  std::condition_variable hold_cv_;  ///< never notified: a pure timed wait
+  std::condition_variable done_cv_;
+  bool stop_ = false;
+  /// Due and send time of each handoff of the current run, in order; the
+  /// worker serves them one at a time, so none is lost behind a stall.
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> sent_;
+  std::vector<double> done_ms_;
+  std::thread worker_;
 };
 
 // ---------------------------------------------------------------------------

@@ -136,6 +136,33 @@ TEST(Digests, OrderAndContentSensitive) {
   EXPECT_EQ(Digest().Hex(), "cbf29ce484222325");
 }
 
+TEST(Calibrator, ResidentBytesCoverEveryBuffer) {
+  // rss_mb subtracts resident_bytes() from the process peak, so it must
+  // count every buffer: the step work's tables, gather and GEMM operands,
+  // and the memory work's 2^24-slot cycle.
+  const CalibShape shape{3, 100, 8, 16, 32, 2};
+  Calibrator calib(shape);
+  const size_t floats = 3 * 100 * 8    // tables
+                        + 3 * 32 * 8   // gathered rows
+                        + 2 * 32 * 8   // summed batch, input gradient
+                        + 2 * 8 * 16   // weights, weight gradient
+                        + 2 * 32 * 16; // output gradient, output
+  EXPECT_EQ(calib.resident_bytes(),
+            floats * sizeof(float) + 2 * 32 * sizeof(int32_t) +
+                (size_t{1} << 24) * sizeof(uint32_t));
+  const CalibReading r = calib.Run();
+  EXPECT_GT(r.step_ms, 0.0);
+  EXPECT_GT(r.memory_ms, 0.0);
+}
+
+TEST(Calibrator, WakeHandoffsHoldAtLeastTheHold) {
+  // The worker holds until hold_ms after each handoff was sent, and a send
+  // is never before its due time, so no due-to-done time is shorter.
+  WakeCalibrator wake(0.2, 16);
+  EXPECT_GE(wake.RunMs(), 0.2);
+  EXPECT_GE(wake.RunMs(), 0.2);  // reusable across runs
+}
+
 TEST(Tracer, SelfTimeSubtractsChildren) {
   Tracer t;
   const int epoch = t.Add("epoch", 0, 10'000'000, -1);     // 10 ms

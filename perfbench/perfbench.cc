@@ -1,13 +1,14 @@
-// Repository benchmark: chebyshev K=10 on products_sim under three
-// workloads, run one at a time:
+// Repository benchmark: chebyshev K=10 on products_sim under two
+// workloads, run one at a time, each at one kernel thread:
 //
-//   fb_train    full-batch training (Table 4 defaults), 4 kernel threads.
-//               Propagation-bound: SpMM and hop changes show here.
-//   mb_train    decoupled mini-batch training, 4 kernel threads. The K-hop
-//               propagation runs once (prep_ms); epochs are GEMM-bound.
-//   serve_open  a serve::Engine over the MB model, 3 kernel threads, fed by
-//               the benchmark's own open-loop Poisson generator at a fixed
-//               absolute rate, then saturated. No SpMM at all.
+//   mb_train    decoupled mini-batch training. The K-hop propagation runs
+//               once (prep_ms); epochs are GEMM- and gather-bound.
+//   serve_open  a serve::Engine over the MB model, fed by the benchmark's
+//               own open-loop Poisson generator at a fixed absolute rate,
+//               then saturated. No SpMM at all.
+//
+// The traced pass also probes SpMM and the serving pool at
+// kPoolProbeThreads kernel threads, for the scaling metrics.
 //
 // With --trace 0 the run measures the end-to-end metrics through the public
 // entry points (models::Train*, serve::Engine) with nothing traced. With
@@ -85,6 +86,10 @@ constexpr int kMaxBatch = 64;
 constexpr double kHoldMs = 0.2;
 /// Bundle cache per tier, as a fraction of all bundles.
 constexpr double kCacheFraction = 1.0 / 8.0;
+/// Wake-up calibration around each open-loop slice: handoffs per reading,
+/// and the reference median due-to-done time the round p50s are scaled to.
+constexpr int kWakeHandoffs = 64;
+constexpr double kWakeRefMs = 0.3;
 /// Rounds of the interleaved serving phases per run.
 constexpr int kRounds = 15;
 /// Skewed queries that warm the cache and pool before timing.
@@ -94,16 +99,34 @@ constexpr size_t kSaturationQueries = 360000;
 
 const perfbench::Skew kSkew{0.8, 0.1};
 
-/// Reference time of one perfbench::Calibrator run. The gated times are
-/// reported in ms at this host speed: each sample is scaled by kCalibRefMs
-/// over the mean of the calibration runs just before and after it. On a
-/// shared 4-vCPU Xeon VM single-thread speed drifted 1.7x within an hour
-/// (dataset generation 0.42-0.73 s); the calibration tracks most of that
-/// drift and no code under src/ can move it.
-constexpr double kCalibRefMs = 70.0;
+/// Calibration work: two mini-batch steps of φ1's first layer over the
+/// products_sim hop terms (K + 1 tables of 60,000 rows of 32 features,
+/// batch 4096, hidden 64), the shape of the gated MB epoch.
+constexpr perfbench::CalibShape kCalibShape{kHops + 1, 60000, 32, 64, 4096, 2};
 
-double HostFactor(double calib_before_ms, double calib_after_ms) {
-  return kCalibRefMs / (0.5 * (calib_before_ms + calib_after_ms));
+/// Reference times of the two calibration works. The gated times are
+/// reported in ms at this host speed: each sample is scaled by a reference
+/// over the mean of the calibration readings just before and after it. On a
+/// shared 4-vCPU Xeon VM single-thread speed drifted 1.7x within an hour
+/// (dataset generation 0.42-0.73 s), and the same GEMM swung 2x between
+/// runs while graph generation barely moved; each work tracks the drift of
+/// its own shape, and no code under src/ can move either.
+constexpr perfbench::CalibReading kCalibRef{35.0, 70.0};
+
+/// Host-speed factors of a sample taken between two calibration readings.
+/// Each metric takes the one that left it the smaller spread over the same
+/// runs: step for MB's epoch, inference and precompute (epoch IQR/median
+/// over five seeds 29% raw, 7% by step, 18% by memory), memory for set-up
+/// and for serving's small batches, restores and thread handoffs.
+struct HostFactors {
+  double step = 1.0;
+  double memory = 1.0;
+};
+
+HostFactors Factors(const perfbench::CalibReading& before,
+                    const perfbench::CalibReading& after) {
+  return {kCalibRef.step_ms / (0.5 * (before.step_ms + after.step_ms)),
+          kCalibRef.memory_ms / (0.5 * (before.memory_ms + after.memory_ms))};
 }
 
 // Metric names. Each workload reports all of them in its pass.
@@ -177,10 +200,6 @@ class Report {
     values_[name] = value;
     std::printf("  %-26s %.6g %s\n", name.c_str(), value,
                 UnitOf(name).c_str());
-  }
-  /// Prints a value that is not one of this pass's metrics.
-  void Info(const std::string& name, double value, const char* unit) {
-    std::printf("  %-26s %.6g %s\n", name.c_str(), value, unit);
   }
   void Check(bool ok, const std::string& what) {
     std::printf("  check: %-52s %s\n", what.c_str(), ok ? "ok" : "FAILED");
@@ -308,10 +327,12 @@ void SetUpTraining(const Args& a, Tracer* tracer, perfbench::Calibrator* calib,
   std::vector<double> setup_s, raw_s;
   const int reps = calib != nullptr ? kSetupReps : 1;
   for (int r = 0; r < reps; ++r) {
-    const double c0 = calib != nullptr ? calib->RunMs() : kCalibRefMs;
+    const perfbench::CalibReading c0 =
+        calib != nullptr ? calib->Run() : kCalibRef;
     raw_s.push_back(MakeInputs(a.seed, tracer, in) / 1e3);
-    const double c1 = calib != nullptr ? calib->RunMs() : kCalibRefMs;
-    setup_s.push_back(raw_s.back() * HostFactor(c0, c1));
+    const perfbench::CalibReading c1 =
+        calib != nullptr ? calib->Run() : kCalibRef;
+    setup_s.push_back(raw_s.back() * Factors(c0, c1).memory);
   }
   PrintInputDigest(*in);
   if (calib != nullptr) {
@@ -326,15 +347,15 @@ void SetUpTraining(const Args& a, Tracer* tracer, perfbench::Calibrator* calib,
 // ---------------------------------------------------------------------------
 // Training workloads.
 
-/// Paper Table 4 defaults; one epoch per trainer call, so each call yields
-/// one epoch sample.
-models::TrainConfig TrainingConfig(bool fb, uint64_t seed) {
+/// Decoupled MB at the paper's Table 4 defaults: φ0 empty, φ1 two layers.
+/// One epoch per trainer call, so each call yields one epoch sample.
+models::TrainConfig TrainingConfig(uint64_t seed) {
   models::TrainConfig c;
   c.epochs = 1;
   c.eval_every = 1;
   c.hidden = 64;
-  c.phi0_layers = fb ? 1 : 0;
-  c.phi1_layers = fb ? 1 : 2;
+  c.phi0_layers = 0;
+  c.phi1_layers = 2;
   c.batch_size = 4096;
   c.rho = kRho;
   c.seed = seed;
@@ -342,13 +363,10 @@ models::TrainConfig TrainingConfig(bool fb, uint64_t seed) {
   return c;
 }
 
-models::TrainResult RunTrainer(bool fb, const Inputs& in,
+models::TrainResult RunTrainer(const Inputs& in,
                                filters::SpectralFilter* filter,
                                const models::TrainConfig& cfg) {
-  return fb ? models::TrainFullBatch(in.g, in.splits, in.spec.metric, filter,
-                                     cfg)
-            : models::TrainMiniBatch(in.g, in.splits, in.spec.metric, filter,
-                                     cfg);
+  return models::TrainMiniBatch(in.g, in.splits, in.spec.metric, filter, cfg);
 }
 
 bool SameBits(double x, double y) { return std::memcmp(&x, &y, sizeof x) == 0; }
@@ -362,8 +380,7 @@ std::unique_ptr<filters::SpectralFilter> MakeFilter(const Inputs& in,
 
 /// Untraced training run: a reference call with evaluation (also the
 /// warm-up), then timed calls until --seconds have passed.
-void RunTraining(bool fb, const Args& a, perfbench::Calibrator* calib,
-                 Report* rep) {
+void RunTraining(const Args& a, perfbench::Calibrator* calib, Report* rep) {
   parallel::SetNumThreads(kThreads);
   std::printf("kernel threads: %d\n", parallel::NumThreads());
   Inputs in;
@@ -371,10 +388,10 @@ void RunTraining(bool fb, const Args& a, perfbench::Calibrator* calib,
   auto filter = MakeFilter(in, rep);
   if (filter == nullptr) return;
 
-  models::TrainConfig cfg = TrainingConfig(fb, a.seed);
+  models::TrainConfig cfg = TrainingConfig(a.seed);
   models::TrainConfig eval_cfg = cfg;
   eval_cfg.timing_only = false;
-  const models::TrainResult ref = RunTrainer(fb, in, filter.get(), eval_cfg);
+  const models::TrainResult ref = RunTrainer(in, filter.get(), eval_cfg);
   uint64_t attempted = 1;
   uint64_t failed = ref.status.ok() ? 0 : 1;
   std::printf(
@@ -390,17 +407,15 @@ void RunTraining(bool fb, const Args& a, perfbench::Calibrator* calib,
                  ref.test_logits.size() > 0 && ops::AllFinite(ref.test_logits),
              "reference loss and test logits finite");
 
-  std::vector<double> epoch, prep, infer, raw_epoch, factors;
+  std::vector<double> epoch, prep, infer, raw_epoch, step_k, memory_k;
   size_t peak_accel = 0, peak_host = 0;
   bool same_loss = true;
   const Clock::time_point t0 = Clock::now();
   while (epoch.size() < static_cast<size_t>(kMinSamples) ||
          MsSince(t0) < a.seconds * 1e3) {
-    const double c0 = calib->RunMs();
-    const Clock::time_point tc = Clock::now();
-    const models::TrainResult r = RunTrainer(fb, in, filter.get(), cfg);
-    const double call_ms = MsSince(tc);
-    const double k = HostFactor(c0, calib->RunMs());
+    const perfbench::CalibReading c0 = calib->Run();
+    const models::TrainResult r = RunTrainer(in, filter.get(), cfg);
+    const HostFactors k = Factors(c0, calib->Run());
     ++attempted;
     if (!r.status.ok()) {
       ++failed;
@@ -413,23 +428,21 @@ void RunTraining(bool fb, const Args& a, perfbench::Calibrator* calib,
     }
     same_loss = same_loss && SameBits(r.final_train_loss, ref.final_train_loss);
     raw_epoch.push_back(r.stats.train_ms_per_epoch);
-    factors.push_back(k);
-    epoch.push_back(k * r.stats.train_ms_per_epoch);
-    infer.push_back(k * r.stats.infer_ms);
-    // FB has no precompute: its one-off graph work before the first epoch
-    // (normalization, device placement, init) is the rest of the call.
-    prep.push_back(k * (fb ? call_ms - r.stats.train_ms_per_epoch -
-                                 r.stats.infer_ms
-                           : r.stats.precompute_ms));
+    step_k.push_back(k.step);
+    memory_k.push_back(k.memory);
+    epoch.push_back(k.step * r.stats.train_ms_per_epoch);
+    infer.push_back(k.step * r.stats.infer_ms);
+    prep.push_back(k.step * r.stats.precompute_ms);
     peak_accel = std::max(peak_accel, r.stats.peak_accel_bytes);
     peak_host = std::max(peak_host, r.stats.peak_ram_bytes);
   }
   rep->Check(same_loss, "timed runs reproduce the reference loss bit for bit");
   rep->Count(attempted, failed);
   PrintSamples("epoch (raw)", raw_epoch, "ms");
-  PrintSamples("host speed factor", factors, "x");
+  PrintSamples("host speed factor, step", step_k, "x");
+  PrintSamples("host speed factor, memory", memory_k, "x");
   PrintSamples("epoch", epoch, "ms");
-  PrintSamples(fb ? "trainer prep" : "precompute", prep, "ms");
+  PrintSamples("precompute", prep, "ms");
   PrintSamples("inference", infer, "ms");
   const double epoch_ms = Median(epoch);
   rep->Set("latency_ms", epoch_ms);
@@ -453,7 +466,6 @@ namespace {
 // Traced training: per-layer split from a call-by-call replay.
 
 constexpr int kReplayWarmEpochs = 1;
-constexpr int kFbReplayEpochs = 3;
 constexpr int kMbReplayEpochs = 5;
 constexpr int kProbeReps = 5;
 
@@ -473,8 +485,8 @@ double EpochMs(const Tracer& t, const std::vector<int>& epochs) {
 
 /// One CsrMatrix::SpMM at `width` columns at the workload's thread count,
 /// and its scaling to kPoolProbeThreads.
-double ProbeSpmm(const sparse::CsrMatrix& prop, int64_t width, uint64_t seed,
-                 Tracer* tracer, Report* rep) {
+void ProbeSpmm(const sparse::CsrMatrix& prop, int64_t width, uint64_t seed,
+               Tracer* tracer, Report* rep) {
   Rng rng(seed);
   Matrix x(prop.n(), width);
   x.FillUniform(&rng, -1.0f, 1.0f);
@@ -512,7 +524,6 @@ double ProbeSpmm(const sparse::CsrMatrix& prop, int64_t width, uint64_t seed,
   rep->Set("sparse.spmm_ms", tw);
   rep->Set("sparse.spmm_gbs", bytes / (tw / 1e3) / 1e9);
   rep->Set("sparse.spmm_scaling", t1 / tp);
-  return tw;
 }
 
 /// ops::Gemm at φ1's first-layer shape (rows x k) * (k x m).
@@ -547,79 +558,6 @@ void Shuffle(std::vector<int32_t>* idx, Rng* rng) {
     const auto j = static_cast<size_t>(rng->UniformInt(i));
     std::swap((*idx)[i - 1], (*idx)[j]);
   }
-}
-
-/// Replays TrainFullBatch's epoch call by call; returns the measured epoch
-/// spans and the first epoch's loss.
-std::vector<int> ReplayFullBatch(const Inputs& in,
-                                 filters::SpectralFilter* filter,
-                                 const models::TrainConfig& cfg, Tracer* t,
-                                 double* first_loss) {
-  Rng rng(cfg.seed * 0x2545F4914F6CDD1DULL + 7);
-  sparse::CsrMatrix norm = in.norm;
-  norm.MoveToDevice(Device::kAccel);
-  const Matrix x = in.g.features.CloneTo(Device::kAccel);
-  filter->ResetParameters(&rng);
-  const int64_t fi = in.g.features.cols();
-  nn::Mlp phi0(cfg.phi0_layers, fi, cfg.hidden, cfg.hidden, cfg.dropout,
-               Device::kAccel);
-  nn::Mlp phi1(cfg.phi1_layers, cfg.hidden, cfg.hidden, in.g.num_classes,
-               cfg.dropout, Device::kAccel);
-  phi0.Init(&rng);
-  phi1.Init(&rng);
-  const filters::FilterContext ctx{&norm, Device::kAccel};
-  std::vector<int> epochs;
-  for (int epoch = 0; epoch < kReplayWarmEpochs + kFbReplayEpochs; ++epoch) {
-    const int span = t->Begin("models.epoch");
-    Matrix h0, hf, logits;
-    {
-      Tracer::Scope s(t, "nn.forward");
-      phi0.Forward(x, &h0, /*train=*/true, &rng);
-    }
-    {
-      Tracer::Scope s(t, "core.forward");
-      filter->Forward(ctx, h0, &hf, /*cache=*/true);
-    }
-    {
-      Tracer::Scope s(t, "nn.forward");
-      phi1.Forward(hf, &logits, /*train=*/true, &rng);
-    }
-    Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-    double loss = 0.0;
-    {
-      Tracer::Scope s(t, "nn.loss");
-      loss = nn::SoftmaxCrossEntropy(logits, in.g.labels, in.splits.train,
-                                     &grad);
-    }
-    phi0.ZeroGrad();
-    phi1.ZeroGrad();
-    filter->params().ZeroGrad();
-    Matrix g_hf(hf.rows(), hf.cols(), Device::kAccel);
-    Matrix g_h0;
-    {
-      Tracer::Scope s(t, "nn.backward");
-      phi1.Backward(grad, &g_hf);
-    }
-    {
-      Tracer::Scope s(t, "core.backward");
-      filter->Backward(ctx, g_hf, &g_h0);
-    }
-    {
-      Tracer::Scope s(t, "nn.backward");
-      phi0.Backward(g_h0, nullptr);
-    }
-    {
-      Tracer::Scope s(t, "nn.adam");
-      phi0.AdamStep(cfg.weights_opt, epoch + 1);
-      phi1.AdamStep(cfg.weights_opt, epoch + 1);
-      filter->params().AdamStep(cfg.filter_opt, epoch + 1);
-    }
-    filter->ClearCache();
-    t->End(span);
-    if (epoch == 0) *first_loss = loss;
-    if (epoch >= kReplayWarmEpochs) epochs.push_back(span);
-  }
-  return epochs;
 }
 
 /// Replays TrainMiniBatch's precompute and epochs call by call.
@@ -713,20 +651,20 @@ std::vector<int> ReplayMiniBatch(const Inputs& in,
 
 /// Traced training run: short untraced reference (for models.gap_ms), the
 /// call-by-call replay, and the kernel probes at this workload's shapes.
-void TraceTraining(bool fb, const Args& a, Tracer* t, Report* rep) {
+void TraceTraining(const Args& a, Tracer* t, Report* rep) {
   parallel::SetNumThreads(kThreads);
   std::printf("kernel threads: %d\n", parallel::NumThreads());
   Inputs in;
   SetUpTraining(a, t, nullptr, rep, &in);
   auto filter = MakeFilter(in, rep);
   if (filter == nullptr) return;
-  const models::TrainConfig cfg = TrainingConfig(fb, a.seed);
+  const models::TrainConfig cfg = TrainingConfig(a.seed);
 
   std::vector<double> untraced;
   double trainer_loss = 0.0;
   uint64_t failed = 0;
   for (int r = 0; r < 2; ++r) {
-    const models::TrainResult res = RunTrainer(fb, in, filter.get(), cfg);
+    const models::TrainResult res = RunTrainer(in, filter.get(), cfg);
     if (!res.status.ok()) ++failed;
     untraced.push_back(res.stats.train_ms_per_epoch);
     trainer_loss = res.final_train_loss;
@@ -736,46 +674,28 @@ void TraceTraining(bool fb, const Args& a, Tracer* t, Report* rep) {
 
   double replay_loss = 0.0;
   const std::vector<int> epochs =
-      fb ? ReplayFullBatch(in, filter.get(), cfg, t, &replay_loss)
-         : ReplayMiniBatch(in, filter.get(), cfg, t, rep, &replay_loss);
+      ReplayMiniBatch(in, filter.get(), cfg, t, rep, &replay_loss);
   if (epochs.empty()) return;
   std::printf("  replay first-epoch loss %.9g, trainer %.9g (%s)\n",
               replay_loss, trainer_loss,
               SameBits(replay_loss, trainer_loss) ? "bit-identical"
                                                   : "differs");
   const double traced_epoch = EpochMs(*t, epochs);
-  const double fwd = PerEpoch(*t, epochs, "core.forward");
-  const double bwd = PerEpoch(*t, epochs, "core.backward");
   std::printf("  traced epoch %.3f ms (median of %zu), untraced %.3f ms\n",
               traced_epoch, epochs.size(), Median(untraced));
-  if (fb) {
-    // FB-only figures: fb_train is not a gated workload (README.md), so
-    // these are printed, not reported.
-    rep->Info("core.forward_ms", fwd, "ms");
-    rep->Info("core.backward_ms", bwd, "ms");
-    rep->Info("models.propagate_share", (fwd + bwd) / traced_epoch, "ratio");
-  } else {
-    rep->Set("core.precompute_ms", t->SelfMsByName("core.precompute"));
-    rep->Set("core.combine_ms", PerEpoch(*t, epochs, "core.combine"));
-    rep->Set("core.backward_combine_ms",
-             PerEpoch(*t, epochs, "core.backward_combine"));
-    rep->Set("tensor.gather_ms", PerEpoch(*t, epochs, "tensor.gather"));
-  }
+  rep->Set("core.precompute_ms", t->SelfMsByName("core.precompute"));
+  rep->Set("core.combine_ms", PerEpoch(*t, epochs, "core.combine"));
+  rep->Set("core.backward_combine_ms",
+           PerEpoch(*t, epochs, "core.backward_combine"));
+  rep->Set("tensor.gather_ms", PerEpoch(*t, epochs, "tensor.gather"));
   rep->Set("nn.forward_ms", PerEpoch(*t, epochs, "nn.forward"));
   rep->Set("nn.backward_ms", PerEpoch(*t, epochs, "nn.backward"));
   rep->Set("nn.loss_ms", PerEpoch(*t, epochs, "nn.loss"));
   rep->Set("nn.adam_ms", PerEpoch(*t, epochs, "nn.adam"));
   rep->Set("models.gap_ms", Median(untraced) - traced_epoch);
 
-  const int64_t width = fb ? cfg.hidden : in.g.features.cols();
-  const double spmm_ms = ProbeSpmm(in.norm, width, a.seed, t, rep);
-  if (fb) rep->Info("core.hop_ratio", fwd / (kHops * spmm_ms), "x");
-  if (fb) {
-    ProbeGemm(in.g.n, cfg.hidden, in.g.num_classes, a.seed, t, rep);
-  } else {
-    ProbeGemm(cfg.batch_size, in.g.features.cols(), cfg.hidden, a.seed, t,
-              rep);
-  }
+  ProbeSpmm(in.norm, in.g.features.cols(), a.seed, t, rep);
+  ProbeGemm(cfg.batch_size, in.g.features.cols(), cfg.hidden, a.seed, t, rep);
 }
 
 }  // namespace
@@ -839,7 +759,7 @@ bool SetUpServing(const Args& a, Tracer* t, Report* rep, ServeSetup* out) {
   const Inputs& in = out->in;
   auto filter = MakeFilter(in, rep);
   if (filter == nullptr) return false;
-  models::TrainConfig cfg = TrainingConfig(/*fb=*/false, a.seed);
+  models::TrainConfig cfg = TrainingConfig(a.seed);
   cfg.timing_only = false;
   cfg.export_model = true;
   const models::TrainResult tr =
@@ -869,8 +789,6 @@ bool SetUpServing(const Args& a, Tracer* t, Report* rep, ServeSetup* out) {
     return false;
   }
   out->ckpt = loaded.MoveValue();
-
-  out->engine.reset();
   out->engine = StartEngine(out->ckpt, rep);
   if (out->engine == nullptr) return false;
 
@@ -1022,12 +940,17 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
               kMaxBatch, kHoldMs, static_cast<int>(1.0 / kCacheFraction),
               kFixedQps, kDeadlineMs);
   ServeSetup su;
-  std::vector<double> setup_s;
+  std::vector<double> setup_s, raw_setup;
   for (int r = 0; r < (traced ? 1 : kSetupReps); ++r) {
-    const double c0 = calib->RunMs();
+    // The last set-up is freed first (engine before the model it serves),
+    // so rss_mb holds one set-up's footprint, not two overlapping ones.
+    su.engine.reset();
+    su = ServeSetup{};
+    const perfbench::CalibReading c0 = calib->Run();
     const Clock::time_point t0 = Clock::now();
     if (!SetUpServing(a, t, rep, &su)) return;
-    setup_s.push_back(MsSince(t0) / 1e3 * HostFactor(c0, calib->RunMs()));
+    raw_setup.push_back(MsSince(t0) / 1e3);
+    setup_s.push_back(raw_setup.back() * Factors(c0, calib->Run()).memory);
   }
   PrintInputDigest(su.in);
   serve::Engine& engine = *su.engine;
@@ -1039,7 +962,9 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
   // rounds, so a burst of load from elsewhere on the host lands in one
   // round's samples instead of a whole phase.
   // The generator's own sleeps wake within 1 us instead of the default
-  // 50 us timer slack; the engine's threads keep the default.
+  // 50 us timer slack; the engine's threads keep the default, and so does
+  // the wake calibrator's worker, created first.
+  perfbench::WakeCalibrator wake(kHoldMs, kWakeHandoffs);
   prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
   DeviceTracker::Global().ResetPeak();
   std::vector<std::vector<float>> reference(static_cast<size_t>(n));
@@ -1049,10 +974,11 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
   perfbench::OpenLoopRecorder rec;
   perfbench::Digest sched_digest;
   std::vector<double> p50s, qps, pool_scaling, infer_ms, restore_ms;
+  std::vector<double> raw_qps_v, memory_k, raw_p50s, wake_k;
   uint64_t batches = 0, served = 0;
   double hits = 0.0, lookups = 0.0;
   for (int r = 0; r < kRounds; ++r) {
-    const double c0 = calib->RunMs();
+    const perfbench::CalibReading c0 = calib->Run();
     const std::vector<perfbench::Arrival> schedule =
         perfbench::PoissonSchedule(kFixedQps, a.seconds * 1e3 / kRounds, n,
                                    kSkew, perfbench::StreamSeed(a.seed, 100 + r));
@@ -1065,7 +991,9 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
     const serve::CacheStats cache0 = engine.GetCacheStats();
     const auto first = static_cast<int64_t>(rec.latency_ms().size());
     Phase fixed, sat;
+    const double w0 = wake.RunMs();
     PlayOpenLoop(&engine, schedule, &fixed, &rec);
+    const double w1 = wake.RunMs();
     batches += engine.batches_dispatched() - batches0;
     served += engine.queries_served() - served0;
     const serve::CacheStats cache1 = engine.GetCacheStats();
@@ -1074,7 +1002,9 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
     lookups += static_cast<double>(cache1.lookups() - cache0.lookups());
     const std::vector<double> latency(rec.latency_ms().begin() + first,
                                       rec.latency_ms().end());
-    p50s.push_back(Percentile(latency, 50));
+    raw_p50s.push_back(Percentile(latency, 50));
+    wake_k.push_back(kWakeRefMs / (0.5 * (w0 + w1)));
+    p50s.push_back(raw_p50s.back() * wake_k.back());
 
     perfbench::SplitMix64 rng(perfbench::StreamSeed(a.seed, 200 + r));
     const std::vector<int64_t> burst = perfbench::SkewedNodes(
@@ -1093,14 +1023,20 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
       return;
     }
     // Time to a serving engine from the loaded checkpoint image.
-    const Clock::time_point t0 = Clock::now();
-    if (StartEngine(su.ckpt, rep) == nullptr) return;
-    const double raw_restore = MsSince(t0);
-    // The latency p50 is not scaled: it is mostly the hold timer.
-    const double k = HostFactor(c0, calib->RunMs());
+    double raw_restore = 0.0;
+    {
+      const Clock::time_point t0 = Clock::now();
+      const std::unique_ptr<serve::Engine> restored =
+          StartEngine(su.ckpt, rep);
+      raw_restore = MsSince(t0);
+      if (restored == nullptr) return;
+    }  // the engine's teardown falls outside the timer
+    const double k = Factors(c0, calib->Run()).memory;
     qps.push_back(raw_qps / k);
     infer_ms.push_back(k * raw_infer);
     restore_ms.push_back(k * raw_restore);
+    raw_qps_v.push_back(raw_qps);
+    memory_k.push_back(k);
 
     // Correctness of this round's queries, checked while the engine is
     // idle between rounds: bit-identity to singleton serving, accounting.
@@ -1132,7 +1068,7 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
   rep->Count(attempted, missed);
 
   const std::vector<double>& lat = rec.latency_ms();
-  const double p50 = Median(p50s);
+  const double raw_p50 = Median(raw_p50s);
   const double p99 = Percentile(lat, 99);
   std::printf(
       "  fixed rate: offered %llu, ok %llu, deadline_shed %llu, failed %llu, "
@@ -1143,7 +1079,7 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
       static_cast<unsigned long long>(fixed_tally.ok),
       static_cast<unsigned long long>(fixed_tally.deadline_shed),
       static_cast<unsigned long long>(fixed_tally.failed),
-      static_cast<unsigned long long>(fixed_tally.late), p50,
+      static_cast<unsigned long long>(fixed_tally.late), raw_p50,
       Percentile(lat, 90), p99,
       Percentile(lat, 99.9), Percentile(lat, 100), lat.size(), kRounds,
       Percentile(rec.lateness_ms(), 99), Percentile(rec.lateness_ms(), 100));
@@ -1151,6 +1087,9 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
               static_cast<unsigned long long>(sat_tally.offered),
               static_cast<unsigned long long>(sat_tally.ok));
   PrintSamples("saturation", qps, "qps");
+  PrintSamples("round p50 from due (raw)", raw_p50s, "ms");
+  PrintSamples("host wake factor", wake_k, "x");
+  PrintSamples("round p50 from due", p50s, "ms");
   const double mean_batch =
       batches > 0 ? static_cast<double>(served) / static_cast<double>(batches)
                   : 0.0;
@@ -1160,11 +1099,14 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
               lookups > 0.0 ? hits / lookups : 0.0);
 
   if (!traced) {
+    PrintSamples("setup (raw)", raw_setup, "s");
+    PrintSamples("saturation (raw)", raw_qps_v, "qps");
+    PrintSamples("host speed factor, memory", memory_k, "x");
     PrintSamples("setup", setup_s, "s");
     PrintSamples("offline test-split inference", infer_ms, "ms");
     PrintSamples("restore+start", restore_ms, "ms");
     rep->Set("setup_s", Median(setup_s));
-    rep->Set("latency_ms", p50);
+    rep->Set("latency_ms", Median(p50s));
     rep->Set("prep_ms", Median(restore_ms));
     rep->Set("infer_ms", Median(infer_ms));
     rep->Set("rate_per_s", Median(qps));
@@ -1240,7 +1182,7 @@ void RunServing(const Args& a, Tracer* t, perfbench::Calibrator* calib,
   }
   std::printf("  service probe: %d batches of %zu rows\n", kServiceReps, b);
   rep->Set("serve.service_ms", Median(service));
-  rep->Set("serve.wait_ms", p50 - Median(service));
+  rep->Set("serve.wait_ms", raw_p50 - Median(service));
   rep->Set("tensor.gather_ms", Median(gather));
   rep->Set("core.combine_ms", Median(combine));
   rep->Set("nn.infer_ms", Median(infer));
@@ -1272,8 +1214,7 @@ bool ParseArgs(int argc, char** argv, Args* a) {
     }
   }
   return argc % 2 == 1 && a->seconds > 0.0 &&
-         (a->workload == "fb_train" || a->workload == "mb_train" ||
-          a->workload == "serve_open");
+         (a->workload == "mb_train" || a->workload == "serve_open");
 }
 
 }  // namespace
@@ -1282,7 +1223,7 @@ int main(int argc, char** argv) {
   Args a;
   if (!ParseArgs(argc, argv, &a)) {
     std::fprintf(stderr,
-                 "usage: perfbench --workload fb_train|mb_train|serve_open "
+                 "usage: perfbench --workload mb_train|serve_open "
                  "--seed N --seconds S --trace 0|1 [--work-dir DIR]\n");
     return 2;
   }
@@ -1294,17 +1235,25 @@ int main(int argc, char** argv) {
   std::printf("build: %s, flags \"%s\"\n", __VERSION__, PERFBENCH_BUILD_FLAGS);
 
   Report rep(a.trace);
-  perfbench::Calibrator calib;
+  perfbench::Calibrator calib(kCalibShape);
   Tracer tracer;
   Tracer* t = a.trace ? &tracer : nullptr;
   if (a.workload == "serve_open") {
     RunServing(a, t, &calib, &rep);
   } else if (a.trace) {
-    TraceTraining(a.workload == "fb_train", a, t, &rep);
+    TraceTraining(a, t, &rep);
   } else {
-    RunTraining(a.workload == "fb_train", a, &calib, &rep);
+    RunTraining(a, &calib, &rep);
   }
-  if (!a.trace) rep.Set("rss_mb", PeakRssMb());
+  if (!a.trace) {
+    // The calibrator's buffers stay resident for the whole run, so the peak
+    // includes them; rss_mb is the program's own share.
+    const double rss = PeakRssMb();
+    const double calib_mb = Mb(calib.resident_bytes());
+    std::printf("  peak rss %.3f MB, of which calibration buffers %.3f MB\n",
+                rss, calib_mb);
+    rep.Set("rss_mb", rss - calib_mb);
+  }
   if (rep.attempted() == 0) {
     rep.Check(false, "at least one operation attempted");
     rep.Count(1, 1);

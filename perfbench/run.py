@@ -18,7 +18,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "perfbench")
-WORKLOADS = ("fb_train", "mb_train", "serve_open")
+WORKLOADS = ("mb_train", "serve_open")
 RUN_TIMEOUT_S = 170
 
 
