@@ -1,0 +1,309 @@
+// Golden digests: the bit-level spec of every filter and of the two
+// training schemes, pinned as CRC-32 values of raw float (and double) bits.
+//
+// A refactor that keeps behaviour keeps these digests; a change that moves
+// one bit anywhere in a filter's forward, backward, precompute or combine
+// path, or in a short FB/MB training run, fails here naming the filter and
+// the stage and printing the actual CRC. The dense oracle
+// (conformance/oracle.cc) stays the numerical reference; this table is the
+// bit reference across builds and refactors. The expected values are edited
+// by hand when a change is meant to move bits, and that change says so.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "conformance/fuzz.h"
+#include "core/registry.h"
+#include "graph/generator.h"
+#include "models/trainer.h"
+#include "sparse/adjacency.h"
+#include "tensor/rng.h"
+#include "tensor/serialize.h"
+
+namespace sgnn {
+namespace {
+
+constexpr int kHops = 10;
+constexpr int64_t kFeatures = 4;
+
+/// Incremental CRC-32 over raw value bits.
+class Digest {
+ public:
+  Digest& Add(const Matrix& m) {
+    crc_ = serialize::Crc32(m.data(), m.bytes(), crc_);
+    return *this;
+  }
+  Digest& Add(const std::vector<double>& v) {
+    crc_ = serialize::Crc32(v.data(), v.size() * sizeof(double), crc_);
+    return *this;
+  }
+  uint32_t value() const { return crc_; }
+
+ private:
+  uint32_t crc_ = 0;
+};
+
+std::string Hex(uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%08x", v);
+  return buf;
+}
+
+Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  Matrix m(rows, cols, Device::kHost);
+  Rng rng(seed);
+  m.FillNormal(&rng);
+  return m;
+}
+
+/// One fixture graph: normalized propagation matrix plus its input signal
+/// and the upstream gradient fed to the backward passes.
+struct Fixture {
+  std::string family;
+  sparse::CsrMatrix prop;
+  Matrix x;
+  Matrix grad_y;
+};
+
+/// The first CaseFromSeed graph of each of three families: a random graph,
+/// a two-block SBM, and a graph with zero-degree rows and no self loops.
+const std::vector<Fixture>& Fixtures() {
+  static const std::vector<Fixture>* fixtures = [] {
+    auto* out = new std::vector<Fixture>;
+    for (const char* family : {"er", "sbm", "isolated"}) {
+      for (uint64_t seed = 1;; ++seed) {
+        const conformance::FuzzCase c = conformance::CaseFromSeed(seed);
+        if (c.family != family) continue;
+        auto adj = sparse::BuildAdjacency(c.n, c.edges, c.self_loops);
+        SGNN_CHECK(adj.ok(), "golden fixture adjacency must build");
+        Fixture f;
+        f.family = family;
+        f.prop = sparse::NormalizeAdjacency(adj.value(), c.rho);
+        f.x = RandomMatrix(c.n, kFeatures, seed * 31 + 1);
+        f.grad_y = RandomMatrix(c.n, kFeatures, seed * 31 + 2);
+        out->push_back(std::move(f));
+        break;
+      }
+    }
+    return out;
+  }();
+  return *fixtures;
+}
+
+std::unique_ptr<filters::SpectralFilter> Make(const std::string& name,
+                                              uint64_t seed) {
+  auto f = filters::CreateFilter(name, kHops, {}, kFeatures);
+  SGNN_CHECK(f.ok(), "golden filter must build");
+  auto filter = f.MoveValue();
+  Rng rng(seed);
+  filter->ResetParameters(&rng);
+  return filter;
+}
+
+/// Per-filter digests, each chained over the three fixtures in order.
+struct FilterDigests {
+  uint32_t forward = 0;     ///< Forward(cache=false) output
+  uint32_t backward = 0;    ///< grad_x, then params().grads()
+  uint32_t precompute = 0;  ///< every Precompute term (0 = FB-only filter)
+  uint32_t combine = 0;     ///< CombineTerms output, then BackwardCombine grads
+};
+
+FilterDigests Compute(const std::string& name) {
+  Digest forward, backward, precompute, combine;
+  bool mini_batch = false;
+  for (size_t i = 0; i < Fixtures().size(); ++i) {
+    const Fixture& fx = Fixtures()[i];
+    filters::FilterContext ctx;
+    ctx.prop = &fx.prop;
+    ctx.device = Device::kHost;
+
+    auto filter = Make(name, 100 + i);
+    Matrix y;
+    filter->Forward(ctx, fx.x, &y, /*cache=*/false);
+    forward.Add(y);
+
+    filter = Make(name, 200 + i);
+    Matrix y_cached, grad_x;
+    filter->Forward(ctx, fx.x, &y_cached, /*cache=*/true);
+    filter->params().ZeroGrad();
+    filter->Backward(ctx, fx.grad_y, &grad_x);
+    backward.Add(grad_x).Add(filter->params().grads());
+
+    filter = Make(name, 300 + i);
+    mini_batch = filter->SupportsMiniBatch();
+    if (!mini_batch) continue;
+    std::vector<Matrix> terms;
+    const Status st = filter->Precompute(ctx, fx.x, &terms);
+    SGNN_CHECK(st.ok(), "golden precompute must succeed");
+    for (const Matrix& t : terms) precompute.Add(t);
+
+    // A fixed row subset: every other row, last to first.
+    std::vector<int32_t> rows;
+    for (int64_t r = fx.x.rows() - 1; r >= 0; r -= 2) {
+      rows.push_back(static_cast<int32_t>(r));
+    }
+    std::vector<Matrix> hold;
+    for (const Matrix& t : terms) hold.push_back(t.GatherRows(rows));
+    std::vector<const Matrix*> ptrs;
+    for (const Matrix& h : hold) ptrs.push_back(&h);
+    Matrix yb;
+    filter->CombineTerms(ptrs, &yb, /*cache=*/true);
+    filter->params().ZeroGrad();
+    filter->BackwardCombine(ptrs, fx.grad_y.GatherRows(rows));
+    combine.Add(yb).Add(filter->params().grads());
+  }
+  FilterDigests d;
+  d.forward = forward.value();
+  d.backward = backward.value();
+  d.precompute = mini_batch ? precompute.value() : 0;
+  d.combine = mini_batch ? combine.value() : 0;
+  return d;
+}
+
+struct FilterGolden {
+  const char* name;
+  FilterDigests want;
+};
+
+// clang-format off
+const FilterGolden kFilterGolden[] = {
+    {"identity",     {0x73b7f1ed, 0x2acc034a, 0x73b7f1ed, 0x72084428}},
+    {"linear",       {0x4aceb1f1, 0xf00f6d88, 0x4aceb1f1, 0x31dab0e4}},
+    {"impulse",      {0x35a47984, 0xfdf88d4e, 0x35a47984, 0xe1248b83}},
+    {"monomial",     {0x19d62dc9, 0x65abaec6, 0x19d62dc9, 0xdc5348a0}},
+    {"ppr",          {0xbdefd8b9, 0x703696a4, 0xbdefd8b9, 0xe4330871}},
+    {"hk",           {0xf11bd8f8, 0xb73bbb0f, 0xf11bd8f8, 0x2d0010d2}},
+    {"gaussian",     {0xd5307463, 0xdc4a6523, 0xd5307463, 0x15e49279}},
+    {"var_linear",   {0x45b0c3e0, 0xb0bed2fc, 0x4f2bf1ff, 0xf5b5eeeb}},
+    {"var_monomial", {0x408813fe, 0x85aad8e2, 0x4f2bf1ff, 0x302101cb}},
+    {"horner",       {0xfe2dfc2a, 0x51b006c3, 0x4f2bf1ff, 0xacf3f665}},
+    {"chebyshev",    {0x9fcc09d9, 0x94b4a561, 0x292e1562, 0xc4de284d}},
+    {"chebinterp",   {0x56d1c022, 0x831f2c91, 0x292e1562, 0xa523e1d1}},
+    {"clenshaw",     {0xd8681025, 0x84ca4020, 0xa17246fa, 0xc518be80}},
+    {"bernstein",    {0xcc7997dd, 0x67cc539c, 0xc33b5bcc, 0x079103cb}},
+    {"legendre",     {0x54d4e33f, 0x299f746d, 0x6798265d, 0xeffee2b8}},
+    {"jacobi",       {0x1cea1e2e, 0x513fdf11, 0x540b91f1, 0xdcb32e80}},
+    {"favard",       {0x0e188d17, 0xf5669e15, 0x00000000, 0x00000000}},
+    {"optbasis",     {0x832da613, 0x80add6ff, 0xabf194b1, 0x91196ad4}},
+    {"adagnn",       {0x791b0319, 0xa53b12a0, 0x00000000, 0x00000000}},
+    {"fbgnn1",       {0x08ecb79c, 0x43216346, 0x00000000, 0x00000000}},
+    {"fbgnn2",       {0x18f32a9d, 0xbb2a5c3d, 0x00000000, 0x00000000}},
+    {"acmgnn1",      {0xe9ab701c, 0x4a74f6df, 0x00000000, 0x00000000}},
+    {"acmgnn2",      {0xb847940a, 0xa0609464, 0x00000000, 0x00000000}},
+    {"fagnn",        {0x6c91c852, 0x8986dcd7, 0xd4f253ad, 0x8ae6c29b}},
+    {"g2cn",         {0x6cf63741, 0xea460c3a, 0xe3fbfc10, 0x2f868478}},
+    {"gnn_lf_hf",    {0x21400553, 0xd3524f9a, 0x83883bc7, 0x557dbd54}},
+    {"figure",       {0xe76267c5, 0x9d4f4f50, 0x42bec72f, 0xd97d962e}},
+};
+// clang-format on
+
+TEST(Golden, EveryFilterStageMatchesPinnedDigests) {
+  ASSERT_EQ(Fixtures().size(), 3u);
+  const std::vector<std::string> names = filters::AllFilterNames();
+  ASSERT_EQ(names.size(), std::size(kFilterGolden));
+  for (size_t i = 0; i < names.size(); ++i) {
+    const FilterGolden& g = kFilterGolden[i];
+    ASSERT_EQ(names[i], g.name) << "golden table out of Table 1 order";
+    const FilterDigests got = Compute(names[i]);
+    const auto check = [&](const char* stage, uint32_t want, uint32_t have) {
+      EXPECT_EQ(have, want) << names[i] << "/" << stage << ": actual "
+                            << Hex(have) << ", pinned " << Hex(want);
+    };
+    check("forward", g.want.forward, got.forward);
+    check("backward", g.want.backward, got.backward);
+    check("precompute", g.want.precompute, got.precompute);
+    check("combine", g.want.combine, got.combine);
+  }
+}
+
+// --- training ----------------------------------------------------------------
+
+const graph::Graph& TrainGraph() {
+  static const graph::Graph* g = [] {
+    graph::GeneratorConfig c;
+    c.n = 240;
+    c.avg_degree = 6.0;
+    c.num_classes = 3;
+    c.homophily = 0.8;
+    c.feature_dim = 8;
+    c.noise = 1.5;
+    c.seed = 17;
+    return new graph::Graph(graph::GenerateSbm(c));
+  }();
+  return *g;
+}
+
+models::TrainConfig TrainCfg(bool mb) {
+  models::TrainConfig c;
+  c.epochs = 5;
+  c.eval_every = 5;
+  c.hidden = 16;
+  c.batch_size = 64;
+  c.seed = 3;
+  if (mb) {
+    c.phi0_layers = 0;
+    c.phi1_layers = 2;
+  }
+  return c;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+struct TrainGolden {
+  const char* name;
+  uint64_t fb_loss_bits;
+  uint32_t fb_logits;
+  uint64_t mb_loss_bits;
+  uint32_t mb_logits;
+};
+
+// clang-format off
+const TrainGolden kTrainGolden[] = {
+    {"chebyshev", 0x3fed5fabf3924117ull, 0xc74a7e5b, 0x3ff1aa775effd4f2ull, 0xedee960b},
+    {"bernstein", 0x3fef57194b60e991ull, 0x5f58991a, 0x3ff0cc8438df65cbull, 0x336bf1eb},
+    {"gnn_lf_hf", 0x3ff2a88827028370ull, 0x7acf8a0c, 0x3ff0fd703d5ac990ull, 0xf6fde41d},
+    {"figure",    0x3ff18cab6d4b8561ull, 0xe9b7493a, 0x3ff1921396dcc22aull, 0xf19dcfcb},
+    {"optbasis",  0x3fe1292cf9341dd5ull, 0x8534f610, 0x3fe601792d633ed1ull, 0x762187e3},
+};
+// clang-format on
+
+TEST(Golden, FiveEpochTrainingMatchesPinnedDigests) {
+  const graph::Graph& g = TrainGraph();
+  const graph::Splits s = graph::RandomSplits(g.n, 4);
+  for (const TrainGolden& want : kTrainGolden) {
+    for (const bool mb : {false, true}) {
+      auto f = filters::CreateFilter(want.name, kHops, {}, g.features.cols());
+      ASSERT_TRUE(f.ok()) << want.name;
+      auto filter = f.MoveValue();
+      const models::TrainResult r =
+          mb ? models::TrainMiniBatch(g, s, graph::Metric::kAccuracy,
+                                      filter.get(), TrainCfg(true))
+             : models::TrainFullBatch(g, s, graph::Metric::kAccuracy,
+                                      filter.get(), TrainCfg(false));
+      ASSERT_TRUE(r.status.ok()) << want.name << ": " << r.status.ToString();
+      const char* scheme = mb ? "mb" : "fb";
+      const uint64_t loss = Bits(r.final_train_loss);
+      const uint64_t want_loss = mb ? want.mb_loss_bits : want.fb_loss_bits;
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "0x%016llx",
+                    static_cast<unsigned long long>(loss));
+      EXPECT_EQ(loss, want_loss)
+          << want.name << "/" << scheme << "_loss: actual " << buf;
+      const uint32_t logits = Digest().Add(r.test_logits).value();
+      EXPECT_EQ(logits, mb ? want.mb_logits : want.fb_logits)
+          << want.name << "/" << scheme << "_logits: actual " << Hex(logits);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sgnn
