@@ -18,6 +18,13 @@ bool ReadAll(std::FILE* f, void* data, size_t bytes) {
   return std::fread(data, 1, bytes, f) == bytes;
 }
 
+/// *acc += a * b; false when either step overflows.
+bool AddProduct(uint64_t a, uint64_t b, uint64_t* acc) {
+  uint64_t product = 0;
+  return !__builtin_mul_overflow(a, b, &product) &&
+         !__builtin_add_overflow(*acc, product, acc);
+}
+
 std::mutex& IoHookMutex() {
   static std::mutex mu;
   return mu;
@@ -81,10 +88,31 @@ Result<Graph> LoadGraph(const std::string& path) {
             ReadAll(f, &n, sizeof(n)) && ReadAll(f, &nnz, sizeof(nnz)) &&
             ReadAll(f, &fi, sizeof(fi)) &&
             ReadAll(f, &classes, sizeof(classes)) && n > 0 && nnz >= 0 &&
-            fi >= 0;
+            fi >= 0 && classes > 0;
+  // The header's sizes decide every allocation below, so they must describe
+  // exactly the bytes the file still holds before anything is allocated.
+  const long header_end = ok ? std::ftell(f) : -1;
+  ok = ok && header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+  const long file_end = ok ? std::ftell(f) : -1;
+  ok = ok && file_end >= header_end &&
+       std::fseek(f, header_end, SEEK_SET) == 0;
   if (!ok) {
     std::fclose(f);
     return Status::IOError("corrupt header in " + path);
+  }
+  // indptr, indices + values, features, labels.
+  const auto rows = static_cast<uint64_t>(n);
+  uint64_t feature_row = 0, body = 0;
+  if (!AddProduct(rows + 1, sizeof(int64_t), &body) ||
+      !AddProduct(static_cast<uint64_t>(nnz), sizeof(int32_t) + sizeof(float),
+                  &body) ||
+      !AddProduct(static_cast<uint64_t>(fi), sizeof(float), &feature_row) ||
+      !AddProduct(rows, feature_row, &body) ||
+      !AddProduct(rows, sizeof(int32_t), &body) ||
+      body != static_cast<uint64_t>(file_end - header_end)) {
+    std::fclose(f);
+    return Status::IOError("header sizes do not match the file body in " +
+                           path);
   }
   std::vector<int64_t> indptr(static_cast<size_t>(n) + 1);
   std::vector<int32_t> indices(static_cast<size_t>(nnz));
@@ -100,8 +128,15 @@ Result<Graph> LoadGraph(const std::string& path) {
        ReadAll(f, g.features.data(), g.features.bytes()) &&
        ReadAll(f, g.labels.data(), g.labels.size() * sizeof(int32_t));
   std::fclose(f);
-  if (!ok || indptr.back() != nnz) {
-    return Status::IOError("corrupt body in " + path);
+  if (!ok) return Status::IOError("corrupt body in " + path);
+  const Status csr = sparse::ValidateCsrArrays(n, indptr, indices);
+  if (!csr.ok()) {
+    return Status::IOError(csr.message() + " in " + path);
+  }
+  for (const int32_t y : g.labels) {
+    if (y < 0 || y >= classes) {
+      return Status::IOError("label outside [0, classes) in " + path);
+    }
   }
   g.adj = sparse::CsrMatrix(n, std::move(indptr), std::move(indices),
                             std::move(values));

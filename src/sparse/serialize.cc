@@ -33,17 +33,7 @@ Status ReadCsr(serialize::Reader* r, Device device, CsrMatrix* out) {
   for (auto& v : indices) SGNN_RETURN_IF_ERROR(r->I32(&v));
   std::vector<float> values(static_cast<size_t>(nnz));
   for (auto& v : values) SGNN_RETURN_IF_ERROR(r->F32(&v));
-  if (indptr.front() != 0 || indptr.back() != nnz) {
-    return Status::IOError("inconsistent CSR indptr");
-  }
-  for (size_t i = 0; i + 1 < indptr.size(); ++i) {
-    if (indptr[i] > indptr[i + 1]) {
-      return Status::IOError("non-monotonic CSR indptr");
-    }
-  }
-  for (const int32_t c : indices) {
-    if (c < 0 || c >= n) return Status::IOError("CSR column index out of range");
-  }
+  SGNN_RETURN_IF_ERROR(ValidateCsrArrays(n, indptr, indices));
   *out = CsrMatrix(n, std::move(indptr), std::move(indices), std::move(values),
                    device);
   return Status::OK();

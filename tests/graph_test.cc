@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "graph/datasets.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/io.h"
-
-#include <cstdio>
 
 namespace sgnn::graph {
 namespace {
@@ -203,6 +206,65 @@ TEST(GraphIo, RoundTrip) {
 
 TEST(GraphIo, LoadMissingFails) {
   EXPECT_FALSE(LoadGraph("/tmp/sgnn_missing_graph.bin").ok());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// A small saved graph's bytes (36-byte header, then the body).
+std::string SavedGraphBytes(const std::string& path, Graph* g) {
+  GeneratorConfig c = SmallConfig(0.7);
+  c.n = 40;
+  *g = GenerateSbm(c);
+  EXPECT_TRUE(SaveGraph(*g, path).ok());
+  return ReadBytes(path);
+}
+
+TEST(GraphIo, InflatedHeaderIsIoErrorNotAbort) {
+  // A 36-byte file whose header claims n = 2^40 nodes: the loader must
+  // reject it before allocating anything sized by n.
+  const std::string path = testing::TempDir() + "/sgnn_inflated_graph.bin";
+  Graph g;
+  std::string bytes = SavedGraphBytes(path, &g).substr(0, 36);
+  const int64_t n = int64_t{1} << 40;
+  std::memcpy(&bytes[8], &n, sizeof n);
+  WriteBytes(path, bytes);
+  const auto r = LoadGraph(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIo, TruncatedFileIsIoError) {
+  const std::string path = testing::TempDir() + "/sgnn_truncated_graph.bin";
+  Graph g;
+  const std::string bytes = SavedGraphBytes(path, &g);
+  WriteBytes(path, bytes.substr(0, bytes.size() - 7));
+  const auto r = LoadGraph(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIo, OutOfRangeColumnIsIoError) {
+  const std::string path = testing::TempDir() + "/sgnn_bad_column_graph.bin";
+  Graph g;
+  std::string bytes = SavedGraphBytes(path, &g);
+  // First column index sits right after the header and the n+1 indptr.
+  const size_t first_col = 36 + static_cast<size_t>(g.n + 1) * 8;
+  const int32_t bad = static_cast<int32_t>(g.n) + 5;
+  std::memcpy(&bytes[first_col], &bad, sizeof bad);
+  WriteBytes(path, bytes);
+  const auto r = LoadGraph(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST(EdgeHomophily, TracksNodeHomophily) {
