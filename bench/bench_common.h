@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/lazy.h"
 #include "core/registry.h"
 #include "graph/datasets.h"
 #include "models/trainer.h"
@@ -98,39 +97,6 @@ inline bool ProbeMiniBatch(runtime::Supervisor* sup,
   if (probe.ok()) return probe.value()->SupportsMiniBatch();
   if (sup->Find(key) == nullptr) {
     sup->Skip(key, runtime::CellStatus::kSkipped, probe.status().ToString());
-  }
-  return false;
-}
-
-/// Probes whether filter `name` can run its forward through the lazy
-/// op-graph (docs/OPGRAPH.md) before a bench commits a cell to `--lazy`
-/// execution. Mirrors ProbeMiniBatch's journaling contract: a probe whose
-/// lazy pipeline *fails* — e.g. an armed fault plan latches the simulated
-/// accelerator OOM while the executor acquires its planned buffers — is
-/// journaled as a terminal SKIPPED cell through the supervisor instead of
-/// crashing the bench (an earlier draft let the OutOfMemory status escape
-/// and the grid aborted mid-run). An eager-only filter returns false
-/// without journaling — the caller simply runs the cell eagerly. Any OOM
-/// latch the probe itself caused is cleared so later cells are unaffected.
-inline bool ProbeLazy(runtime::Supervisor* sup, const runtime::CellKey& key,
-                      const std::string& name,
-                      const filters::FilterContext& ctx, const Matrix& x) {
-  auto probe = MakeFilter(name, UniversalHops(), x.cols());
-  if (!probe.ok()) {
-    if (sup->Find(key) == nullptr) {
-      sup->Skip(key, runtime::CellStatus::kSkipped, probe.status().ToString());
-    }
-    return false;
-  }
-  if (!probe.value()->SupportsLazy()) return false;
-  auto& tracker = DeviceTracker::Global();
-  const bool oom_before = tracker.accel_oom();
-  Matrix y;
-  const Status status = filters::LazyForward(probe.value().get(), ctx, x, &y);
-  if (status.ok()) return true;
-  if (!oom_before && tracker.accel_oom()) tracker.ClearOom();
-  if (sup->Find(key) == nullptr) {
-    sup->Skip(key, runtime::CellStatus::kSkipped, status.ToString());
   }
   return false;
 }

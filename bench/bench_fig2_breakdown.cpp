@@ -3,8 +3,6 @@
 // RQ1/RQ2: propagation dominates on larger graphs; MB shifts memory to RAM
 // and wins wall-clock there.
 
-#include <cstring>
-
 #include "bench/bench_common.h"
 #include "tensor/parallel.h"
 #include "eval/table.h"
@@ -124,101 +122,6 @@ int main() {
                 static_cast<long long>(big.n),
                 static_cast<long long>(norm.nnz()));
     sweep.Print();
-  }
-
-  // Lazy op-graph forward (docs/OPGRAPH.md): eager K-hop stream vs the
-  // fused SpMM-chain pipeline on the accelerator. Journals both variants
-  // per filter — wall time, measured peak accel bytes, and the planner's
-  // predicted peak (extras planned_peak_mb / fused_chains) — and hard-fails
-  // on any bit divergence: the lazy path's whole contract is that it only
-  // changes buffer traffic, never results.
-  {
-    graph::GeneratorConfig gc;
-    gc.n = bench::FullMode() ? 120000 : 20000;
-    gc.avg_degree = 10.0;
-    gc.feature_dim = bench::FullMode() ? 64 : 32;
-    graph::Graph big = graph::GenerateSbm(gc);
-    sparse::CsrMatrix norm = sparse::NormalizeAdjacency(big.adj, 0.5);
-    Matrix x(big.n, big.features.cols(), Device::kAccel);
-    ops::Copy(big.features, &x);
-    filters::FilterContext ctx;
-    ctx.prop = &norm;
-    ctx.device = Device::kAccel;
-    auto& tracker = DeviceTracker::Global();
-
-    eval::Table lazy_table({"Filter", "Variant", "Fwd ms", "Accel peak",
-                            "Planned", "Fused chains"});
-    for (const std::string name : {"chebyshev", "ppr", "gnn_lf_hf"}) {
-      const runtime::CellKey lazy_key{"dcsbm_fwd", name, "fb", 1, "lazy"};
-      if (!bench::ProbeLazy(&sup, lazy_key, name, ctx, x)) continue;
-      auto filter_or =
-          bench::MakeFilter(name, bench::UniversalHops(), x.cols());
-      if (!filter_or.ok()) continue;
-      auto filter = filter_or.MoveValue();
-
-      Matrix y_eager, y_lazy;
-      opgraph::PipelineStats stats;
-      bool eager_live = false, lazy_live = false;
-      auto run_variant = [&](const std::string& variant, bool lazy,
-                             bool* live) {
-        return sup.Run(
-            {"dcsbm_fwd", name, "fb", 1, variant},
-            [&]() -> models::TrainResult {
-              models::TrainResult tr;
-              const size_t live0 = tracker.live_bytes(Device::kAccel);
-              tracker.ResetPeak();
-              eval::Stopwatch sw;
-              if (lazy) {
-                tr.status = filters::LazyForward(filter.get(), ctx, x,
-                                                 &y_lazy, &stats);
-                tr.oom = tr.status.code() == StatusCode::kOutOfMemory;
-              } else {
-                filter->Forward(ctx, x, &y_eager, /*cache=*/false);
-              }
-              tr.stats.infer_ms = sw.ElapsedMs();
-              tr.stats.peak_accel_bytes =
-                  tracker.peak_bytes(Device::kAccel) - live0;
-              tr.stats.threads = parallel::NumThreads();
-              *live = true;
-              return tr;
-            },
-            [&](const models::TrainResult&, runtime::CellRecord* rec) {
-              if (lazy) {
-                rec->extras.emplace_back(
-                    "planned_peak_mb",
-                    static_cast<double>(stats.planned_peak_bytes) / 1e6);
-                rec->extras.emplace_back(
-                    "fused_chains", static_cast<double>(stats.fused_spmm_chains));
-              }
-            });
-      };
-      const auto eager = run_variant("eager", false, &eager_live);
-      const auto lazy = run_variant("lazy", true, &lazy_live);
-      if (eager_live && lazy_live && eager.ok() && lazy.ok()) {
-        if (y_eager.bytes() != y_lazy.bytes() ||
-            std::memcmp(y_eager.data(), y_lazy.data(), y_eager.bytes()) != 0) {
-          std::fprintf(stderr,
-                       "FATAL: lazy forward diverged from eager for %s\n",
-                       name.c_str());
-          return 1;
-        }
-      }
-      lazy_table.AddRow({name, "eager",
-                         bench::CellText(eager,
-                                         eval::Fmt(eager.stats.infer_ms, 1)),
-                         FormatBytes(eager.stats.peak_accel_bytes), "-", "-"});
-      lazy_table.AddRow(
-          {name, "lazy",
-           bench::CellText(lazy, eval::Fmt(lazy.stats.infer_ms, 1)),
-           FormatBytes(lazy.stats.peak_accel_bytes),
-           FormatBytes(static_cast<size_t>(lazy.Extra("planned_peak_mb", 0) *
-                                           1e6)),
-           eval::Fmt(lazy.Extra("fused_chains", 0), 0)});
-    }
-    std::printf("\nLazy op-graph forward, planned vs eager peak accel bytes "
-                "(K=%d, n=%lld):\n",
-                bench::UniversalHops(), static_cast<long long>(big.n));
-    lazy_table.Print();
   }
   return 0;
 }

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/lazy.h"
 #include "core/registry.h"
 #include "graph/generator.h"
 #include "sparse/adjacency.h"
@@ -108,46 +107,6 @@ void BM_ForwardCached(benchmark::State& state) {
       tracker.peak_bytes(Device::kHost)) / 1e6;
 }
 BENCHMARK(BM_ForwardCached)->Arg(0)->Arg(1);
-
-/// Lazy op-graph ablation (docs/OPGRAPH.md): eager K=10 forward vs the
-/// fused record→plan→execute pipeline, per ported filter. Arg(0) = eager,
-/// Arg(1) = lazy. Counters journal the trade-off per run: measured host
-/// peak, the planner's predicted peak (lazy only — equal to the measured
-/// growth by contract), and the number of SpMM chains fusion collapsed.
-void BM_ForwardLazy(benchmark::State& state, const std::string& filter_name) {
-  graph::Graph g = MakeGraph(4000, 10.0);
-  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, 0.5);
-  auto filter = filters::CreateFilter(filter_name, 10, {}, 32).MoveValue();
-  filters::FilterContext ctx{&norm, Device::kHost};
-  const bool lazy = state.range(0) != 0;
-  Matrix y;
-  opgraph::PipelineStats stats;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ResetPeak();
-  for (auto _ : state) {
-    if (lazy) {
-      if (!filters::LazyForward(filter.get(), ctx, g.features, &y, &stats)
-               .ok()) {
-        state.SkipWithError("lazy forward failed");
-        return;
-      }
-    } else {
-      filter->Forward(ctx, g.features, &y, false);
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["peak_host_mb"] =
-      static_cast<double>(tracker.peak_bytes(Device::kHost)) / 1e6;
-  if (lazy) {
-    state.counters["planned_peak_mb"] =
-        static_cast<double>(stats.planned_peak_bytes) / 1e6;
-    state.counters["fused_chains"] =
-        static_cast<double>(stats.fused_spmm_chains);
-  }
-}
-BENCHMARK_CAPTURE(BM_ForwardLazy, chebyshev, "chebyshev")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_ForwardLazy, ppr, "ppr")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_ForwardLazy, gnn_lf_hf, "gnn_lf_hf")->Arg(0)->Arg(1);
 
 /// Graph normalization cost over ρ (all equal; sanity for RQ9 sweeps).
 void BM_Normalize(benchmark::State& state) {

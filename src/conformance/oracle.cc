@@ -74,7 +74,7 @@ Matrix AdaGnnReference(filters::SpectralFilter* filter,
 
 // optbasis ground truth: the per-column three-term Lanczos recurrence
 // against Ã, mirrored in double precision (same zero-norm guards as
-// OptBasisFilter::StreamBasis). Sets *degenerate when any β falls below
+// OptBasisFilter::StreamLanczos). Sets *degenerate when any β falls below
 // `breakdown_tol` while later basis vectors still carry weight — at that
 // point the float32 recurrence normalizes a cancellation residue and the
 // direction is numerically undefined, so the comparison is meaningless.

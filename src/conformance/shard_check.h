@@ -3,13 +3,11 @@
 //
 // Sharded execution (src/shard/, docs/SHARDING.md) promises that
 // partitioned propagation — edge-cut shards, halo exchange, ordered merge —
-// is *bit-identical* to the single-CSR path at any shard count, for both
-// the eager filters and the lazy op-graph. This check enforces that
-// contract for every Table 1 filter:
-//   * bit-identity: sharded eager Forward, sharded LazyForward (when the
-//     filter records lazily), and every sharded Precompute term must match
-//     their unsharded counterparts byte for byte (memcmp, never a
-//     tolerance), at each requested shard count, and
+// is *bit-identical* to the single-CSR path at any shard count. This check
+// enforces that contract for every Table 1 filter:
+//   * bit-identity: the sharded Forward and every sharded Precompute term
+//     must match their unsharded counterparts byte for byte (memcmp, never
+//     a tolerance), at each requested shard count, and
 //   * spectral correctness: the sharded forward must sit within the same
 //     dense eigendecomposition oracle tolerance (oracle.h) that gates the
 //     unsharded path.
@@ -34,8 +32,7 @@ struct ShardReport {
   std::vector<int> shard_counts;  ///< K values exercised
   double rel_error = 0.0;         ///< sharded forward vs dense oracle (max over K)
   double tolerance = 0.0;         ///< OracleTolerance(filter)
-  bool forward_bit_identical = false;   ///< eager sharded ≡ unsharded, every K
-  bool lazy_bit_identical = false;      ///< lazy sharded ≡ unsharded (true when eager-only)
+  bool forward_bit_identical = false;   ///< sharded ≡ unsharded, every K
   bool precompute_bit_identical = false;  ///< terms sharded ≡ unsharded (true for FB-only)
   bool skipped = false;  ///< dense reference undefined (lanczos breakdown)
   bool pass = false;
@@ -44,7 +41,7 @@ struct ShardReport {
 
 /// Runs `filter_name` unsharded and sharded at each K in `shard_counts`
 /// (host compute; the Device tag never changes bits), asserts bit-identity
-/// of forward / lazy forward / precompute terms, and gates the sharded
+/// of forward and precompute terms, and gates the sharded
 /// result against the dense spectral reference. InvalidArgument for unknown
 /// filters or mismatched shapes.
 [[nodiscard]] Result<ShardReport> CheckShardConformance(

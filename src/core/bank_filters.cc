@@ -22,22 +22,6 @@ class GaussianSquaredChannel : public PolynomialBasisFilter {
         center_(low ? beta : -beta) {}
 
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override {
-    Matrix cur = x;
-    Matrix scratch(x.rows(), x.cols(), ctx.device);
-    emit(0, cur);
-    for (int k = 1; k <= hops(); ++k) {
-      for (int rep = 0; rep < 2; ++rep) {
-        // cur <- (center I + Ã) cur.
-        ctx.Propagate(cur, &scratch);
-        ops::Scale(static_cast<float>(center_), &cur);
-        ops::Axpy(1.0f, scratch, &cur);
-      }
-      emit(k, cur);
-    }
-  }
-
   std::vector<double> ScalarBasis(double lambda, int hops) const override {
     std::vector<double> tau(static_cast<size_t>(hops) + 1);
     const double m = center_ + 1.0 - lambda;
@@ -49,12 +33,11 @@ class GaussianSquaredChannel : public PolynomialBasisFilter {
     return tau;
   }
 
-  /// Lazy mirror of the squared-affine stream: same SpMM / Scale / Axpy
-  /// sequence per rep, recorded instead of executed (the planner's aliasing
-  /// reproduces the eager in-place update on `cur`).
+  /// Squared-affine stream: per rep, cur <- center·cur + Ã cur (the
+  /// planner updates `cur` in place, one SpMM scratch beside it).
   void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
                    const opgraph::SpmmOperator* adj,
-                   const LazyTermEmitter& emit) const override {
+                   const TermEmitter& emit) const override {
     opgraph::ValueId cur = x;
     emit(0, cur);
     for (int k = 1; k <= hops(); ++k) {
@@ -98,23 +81,6 @@ class PprPrefactorChannel : public PolynomialBasisFilter {
         beta_(low ? beta : -beta) {}
 
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override {
-    // Maintain m_k = Ã^k x; emit (1 - β) m_k + β m_{k+1}
-    // (since (I - βL̃) = (1-β) I + β Ã).
-    Matrix cur = x;
-    Matrix next(x.rows(), x.cols(), ctx.device);
-    for (int k = 0; k <= hops(); ++k) {
-      ctx.Propagate(cur, &next);
-      Matrix term = cur;
-      ops::Scale(static_cast<float>(1.0 - beta_), &term);
-      ops::Axpy(static_cast<float>(beta_), next, &term);
-      emit(k, term);
-      cur = next;
-      next = Matrix(x.rows(), x.cols(), ctx.device);
-    }
-  }
-
   std::vector<double> ScalarBasis(double lambda, int hops) const override {
     std::vector<double> tau(static_cast<size_t>(hops) + 1);
     const double a = 1.0 - lambda;
@@ -126,11 +92,12 @@ class PprPrefactorChannel : public PolynomialBasisFilter {
     return tau;
   }
 
-  /// Lazy mirror: per hop, SpMM for m_{k+1} then the prefactor's Scale +
-  /// Axpy forming the emitted term — the eager kernel order exactly.
+  /// Maintains m_k = Ã^k x and emits (1 - β) m_k + β m_{k+1}, since
+  /// (I - βL̃) = (1-β) I + β Ã: per hop, the SpMM for m_{k+1}, then the
+  /// prefactor's Scale + Axpy forming the term.
   void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
                    const opgraph::SpmmOperator* adj,
-                   const LazyTermEmitter& emit) const override {
+                   const TermEmitter& emit) const override {
     opgraph::ValueId cur = x;
     for (int k = 0; k <= hops(); ++k) {
       const opgraph::ValueId next = graph->Spmm(adj, cur);
@@ -261,41 +228,6 @@ bool MixtureBankFilter::SupportsMiniBatch() const {
     if (!ch->SupportsMiniBatch()) return false;
   }
   return true;
-}
-
-bool MixtureBankFilter::SupportsLazy() const {
-  for (const auto& ch : channels_) {
-    if (!ch->SupportsLazy()) return false;
-  }
-  return true;
-}
-
-opgraph::ValueId MixtureBankFilter::RecordForward(
-    opgraph::Graph* graph, opgraph::ValueId x,
-    const opgraph::SpmmOperator* adj) {
-  ScatterParams();
-  const auto& flat = params_.values();
-  opgraph::ValueId acc = graph->Zero(graph->rows(x), graph->cols(x));
-  for (size_t q = 0; q < channels_.size(); ++q) {
-    const opgraph::ValueId yq = channels_[q]->RecordForward(graph, x, adj);
-    // Unconditional accumulate, mirroring eager Forward's Axpy per channel.
-    acc = graph->Axpy(static_cast<float>(flat[q]), yq, acc);
-  }
-  return acc;
-}
-
-Status MixtureBankFilter::RecordPrecompute(
-    opgraph::Graph* graph, opgraph::ValueId x,
-    const opgraph::SpmmOperator* adj,
-    std::vector<opgraph::ValueId>* terms) {
-  ScatterParams();
-  terms->clear();
-  term_offsets_.assign(1, 0);
-  for (auto& ch : channels_) {
-    SGNN_RETURN_IF_ERROR(ch->RecordPrecompute(graph, x, adj, terms));
-    term_offsets_.push_back(terms->size());
-  }
-  return Status::OK();
 }
 
 Status MixtureBankFilter::Precompute(const FilterContext& ctx, const Matrix& x,

@@ -43,17 +43,6 @@ class MixtureBankFilter : public SpectralFilter {
   size_t num_channels() const { return channels_.size(); }
   SpectralFilter& channel(size_t q) { return *channels_[q]; }
 
-  /// Lazy when every channel records (FiGURe's Bernstein channel opts the
-  /// whole bank out). Recording mirrors eager: channel subgraph then its
-  /// γ_q-weighted accumulate, per channel in order.
-  bool SupportsLazy() const override;
-  opgraph::ValueId RecordForward(opgraph::Graph* graph, opgraph::ValueId x,
-                                 const opgraph::SpmmOperator* adj) override;
-  [[nodiscard]] Status RecordPrecompute(
-      opgraph::Graph* graph, opgraph::ValueId x,
-      const opgraph::SpmmOperator* adj,
-      std::vector<opgraph::ValueId>* terms) override;
-
  private:
   /// Pushes current flattened values into channel parameter groups.
   void ScatterParams() const;

@@ -90,6 +90,23 @@ struct FilterContext {
   void Propagate(const Matrix& x, Matrix* y) const;
 };
 
+/// Adapts the CSR propagation matrix Ã onto the op-graph's abstract
+/// operator. This is where the opgraph and sparse layers meet: opgraph never
+/// includes sparse/, so the adapter lives one layer up, beside the context
+/// that holds the matrix.
+class CsrSpmmOperator : public opgraph::SpmmOperator {
+ public:
+  explicit CsrSpmmOperator(const sparse::CsrMatrix* prop) : prop_(prop) {}
+
+  int64_t n() const override { return prop_->n(); }
+  void Apply(const Matrix& x, Matrix* out) const override {
+    prop_->SpMM(x, out);
+  }
+
+ private:
+  const sparse::CsrMatrix* prop_;
+};
+
 /// Abstract spectral filter.
 class SpectralFilter {
  public:
@@ -147,29 +164,6 @@ class SpectralFilter {
 
   /// Learnable coefficient group (empty for fixed filters).
   virtual nn::ScalarParams& params() = 0;
-
-  // — Lazy op-graph recording (docs/OPGRAPH.md) —
-
-  /// True when the filter can record Forward/Precompute onto an
-  /// opgraph::Graph for fused, memory-planned execution. Filters with
-  /// irregular basis streams (Bernstein, OptBasis) and factored product
-  /// forms stay eager-only.
-  virtual bool SupportsLazy() const { return false; }
-
-  /// Records y = g(L̃; θ) x as graph nodes and returns the output value.
-  /// `adj` applies Ã. The recorded kernel sequence must match eager
-  /// Forward bit-for-bit. Only valid when SupportsLazy().
-  virtual opgraph::ValueId RecordForward(opgraph::Graph* graph,
-                                         opgraph::ValueId x,
-                                         const opgraph::SpmmOperator* adj);
-
-  /// Records the Precompute term stream, appending one value per term in
-  /// the exact order/count eager Precompute emits. Only valid when
-  /// SupportsLazy().
-  [[nodiscard]] virtual Status RecordPrecompute(
-      opgraph::Graph* graph, opgraph::ValueId x,
-      const opgraph::SpmmOperator* adj,
-      std::vector<opgraph::ValueId>* terms);
 };
 
 /// Shared low-level propagation helpers.

@@ -1,5 +1,6 @@
 #include "core/poly_base.h"
 
+#include "opgraph/executor.h"
 #include "tensor/ops.h"
 
 namespace sgnn::filters {
@@ -41,20 +42,6 @@ void Affine(const FilterContext& ctx, float c, float d, const Matrix& x,
 }
 
 }  // namespace propagate
-
-opgraph::ValueId SpectralFilter::RecordForward(opgraph::Graph* /*graph*/,
-                                               opgraph::ValueId /*x*/,
-                                               const opgraph::SpmmOperator*) {
-  SGNN_CHECK(false, "RecordForward called on a filter without lazy support");
-  return opgraph::kNoValue;
-}
-
-Status SpectralFilter::RecordPrecompute(opgraph::Graph* /*graph*/,
-                                        opgraph::ValueId /*x*/,
-                                        const opgraph::SpmmOperator* /*adj*/,
-                                        std::vector<opgraph::ValueId>*) {
-  return Status::NotImplemented("filter has no lazy op-graph recording");
-}
 
 PolynomialBasisFilter::PolynomialBasisFilter(std::string name, FilterType type,
                                              int hops, FilterHyperParams hp)
@@ -100,37 +87,14 @@ PolynomialBasisFilter::Recurrence PolynomialBasisFilter::RecurrenceAt(
   return Recurrence{1.0, 0.0, 0.0};
 }
 
-void PolynomialBasisFilter::StreamBasis(const FilterContext& ctx,
-                                        const Matrix& x,
-                                        const TermEmitter& emit) {
-  // Generic three-term recurrence. Keeps at most two live terms.
-  Matrix prev;             // T_{k-2} x
-  Matrix cur = x;          // T_{k-1} x (T_0 = I)
-  emit(0, cur);
-  Matrix scratch(x.rows(), x.cols(), ctx.device);
-  for (int k = 1; k <= hops_; ++k) {
-    const Recurrence r = RecurrenceAt(k);
-    Matrix next(x.rows(), x.cols(), ctx.device);
-    ctx.Propagate(cur, &scratch);
-    ops::Copy(scratch, &next);
-    ops::Scale(static_cast<float>(r.ca), &next);
-    if (r.ci != 0.0) ops::Axpy(static_cast<float>(r.ci), cur, &next);
-    if (r.cp != 0.0 && prev.size() > 0)
-      ops::Axpy(static_cast<float>(r.cp), prev, &next);
-    emit(k, next);
-    prev = std::move(cur);
-    cur = std::move(next);
-  }
-}
-
 void PolynomialBasisFilter::RecordBasis(opgraph::Graph* graph,
                                         opgraph::ValueId x,
                                         const opgraph::SpmmOperator* adj,
-                                        const LazyTermEmitter& emit) const {
-  // Mirrors the default StreamBasis hop for hop: the kFusedSpmmAffine node
-  // the fusion pass forms from Spmm→Scale→Axpy replays SpMM + Scale +
-  // conditional Axpys on the same float values, so results stay
-  // bit-identical to eager (the eager scratch→next copy is exact).
+                                        const TermEmitter& emit) const {
+  // Per hop: Spmm → Scale(ca) → Axpy(ci, T_{k-1}) → Axpy(cp, T_{k-2}), the
+  // zero coefficients skipped. The fusion pass collapses each chain into one
+  // kFusedSpmmAffine node that replays the same kernels in the same order,
+  // so the recurrence keeps three rotating terms live.
   opgraph::ValueId prev = opgraph::kNoValue;
   opgraph::ValueId cur = x;
   emit(0, cur);
@@ -148,34 +112,37 @@ void PolynomialBasisFilter::RecordBasis(opgraph::Graph* graph,
   }
 }
 
-opgraph::ValueId PolynomialBasisFilter::RecordForward(
-    opgraph::Graph* graph, opgraph::ValueId x,
-    const opgraph::SpmmOperator* adj) {
-  const std::vector<double> theta = CurrentTheta();
-  // Zero + Axpy chain (skipping θ_k == 0) replicates eager Forward's
-  // zero-filled y and conditional accumulation — including signed zeros.
-  opgraph::ValueId acc = graph->Zero(graph->rows(x), graph->cols(x));
-  RecordBasis(graph, x, adj, [&](int k, opgraph::ValueId term) {
+Status PolynomialBasisFilter::RunBasis(const FilterContext& ctx,
+                                       const Matrix& x, Matrix* y,
+                                       std::vector<Matrix>* terms) const {
+  const CsrSpmmOperator csr(ctx.prop);
+  const opgraph::SpmmOperator* adj = ctx.op != nullptr ? ctx.op : &csr;
+  const std::vector<double> theta =
+      y != nullptr ? CurrentTheta() : std::vector<double>{};
+  opgraph::Graph graph(ctx.device);
+  const opgraph::ValueId input = graph.Input(&x);
+  // Zero + Axpy chain, skipping θ_k == 0: the accumulator starts zero-filled
+  // and only nonzero weights touch it, which keeps signed zeros exact.
+  opgraph::ValueId acc =
+      y != nullptr ? graph.Zero(x.rows(), x.cols()) : opgraph::kNoValue;
+  std::vector<opgraph::ValueId> ids;
+  RecordBasis(&graph, input, adj, [&](int k, opgraph::ValueId term) {
+    if (terms != nullptr) ids.push_back(term);
+    if (y == nullptr) return;
     const double w = theta[static_cast<size_t>(k)];
-    if (w != 0.0) acc = graph->Axpy(static_cast<float>(w), term, acc);
+    if (w != 0.0) acc = graph.Axpy(static_cast<float>(w), term, acc);
   });
-  return acc;
-}
-
-Status PolynomialBasisFilter::RecordPrecompute(
-    opgraph::Graph* graph, opgraph::ValueId x,
-    const opgraph::SpmmOperator* adj,
-    std::vector<opgraph::ValueId>* terms) {
-  if (type_ == FilterType::kFixed) {
-    // Fixed filters fold θ during precompute: a single combined value.
-    terms->push_back(RecordForward(graph, x, adj));
-    return Status::OK();
+  if (y != nullptr) graph.MarkOutput(acc, y);
+  if (terms != nullptr) {
+    // Size once before pinning: MarkOutput stores raw slot pointers, so
+    // `terms` must not reallocate until execution is done.
+    terms->clear();
+    terms->resize(ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) {
+      graph.MarkOutput(ids[k], &(*terms)[k]);
+    }
   }
-  terms->reserve(terms->size() + static_cast<size_t>(hops()) + 1);
-  RecordBasis(graph, x, adj, [&](int /*k*/, opgraph::ValueId term) {
-    terms->push_back(term);
-  });
-  return Status::OK();
+  return opgraph::RunPipeline(&graph);
 }
 
 std::vector<double> PolynomialBasisFilter::ScalarBasis(double lambda,
@@ -196,40 +163,29 @@ std::vector<double> PolynomialBasisFilter::ScalarBasis(double lambda,
 
 void PolynomialBasisFilter::Forward(const FilterContext& ctx, const Matrix& x,
                                     Matrix* y, bool cache) {
-  const std::vector<double> theta = CurrentTheta();
-  *y = Matrix(x.rows(), x.cols(), ctx.device);
   const bool keep_terms = cache && type_ != FilterType::kFixed;
-  if (keep_terms) {
-    cached_terms_.clear();
-    cached_terms_.reserve(static_cast<size_t>(hops_) + 1);
-  }
-  StreamBasis(ctx, x, [&](int k, const Matrix& term) {
-    const double w = theta[static_cast<size_t>(k)];
-    if (w != 0.0) ops::Axpy(static_cast<float>(w), term, y);
-    if (keep_terms) cached_terms_.push_back(term);
-  });
+  // An OutOfMemory here only repeats the DeviceTracker's latched OOM flag,
+  // which the trainers' RunGuard reads after the step; the outputs are
+  // fully computed either way.
+  (void)RunBasis(ctx, x, y, keep_terms ? &cached_terms_ : nullptr);
   has_cache_ = keep_terms;
 }
 
 void PolynomialBasisFilter::Backward(const FilterContext& ctx,
                                      const Matrix& grad_y, Matrix* grad_x) {
-  const std::vector<double> theta = CurrentTheta();
   if (type_ != FilterType::kFixed) {
     SGNN_CHECK(has_cache_, "Backward requires Forward(cache=true)");
-    std::vector<double> eff_grad(theta.size(), 0.0);
+    std::vector<double> eff_grad(static_cast<size_t>(hops_) + 1, 0.0);
     for (size_t k = 0; k < cached_terms_.size(); ++k) {
       eff_grad[k] = ops::Dot(grad_y, cached_terms_[k]);
     }
     AccumulateRawGrad(eff_grad);
   }
   if (grad_x != nullptr) {
-    // Bases are polynomials of the symmetric L̃ => g(L̃)ᵀ = g(L̃); replay the
-    // stream on the upstream gradient.
-    *grad_x = Matrix(grad_y.rows(), grad_y.cols(), ctx.device);
-    StreamBasis(ctx, grad_y, [&](int k, const Matrix& term) {
-      const double w = theta[static_cast<size_t>(k)];
-      if (w != 0.0) ops::Axpy(static_cast<float>(w), term, grad_x);
-    });
+    // Bases are polynomials of the symmetric L̃ => g(L̃)ᵀ = g(L̃): the input
+    // gradient is the forward applied to the upstream gradient. Discarded
+    // for the same reason as in Forward.
+    (void)RunBasis(ctx, grad_y, grad_x, nullptr);
   }
 }
 
@@ -251,18 +207,13 @@ double PolynomialBasisFilter::Response(double lambda) const {
 Status PolynomialBasisFilter::Precompute(const FilterContext& ctx,
                                          const Matrix& x,
                                          std::vector<Matrix>* terms) {
-  terms->clear();
   if (type_ == FilterType::kFixed) {
     // Fixed filters fold θ during precompute: a single combined matrix.
-    Matrix y;
-    Forward(ctx, x, &y, /*cache=*/false);
-    terms->push_back(std::move(y));
-    return Status::OK();
+    terms->clear();
+    terms->resize(1);
+    return RunBasis(ctx, x, &(*terms)[0], nullptr);
   }
-  terms->reserve(static_cast<size_t>(hops_) + 1);
-  StreamBasis(ctx, x,
-              [&](int /*k*/, const Matrix& term) { terms->push_back(term); });
-  return Status::OK();
+  return RunBasis(ctx, x, nullptr, terms);
 }
 
 void PolynomialBasisFilter::CombineTerms(const std::vector<const Matrix*>& batch_terms,

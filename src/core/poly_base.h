@@ -6,9 +6,15 @@
 // (constant for fixed filters, learnable otherwise, possibly reparameterized
 // as in ChebNetII's interpolation).
 //
+// Execution: the basis stream is recorded onto an opgraph::Graph
+// (RecordBasis) and run through opgraph::RunPipeline — fuse, plan, execute
+// (docs/OPGRAPH.md). Forward, Backward and Precompute all go through that
+// one path.
+//
 // Memory model (matches paper Table 1): fixed filters stream terms and keep
-// O(1) live matrices; variable filters cache all K+1 basis terms for the
-// θ-gradient — the K-fold RAM/GPU multiplier the paper measures.
+// O(1) live matrices (the planner recycles the recurrence's buffers);
+// variable filters cache all K+1 basis terms for the θ-gradient — the
+// K-fold RAM/GPU multiplier the paper measures.
 
 #ifndef SGNN_CORE_POLY_BASE_H_
 #define SGNN_CORE_POLY_BASE_H_
@@ -21,11 +27,8 @@
 
 namespace sgnn::filters {
 
-/// Callback receiving basis term k (valid only during the call).
-using TermEmitter = std::function<void(int k, const Matrix& term)>;
-
 /// Callback receiving the recorded graph value for basis term k.
-using LazyTermEmitter = std::function<void(int k, opgraph::ValueId term)>;
+using TermEmitter = std::function<void(int k, opgraph::ValueId term)>;
 
 /// Base class implementing Forward/Backward/Precompute/Response on top of a
 /// subclass-provided basis stream.
@@ -54,30 +57,14 @@ class PolynomialBasisFilter : public SpectralFilter {
   void BackwardCombine(const std::vector<const Matrix*>& batch_terms,
                        const Matrix& grad_y) override;
 
-  /// Recurrence-driven bases record onto the op-graph for fused execution;
-  /// subclasses overriding StreamBasis with irregular streams must either
-  /// override RecordBasis to match or opt out by returning false here.
-  bool SupportsLazy() const override { return true; }
-  opgraph::ValueId RecordForward(opgraph::Graph* graph, opgraph::ValueId x,
-                                 const opgraph::SpmmOperator* adj) override;
-  [[nodiscard]] Status RecordPrecompute(
-      opgraph::Graph* graph, opgraph::ValueId x,
-      const opgraph::SpmmOperator* adj,
-      std::vector<opgraph::ValueId>* terms) override;
-
  protected:
-  /// Streams T^(k)(L̃)·x for k = 0..ctx.hops. Default implementation drives
-  /// ScalarRecurrenceStep's matrix analogue; subclasses with irregular bases
-  /// (Bernstein, Favard, OptBasis) override.
-  virtual void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                           const TermEmitter& emit);
-
-  /// Lazy mirror of StreamBasis: records T^(k)(L̃)·x for k = 0..hops as
-  /// graph nodes, emitting the same term values in the same order. The
-  /// default drives RecurrenceAt exactly like the default StreamBasis.
+  /// Records T^(k)(L̃)·x for k = 0..hops as graph nodes, emitting each term's
+  /// value in order; `adj` applies Ã. The default drives RecurrenceAt;
+  /// subclasses with irregular bases (Bernstein, the bank channels)
+  /// override.
   virtual void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
                            const opgraph::SpmmOperator* adj,
-                           const LazyTermEmitter& emit) const;
+                           const TermEmitter& emit) const;
 
   /// Scalar basis values τ_k(λ) for k = 0..hops (same recurrence on scalars,
   /// with Ã ↦ 1-λ and L̃ ↦ λ).
@@ -85,7 +72,7 @@ class PolynomialBasisFilter : public SpectralFilter {
 
   /// Generic three-term recurrence coefficients for hop k >= 1:
   ///   T_k = (ca·Ã + ci·I) T_{k-1} + cp·T_{k-2}
-  /// Subclasses using the default StreamBasis/ScalarBasis implement this.
+  /// Subclasses using the default RecordBasis/ScalarBasis implement this.
   struct Recurrence {
     double ca = 1.0;  ///< coefficient on Ã T_{k-1}
     double ci = 0.0;  ///< coefficient on T_{k-1}
@@ -114,10 +101,19 @@ class PolynomialBasisFilter : public SpectralFilter {
   FilterHyperParams hp_;
   nn::ScalarParams params_;
 
-  /// Effective θ validated to K+1 entries (used by eager and lazy paths).
+  /// Effective θ validated to K+1 entries.
   std::vector<double> CurrentTheta() const;
 
  private:
+  /// Records the basis stream of `x` and runs it through the op-graph
+  /// pipeline. When `y` is non-null it receives Σ_k θ_k T_k x; when `terms`
+  /// is non-null it receives every basis term, in order. Returns
+  /// OutOfMemory when execution newly latched the simulated accelerator
+  /// OOM flag (outputs are still fully computed; see opgraph/executor.h).
+  [[nodiscard]] Status RunBasis(const FilterContext& ctx, const Matrix& x,
+                                Matrix* y,
+                                std::vector<Matrix>* terms) const;
+
   std::string name_;
   FilterType type_;
   int hops_ = 10;

@@ -162,28 +162,24 @@ std::vector<double> ClenshawFilter::DefaultTheta(int hops, Rng* rng) const {
 BernsteinFilter::BernsteinFilter(int hops, FilterHyperParams hp)
     : PolynomialBasisFilter("bernstein", FilterType::kVariable, hops, hp) {}
 
-void BernsteinFilter::StreamBasis(const FilterContext& ctx, const Matrix& x,
-                                  const TermEmitter& emit) {
+void BernsteinFilter::RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
+                                  const opgraph::SpmmOperator* adj,
+                                  const TermEmitter& emit) const {
   // T_k = C(K,k)/2^K (2I - L̃)^{K-k} L̃^k. Maintains l = L̃^k x and applies
-  // (I + Ã)^{K-k} per term: K(K+1)/2 + K propagations, 3 live matrices.
+  // (I + Ã)^{K-k} per term: K(K+1)/2 + K propagations. Each term's chain
+  // updates in place, so the planner keeps l, the term and one SpMM
+  // scratch live — constant in K.
   const int big_k = hops();
   const double inv2k = std::pow(0.5, big_k);
-  Matrix l = x;  // L̃^k x
-  Matrix scratch(x.rows(), x.cols(), ctx.device);
+  opgraph::ValueId l = x;  // L̃^k x
   for (int k = 0; k <= big_k; ++k) {
-    Matrix term = l;
+    opgraph::ValueId term = l;
     for (int j = 0; j < big_k - k; ++j) {
-      // term <- (I + Ã) term.
-      ctx.Propagate(term, &scratch);
-      ops::Axpy(1.0f, scratch, &term);
+      term = graph->Axpy(1.0f, graph->Spmm(adj, term), term);  // (I + Ã)
     }
-    ops::Scale(static_cast<float>(Binom(big_k, k) * inv2k), &term);
+    term = graph->Scale(static_cast<float>(Binom(big_k, k) * inv2k), term);
     emit(k, term);
-    if (k < big_k) {
-      // l <- L̃ l = l - Ã l.
-      ctx.Propagate(l, &scratch);
-      ops::Axpy(-1.0f, scratch, &l);
-    }
+    if (k < big_k) l = graph->Axpy(-1.0f, graph->Spmm(adj, l), l);  // L̃ l
   }
 }
 
@@ -311,8 +307,9 @@ std::vector<double> FavardFilter::EffectiveTheta(int hops) const {
 OptBasisFilter::OptBasisFilter(int hops, FilterHyperParams hp)
     : PolynomialBasisFilter("optbasis", FilterType::kVariable, hops, hp) {}
 
-void OptBasisFilter::StreamBasis(const FilterContext& ctx, const Matrix& x,
-                                 const TermEmitter& emit) {
+void OptBasisFilter::StreamLanczos(
+    const FilterContext& ctx, const Matrix& x,
+    const std::function<void(int k, const Matrix& term)>& emit) const {
   // Per-column three-term Lanczos orthonormalization against Ã:
   //   w = Ã v_k; α_k = <w, v_k>; w -= α_k v_k + β_k v_{k-1};
   //   β_{k+1} = ||w||; v_{k+1} = w / β_{k+1}.
@@ -428,7 +425,7 @@ void OptBasisFilter::Forward(const FilterContext& ctx, const Matrix& x,
   EnsureParams(x.cols());
   *y = Matrix(x.rows(), x.cols(), ctx.device);
   if (cache) terms_cache_.clear();
-  StreamBasis(ctx, x, [&](int k, const Matrix& term) {
+  StreamLanczos(ctx, x, [&](int k, const Matrix& term) {
     ops::AxpyColumnwise(ThetaRow(k, ctx.device), term, y);
     if (cache) terms_cache_.push_back(term);
   });
@@ -450,7 +447,7 @@ void OptBasisFilter::Backward(const FilterContext& ctx, const Matrix& grad_y,
     // Straight-through: replay the orthogonalization on the gradient with
     // the current per-channel coefficients.
     *grad_x = Matrix(grad_y.rows(), grad_y.cols(), ctx.device);
-    StreamBasis(ctx, grad_y, [&](int k, const Matrix& term) {
+    StreamLanczos(ctx, grad_y, [&](int k, const Matrix& term) {
       ops::AxpyColumnwise(ThetaRow(k, ctx.device), term, grad_x);
     });
   }
@@ -476,6 +473,15 @@ double OptBasisFilter::Response(double lambda) const {
            tau[static_cast<size_t>(k)];
   }
   return acc;
+}
+
+Status OptBasisFilter::Precompute(const FilterContext& ctx, const Matrix& x,
+                                  std::vector<Matrix>* terms) {
+  terms->clear();
+  terms->reserve(static_cast<size_t>(hops()) + 1);
+  StreamLanczos(ctx, x,
+                [&](int /*k*/, const Matrix& term) { terms->push_back(term); });
+  return Status::OK();
 }
 
 void OptBasisFilter::CombineTerms(

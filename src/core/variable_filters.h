@@ -9,6 +9,8 @@
 #ifndef SGNN_CORE_VARIABLE_FILTERS_H_
 #define SGNN_CORE_VARIABLE_FILTERS_H_
 
+#include <functional>
+
 #include "core/poly_base.h"
 
 namespace sgnn::filters {
@@ -75,12 +77,10 @@ class BernsteinFilter : public PolynomialBasisFilter {
  public:
   explicit BernsteinFilter(int hops, FilterHyperParams hp = {});
 
-  /// Irregular (K²/2-propagation) stream; no op-graph mirror — eager only.
-  bool SupportsLazy() const override { return false; }
-
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override;
+  void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
+                   const opgraph::SpmmOperator* adj,
+                   const TermEmitter& emit) const override;
   std::vector<double> ScalarBasis(double lambda, int hops) const override;
   std::vector<double> DefaultTheta(int hops, Rng* rng) const override;
 };
@@ -133,13 +133,14 @@ class FavardFilter : public PolynomialBasisFilter {
 /// is the model's fast-convergence advantage (paper Table 7). The realized
 /// basis is treated as a constant linear operator during the backward pass.
 /// Coefficients are sized lazily to the first input's width.
+///
+/// The Lanczos coefficients depend on intermediate values (column norms and
+/// dots), so this stream is not a recorded affine recurrence: OptBasis runs
+/// its own stream and overrides every entry point that would otherwise
+/// record the base class's monomial basis.
 class OptBasisFilter : public PolynomialBasisFilter {
  public:
   explicit OptBasisFilter(int hops, FilterHyperParams hp = {});
-
-  /// Signal-dependent Lanczos stream (norms depend on intermediate values);
-  /// not expressible as a recorded affine recurrence — eager only.
-  bool SupportsLazy() const override { return false; }
 
   void ResetParameters(Rng* rng) override;
   void Forward(const FilterContext& ctx, const Matrix& x, Matrix* y,
@@ -148,18 +149,23 @@ class OptBasisFilter : public PolynomialBasisFilter {
                 Matrix* grad_x) override;
   void ClearCache() override;
   double Response(double lambda) const override;
+  [[nodiscard]] Status Precompute(const FilterContext& ctx, const Matrix& x,
+                                  std::vector<Matrix>* terms) override;
   void CombineTerms(const std::vector<const Matrix*>& batch_terms, Matrix* y,
                     bool cache) override;
   void BackwardCombine(const std::vector<const Matrix*>& batch_terms,
                        const Matrix& grad_y) override;
 
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override;
   std::vector<double> ScalarBasis(double lambda, int hops) const override;
   std::vector<double> DefaultTheta(int hops, Rng* rng) const override;
 
  private:
+  /// Streams the column-rescaled Lanczos basis v_k for k = 0..hops; each
+  /// term is valid only during the callback.
+  void StreamLanczos(const FilterContext& ctx, const Matrix& x,
+                     const std::function<void(int k, const Matrix& term)>&
+                         emit) const;
   /// (Re)sizes θ to (K+1) x F on first use or width change.
   void EnsureParams(int64_t feature_dim);
   /// θ row for order k as a 1 x F matrix.

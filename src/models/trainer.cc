@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/lazy.h"
 #include "shard/plan.h"
 #include "shard/spmm.h"
 #include "tensor/parallel.h"
@@ -147,19 +146,6 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
   filters::FilterContext ctx{&norm, run_device};
   ctx.op = shard_op.get();
 
-  // No-cache inference forward, optionally through the lazy op-graph. A
-  // simulated OOM during lazy execution is latched in the DeviceTracker and
-  // surfaced by RunGuard exactly like an eager over-capacity allocation;
-  // outputs are fully computed either way (see opgraph/executor.h).
-  const auto infer_forward = [&](const Matrix& in, Matrix* out) {
-    if (config.lazy && filter->SupportsLazy()) {
-      const Status lazy_status = filters::LazyForward(filter, ctx, in, out);
-      (void)lazy_status;
-    } else {
-      filter->Forward(ctx, in, out, /*cache=*/false);
-    }
-  };
-
   double best_val = -1.0;
   int64_t step = 0;
   double train_ms_total = 0.0;
@@ -198,7 +184,7 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
         ((epoch + 1) % config.eval_every == 0 || last)) {
       Matrix eh0, ehf, elogits;
       phi0.ForwardInference(x, &eh0);
-      infer_forward(eh0, &ehf);
+      filter->Forward(ctx, eh0, &ehf, /*cache=*/false);
       phi1.ForwardInference(ehf, &elogits);
       const double val = EvaluateMetric(metric, elogits, g.labels, splits.val);
       if (val > best_val) {
@@ -223,7 +209,7 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
     Stopwatch sw;
     Matrix eh0, ehf, elogits;
     phi0.ForwardInference(x, &eh0);
-    infer_forward(eh0, &ehf);
+    filter->Forward(ctx, eh0, &ehf, /*cache=*/false);
     phi1.ForwardInference(ehf, &elogits);
     result.stats.infer_ms = sw.ElapsedMs();
     if (capture_embeddings && result.embeddings.size() == 0) {
@@ -283,13 +269,11 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
     host_ctx.op = shard_op.get();
   }
   std::vector<Matrix> terms;
-  // Lazy path emits the identical term stream (bit-for-bit) with fused
-  // propagation and pool-planned buffers; eager remains the oracle.
-  const Status pre =
-      (config.lazy && filter->SupportsLazy())
-          ? filters::LazyPrecompute(filter, host_ctx, g.features, &terms)
-          : filter->Precompute(host_ctx, g.features, &terms);
+  const Status pre = filter->Precompute(host_ctx, g.features, &terms);
   if (!pre.ok()) {
+    // A sharded hop can latch the accelerator OOM flag; report it as the
+    // OOM guard would, so the Supervisor journals an (OOM) cell.
+    result.oom = pre.code() == StatusCode::kOutOfMemory;
     result.status = pre;
     return result;
   }

@@ -48,12 +48,6 @@ struct TrainConfig {
   /// (serve/checkpoint.h) persists. MB-only: serving needs the decoupled
   /// per-hop terms, which full-batch training never materializes.
   bool export_model = false;
-  /// Lazy op-graph execution (docs/OPGRAPH.md): MB precompute and the FB
-  /// no-cache inference passes record onto an op-graph and run fused with
-  /// planned buffers. Bit-identical to eager; filters without lazy support
-  /// silently keep the eager path. Training forwards (cache=true) stay
-  /// eager — the backward pass consumes the cached basis terms.
-  bool lazy = false;
   /// Sharded propagation (docs/SHARDING.md): when > 1, the propagation
   /// matrix is split into this many edge-cut shards and every hop runs
   /// shard-by-shard through a shard::ShardedSpmmOperator under per-shard

@@ -54,8 +54,8 @@ Status Execute(const Graph& graph, const Plan& plan) {
   // All allocations happen here; peak grows by exactly planned_peak_bytes.
   Storage storage(graph, plan);
 
-  // Marked inputs have no defining node — copy them out first (the eager
-  // Precompute path emits T_0 = x as a copy).
+  // Marked inputs have no defining node — copy them out first (Precompute
+  // emits T_0 = x as a copy).
   for (ValueId v = 0; v < graph.num_values(); ++v) {
     const ValueInfo& info = graph.values()[static_cast<size_t>(v)];
     if (info.is_input() && info.output != nullptr) {
@@ -95,7 +95,7 @@ Status Execute(const Graph& graph, const Plan& plan) {
       }
       case OpKind::kFusedSpmmAffine:
         // Exact kernel order of the unfused chain: SpMM, Scale, Axpy(ci),
-        // Axpy(cp) — bit-identical to eager, minus the scratch copy.
+        // Axpy(cp) — bit-identical to it, minus the scratch copy.
         n.spmm->Apply(storage.Src(n.in0), out);
         ops::Scale(n.ca, out);
         if (n.in1 != kNoValue) ops::Axpy(n.ci, storage.Src(n.in1), out);
@@ -111,20 +111,9 @@ Status Execute(const Graph& graph, const Plan& plan) {
   return Status::OK();
 }
 
-Status RunPipeline(Graph* graph, const PipelineOptions& options,
-                   PipelineStats* stats) {
-  int fused = 0;
-  if (options.fuse) fused = FuseSpmmChains(graph);
-  const Plan plan = PlanBuffers(*graph);
-  if (stats != nullptr) {
-    stats->nodes = static_cast<int>(graph->nodes().size());
-    stats->fused_spmm_chains = fused;
-    stats->pool_buffers = static_cast<int>(plan.buffers.size());
-    stats->pool_bytes = plan.pool_bytes;
-    stats->output_bytes = plan.output_bytes;
-    stats->planned_peak_bytes = plan.planned_peak_bytes;
-  }
-  return Execute(*graph, plan);
+Status RunPipeline(Graph* graph) {
+  FuseSpmmChains(graph);
+  return Execute(*graph, PlanBuffers(*graph));
 }
 
 }  // namespace sgnn::opgraph

@@ -1,22 +1,20 @@
 // Plan executor + one-call pipeline.
 //
 // Replays a planned graph onto the existing tensor kernels (ops::*, which
-// dispatch through ParallelFor with flop-weighted chunking), so lazy results
-// are bit-identical to the eager code the graph mirrors at any thread count.
+// dispatch through ParallelFor with flop-weighted chunking), so results are
+// bit-identical at any thread count.
 //
 // Allocation discipline: all output destinations and pool buffers are
 // allocated up front and nothing is freed until teardown, so the
 // DeviceTracker peak grows by exactly Plan::planned_peak_bytes. A simulated
 // accelerator OOM latched during those allocations (capacity overflow or an
 // armed fault plan — see runtime/fault_injection.h) does not abort the
-// kernels: execution completes with correct results, mirroring eager
-// semantics, and Execute returns Status::OutOfMemory so probes and the
-// Supervisor can journal the cell instead of crashing.
+// kernels: execution completes with correct results and Execute returns
+// Status::OutOfMemory. The filters leave that status to the trainers'
+// RunGuard, which reads the same latched flag and stops the run.
 
 #ifndef SGNN_OPGRAPH_EXECUTOR_H_
 #define SGNN_OPGRAPH_EXECUTOR_H_
-
-#include <cstddef>
 
 #include "opgraph/graph.h"
 #include "opgraph/planner.h"
@@ -28,23 +26,8 @@ namespace sgnn::opgraph {
 /// are still fully computed — the simulation never fails an allocation).
 [[nodiscard]] Status Execute(const Graph& graph, const Plan& plan);
 
-/// Per-run statistics surfaced to benches and journals.
-struct PipelineStats {
-  int nodes = 0;               ///< schedule length after fusion
-  int fused_spmm_chains = 0;   ///< chains collapsed by FuseSpmmChains
-  int pool_buffers = 0;        ///< reuse-pool buffer count
-  size_t pool_bytes = 0;
-  size_t output_bytes = 0;
-  size_t planned_peak_bytes = 0;  ///< exact DeviceTracker growth
-};
-
-struct PipelineOptions {
-  bool fuse = true;  ///< run FuseSpmmChains before planning
-};
-
-/// Fuse → plan → execute in one call. `stats` is optional.
-[[nodiscard]] Status RunPipeline(Graph* graph, const PipelineOptions& options,
-                                 PipelineStats* stats = nullptr);
+/// Fuse → plan → execute in one call; returns Execute's status.
+[[nodiscard]] Status RunPipeline(Graph* graph);
 
 }  // namespace sgnn::opgraph
 

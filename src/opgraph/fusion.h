@@ -9,8 +9,8 @@
 // where s/u/v are single-use intermediates. FuseSpmmChains collapses each
 // such chain into one kFusedSpmmAffine node whose executor replay performs
 // the identical kernel sequence (SpMM into the destination buffer, Scale in
-// place, then the Axpys) — eliminating the separate scratch + copy of the
-// eager path and shrinking the K-hop working set to the recurrence's three
+// place, then the Axpys) — eliminating a separate SpMM scratch buffer and
+// its copy, and shrinking the K-hop working set to the recurrence's three
 // rotating terms.
 //
 // Legality (docs/OPGRAPH.md): a producer is absorbed only when its value has

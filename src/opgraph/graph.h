@@ -1,22 +1,23 @@
-// Lazy op-graph over the dense/sparse kernels — recording side.
+// Op-graph over the dense/sparse kernels — recording side.
 //
 // Spectral filters spend their time in short chains of SpMM / Scale / Axpy
 // over n x F representations (paper Fig. 2: propagation dominates both time
-// and peak memory). Eager execution materializes every K-hop intermediate;
-// this layer instead records the computation as a small SSA value DAG that a
-// fusion pass (fusion.h) and a liveness-based memory planner (planner.h) can
-// rewrite before the executor (executor.h) replays it onto the existing
-// tensor kernels.
+// and peak memory). The polynomial-basis filters record each K-hop stream as
+// a small SSA value DAG that a fusion pass (fusion.h) and a liveness-based
+// memory planner (planner.h) rewrite before the executor (executor.h)
+// replays it onto the existing tensor kernels.
 //
 // Layering: opgraph sits between tensor and {sparse, core} in the include
 // DAG. It never includes sparse/ — the sparse propagation operator is
-// abstracted behind SpmmOperator, and the CSR-backed adapter lives in
-// core/lazy.h where both layers are visible.
+// abstracted behind SpmmOperator, and the CSR-backed adapter
+// (filters::CsrSpmmOperator) lives in core/filter.h where both layers are
+// visible.
 //
 // Determinism contract: a recorded graph executes the *same kernel calls in
-// the same order on the same float values* as the eager code it mirrors, so
-// lazy results are bit-identical to eager at any thread count (the kernels
-// themselves chunk independently of thread count; see docs/DETERMINISM.md).
+// the same order on the same float values* as the recording lists them, so
+// results are bit-identical at any thread count (the kernels themselves
+// chunk independently of thread count; see docs/DETERMINISM.md) and under
+// any fusion or buffer plan.
 
 #ifndef SGNN_OPGRAPH_GRAPH_H_
 #define SGNN_OPGRAPH_GRAPH_H_
@@ -36,7 +37,7 @@ using ValueId = int32_t;
 inline constexpr ValueId kNoValue = -1;
 
 /// Abstract sparse propagation operator (Ã in the paper's recurrences).
-/// Keeps opgraph below sparse/ in the include DAG; core/lazy.h adapts
+/// Keeps opgraph below sparse/ in the include DAG; core/filter.h adapts
 /// sparse::CsrMatrix onto this interface.
 class SpmmOperator {
  public:
@@ -114,8 +115,7 @@ class Graph {
   /// outlive execution and live on the graph's device.
   ValueId Input(const Matrix* m);
 
-  /// out = 0 with the given shape (accumulator seed; mirrors the eager
-  /// zero-filled allocation of y).
+  /// out = 0 with the given shape (the zero-filled accumulator seed).
   ValueId Zero(int64_t rows, int64_t cols);
 
   /// out = A·x. The operator must outlive execution.
@@ -124,8 +124,8 @@ class Graph {
   /// out = alpha·x.
   ValueId Scale(float alpha, ValueId x);
 
-  /// out = alpha·x + y. `y` is the accumulate side (the eager in-place
-  /// target), which the planner may alias when y dies here.
+  /// out = alpha·x + y. `y` is the accumulate side (the in-place target),
+  /// which the planner may alias when y dies here.
   ValueId Axpy(float alpha, ValueId x, ValueId y);
 
   /// out = a·b (dense GEMM).

@@ -8,7 +8,7 @@ namespace sgnn::opgraph {
 
 namespace {
 
-// The input a node may legally overwrite in place: the eager code's in-place
+// The input a node may legally overwrite in place: the kernel's in-place
 // target. SpMM/GEMM/fused kernels read their inputs while writing the
 // output, so they never alias.
 ValueId AliasSource(const Node& n) {

@@ -4,7 +4,7 @@
 // assigns every non-input value either (a) a caller-owned output slot — the
 // destination pinned by MarkOutput, propagated *backwards* through
 // alias-legal chains so an accumulator (Zero → Axpy → Axpy…) lives in the
-// caller's matrix from the start, exactly like the eager in-place code — or
+// caller's matrix from the start, updated in place — or
 // (b) a buffer from an exact-shape reuse pool, aliasing the dying input of
 // Scale/Elementwise (in0) and Axpy (in1, the accumulate side) in place when
 // legal.
@@ -17,11 +17,10 @@
 // The emitted plan predicts peak bytes exactly: the executor allocates all
 // output slots and pool buffers up front and frees nothing until teardown,
 // so `DeviceTracker` peak growth during execution equals
-// `planned_peak_bytes` to the byte (asserted in tests/opgraph_test.cc and
-// journaled by bench_fig2_breakdown).
+// `planned_peak_bytes` to the byte (asserted in tests/opgraph_test.cc).
 //
 // Planning is a pure function of the graph — same graph, same plan — which
-// keeps lazy execution deterministic and resumable.
+// keeps execution deterministic and resumable.
 
 #ifndef SGNN_OPGRAPH_PLANNER_H_
 #define SGNN_OPGRAPH_PLANNER_H_

@@ -232,10 +232,10 @@ TEST(LayeringTest, QuantIsPostTrainingOnly) {
 }
 
 TEST(LayeringTest, OpgraphSitsBetweenTensorAndSparseCore) {
-  // opgraph (lazy op-graph, docs/OPGRAPH.md) sits directly on tensor and
-  // feeds sparse/core: it abstracts the propagation matrix behind
-  // SpmmOperator instead of including sparse/, and core/lazy.h is the
-  // first layer that sees both sides.
+  // opgraph (docs/OPGRAPH.md) sits directly on tensor and feeds
+  // sparse/core: it abstracts the propagation matrix behind SpmmOperator
+  // instead of including sparse/, and core/filter.h is the first layer
+  // that sees both sides.
   const auto opgraph_ok = Lint("src/opgraph/executor.cc", R"cc(
     #include "opgraph/executor.h"
     #include "opgraph/fusion.h"
@@ -243,8 +243,8 @@ TEST(LayeringTest, OpgraphSitsBetweenTensorAndSparseCore) {
     #include "tensor/ops.h"
   )cc");
   EXPECT_FALSE(HasRule(opgraph_ok, "layering")) << Render(opgraph_ok);
-  const auto core_ok = Lint("src/core/lazy.cc", R"cc(
-    #include "core/lazy.h"
+  const auto core_ok = Lint("src/core/poly_base.cc", R"cc(
+    #include "core/filter.h"
     #include "opgraph/executor.h"
     #include "sparse/csr.h"
   )cc");

@@ -1,47 +1,32 @@
-// Tests for the lazy op-graph (src/opgraph/ + core/lazy.h): builder shape/
-// topology invariants, SpMM-chain fusion legality and refusal, planner
-// determinism and alias correctness, exact peak-byte accounting against
-// DeviceTracker, bit-identity of lazy vs eager across the nine fuzz graph
-// families and thread counts, the fused-chebyshev memory win, the lazy
-// probe's SKIPPED journaling under an injected OOM, and a kill-and-resume
-// Supervisor round trip over lazy-mode cells.
+// Tests for the op-graph (src/opgraph/ + filters::CsrSpmmOperator in
+// core/filter.h): builder shape/topology invariants, SpMM-chain fusion
+// legality and refusal, planner determinism and alias correctness, exact
+// peak-byte accounting against DeviceTracker, and the paper's Table 1
+// memory model for the filters that run through it (forward peak flat in K
+// and within the streaming caps).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
-#include "conformance/fuzz.h"
-#include "conformance/lazy_check.h"
-#include "core/lazy.h"
+#include "core/filter.h"
 #include "core/registry.h"
-#include "eval/eigen.h"
-#include "graph/datasets.h"
 #include "graph/generator.h"
 #include "opgraph/executor.h"
 #include "opgraph/fusion.h"
 #include "opgraph/graph.h"
 #include "opgraph/planner.h"
-#include "runtime/fault_injection.h"
-#include "runtime/supervisor.h"
 #include "sparse/adjacency.h"
 #include "tensor/device.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 #include "tensor/rng.h"
 
 namespace sgnn {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed,
                     Device device = Device::kHost) {
@@ -154,13 +139,11 @@ TEST(OpGraphFusion, CollapsesSpmmScaleAxpyChainAndPreservesBits) {
   EXPECT_FLOAT_EQ(f.cp, -1.0f);
   ASSERT_TRUE(Execute(*fused, opgraph::PlanBuffers(*fused)).ok());
 
-  Matrix eager_out;
-  auto eager = record(&eager_out);
-  opgraph::PipelineOptions no_fuse;
-  no_fuse.fuse = false;
-  ASSERT_TRUE(RunPipeline(eager.get(), no_fuse).ok());
+  Matrix unfused_out;
+  auto unfused = record(&unfused_out);
+  ASSERT_TRUE(Execute(*unfused, opgraph::PlanBuffers(*unfused)).ok());
 
-  EXPECT_TRUE(BitIdentical(fused_out, eager_out));
+  EXPECT_TRUE(BitIdentical(fused_out, unfused_out));
 }
 
 TEST(OpGraphFusion, RefusesMultiUseIntermediates) {
@@ -374,277 +357,55 @@ TEST(OpGraphExecutor, PeakBytesMatchPlanExactly) {
   DeviceTracker::Global().ResetPeak();
 }
 
-TEST(OpGraphMemory, FusedChebyshevK10PeaksBelowEager) {
+// The paper's Table 1 memory model for the streamed (no-cache) forward: the
+// planner recycles the recurrence's buffers, so the accelerator peak growth
+// is the same at K = 4, 10 and 16, and it stays within the peak of the eager
+// K-hop stream this path replaced, in units of n·F floats (caps measured on
+// this fixture's shape before that stream was removed). A planner
+// regression, or a Bernstein recording that kept all K²/2 intermediates
+// alive, fails here.
+TEST(OpGraphMemory, ForwardPeakFlatInHopsWithinEagerCaps) {
   auto& tracker = DeviceTracker::Global();
   tracker.ResetAll();
-  const int64_t n = 300, f = 16;
-  const sparse::CsrMatrix prop = SmallProp(n, 21);
-  const Matrix x = RandomMatrix(n, f, 22, Device::kAccel);
-  auto filter_or = filters::CreateFilter("chebyshev", 10, {}, f);
-  ASSERT_TRUE(filter_or.ok());
-  auto filter = filter_or.MoveValue();
-  filters::FilterContext ctx;
-  ctx.prop = &prop;
-  ctx.device = Device::kAccel;
-
-  Matrix y_eager;
-  const size_t live_eager = tracker.live_bytes(Device::kAccel);
-  tracker.ResetPeak();
-  filter->Forward(ctx, x, &y_eager, /*cache=*/false);
-  const size_t eager_peak = tracker.peak_bytes(Device::kAccel) - live_eager;
-
-  Matrix y_lazy;
-  opgraph::PipelineStats stats;
-  const size_t live_lazy = tracker.live_bytes(Device::kAccel);
-  tracker.ResetPeak();
-  ASSERT_TRUE(
-      filters::LazyForward(filter.get(), ctx, x, &y_lazy, &stats).ok());
-  const size_t lazy_peak = tracker.peak_bytes(Device::kAccel) - live_lazy;
-
-  // The paper's Fig. 2 motivation, asserted: fusing the K=10 chebyshev
-  // chain drops the propagation working set below the eager stream's.
-  EXPECT_GT(stats.fused_spmm_chains, 0);
-  EXPECT_EQ(lazy_peak, stats.planned_peak_bytes);
-  EXPECT_LT(lazy_peak, eager_peak);
-  EXPECT_TRUE(BitIdentical(y_lazy, y_eager));
-  tracker.ResetAll();
-}
-
-// --- lazy ≡ eager property sweep ---------------------------------------------
-
-// One representative seed per fuzz graph family (er/sbm/star/path/cycle/
-// disconnected/self_loop/isolated/empty), every lazy-capable filter, and
-// three thread counts: the lazy pipeline must reproduce the eager forward
-// and precompute byte for byte each time.
-TEST(OpGraphProperty, LazyMatchesEagerAcrossFamiliesAndThreads) {
-  std::map<std::string, conformance::FuzzCase> cases;
-  for (uint64_t seed = 1; seed <= 2000 && cases.size() < 9; ++seed) {
-    conformance::FuzzCase c = conformance::CaseFromSeed(seed);
-    cases.emplace(c.family, std::move(c));
-  }
-  ASSERT_EQ(cases.size(), 9u);
-
-  const int hw =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  int checked_filters = 0;
-  for (const auto& [family, c] : cases) {
-    auto adj_or = sparse::BuildAdjacency(c.n, c.edges, c.self_loops);
-    ASSERT_TRUE(adj_or.ok()) << family;
-    const sparse::CsrMatrix prop =
-        sparse::NormalizeAdjacency(adj_or.value(), c.rho);
-    const Matrix x = RandomMatrix(c.n, 3, c.seed ^ 0xF00Dull);
-    filters::FilterContext ctx;
-    ctx.prop = &prop;
-    ctx.device = Device::kHost;
-
-    for (const auto& name : filters::AllFilterNames()) {
-      auto filter_or = filters::CreateFilter(name, c.hops, {}, x.cols());
-      if (!filter_or.ok()) continue;
-      auto filter = filter_or.MoveValue();
-      if (!filter->SupportsLazy()) continue;
-      ++checked_filters;
-      for (const int threads : {1, 4, hw}) {
-        parallel::SetNumThreads(threads);
-        Matrix y_eager;
-        filter->Forward(ctx, x, &y_eager, /*cache=*/false);
-        Matrix y_lazy;
-        ASSERT_TRUE(filters::LazyForward(filter.get(), ctx, x, &y_lazy).ok())
-            << family << "/" << name << " threads=" << threads;
-        EXPECT_TRUE(BitIdentical(y_lazy, y_eager))
-            << family << "/" << name << " threads=" << threads;
-
-        if (filter->SupportsMiniBatch()) {
-          std::vector<Matrix> eager_terms, lazy_terms;
-          ASSERT_TRUE(filter->Precompute(ctx, x, &eager_terms).ok());
-          ASSERT_TRUE(
-              filters::LazyPrecompute(filter.get(), ctx, x, &lazy_terms).ok());
-          ASSERT_EQ(lazy_terms.size(), eager_terms.size())
-              << family << "/" << name;
-          for (size_t t = 0; t < eager_terms.size(); ++t) {
-            EXPECT_TRUE(BitIdentical(lazy_terms[t], eager_terms[t]))
-                << family << "/" << name << " term " << t
-                << " threads=" << threads;
-          }
-        }
-      }
-    }
-  }
-  parallel::SetNumThreads(0);
-  EXPECT_GT(checked_filters, 0);
-}
-
-TEST(OpGraphProperty, EagerOnlyFiltersReturnNotImplemented) {
-  const sparse::CsrMatrix prop = SmallProp(12, 23);
-  const Matrix x = RandomMatrix(12, 4, 24);
-  auto filter_or = filters::CreateFilter("bernstein", 4, {}, x.cols());
-  ASSERT_TRUE(filter_or.ok());
-  auto filter = filter_or.MoveValue();
-  ASSERT_FALSE(filter->SupportsLazy());
-  filters::FilterContext ctx;
-  ctx.prop = &prop;
-  ctx.device = Device::kHost;
-  Matrix y;
-  const Status status = filters::LazyForward(filter.get(), ctx, x, &y);
-  EXPECT_EQ(status.code(), StatusCode::kNotImplemented);
-}
-
-// --- conformance gate --------------------------------------------------------
-
-TEST(OpGraphConformance, AllFiltersPassLazyOracleOnFixture) {
-  const int64_t n = 24;
-  Rng rng(31);
-  sparse::EdgeList edges;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(0.2)) {
-        edges.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
-      }
-    }
-  }
-  auto adj = sparse::BuildAdjacency(n, edges, /*add_self_loops=*/true);
-  ASSERT_TRUE(adj.ok());
-  const sparse::CsrMatrix norm = sparse::NormalizeAdjacency(adj.value(), 0.5);
-  auto eig_or = eval::JacobiEigen(eval::DenseLaplacian(norm));
-  ASSERT_TRUE(eig_or.ok());
-  const Matrix x = RandomMatrix(n, 4, 32);
-
-  auto reports_or = conformance::CheckAllLazy(norm, eig_or.value(), x);
-  ASSERT_TRUE(reports_or.ok()) << reports_or.status().ToString();
-  const auto& reports = reports_or.value();
-  EXPECT_TRUE(conformance::AllLazyPass(reports))
-      << conformance::FormatLazyReports(reports);
-  int fused_somewhere = 0;
-  for (const auto& r : reports) {
-    if (!r.skipped && r.fused_chains > 0) ++fused_somewhere;
-  }
-  EXPECT_GT(fused_somewhere, 0);
-}
-
-// --- probe + supervisor integration ------------------------------------------
-
-// Regression: a lazy probe whose pipeline latches the simulated accelerator
-// OOM (armed fault plan firing while the executor acquires its planned
-// buffers) must journal the cell as SKIPPED through the Supervisor and
-// leave the latch clean — not crash the bench or poison later cells.
-TEST(OpGraphProbe, OomMidPipelineJournalsSkipped) {
-  auto& tracker = DeviceTracker::Global();
-  auto& inj = runtime::FaultInjector::Global();
-  tracker.ResetAll();
-
-  const sparse::CsrMatrix prop = SmallProp(32, 25);
-  const Matrix x = RandomMatrix(32, 4, 26, Device::kAccel);
-  filters::FilterContext ctx;
-  ctx.prop = &prop;
-  ctx.device = Device::kAccel;
-
-  const std::string path = TempPath("opgraph_probe.jsonl");
-  std::remove(path.c_str());
-  runtime::Supervisor sup("opgraph_probe", path);
-  const runtime::CellKey key{"small", "chebyshev", "fb", 1, "lazy"};
-
-  runtime::FaultPlan plan;
-  plan.accel_alloc_fail_nth = 1;  // first executor allocation faults
-  inj.Arm(plan);
-  EXPECT_FALSE(bench::ProbeLazy(&sup, key, "chebyshev", ctx, x));
-  inj.Disarm();
-
-  EXPECT_GE(inj.injected_alloc_faults(), 1u);
-  EXPECT_FALSE(tracker.accel_oom());  // probe cleared the latch it caused
-  const runtime::CellRecord* rec = sup.Find(key);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->status, runtime::CellStatus::kSkipped);
-  EXPECT_NE(rec->detail.find("OutOfMemory"), std::string::npos) << rec->detail;
-
-  // With the fault gone the same probe succeeds on a fresh cell.
-  const runtime::CellKey clean{"small", "ppr", "fb", 1, "lazy"};
-  EXPECT_TRUE(bench::ProbeLazy(&sup, clean, "ppr", ctx, x));
-  EXPECT_EQ(sup.Find(clean), nullptr);
-
-  tracker.ResetAll();
-  std::remove(path.c_str());
-}
-
-// Kill-and-resume round trip over lazy-mode cells: an interrupted lazy grid
-// resumed on the same journal rebuilds the uninterrupted table, and the
-// lazy grid's metrics equal the eager grid's bit for bit (the trainer's
-// --lazy path only swaps in the fused pipeline, which is bit-identical).
-TEST(OpGraphSupervisor, LazyKillAndResumeRoundTrip) {
   graph::GeneratorConfig gc;
-  gc.n = 400;
+  gc.n = 2000;
   gc.avg_degree = 8.0;
-  gc.num_classes = 4;
-  gc.homophily = 0.85;
-  gc.feature_dim = 16;
-  gc.noise = 2.0;
-  gc.seed = 3;
-  graph::Graph g = graph::GenerateSbm(gc);
-  graph::Splits s = graph::RandomSplits(g.n, 1);
+  gc.feature_dim = 32;
+  gc.seed = 21;
+  const graph::Graph g = graph::GenerateSbm(gc);
+  const sparse::CsrMatrix prop = sparse::NormalizeAdjacency(g.adj, 0.5);
+  const Matrix x = g.features.CloneTo(Device::kAccel);
+  filters::FilterContext ctx;
+  ctx.prop = &prop;
+  ctx.device = Device::kAccel;
+  const size_t unit = static_cast<size_t>(x.rows()) *
+                      static_cast<size_t>(x.cols()) * sizeof(float);
 
-  models::TrainConfig lazy_cfg;
-  lazy_cfg.epochs = 20;
-  lazy_cfg.eval_every = 5;
-  lazy_cfg.hidden = 32;
-  lazy_cfg.batch_size = 256;
-  lazy_cfg.lazy = true;
-  models::TrainConfig eager_cfg = lazy_cfg;
-  eager_cfg.lazy = false;
-
-  const std::vector<runtime::CellKey> grid = {
-      {"small", "chebyshev", "fb", 1, "lazy"},
-      {"small", "ppr", "fb", 1, "lazy"},
-  };
-
-  // Reference: uninterrupted lazy run on its own journal.
-  const std::string ref_path = TempPath("opgraph_roundtrip_ref.jsonl");
-  std::remove(ref_path.c_str());
-  std::vector<runtime::CellRecord> reference;
-  {
-    runtime::Supervisor sup("opgraph_roundtrip", ref_path);
-    for (const auto& key : grid) {
-      reference.push_back(
-          sup.RunTraining(key, g, s, graph::Metric::kAccuracy, lazy_cfg));
+  const std::map<std::string, size_t> caps = {
+      {"chebyshev", 5}, {"ppr", 5}, {"gnn_lf_hf", 6}, {"g2cn", 4},
+      {"bernstein", 4}};
+  for (const auto& [name, cap] : caps) {
+    std::vector<size_t> peaks;
+    for (const int hops : {4, 10, 16}) {
+      auto filter_or = filters::CreateFilter(name, hops, {}, x.cols());
+      ASSERT_TRUE(filter_or.ok()) << name;
+      auto filter = filter_or.MoveValue();
+      Rng rng(static_cast<uint64_t>(hops));
+      filter->ResetParameters(&rng);
+      Matrix y;
+      const size_t live0 = tracker.live_bytes(Device::kAccel);
+      tracker.ResetPeak();
+      filter->Forward(ctx, x, &y, /*cache=*/false);
+      peaks.push_back(tracker.peak_bytes(Device::kAccel) - live0);
+      EXPECT_LE(peaks.back(), cap * unit)
+          << name << " K=" << hops << ": peak " << peaks.back() / unit
+          << " n·F floats, cap " << cap;
     }
+    EXPECT_EQ(peaks[0], peaks[1]) << name << ": K=4 vs K=10";
+    EXPECT_EQ(peaks[1], peaks[2]) << name << ": K=10 vs K=16";
   }
-
-  // Interrupted: one cell, then "die" without cleanup; resume the journal.
-  const std::string path = TempPath("opgraph_roundtrip_killed.jsonl");
-  std::remove(path.c_str());
-  {
-    runtime::Supervisor sup("opgraph_roundtrip", path);
-    sup.RunTraining(grid[0], g, s, graph::Metric::kAccuracy, lazy_cfg);
-  }
-  {
-    runtime::Supervisor sup("opgraph_roundtrip", path);
-    std::vector<runtime::CellRecord> resumed;
-    for (const auto& key : grid) {
-      resumed.push_back(
-          sup.RunTraining(key, g, s, graph::Metric::kAccuracy, lazy_cfg));
-    }
-    EXPECT_EQ(sup.resumed_cells(), 1u);
-    ASSERT_EQ(resumed.size(), reference.size());
-    for (size_t i = 0; i < grid.size(); ++i) {
-      EXPECT_EQ(resumed[i].status, reference[i].status);
-      EXPECT_DOUBLE_EQ(resumed[i].val_metric, reference[i].val_metric);
-      EXPECT_DOUBLE_EQ(resumed[i].test_metric, reference[i].test_metric);
-      EXPECT_DOUBLE_EQ(resumed[i].train_loss, reference[i].train_loss);
-    }
-  }
-
-  // Lazy ≡ eager at the training-table level too.
-  {
-    runtime::Supervisor sup("opgraph_roundtrip_eager", "");
-    for (size_t i = 0; i < grid.size(); ++i) {
-      const runtime::CellRecord eager =
-          sup.RunTraining(grid[i], g, s, graph::Metric::kAccuracy, eager_cfg);
-      EXPECT_EQ(eager.status, reference[i].status);
-      EXPECT_DOUBLE_EQ(eager.val_metric, reference[i].val_metric);
-      EXPECT_DOUBLE_EQ(eager.test_metric, reference[i].test_metric);
-      EXPECT_DOUBLE_EQ(eager.train_loss, reference[i].train_loss);
-    }
-  }
-
-  std::remove(ref_path.c_str());
-  std::remove(path.c_str());
+  EXPECT_FALSE(tracker.accel_oom());
+  tracker.ResetAll();
 }
 
 }  // namespace

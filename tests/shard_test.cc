@@ -1,8 +1,8 @@
 // Tests for sharded graph execution (src/shard/ + docs/SHARDING.md):
 // partitioner determinism/coverage/balance, slice structure invariants,
 // sharded-vs-unsharded bit-identity across the nine fuzz graph families x
-// shard counts x thread counts (raw operator, eager forward, lazy forward,
-// precompute terms), shard-plan persistence round trips with CRC rejection,
+// shard counts x thread counts (raw operator, filter forward, precompute
+// terms), shard-plan persistence round trips with CRC rejection,
 // per-shard budget/spill semantics against DeviceTracker, the
 // OOM-unsharded-completes-sharded memory demo, SHARD_SPILL journaling and
 // the FB -> fb-sharded degradation rung, and a sharded kill-and-resume
@@ -20,7 +20,6 @@
 
 #include "conformance/fuzz.h"
 #include "conformance/shard_check.h"
-#include "core/lazy.h"
 #include "core/registry.h"
 #include "eval/eigen.h"
 #include "graph/generator.h"
@@ -219,11 +218,11 @@ TEST(ShardBitIdentity, OperatorMatchesSpmmAcrossFamiliesShardsThreads) {
   parallel::SetNumThreads(0);
 }
 
-// Filter-level bit-identity: eager forward, lazy forward, and precompute
-// terms through the sharded operator equal the unsharded path, at multiple
-// thread counts (the full all-filter sweep runs in sgnn_conformance
-// --mode=shard; this pins one MB+lazy-capable filter per family).
-TEST(ShardBitIdentity, ChebyshevForwardLazyPrecomputeAcrossFamilies) {
+// Filter-level bit-identity: forward and precompute terms through the
+// sharded operator equal the unsharded path, at multiple thread counts (the
+// full all-filter sweep runs in sgnn_conformance --mode=shard; this pins
+// one MB-capable filter per family).
+TEST(ShardBitIdentity, ChebyshevForwardPrecomputeAcrossFamilies) {
   const auto cases = FamilyCases();
   ASSERT_EQ(cases.size(), 9u);
   const int hw =
@@ -256,11 +255,6 @@ TEST(ShardBitIdentity, ChebyshevForwardLazyPrecomputeAcrossFamilies) {
       filter->Forward(sharded, x, &y, /*cache=*/false);
       EXPECT_TRUE(BitIdentical(y, y_ref))
           << family << " threads=" << threads;
-      Matrix y_lazy;
-      ASSERT_TRUE(filters::LazyForward(filter.get(), sharded, x, &y_lazy).ok())
-          << family;
-      EXPECT_TRUE(BitIdentical(y_lazy, y_ref))
-          << family << " lazy threads=" << threads;
       std::vector<Matrix> terms;
       ASSERT_TRUE(filter->Precompute(sharded, x, &terms).ok());
       ASSERT_EQ(terms.size(), terms_ref.size());

@@ -512,10 +512,10 @@ Config Config::Default() {
   // models->eval) are listed explicitly — the table *is* the contract.
   c.allowed_includes = {
       {"tensor", {"tensor"}},
-      // opgraph (lazy op-graph: record/fuse/plan/execute) sits directly on
+      // opgraph (op-graph: record/fuse/plan/execute) sits directly on
       // tensor. It must never include sparse/ — the propagation matrix is
-      // abstracted behind opgraph::SpmmOperator and adapted in core/lazy.h,
-      // which is the first layer that sees both sides.
+      // abstracted behind opgraph::SpmmOperator and adapted in
+      // core/filter.h, the first layer that sees both sides.
       {"opgraph", {"opgraph", "tensor"}},
       {"sparse", {"sparse", "opgraph", "tensor"}},
       // shard (edge-cut partitioner + halo exchange + sharded SpmmOperator)

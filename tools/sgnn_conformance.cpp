@@ -6,11 +6,9 @@
 //   oracle  dense spectral oracle only
 //   quant   quantized MB propagation vs the dense oracle (int8 + fp16,
 //           every MB-capable filter; tolerances in docs/QUANTIZATION.md)
-//   lazy    fused op-graph execution vs eager (bit-identity) and vs the
-//           dense oracle, every lazy-capable filter (docs/OPGRAPH.md)
-//   shard   sharded propagation vs unsharded (bit-identity at K=1,2,4,8
-//           for eager, lazy, and precompute paths) and vs the dense
-//           oracle, every filter (docs/SHARDING.md)
+//   shard   sharded propagation vs unsharded (bit-identity of forward and
+//           precompute terms at K=1,2,4,8 shards) and vs the dense oracle,
+//           every filter (docs/SHARDING.md)
 //   grad    finite-difference gradient checker only
 //   fuzz    property-based fuzz sweep only (--trials)
 //
@@ -35,7 +33,6 @@
 
 #include "conformance/fuzz.h"
 #include "conformance/gradcheck.h"
-#include "conformance/lazy_check.h"
 #include "conformance/oracle.h"
 #include "conformance/quant_check.h"
 #include "conformance/shard_check.h"
@@ -146,30 +143,6 @@ bool RunQuant(const std::vector<std::string>& filters) {
       std::fputs(conformance::FormatQuantReports(reports).c_str(), stdout);
       ok = ok && conformance::AllQuantPass(reports);
     }
-  }
-  return ok;
-}
-
-bool RunLazy(const std::vector<std::string>& filters) {
-  bool ok = true;
-  for (const auto& fix : BuildFixtures()) {
-    std::printf("== lazy conformance on %s (n=%lld) ==\n", fix.name.c_str(),
-                static_cast<long long>(fix.norm.n()));
-    std::vector<conformance::LazyReport> reports;
-    if (filters.empty()) {
-      auto r = conformance::CheckAllLazy(fix.norm, fix.eig, fix.x);
-      SGNN_CHECK_OK(r);
-      reports = r.MoveValue();
-    } else {
-      for (const auto& name : filters) {
-        auto r =
-            conformance::CheckLazyConformance(name, fix.norm, fix.eig, fix.x);
-        SGNN_CHECK_OK(r);
-        reports.push_back(r.MoveValue());
-      }
-    }
-    std::fputs(conformance::FormatLazyReports(reports).c_str(), stdout);
-    ok = ok && conformance::AllLazyPass(reports);
   }
   return ok;
 }
@@ -349,8 +322,6 @@ int main(int argc, char** argv) {
     ok = RunOracle(filters);
   } else if (mode == "quant") {
     ok = RunQuant(filters);
-  } else if (mode == "lazy") {
-    ok = RunLazy(filters);
   } else if (mode == "shard") {
     ok = RunShard(filters);
   } else if (mode == "grad") {

@@ -75,8 +75,6 @@ void Usage() {
       "                [--alpha A] [--beta B] [--hidden H] [--batch B]\n"
       "                [--parts P] [--layers J] [--csv path]\n"
       "                [--deadline-ms D] [--fallback 0|1] [--journal path]\n"
-      "                [--lazy 0|1]  (fused op-graph execution for MB\n"
-      "                 precompute + FB inference; see docs/OPGRAPH.md)\n"
       "                [--shards K]  (edge-cut sharded propagation, K > 1;\n"
       "                 bit-identical to unsharded, see docs/SHARDING.md)\n"
       "datasets: ");
@@ -144,7 +142,6 @@ int main(int argc, char** argv) {
       cfg.batch_size = flags.GetInt("batch", 4096);
       cfg.rho = flags.GetDouble("rho", 0.5);
       cfg.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-      cfg.lazy = flags.GetInt("lazy", 0) != 0;
       cfg.num_shards = flags.GetInt("shards", 0);
       cfg.seed = seed;
       if (scheme == "iterative") {
