@@ -1,8 +1,8 @@
 // Sharded propagation executor with per-shard accelerator budgets.
 //
-// ShardedSpmmOperator implements the abstract opgraph::SpmmOperator, so both
-// eager filters (via FilterContext::Propagate) and the lazy op-graph run
-// sharded without any filter change. One Apply is one halo-exchange round:
+// ShardedSpmmOperator implements the abstract opgraph::SpmmOperator, so the
+// op-graph's SpMM nodes and FilterContext::Propagate both run sharded
+// without any filter change. One Apply is one halo-exchange round:
 // for each shard in ascending order, gather the rows the shard reads
 // (owned ++ halo) from the current global representation, run the stock CSR
 // SpMM kernel on the square slice, and scatter the owned rows of the local

@@ -23,6 +23,8 @@
 #include "core/registry.h"
 #include "eval/eigen.h"
 #include "graph/generator.h"
+#include "models/trainer.h"
+#include "runtime/fault_injection.h"
 #include "runtime/supervisor.h"
 #include "shard/partition.h"
 #include "shard/plan.h"
@@ -527,6 +529,43 @@ TEST(ShardBudget, ShardedTrainingMatchesUnshardedMetrics) {
     EXPECT_DOUBLE_EQ(sharded.final_train_loss, base.final_train_loss)
         << "K=" << k;
   }
+  tracker.ResetAll();
+}
+
+// A sharded MB precompute whose hop latches the accelerator OOM flag (an
+// armed fault on the first accelerator allocation) reports an OOM run, the
+// classification the epoch guard gives, so the Supervisor journals an (OOM)
+// cell rather than a failure.
+TEST(ShardBudget, ShardedPrecomputeOomReportsOomRun) {
+  auto& tracker = DeviceTracker::Global();
+  tracker.ResetAll();
+  graph::GeneratorConfig gc;
+  gc.n = 300;
+  gc.avg_degree = 8.0;
+  gc.num_classes = 4;
+  gc.feature_dim = 16;
+  gc.seed = 5;
+  graph::Graph g = graph::GenerateSbm(gc);
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+
+  models::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.hidden = 16;
+  cfg.batch_size = 64;
+  cfg.phi0_layers = 0;
+  cfg.phi1_layers = 2;
+  cfg.num_shards = 4;
+  auto filter_or = filters::CreateFilter("chebyshev", 4, {}, g.features.cols());
+  ASSERT_TRUE(filter_or.ok());
+
+  runtime::FaultPlan plan;
+  plan.accel_alloc_fail_nth = 1;
+  runtime::FaultInjector::Global().Arm(plan);
+  const models::TrainResult r = models::TrainMiniBatch(
+      g, s, graph::Metric::kAccuracy, filter_or.value().get(), cfg);
+  runtime::FaultInjector::Global().Disarm();
+  EXPECT_TRUE(r.oom);
+  EXPECT_EQ(r.status.code(), StatusCode::kOutOfMemory) << r.status.ToString();
   tracker.ResetAll();
 }
 
