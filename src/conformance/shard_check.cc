@@ -86,13 +86,14 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
     }
   }
 
+  const bool bits_identical =
+      report.forward_bit_identical && report.precompute_bit_identical;
   bool degenerate = false;
   const Matrix ref = DenseReference(filter.get(), filter_name, norm_adj, eig,
                                     x, options.hops, &degenerate);
   if (degenerate) {
     report.skipped = true;
-    report.pass = report.forward_bit_identical &&
-                  report.precompute_bit_identical;
+    report.pass = bits_identical;
     if (report.pass) {
       report.detail = "lanczos breakdown: dense reference undefined";
     }
@@ -100,13 +101,10 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
   }
 
   report.rel_error = RelativeFrobenius(y_sharded, ref);
-  report.pass = report.forward_bit_identical &&
-                report.precompute_bit_identical &&
-                report.rel_error <= report.tolerance;
+  report.pass = bits_identical && report.rel_error <= report.tolerance;
   if (report.pass) {
     report.detail.clear();
-  } else if (report.forward_bit_identical &&
-             report.precompute_bit_identical) {
+  } else if (bits_identical) {
     report.detail = "sharded forward diverges from dense spectral operator";
   }
   return report;

@@ -132,7 +132,10 @@ class CheckpointRejection : public testing::Test {
  protected:
   void SetUp() override {
     ckpt_ = TrainCheckpoint("ppr");
-    path_ = TempPath("reject.ckpt");
+    // One file per test: ctest runs these cases as concurrent processes.
+    const testing::TestInfo* info =
+        testing::UnitTest::GetInstance()->current_test_info();
+    path_ = TempPath(std::string("reject_") + info->name() + ".ckpt");
     ASSERT_TRUE(SaveCheckpoint(ckpt_, path_).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }
