@@ -4,7 +4,9 @@
 // A refactor that keeps behaviour keeps these digests; a change that moves
 // one bit anywhere in a filter's forward, backward, precompute or combine
 // path, or in a short FB/MB training run, fails here naming the filter and
-// the stage and printing the actual CRC. The dense oracle
+// the stage and printing the actual CRC. The checkpoint files one fixed MB
+// model saves (v1 fp32, v2 int8 and fp16) are pinned byte for byte, with
+// the logits each one serves after loading back. The dense oracle
 // (conformance/oracle.cc) stays the numerical reference; this table is the
 // bit reference across builds and refactors. The expected values are edited
 // by hand when a change is meant to move bits, and that change says so.
@@ -14,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,9 @@
 #include "core/registry.h"
 #include "graph/generator.h"
 #include "models/trainer.h"
+#include "quant/quantize.h"
+#include "serve/checkpoint.h"
+#include "serve/engine.h"
 #include "sparse/adjacency.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
@@ -303,6 +310,96 @@ TEST(Golden, FiveEpochTrainingMatchesPinnedDigests) {
           << want.name << "/" << scheme << "_logits: actual " << Hex(logits);
     }
   }
+}
+
+// --- checkpoint files and served logits ----------------------------------
+
+/// The MB chebyshev model of kTrainGolden, exported as a checkpoint.
+const serve::Checkpoint& GoldenCheckpoint() {
+  static const serve::Checkpoint* ckpt = [] {
+    const graph::Graph& g = TrainGraph();
+    models::TrainConfig cfg = TrainCfg(true);
+    cfg.export_model = true;
+    auto f = filters::CreateFilter("chebyshev", kHops, {}, g.features.cols());
+    SGNN_CHECK(f.ok(), "golden checkpoint filter must build");
+    auto filter = f.MoveValue();
+    const models::TrainResult r = models::TrainMiniBatch(
+        g, graph::RandomSplits(g.n, 4), graph::Metric::kAccuracy,
+        filter.get(), cfg);
+    SGNN_CHECK(r.status.ok() && r.exported != nullptr,
+               "golden checkpoint model must train");
+    const serve::CheckpointMeta meta{"golden", g.n, g.num_classes, cfg.rho,
+                                     cfg.seed};
+    auto c = serve::BuildCheckpoint("chebyshev", kHops, {}, g.features.cols(),
+                                    *r.exported, meta);
+    SGNN_CHECK(c.ok(), "golden checkpoint must build");
+    return new serve::Checkpoint(c.MoveValue());
+  }();
+  return *ckpt;
+}
+
+uint32_t FileDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return serialize::Crc32(bytes.data(), bytes.size());
+}
+
+/// Logits served for every fifth node, last to first, in one batch.
+uint32_t ServedDigest(Result<serve::ServableModel> model) {
+  SGNN_CHECK(model.ok(), "golden model must restore");
+  std::vector<int64_t> nodes;
+  for (int64_t v = model.value().meta.n - 1; v >= 0; v -= 5) {
+    nodes.push_back(v);
+  }
+  serve::Engine engine(model.MoveValue(), {});
+  Matrix logits;
+  SGNN_CHECK(engine.ServeBatch(nodes, &logits).ok(), "golden serve failed");
+  return Digest().Add(logits).value();
+}
+
+struct CheckpointGolden {
+  quant::Precision precision;
+  uint32_t file;    ///< CRC-32 of the whole saved file
+  uint32_t logits;  ///< served from the file loaded back
+};
+
+// clang-format off
+const CheckpointGolden kCheckpointGolden[] = {
+    {quant::Precision::kFp32, 0xa9f94009, 0xf9558d2e},
+    {quant::Precision::kInt8, 0x58030b72, 0xa2555d71},
+    {quant::Precision::kFp16, 0x982abcc5, 0xe0dd1678},
+};
+// clang-format on
+
+TEST(Golden, CheckpointBytesAndServedLogitsMatchPinnedDigests) {
+  const serve::Checkpoint& ckpt = GoldenCheckpoint();
+  const std::string path = testing::TempDir() + "/sgnn_golden.ckpt";
+  for (const CheckpointGolden& want : kCheckpointGolden) {
+    const char* name = quant::PrecisionName(want.precision);
+    uint32_t logits = 0;
+    if (want.precision == quant::Precision::kFp32) {
+      ASSERT_TRUE(serve::SaveCheckpoint(ckpt, path).ok());
+      auto loaded = serve::LoadCheckpoint(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      logits = ServedDigest(serve::RestoreModel(loaded.value()));
+    } else {
+      auto q = serve::QuantizeCheckpoint(ckpt, want.precision, {});
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      ASSERT_TRUE(serve::SaveQuantCheckpoint(q.value(), path).ok());
+      auto loaded = serve::LoadQuantCheckpoint(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      logits = ServedDigest(serve::RestoreModel(loaded.value()));
+    }
+    const uint32_t file = FileDigest(path);
+    EXPECT_EQ(file, want.file)
+        << name << "/file: actual " << Hex(file) << ", pinned "
+        << Hex(want.file);
+    EXPECT_EQ(logits, want.logits)
+        << name << "/logits: actual " << Hex(logits) << ", pinned "
+        << Hex(want.logits);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
