@@ -1,28 +1,41 @@
 #include "graph/io.h"
 
-#include <cstdio>
 #include <mutex>
 #include <vector>
+
+#include "sparse/serialize.h"
+#include "tensor/serialize.h"
 
 namespace sgnn::graph {
 
 namespace {
 
-constexpr uint64_t kMagic = 0x53474E4E47524148ULL;  // "SGNNGRAH"
+// A tensor/serialize.h frame around: i32 classes, the CSR adjacency
+// (sparse::AppendCsr), the feature matrix (serialize::AppendMatrix), and
+// n i32 labels.
+constexpr char kMagic[] = "SGNNGRPH";
+constexpr uint32_t kVersion = 1;
 
-bool WriteAll(std::FILE* f, const void* data, size_t bytes) {
-  return std::fwrite(data, 1, bytes, f) == bytes;
-}
-
-bool ReadAll(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
-}
-
-/// *acc += a * b; false when either step overflows.
-bool AddProduct(uint64_t a, uint64_t b, uint64_t* acc) {
-  uint64_t product = 0;
-  return !__builtin_mul_overflow(a, b, &product) &&
-         !__builtin_add_overflow(*acc, product, acc);
+Status DecodeGraph(serialize::Reader* r, Graph* g) {
+  SGNN_RETURN_IF_ERROR(r->I32(&g->num_classes));
+  SGNN_RETURN_IF_ERROR(sparse::ReadCsr(r, Device::kHost, &g->adj));
+  g->n = g->adj.n();
+  SGNN_RETURN_IF_ERROR(serialize::ReadMatrix(r, Device::kHost, &g->features));
+  if (g->n <= 0 || g->num_classes <= 0 || g->features.rows() != g->n) {
+    return Status::IOError("corrupt graph header");
+  }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(g->n, sizeof(int32_t)));
+  g->labels.resize(static_cast<size_t>(g->n));
+  for (int32_t& y : g->labels) {
+    SGNN_RETURN_IF_ERROR(r->I32(&y));
+    if (y < 0 || y >= g->num_classes) {
+      return Status::IOError("label outside [0, classes)");
+    }
+  }
+  if (r->remaining() != 0) {
+    return Status::IOError("trailing bytes after graph payload");
+  }
+  return Status::OK();
 }
 
 std::mutex& IoHookMutex() {
@@ -54,92 +67,24 @@ void SetIoFaultHook(IoFaultHook hook) {
 
 Status SaveGraph(const Graph& g, const std::string& path) {
   SGNN_RETURN_IF_ERROR(CheckIoFault("save", path));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  const int64_t n = g.n;
-  const int64_t nnz = g.adj.nnz();
-  const int64_t fi = g.features.cols();
-  const int32_t classes = g.num_classes;
-  bool ok = WriteAll(f, &kMagic, sizeof(kMagic)) &&
-            WriteAll(f, &n, sizeof(n)) && WriteAll(f, &nnz, sizeof(nnz)) &&
-            WriteAll(f, &fi, sizeof(fi)) &&
-            WriteAll(f, &classes, sizeof(classes));
-  ok = ok && WriteAll(f, g.adj.indptr().data(),
-                      g.adj.indptr().size() * sizeof(int64_t));
-  ok = ok && WriteAll(f, g.adj.indices().data(),
-                      g.adj.indices().size() * sizeof(int32_t));
-  ok = ok && WriteAll(f, g.adj.values().data(),
-                      g.adj.values().size() * sizeof(float));
-  ok = ok && WriteAll(f, g.features.data(), g.features.bytes());
-  ok = ok && WriteAll(f, g.labels.data(), g.labels.size() * sizeof(int32_t));
-  std::fclose(f);
-  if (!ok) return Status::IOError("short write to " + path);
-  return Status::OK();
+  serialize::Writer w;
+  w.PutI32(g.num_classes);
+  sparse::AppendCsr(g.adj, &w);
+  serialize::AppendMatrix(g.features, &w);
+  for (const int32_t y : g.labels) w.PutI32(y);
+  return serialize::WriteFramedFile(path, kMagic, kVersion, 0, w);
 }
 
 Result<Graph> LoadGraph(const std::string& path) {
   SGNN_RETURN_IF_ERROR(CheckIoFault("load", path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  uint64_t magic = 0;
-  int64_t n = 0, nnz = 0, fi = 0;
-  int32_t classes = 0;
-  bool ok = ReadAll(f, &magic, sizeof(magic)) && magic == kMagic &&
-            ReadAll(f, &n, sizeof(n)) && ReadAll(f, &nnz, sizeof(nnz)) &&
-            ReadAll(f, &fi, sizeof(fi)) &&
-            ReadAll(f, &classes, sizeof(classes)) && n > 0 && nnz >= 0 &&
-            fi >= 0 && classes > 0;
-  // The header's sizes decide every allocation below, so they must describe
-  // exactly the bytes the file still holds before anything is allocated.
-  const long header_end = ok ? std::ftell(f) : -1;
-  ok = ok && header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
-  const long file_end = ok ? std::ftell(f) : -1;
-  ok = ok && file_end >= header_end &&
-       std::fseek(f, header_end, SEEK_SET) == 0;
-  if (!ok) {
-    std::fclose(f);
-    return Status::IOError("corrupt header in " + path);
-  }
-  // indptr, indices + values, features, labels.
-  const auto rows = static_cast<uint64_t>(n);
-  uint64_t feature_row = 0, body = 0;
-  if (!AddProduct(rows + 1, sizeof(int64_t), &body) ||
-      !AddProduct(static_cast<uint64_t>(nnz), sizeof(int32_t) + sizeof(float),
-                  &body) ||
-      !AddProduct(static_cast<uint64_t>(fi), sizeof(float), &feature_row) ||
-      !AddProduct(rows, feature_row, &body) ||
-      !AddProduct(rows, sizeof(int32_t), &body) ||
-      body != static_cast<uint64_t>(file_end - header_end)) {
-    std::fclose(f);
-    return Status::IOError("header sizes do not match the file body in " +
-                           path);
-  }
-  std::vector<int64_t> indptr(static_cast<size_t>(n) + 1);
-  std::vector<int32_t> indices(static_cast<size_t>(nnz));
-  std::vector<float> values(static_cast<size_t>(nnz));
+  SGNN_ASSIGN_OR_RETURN(serialize::FramedFile file,
+                        serialize::ReadFramedFile(path, kMagic, kVersion));
+  serialize::Reader r = file.reader();
   Graph g;
-  g.n = n;
-  g.num_classes = classes;
-  g.features = Matrix(n, fi, Device::kHost);
-  g.labels.resize(static_cast<size_t>(n));
-  ok = ReadAll(f, indptr.data(), indptr.size() * sizeof(int64_t)) &&
-       ReadAll(f, indices.data(), indices.size() * sizeof(int32_t)) &&
-       ReadAll(f, values.data(), values.size() * sizeof(float)) &&
-       ReadAll(f, g.features.data(), g.features.bytes()) &&
-       ReadAll(f, g.labels.data(), g.labels.size() * sizeof(int32_t));
-  std::fclose(f);
-  if (!ok) return Status::IOError("corrupt body in " + path);
-  const Status csr = sparse::ValidateCsrArrays(n, indptr, indices);
-  if (!csr.ok()) {
-    return Status::IOError(csr.message() + " in " + path);
+  const Status decoded = DecodeGraph(&r, &g);
+  if (!decoded.ok()) {
+    return Status::IOError(decoded.message() + " in " + path);
   }
-  for (const int32_t y : g.labels) {
-    if (y < 0 || y >= classes) {
-      return Status::IOError("label outside [0, classes) in " + path);
-    }
-  }
-  g.adj = sparse::CsrMatrix(n, std::move(indptr), std::move(indices),
-                            std::move(values));
   return g;
 }
 

@@ -1,8 +1,8 @@
-// Attributed-graph serialization and dataset caching.
+// Attributed-graph files and homophily measures.
 //
-// Generated datasets can be saved to a binary file and reloaded, so repeated
-// bench runs skip regeneration (set SPECTRAL_CACHE_DIR to enable caching in
-// MakeDataset-style workflows).
+// A generated dataset can be saved to a binary file and reloaded. The file
+// is a tensor/serialize.h frame (magic "SGNNGRPH", version 1), so it is
+// little-endian, CRC-checked and written atomically.
 
 #ifndef SGNN_GRAPH_IO_H_
 #define SGNN_GRAPH_IO_H_
@@ -25,7 +25,9 @@ void SetIoFaultHook(IoFaultHook hook);
 /// Writes the graph (adjacency, features, labels) to a binary file.
 [[nodiscard]] Status SaveGraph(const Graph& g, const std::string& path);
 
-/// Loads a graph written by SaveGraph.
+/// Loads a graph written by SaveGraph. A corrupt file (bad frame, CSR
+/// arrays, shapes or labels) is IOError; a foreign version is
+/// FailedPrecondition.
 [[nodiscard]] Result<Graph> LoadGraph(const std::string& path);
 
 /// Edge homophily: fraction of non-loop edges joining same-label endpoints.

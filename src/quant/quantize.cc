@@ -360,11 +360,13 @@ Status ReadQuantized(serialize::Reader* r, Device device, QuantizedMatrix* out,
                            std::to_string(num_scales) + " != cols " +
                            std::to_string(cols));
   }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(num_scales, sizeof(float)));
+  std::vector<float> scales(num_scales);
+  for (float& s : scales) SGNN_RETURN_IF_ERROR(r->F32(&s));
+  SGNN_RETURN_IF_ERROR(r->CheckCount(
+      rows * cols, precision == Precision::kFp16 ? sizeof(uint16_t) : 1));
   QuantizedMatrix q(precision, rows, cols, device);
-  q.scales().resize(num_scales);
-  for (uint32_t i = 0; i < num_scales; ++i) {
-    SGNN_RETURN_IF_ERROR(r->F32(&q.scales()[i]));
-  }
+  q.scales() = std::move(scales);
   if (precision == Precision::kFp16) {
     for (int64_t i = 0; i < q.size(); ++i) {
       SGNN_RETURN_IF_ERROR(r->U16(&q.f16()[i]));

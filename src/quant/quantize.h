@@ -159,8 +159,9 @@ void Dequantize(const QuantizedMatrix& q, Matrix* out);
 void AppendQuantized(const QuantizedMatrix& q, serialize::Writer* w);
 
 /// Reads a QuantizedMatrix written by AppendQuantized onto `device`.
-/// Rejects negative / implausibly large shapes (> max_elems) and malformed
-/// precision or scale counts with IOError, mirroring serialize::ReadMatrix.
+/// Rejects negative / implausibly large shapes (> max_elems, or more than
+/// the bytes left) and malformed precision or scale counts with IOError,
+/// mirroring serialize::ReadMatrix.
 [[nodiscard]] Status ReadQuantized(serialize::Reader* r, Device device,
                                    QuantizedMatrix* out,
                                    int64_t max_elems = int64_t{1} << 32);

@@ -1,8 +1,5 @@
 #include "serve/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-
 #include "sparse/serialize.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -11,9 +8,8 @@ namespace sgnn::serve {
 
 namespace {
 
-/// 8-byte file magic.
-constexpr char kMagic[8] = {'S', 'G', 'N', 'N', 'C', 'K', 'P', 'T'};
-constexpr size_t kHeaderSize = 8 + 4 + 4 + 8 + 4;  // magic,ver,flags,size,crc
+/// Frame magic of both checkpoint versions (tensor/serialize.h).
+constexpr char kMagic[] = "SGNNCKPT";
 constexpr uint32_t kFlagHasProp = 1u << 0;
 
 /// Sanity caps for count fields, so a corrupt length cannot drive a huge
@@ -67,6 +63,7 @@ Status DecodePayload(serialize::Reader* r, uint32_t flags, Checkpoint* c) {
     return Status::IOError("corrupt theta count " +
                            std::to_string(theta_count));
   }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(theta_count, sizeof(double)));
   c->theta.resize(theta_count);
   for (auto& t : c->theta) SGNN_RETURN_IF_ERROR(r->F64(&t));
   SGNN_RETURN_IF_ERROR(r->I32(&c->phi1_layers));
@@ -157,85 +154,6 @@ Status ValidateStructure(const Checkpoint& c) {
 Result<std::unique_ptr<filters::SpectralFilter>> CreateFilterFromSpec(
     const Checkpoint& c) {
   return filters::CreateFilter(c.filter_name, c.hops, c.hp, c.feature_dim);
-}
-
-/// Writes header (at `version`) + payload atomically, shared by both
-/// checkpoint flavors.
-Status WriteCheckpointFile(const serialize::Writer& payload, uint32_t version,
-                           uint32_t flags, const std::string& path) {
-  serialize::Writer header;
-  header.PutBytes(kMagic, sizeof(kMagic));
-  header.PutU32(version);
-  header.PutU32(flags);
-  header.PutU64(payload.size());
-  header.PutU32(serialize::Crc32(payload.buffer().data(), payload.size()));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + tmp);
-  bool ok = std::fwrite(header.buffer().data(), 1, header.size(), f) ==
-            header.size();
-  ok = ok && std::fwrite(payload.buffer().data(), 1, payload.size(), f) ==
-                 payload.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-/// Magic / size / CRC validation shared by both loaders. Version checking
-/// stays with the caller — which version is "foreign" depends on who reads.
-struct CheckpointFile {
-  uint32_t version = 0;
-  uint32_t flags = 0;
-  std::string bytes;  ///< whole file; payload starts at kHeaderSize
-};
-
-Result<CheckpointFile> ReadCheckpointFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  CheckpointFile file;
-  char chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    file.bytes.append(chunk, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("read error on " + path);
-
-  if (file.bytes.size() < kHeaderSize ||
-      std::memcmp(file.bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::IOError(path + " is not a SGNN checkpoint");
-  }
-  serialize::Reader header(file.bytes.data() + sizeof(kMagic),
-                           kHeaderSize - sizeof(kMagic));
-  uint32_t crc = 0;
-  uint64_t payload_size = 0;
-  SGNN_RETURN_IF_ERROR(header.U32(&file.version));
-  SGNN_RETURN_IF_ERROR(header.U32(&file.flags));
-  SGNN_RETURN_IF_ERROR(header.U64(&payload_size));
-  SGNN_RETURN_IF_ERROR(header.U32(&crc));
-  if (file.bytes.size() - kHeaderSize != payload_size) {
-    return Status::IOError(
-        "truncated checkpoint: header promises " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(file.bytes.size() - kHeaderSize));
-  }
-  const char* payload = file.bytes.data() + kHeaderSize;
-  const uint32_t actual_crc = serialize::Crc32(payload, payload_size);
-  if (actual_crc != crc) {
-    return Status::IOError("checkpoint CRC mismatch: stored " +
-                           std::to_string(crc) + ", computed " +
-                           std::to_string(actual_crc));
-  }
-  return file;
 }
 
 void EncodeQuantPayload(const QuantCheckpoint& c, serialize::Writer* w) {
@@ -456,26 +374,18 @@ Result<Checkpoint> BuildCheckpoint(const std::string& filter_name, int hops,
 Status SaveCheckpoint(const Checkpoint& ckpt, const std::string& path) {
   serialize::Writer payload;
   EncodePayload(ckpt, &payload);
-  return WriteCheckpointFile(payload, kCheckpointVersion,
-                             ckpt.has_prop ? kFlagHasProp : 0u, path);
+  return serialize::WriteFramedFile(path, kMagic, kCheckpointVersion,
+                                   ckpt.has_prop ? kFlagHasProp : 0u, payload);
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  SGNN_ASSIGN_OR_RETURN(CheckpointFile file, ReadCheckpointFile(path));
-  if (file.version != kCheckpointVersion) {
-    // Version 2 bytes are a *quantized* artifact: refuse with the same
-    // typed code as any unknown future version — a v1 reader must never
-    // reinterpret foreign-precision payload bytes as fp32 fields.
-    return Status::FailedPrecondition(
-        "unsupported checkpoint version " + std::to_string(file.version) +
-        " (this build reads version " + std::to_string(kCheckpointVersion) +
-        (file.version == kQuantCheckpointVersion
-             ? "; quantized checkpoints load via LoadQuantCheckpoint)"
-             : ")"));
-  }
+  // A version-2 (quantized) file fails here with kFailedPrecondition: a v1
+  // reader never reinterprets foreign-precision bytes as fp32 fields.
+  SGNN_ASSIGN_OR_RETURN(
+      serialize::FramedFile file,
+      serialize::ReadFramedFile(path, kMagic, kCheckpointVersion));
   Checkpoint c;
-  serialize::Reader r(file.bytes.data() + kHeaderSize,
-                      file.bytes.size() - kHeaderSize);
+  serialize::Reader r = file.reader();
   SGNN_RETURN_IF_ERROR(DecodePayload(&r, file.flags, &c));
   SGNN_RETURN_IF_ERROR(ValidateStructure(c));
   // Hyperparameter validation: a checkpoint that decodes cleanly can still
@@ -541,23 +451,16 @@ Status SaveQuantCheckpoint(const QuantCheckpoint& ckpt,
                            const std::string& path) {
   serialize::Writer payload;
   EncodeQuantPayload(ckpt, &payload);
-  return WriteCheckpointFile(payload, kQuantCheckpointVersion, 0u, path);
+  return serialize::WriteFramedFile(path, kMagic, kQuantCheckpointVersion, 0u,
+                                   payload);
 }
 
 Result<QuantCheckpoint> LoadQuantCheckpoint(const std::string& path) {
-  SGNN_ASSIGN_OR_RETURN(CheckpointFile file, ReadCheckpointFile(path));
-  if (file.version != kQuantCheckpointVersion) {
-    return Status::FailedPrecondition(
-        "unsupported checkpoint version " + std::to_string(file.version) +
-        " (this reader expects quantized version " +
-        std::to_string(kQuantCheckpointVersion) +
-        (file.version == kCheckpointVersion
-             ? "; fp checkpoints load via LoadCheckpoint)"
-             : ")"));
-  }
+  SGNN_ASSIGN_OR_RETURN(
+      serialize::FramedFile file,
+      serialize::ReadFramedFile(path, kMagic, kQuantCheckpointVersion));
   QuantCheckpoint c;
-  serialize::Reader r(file.bytes.data() + kHeaderSize,
-                      file.bytes.size() - kHeaderSize);
+  serialize::Reader r = file.reader();
   SGNN_RETURN_IF_ERROR(DecodeQuantPayload(&r, &c));
   SGNN_RETURN_IF_ERROR(ValidateQuantStructure(c));
   auto probe =

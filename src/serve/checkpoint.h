@@ -10,15 +10,14 @@
 // matrix is embedded so an operator can refresh the terms offline after a
 // graph update.
 //
-// Wire format (full field table in docs/SERVING.md): an 8-byte magic, a
-// format version, a flags word, the payload size, and a CRC-32 of the
-// payload, followed by the payload itself. All multi-byte values are
-// little-endian via tensor/serialize.h. Load rejects, with a typed Status:
-//   * wrong magic / short header ............ IOError
+// Wire format: the tensor/serialize.h file frame (magic "SGNNCKPT", version
+// 1 for fp32 and 2 for quantized, flags bit 0 = embedded propagation
+// matrix) around the payload tabled in docs/SERVING.md. All multi-byte
+// values are little-endian. Load rejects, with a typed Status:
+//   * wrong magic, size mismatch, CRC mismatch, counts or shapes the
+//     payload cannot hold ................... IOError
 //   * unsupported version ................... FailedPrecondition
-//   * size mismatch (truncated/padded) ...... IOError
-//   * CRC mismatch (bit rot, hand edits) .... IOError
-//   * out-of-range hyperparameters .......... InvalidArgument (the PR-4
+//   * out-of-range hyperparameters .......... InvalidArgument (the
 //     CreateFilter validation — a hand-edited α=0 fails here, not as NaN
 //     logits at query time)
 

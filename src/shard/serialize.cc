@@ -1,8 +1,5 @@
 #include "shard/serialize.h"
 
-#include <cstdio>
-#include <cstring>
-
 #include "sparse/serialize.h"
 #include "tensor/serialize.h"
 
@@ -10,68 +7,10 @@ namespace sgnn::shard {
 
 namespace {
 
-// File layout (both kinds): magic, u64 payload size, u32 payload CRC-32,
-// payload. Little-endian throughout (tensor/serialize.h).
-constexpr char kShardMagic[8] = {'S', 'G', 'S', 'H', 'R', 'D', '0', '1'};
-constexpr char kManifestMagic[8] = {'S', 'G', 'S', 'H', 'M', 'F', '0', '1'};
-constexpr size_t kHeaderSize = sizeof(kShardMagic) + 8 + 4;
-
-Status WriteFramedFile(const char* magic, const serialize::Writer& payload,
-                       const std::string& path) {
-  serialize::Writer header;
-  header.PutBytes(magic, 8);
-  header.PutU64(payload.size());
-  header.PutU32(serialize::Crc32(payload.buffer().data(), payload.size()));
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + tmp);
-  bool ok = std::fwrite(header.buffer().data(), 1, header.size(), f) ==
-            header.size();
-  ok = ok && std::fwrite(payload.buffer().data(), 1, payload.size(), f) ==
-                 payload.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-/// Reads a framed file, validates magic + CRC, and returns the payload
-/// bytes (also exposing the payload CRC for manifest cross-checking).
-Status ReadFramedFile(const char* magic, const std::string& path,
-                      std::string* payload, uint32_t* crc_out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::string bytes;
-  char chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) bytes.append(chunk, got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("read error on " + path);
-  if (bytes.size() < kHeaderSize || std::memcmp(bytes.data(), magic, 8) != 0) {
-    return Status::IOError(path + " is not a shard-plan file");
-  }
-  serialize::Reader header(bytes.data() + 8, kHeaderSize - 8);
-  uint64_t size = 0;
-  uint32_t crc = 0;
-  SGNN_RETURN_IF_ERROR(header.U64(&size));
-  SGNN_RETURN_IF_ERROR(header.U32(&crc));
-  if (bytes.size() - kHeaderSize != size) {
-    return Status::IOError("truncated shard-plan file " + path);
-  }
-  if (serialize::Crc32(bytes.data() + kHeaderSize, size) != crc) {
-    return Status::IOError("CRC mismatch in " + path);
-  }
-  payload->assign(bytes, kHeaderSize, std::string::npos);
-  *crc_out = crc;
-  return Status::OK();
-}
+// Both kinds of file are tensor/serialize.h frames (version 1, flags 0).
+constexpr char kShardMagic[] = "SGSHRD01";
+constexpr char kManifestMagic[] = "SGSHMF01";
+constexpr uint32_t kVersion = 1;
 
 void AppendIdList(const std::vector<int32_t>& ids, serialize::Writer* w) {
   w->PutI64(static_cast<int64_t>(ids.size()));
@@ -82,9 +21,10 @@ Status ReadIdList(serialize::Reader* r, int64_t max_len,
                   std::vector<int32_t>* ids) {
   int64_t len = 0;
   SGNN_RETURN_IF_ERROR(r->I64(&len));
-  if (len < 0 || len > max_len) {
+  if (len > max_len) {
     return Status::IOError("implausible id-list length in shard file");
   }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(len, sizeof(int32_t)));
   ids->resize(static_cast<size_t>(len));
   for (auto& v : *ids) SGNN_RETURN_IF_ERROR(r->I32(&v));
   return Status::OK();
@@ -118,18 +58,18 @@ Status SaveShardPlan(const ShardPlan& plan, const std::string& prefix) {
   for (int s = 0; s < plan.num_shards; ++s) {
     const serialize::Writer payload = EncodeShard(plan.slices[static_cast<size_t>(s)]);
     manifest.PutU32(serialize::Crc32(payload.buffer().data(), payload.size()));
-    SGNN_RETURN_IF_ERROR(
-        WriteFramedFile(kShardMagic, payload, ShardFilePath(prefix, s)));
+    SGNN_RETURN_IF_ERROR(serialize::WriteFramedFile(
+        ShardFilePath(prefix, s), kShardMagic, kVersion, 0, payload));
   }
-  return WriteFramedFile(kManifestMagic, manifest, ManifestPath(prefix));
+  return serialize::WriteFramedFile(ManifestPath(prefix), kManifestMagic,
+                                    kVersion, 0, manifest);
 }
 
 Status LoadShardPlan(const std::string& prefix, ShardPlan* plan) {
-  std::string manifest_bytes;
-  uint32_t manifest_crc = 0;
-  SGNN_RETURN_IF_ERROR(ReadFramedFile(kManifestMagic, ManifestPath(prefix),
-                                      &manifest_bytes, &manifest_crc));
-  serialize::Reader r(manifest_bytes.data(), manifest_bytes.size());
+  SGNN_ASSIGN_OR_RETURN(serialize::FramedFile manifest,
+                        serialize::ReadFramedFile(ManifestPath(prefix),
+                                                  kManifestMagic, kVersion));
+  serialize::Reader r = manifest.reader();
   ShardPlan loaded;
   SGNN_RETURN_IF_ERROR(r.I32(&loaded.num_shards));
   SGNN_RETURN_IF_ERROR(r.I64(&loaded.n));
@@ -139,23 +79,24 @@ Status LoadShardPlan(const std::string& prefix, ShardPlan* plan) {
   if (loaded.num_shards < 1 || loaded.n < 0) {
     return Status::IOError("implausible shard manifest header");
   }
+  // One u32 CRC per shard follows.
+  SGNN_RETURN_IF_ERROR(r.CheckCount(loaded.num_shards, sizeof(uint32_t)));
   loaded.options.num_shards = loaded.num_shards;
   loaded.slices.resize(static_cast<size_t>(loaded.num_shards));
 
   for (int s = 0; s < loaded.num_shards; ++s) {
     uint32_t expected_crc = 0;
     SGNN_RETURN_IF_ERROR(r.U32(&expected_crc));
-    std::string payload;
-    uint32_t crc = 0;
-    SGNN_RETURN_IF_ERROR(ReadFramedFile(kShardMagic, ShardFilePath(prefix, s),
-                                        &payload, &crc));
-    if (crc != expected_crc) {
+    SGNN_ASSIGN_OR_RETURN(serialize::FramedFile shard_file,
+                          serialize::ReadFramedFile(ShardFilePath(prefix, s),
+                                                    kShardMagic, kVersion));
+    if (shard_file.crc != expected_crc) {
       return Status::IOError("shard " + std::to_string(s) +
                              " does not match its manifest CRC (mixed or "
                              "stale shard set under " + prefix + ")");
     }
     ShardSlice& slice = loaded.slices[static_cast<size_t>(s)];
-    serialize::Reader sr(payload.data(), payload.size());
+    serialize::Reader sr = shard_file.reader();
     SGNN_RETURN_IF_ERROR(ReadIdList(&sr, loaded.n, &slice.owned));
     SGNN_RETURN_IF_ERROR(ReadIdList(&sr, loaded.n, &slice.halo));
     SGNN_RETURN_IF_ERROR(sparse::ReadCsr(&sr, Device::kHost, &slice.local));
@@ -166,7 +107,16 @@ Status LoadShardPlan(const std::string& prefix, ShardPlan* plan) {
   }
   // Rebuild derived maps and validate the ownership invariant (the
   // SGNN_CHECKs in RefreshPlanDerived would abort on a corrupt-but-CRC-valid
-  // plan, so re-verify softly first).
+  // plan, so re-verify softly first). The owned lists, which the files'
+  // sizes bound, must add up to n before n sizes an allocation; n distinct
+  // ids in [0, n) then own every node.
+  int64_t owned = 0;
+  for (const auto& slice : loaded.slices) owned += slice.owned_count();
+  if (owned != loaded.n) {
+    return Status::IOError("shard plan owns " + std::to_string(owned) +
+                           " nodes, its manifest declares " +
+                           std::to_string(loaded.n));
+  }
   std::vector<uint8_t> seen(static_cast<size_t>(loaded.n), 0);
   for (const auto& slice : loaded.slices) {
     for (const int32_t g : slice.owned) {
@@ -175,9 +125,6 @@ Status LoadShardPlan(const std::string& prefix, ShardPlan* plan) {
       }
       seen[static_cast<size_t>(g)] = 1;
     }
-  }
-  for (const uint8_t s : seen) {
-    if (s == 0) return Status::IOError("shard plan leaves a node unowned");
   }
   const EdgeCutStats stored = loaded.stats;
   RefreshPlanDerived(&loaded);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "sparse/serialize.h"
 
 namespace sgnn::sparse {
 
@@ -75,40 +72,6 @@ std::vector<int64_t> Degrees(const CsrMatrix& adj) {
   for (int64_t i = 0; i < adj.n(); ++i)
     deg[static_cast<size_t>(i)] = adj.RowDegree(i);
   return deg;
-}
-
-Status SaveCsr(const CsrMatrix& m, const std::string& path) {
-  serialize::Writer w;
-  AppendCsr(m, &w);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  const bool ok =
-      std::fwrite(w.buffer().data(), 1, w.size(), f) == w.size();
-  std::fclose(f);
-  if (!ok) return Status::IOError("short write to " + path);
-  return Status::OK();
-}
-
-Result<CsrMatrix> LoadCsr(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::string bytes;
-  char chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("short read from " + path);
-  serialize::Reader r(bytes.data(), bytes.size());
-  CsrMatrix m;
-  const Status st = ReadCsr(&r, Device::kHost, &m);
-  if (!st.ok()) {
-    return Status::IOError("corrupt CSR snapshot " + path + ": " +
-                           st.message());
-  }
-  return m;
 }
 
 }  // namespace sgnn::sparse

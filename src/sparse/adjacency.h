@@ -34,13 +34,6 @@ CsrMatrix NormalizeAdjacency(const CsrMatrix& adj, double rho);
 /// Degrees (row nnz counts) of an adjacency matrix.
 std::vector<int64_t> Degrees(const CsrMatrix& adj);
 
-/// Serializes a CSR matrix to a binary file. Layout: n, nnz, indptr,
-/// indices, values (little-endian, fixed-width).
-[[nodiscard]] Status SaveCsr(const CsrMatrix& m, const std::string& path);
-
-/// Loads a CSR matrix written by SaveCsr.
-[[nodiscard]] Result<CsrMatrix> LoadCsr(const std::string& path);
-
 }  // namespace sgnn::sparse
 
 #endif  // SGNN_SPARSE_ADJACENCY_H_

@@ -1,6 +1,5 @@
 #include "sparse/serialize.h"
 
-#include <string>
 #include <vector>
 
 namespace sgnn::sparse {
@@ -17,18 +16,10 @@ Status ReadCsr(serialize::Reader* r, Device device, CsrMatrix* out) {
   int64_t n = 0, nnz = 0;
   SGNN_RETURN_IF_ERROR(r->I64(&n));
   SGNN_RETURN_IF_ERROR(r->I64(&nnz));
-  if (n < 0 || nnz < 0) {
-    return Status::IOError("corrupt CSR header: n=" + std::to_string(n) +
-                           " nnz=" + std::to_string(nnz));
-  }
-  // Each indptr entry is 8 bytes and each nnz entry at least 8; a header
-  // promising more entries than remaining bytes is corrupt, not just big.
-  if (static_cast<uint64_t>(n) > r->remaining() / 8 ||
-      static_cast<uint64_t>(nnz) > r->remaining() / 8) {
-    return Status::IOError("CSR header larger than payload");
-  }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(n, sizeof(int64_t)));
   std::vector<int64_t> indptr(static_cast<size_t>(n) + 1);
   for (auto& v : indptr) SGNN_RETURN_IF_ERROR(r->I64(&v));
+  SGNN_RETURN_IF_ERROR(r->CheckCount(nnz, sizeof(int32_t) + sizeof(float)));
   std::vector<int32_t> indices(static_cast<size_t>(nnz));
   for (auto& v : indices) SGNN_RETURN_IF_ERROR(r->I32(&v));
   std::vector<float> values(static_cast<size_t>(nnz));

@@ -1,8 +1,9 @@
-// Stream codec for CSR matrices, shared by the standalone SaveCsr/LoadCsr
-// snapshot format (sparse/adjacency.h) and the serving checkpoint, which
-// can embed the normalized propagation matrix so a served model can refresh
-// its precomputed terms after a graph update. All multi-byte fields go
-// through tensor/serialize.h and are therefore little-endian on every host.
+// Stream codec for CSR matrices, shared by every file that stores one: the
+// graph file (graph/io.h), each shard of a persisted shard plan
+// (shard/serialize.h), and the serving checkpoint, which can embed the
+// normalized propagation matrix so a served model can refresh its
+// precomputed terms after a graph update. All multi-byte fields go through
+// tensor/serialize.h and are therefore little-endian on every host.
 
 #ifndef SGNN_SPARSE_SERIALIZE_H_
 #define SGNN_SPARSE_SERIALIZE_H_
@@ -16,9 +17,9 @@ namespace sgnn::sparse {
 /// Appends a CSR matrix as (i64 n, i64 nnz, indptr, indices, values).
 void AppendCsr(const CsrMatrix& m, serialize::Writer* w);
 
-/// Reads a CSR matrix written by AppendCsr onto `device`. Validates the
-/// header (non-negative n/nnz, indptr consistency) and returns IOError for
-/// corrupt or truncated input.
+/// Reads a CSR matrix written by AppendCsr onto `device`. Checks n and nnz
+/// against the bytes left before allocating (IOError) and then the arrays
+/// themselves (ValidateCsrArrays).
 [[nodiscard]] Status ReadCsr(serialize::Reader* r, Device device,
                              CsrMatrix* out);
 

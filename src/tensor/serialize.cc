@@ -1,6 +1,7 @@
 #include "tensor/serialize.h"
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 
 namespace sgnn::serialize {
@@ -161,6 +162,17 @@ Status Reader::Str(std::string* s, uint32_t max_len) {
   return Status::OK();
 }
 
+Status Reader::CheckCount(int64_t count, size_t elem_size) const {
+  if (count < 0 || static_cast<uint64_t>(count) > remaining() / elem_size) {
+    return Status::IOError("length field claims " + std::to_string(count) +
+                           " elements of " + std::to_string(elem_size) +
+                           " bytes at offset " + std::to_string(pos_) +
+                           ", only " + std::to_string(remaining()) +
+                           " bytes left");
+  }
+  return Status::OK();
+}
+
 Status Reader::Raw(void* out, size_t size) {
   const uint8_t* p = nullptr;
   SGNN_RETURN_IF_ERROR(Take(size, &p));
@@ -183,6 +195,7 @@ Status ReadMatrix(Reader* r, Device device, Matrix* out, int64_t max_elems) {
     return Status::IOError("corrupt matrix shape " + std::to_string(rows) +
                            "x" + std::to_string(cols));
   }
+  SGNN_RETURN_IF_ERROR(r->CheckCount(rows * cols, sizeof(float)));
   Matrix m(rows, cols, device);
   float* d = m.data();
   for (int64_t i = 0; i < m.size(); ++i) {
@@ -190,6 +203,100 @@ Status ReadMatrix(Reader* r, Device device, Matrix* out, int64_t max_elems) {
   }
   *out = std::move(m);
   return Status::OK();
+}
+
+Status WriteFramedFile(const std::string& path, std::string_view magic,
+                       uint32_t version, uint32_t flags,
+                       const Writer& payload) {
+  SGNN_CHECK(magic.size() == 8, "frame magic must be 8 bytes");
+  Writer header;
+  header.PutBytes(magic.data(), magic.size());
+  header.PutU32(version);
+  header.PutU32(flags);
+  header.PutU64(payload.size());
+  header.PutU32(Crc32(payload.buffer().data(), payload.size()));
+
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("cannot open " + tmp);
+  bool ok = std::fwrite(header.buffer().data(), 1, header.size(), f) ==
+            header.size();
+  ok = ok && std::fwrite(payload.buffer().data(), 1, payload.size(), f) ==
+                 payload.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::IOError("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// Parses and checks the header, then reads the payload it declares. `f`
+/// is positioned at the start of the file; the caller closes it.
+Result<FramedFile> ReadFrame(std::FILE* f, const std::string& path,
+                             std::string_view magic, uint32_t version) {
+  uint8_t header[kFrameHeaderSize];
+  if (std::fread(header, 1, sizeof header, f) != sizeof header ||
+      std::memcmp(header, magic.data(), magic.size()) != 0) {
+    return Status::IOError(path + " is not a " + std::string(magic) +
+                           " file");
+  }
+  Reader r(header + magic.size(), sizeof header - magic.size());
+  uint32_t file_version = 0;
+  uint64_t payload_size = 0;
+  FramedFile file;
+  SGNN_RETURN_IF_ERROR(r.U32(&file_version));
+  SGNN_RETURN_IF_ERROR(r.U32(&file.flags));
+  SGNN_RETURN_IF_ERROR(r.U64(&payload_size));
+  SGNN_RETURN_IF_ERROR(r.U32(&file.crc));
+  if (file_version != version) {
+    return Status::FailedPrecondition(
+        "unsupported " + std::string(magic) + " version " +
+        std::to_string(file_version) + " in " + path +
+        " (this reader expects version " + std::to_string(version) + ")");
+  }
+  // The declared size decides the allocation, so it must be exactly the
+  // bytes the file still holds before anything is allocated.
+  const long body = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+  if (body < 0 || std::fseek(f, kFrameHeaderSize, SEEK_SET) != 0) {
+    return Status::IOError("cannot seek in " + path);
+  }
+  if (static_cast<uint64_t>(body) - kFrameHeaderSize != payload_size) {
+    return Status::IOError(
+        "truncated or padded " + path + ": header promises " +
+        std::to_string(payload_size) + " payload bytes, file has " +
+        std::to_string(static_cast<uint64_t>(body) - kFrameHeaderSize));
+  }
+  file.payload_size = payload_size;
+  file.payload = std::make_unique_for_overwrite<uint8_t[]>(payload_size);
+  if (std::fread(file.payload.get(), 1, payload_size, f) != payload_size) {
+    return Status::IOError("short read from " + path);
+  }
+  const uint32_t actual = Crc32(file.payload.get(), payload_size);
+  if (actual != file.crc) {
+    return Status::IOError("CRC mismatch in " + path + ": stored " +
+                           std::to_string(file.crc) + ", computed " +
+                           std::to_string(actual));
+  }
+  return file;
+}
+
+}  // namespace
+
+Result<FramedFile> ReadFramedFile(const std::string& path,
+                                  std::string_view magic, uint32_t version) {
+  SGNN_CHECK(magic.size() == 8, "frame magic must be 8 bytes");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IOError("cannot open " + path);
+  Result<FramedFile> file = ReadFrame(f, path, magic, version);
+  std::fclose(f);
+  return file;
 }
 
 }  // namespace sgnn::serialize

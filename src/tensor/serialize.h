@@ -1,18 +1,37 @@
-// Endianness-safe binary serialization primitives.
+// Endianness-safe binary serialization and the one on-disk file frame.
 //
-// The serving checkpoint (src/serve/checkpoint.h) and the CSR snapshot
-// format (sparse/serialize.h) share these codecs: every multi-byte value is
-// written as explicit little-endian bytes, so an artifact trained on one
-// machine restores bit-identically on any other regardless of host byte
-// order. Readers are bounds-checked and return typed Status instead of
-// reading past the end, which is what turns a truncated or bit-flipped
-// checkpoint into a clean IOError instead of undefined behavior.
+// Every binary file the repo writes (checkpoints, shard plans, graph files)
+// is a frame around a payload built with these codecs. Every multi-byte
+// value is written as explicit little-endian bytes, so an artifact written
+// on one machine restores bit-identically on any other regardless of host
+// byte order. Readers are bounds-checked and return typed Status instead of
+// reading past the end or allocating from a count the bytes cannot hold,
+// which turns a truncated, bit-flipped or inflated file into a clean
+// IOError instead of undefined behavior or an abort.
+//
+// Frame layout (28-byte header, then the payload; docs/SERVING.md lists
+// every format's magic and version):
+//
+//   offset  size  field
+//        0     8  magic         format tag, e.g. "SGNNCKPT"
+//        8     4  version       u32 format version
+//       12     4  flags         u32, format-specific (0 when unused)
+//       16     8  payload_size  u64 byte length of the payload
+//       24     4  crc32         u32 CRC-32 of the payload bytes
+//
+// ReadFramedFile rejects, with a typed Status:
+//   * missing file, wrong magic, short header ........ IOError
+//   * version other than the reader's ................ FailedPrecondition
+//   * payload_size not the file's remaining length ... IOError
+//   * CRC mismatch .................................... IOError
 
 #ifndef SGNN_TENSOR_SERIALIZE_H_
 #define SGNN_TENSOR_SERIALIZE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "tensor/matrix.h"
 #include "tensor/status.h"
@@ -76,6 +95,12 @@ class Reader {
   /// must already have room. IOError when fewer bytes remain.
   [[nodiscard]] Status Raw(void* out, size_t size);
 
+  /// IOError unless `count` elements of `elem_size` bytes each fit in the
+  /// bytes left (a negative count never fits). Every reader that sizes an
+  /// allocation from a length field calls this first, so a corrupt count
+  /// fails before it can allocate more than the input holds.
+  [[nodiscard]] Status CheckCount(int64_t count, size_t elem_size) const;
+
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
 
@@ -91,9 +116,38 @@ class Reader {
 void AppendMatrix(const Matrix& m, Writer* w);
 
 /// Reads a Matrix written by AppendMatrix onto `device`. Rejects negative
-/// or implausibly large shapes (> `max_elems` elements) with IOError.
+/// or implausibly large shapes (> `max_elems` elements, or more elements
+/// than the bytes left) with IOError.
 [[nodiscard]] Status ReadMatrix(Reader* r, Device device, Matrix* out,
                                 int64_t max_elems = int64_t{1} << 32);
+
+/// Size of the frame header that precedes every payload.
+inline constexpr size_t kFrameHeaderSize = 28;
+
+/// Writes the frame header and `payload` to `path` atomically: both go to
+/// `<path>.tmp`, which is renamed over `path` only after a clean close.
+/// `magic` must be 8 bytes.
+[[nodiscard]] Status WriteFramedFile(const std::string& path,
+                                     std::string_view magic, uint32_t version,
+                                     uint32_t flags, const Writer& payload);
+
+/// A framed file read back: its header fields and its verified payload.
+struct FramedFile {
+  uint32_t flags = 0;
+  uint32_t crc = 0;  ///< stored CRC-32 of the payload (already verified)
+  std::unique_ptr<uint8_t[]> payload;
+  size_t payload_size = 0;
+
+  /// A reader over the payload; the bytes stay owned by this FramedFile.
+  Reader reader() const { return Reader(payload.get(), payload_size); }
+};
+
+/// Reads and validates the frame of `path`: magic, version, declared size
+/// against the file length (checked before the payload is allocated) and
+/// CRC. The payload is read once, into the returned FramedFile.
+[[nodiscard]] Result<FramedFile> ReadFramedFile(const std::string& path,
+                                                std::string_view magic,
+                                                uint32_t version);
 
 }  // namespace sgnn::serialize
 

@@ -191,6 +191,34 @@ TEST_F(CheckpointRejection, WrongMagicIsIOError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
 }
 
+TEST_F(CheckpointRejection, InflatedTermShapeIsIOErrorNotAbort) {
+  // A tiny v1 file with a valid CRC whose one term claims 40000 x 40000
+  // floats (6.4 GB): the loader must reject the shape against the bytes
+  // left before allocating the matrix.
+  serialize::Writer p;
+  p.PutStr("ppr");
+  p.PutI32(6);
+  for (int i = 0; i < 6; ++i) p.PutF64(0.1);  // α, α₂, β, β₂, jacobi a/b
+  p.PutI64(0);                                // feature_dim
+  p.PutU32(0);                                // θ count
+  p.PutI32(1);                                // φ1 layers
+  p.PutI64(12);                               // φ1 in
+  p.PutI64(12);                               // φ1 hidden
+  p.PutI64(4);                                // φ1 out
+  p.PutF64(0.0);                              // dropout
+  p.PutU32(2);                                // W and b, both 0 x 0
+  for (int i = 0; i < 4; ++i) p.PutI64(0);
+  p.PutU32(1);                                // one term ...
+  p.PutI64(40000);                            // ... of 40000 rows
+  p.PutI64(40000);                            // ... x 40000 cols, no data
+  ASSERT_TRUE(serialize::WriteFramedFile(path_, "SGNNCKPT",
+                                         kCheckpointVersion, 0, p)
+                  .ok());
+  const auto r = LoadCheckpoint(path_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+}
+
 TEST_F(CheckpointRejection, HandEditedAlphaZeroIsInvalidArgument) {
   // A hand editor re-packing the file keeps the CRC consistent — the Save
   // API writes whatever it is given, so fabricating the file through it is

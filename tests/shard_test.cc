@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -31,9 +32,11 @@
 #include "shard/serialize.h"
 #include "shard/spmm.h"
 #include "sparse/adjacency.h"
+#include "sparse/serialize.h"
 #include "tensor/device.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
+#include "tensor/serialize.h"
 
 namespace sgnn {
 namespace {
@@ -372,6 +375,88 @@ TEST(ShardSerialize, RejectsCorruptionAndMixedGenerations) {
   std::remove(shard::ShardFilePath(prefix, 0).c_str());
   std::remove(shard::ManifestPath(other_prefix).c_str());
   std::remove(shard::ShardFilePath(other_prefix, 0).c_str());
+}
+
+TEST(ShardSerialize, InflatedCountsAreIOErrorNotAbort) {
+  // Files with valid CRCs whose counts claim far more than they hold: the
+  // loader must reject each count before allocating from it.
+  const std::string prefix = TempPath("shard_inflated");
+  const auto save = [&](const serialize::Writer& manifest,
+                        const serialize::Writer& shard) {
+    ASSERT_TRUE(serialize::WriteFramedFile(shard::ShardFilePath(prefix, 0),
+                                           "SGSHRD01", 1, 0, shard)
+                    .ok());
+    ASSERT_TRUE(serialize::WriteFramedFile(shard::ManifestPath(prefix),
+                                           "SGSHMF01", 1, 0, manifest)
+                    .ok());
+  };
+  const auto manifest = [](int32_t shards, int64_t n,
+                           const serialize::Writer& shard) {
+    serialize::Writer m;
+    m.PutI32(shards);
+    m.PutI64(n);
+    m.PutU64(5);  // seed
+    m.PutI64(0);  // total edges
+    m.PutI64(0);  // cut edges
+    m.PutU32(serialize::Crc32(shard.buffer().data(), shard.size()));
+    return m;
+  };
+  const auto expect_io_error = [&](const char* what) {
+    shard::ShardPlan loaded;
+    const Status s = shard::LoadShardPlan(prefix, &loaded);
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << what << ": " << s.ToString();
+  };
+
+  // n = 2^40 and an owned list claiming 2^34 ids.
+  serialize::Writer huge_list;
+  huge_list.PutI64(int64_t{1} << 34);
+  save(manifest(1, int64_t{1} << 40, huge_list), huge_list);
+  expect_io_error("inflated owned list");
+
+  // A well-formed one-node shard under a manifest declaring n = 2^40.
+  serialize::Writer one_node;
+  one_node.PutI64(1);  // owned: {0}
+  one_node.PutI32(0);
+  one_node.PutI64(0);  // halo: {}
+  sparse::AppendCsr(sparse::CsrMatrix(1, {0, 1}, {0}, {1.0f}), &one_node);
+  save(manifest(1, int64_t{1} << 40, one_node), one_node);
+  expect_io_error("inflated node count");
+
+  // A manifest claiming 2^31 - 1 shards with one CRC entry.
+  save(manifest(INT32_MAX, 1, one_node), one_node);
+  expect_io_error("inflated shard count");
+
+  std::remove(shard::ManifestPath(prefix).c_str());
+  std::remove(shard::ShardFilePath(prefix, 0).c_str());
+}
+
+TEST(ShardSerialize, WrongVersionIsFailedPrecondition) {
+  const sparse::CsrMatrix prop = SmallProp(32, 21);
+  const shard::ShardPlan plan = shard::BuildShardPlan(prop, {2, 5});
+  const std::string prefix = TempPath("shard_version");
+  // The u32 version follows the 8-byte magic; the CRC covers only the
+  // payload, so each edited file is intact apart from its version.
+  const auto bump_version = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 8, SEEK_SET);
+    const int c = std::fgetc(f);
+    std::fseek(f, 8, SEEK_SET);
+    std::fputc(c + 1, f);
+    std::fclose(f);
+  };
+  for (const std::string& victim :
+       {shard::ManifestPath(prefix), shard::ShardFilePath(prefix, 1)}) {
+    ASSERT_TRUE(shard::SaveShardPlan(plan, prefix).ok());
+    bump_version(victim);
+    shard::ShardPlan loaded;
+    const Status s = shard::LoadShardPlan(prefix, &loaded);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition)
+        << victim << ": " << s.ToString();
+  }
+  std::remove(shard::ManifestPath(prefix).c_str());
+  std::remove(shard::ShardFilePath(prefix, 0).c_str());
+  std::remove(shard::ShardFilePath(prefix, 1).c_str());
 }
 
 // --- budgets and spills ------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "sparse/adjacency.h"
 #include "sparse/csr.h"
@@ -201,26 +200,6 @@ TEST(EdgeIndex, MessageBufferCostsEdgeMemory) {
   EXPECT_GE(t.peak_bytes(Device::kAccel),
             static_cast<size_t>(a.nnz()) * 8 * sizeof(float));
   t.ResetAll();
-}
-
-TEST(CsrIo, RoundTrip) {
-  CsrMatrix a = PathGraph();
-  const std::string path = "/tmp/sgnn_csr_test.bin";
-  ASSERT_TRUE(SaveCsr(a, path).ok());
-  auto r = LoadCsr(path);
-  ASSERT_TRUE(r.ok());
-  const CsrMatrix& b = r.value();
-  EXPECT_EQ(b.n(), a.n());
-  EXPECT_EQ(b.nnz(), a.nnz());
-  EXPECT_EQ(b.indices(), a.indices());
-  EXPECT_EQ(b.indptr(), a.indptr());
-  std::remove(path.c_str());
-}
-
-TEST(CsrIo, LoadMissingFileFails) {
-  auto r = LoadCsr("/tmp/definitely_missing_sgnn.bin");
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 TEST(CsrMatrix, DeviceAccounting) {
