@@ -24,6 +24,10 @@ const std::array<uint32_t, 256>& CrcTable() {
   return table;
 }
 
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
@@ -235,14 +239,14 @@ Status WriteFramedFile(const std::string& path, std::string_view magic,
   return Status::OK();
 }
 
-namespace {
-
-/// Parses and checks the header, then reads the payload it declares. `f`
-/// is positioned at the start of the file; the caller closes it.
-Result<FramedFile> ReadFrame(std::FILE* f, const std::string& path,
-                             std::string_view magic, uint32_t version) {
+Result<FramedFile> ReadFramedFile(const std::string& path,
+                                  std::string_view magic, uint32_t version) {
+  SGNN_CHECK(magic.size() == 8, "frame magic must be 8 bytes");
+  const std::unique_ptr<std::FILE, FileCloser> f(
+      std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) return Status::IOError("cannot open " + path);
   uint8_t header[kFrameHeaderSize];
-  if (std::fread(header, 1, sizeof header, f) != sizeof header ||
+  if (std::fread(header, 1, sizeof header, f.get()) != sizeof header ||
       std::memcmp(header, magic.data(), magic.size()) != 0) {
     return Status::IOError(path + " is not a " + std::string(magic) +
                            " file");
@@ -263,19 +267,23 @@ Result<FramedFile> ReadFrame(std::FILE* f, const std::string& path,
   }
   // The declared size decides the allocation, so it must be exactly the
   // bytes the file still holds before anything is allocated.
-  const long body = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
-  if (body < 0 || std::fseek(f, kFrameHeaderSize, SEEK_SET) != 0) {
+  const long file_size =
+      std::fseek(f.get(), 0, SEEK_END) == 0 ? std::ftell(f.get()) : -1;
+  if (file_size < 0 ||
+      std::fseek(f.get(), kFrameHeaderSize, SEEK_SET) != 0) {
     return Status::IOError("cannot seek in " + path);
   }
-  if (static_cast<uint64_t>(body) - kFrameHeaderSize != payload_size) {
-    return Status::IOError(
-        "truncated or padded " + path + ": header promises " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(static_cast<uint64_t>(body) - kFrameHeaderSize));
+  const uint64_t held = static_cast<uint64_t>(file_size) - kFrameHeaderSize;
+  if (held != payload_size) {
+    return Status::IOError("truncated or padded " + path +
+                           ": header promises " +
+                           std::to_string(payload_size) +
+                           " payload bytes, file has " + std::to_string(held));
   }
   file.payload_size = payload_size;
   file.payload = std::make_unique_for_overwrite<uint8_t[]>(payload_size);
-  if (std::fread(file.payload.get(), 1, payload_size, f) != payload_size) {
+  if (std::fread(file.payload.get(), 1, payload_size, f.get()) !=
+      payload_size) {
     return Status::IOError("short read from " + path);
   }
   const uint32_t actual = Crc32(file.payload.get(), payload_size);
@@ -284,18 +292,6 @@ Result<FramedFile> ReadFrame(std::FILE* f, const std::string& path,
                            std::to_string(file.crc) + ", computed " +
                            std::to_string(actual));
   }
-  return file;
-}
-
-}  // namespace
-
-Result<FramedFile> ReadFramedFile(const std::string& path,
-                                  std::string_view magic, uint32_t version) {
-  SGNN_CHECK(magic.size() == 8, "frame magic must be 8 bytes");
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  Result<FramedFile> file = ReadFrame(f, path, magic, version);
-  std::fclose(f);
   return file;
 }
 
