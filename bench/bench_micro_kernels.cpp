@@ -68,6 +68,62 @@ void BM_Transformation(benchmark::State& state) {
 }
 BENCHMARK(BM_Transformation)->Arg(2000)->Arg(8000);
 
+/// Batch rows of one MB φ1 step (models::TrainMiniBatch's batch_size).
+constexpr int64_t kPhi1Batch = 4096;
+
+Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  m.FillNormal(&rng);
+  return m;
+}
+
+/// The three GEMMs of one MB φ1 layer (nn::Linear) at batch 4096. Args are
+/// the layer's (in, out) widths, 32->64 and 64->32 in the MB epoch; items
+/// are multiply-adds, batch * in * out for each product.
+///
+/// Forward: y = x W.
+void BM_Gemm(benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1);
+  const Matrix x = RandomMatrix(kPhi1Batch, in, 1);
+  const Matrix w = RandomMatrix(in, out, 2);
+  Matrix y(kPhi1Batch, out);
+  for (auto _ : state) {
+    ops::Gemm(x, w, &y);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
+}
+BENCHMARK(BM_Gemm)->Args({32, 64})->Args({64, 32});
+
+/// Weight gradient: dW = x^T dY.
+void BM_GemmTransA(benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1);
+  const Matrix x = RandomMatrix(kPhi1Batch, in, 1);
+  const Matrix dy = RandomMatrix(kPhi1Batch, out, 3);
+  Matrix dw(in, out);
+  for (auto _ : state) {
+    ops::GemmTransA(x, dy, &dw);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
+}
+BENCHMARK(BM_GemmTransA)->Args({32, 64})->Args({64, 32});
+
+/// Input gradient: dX = dY W^T.
+void BM_GemmTransB(benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1);
+  const Matrix dy = RandomMatrix(kPhi1Batch, out, 3);
+  const Matrix w = RandomMatrix(in, out, 2);
+  Matrix dx(kPhi1Batch, in);
+  for (auto _ : state) {
+    ops::GemmTransB(dy, w, &dx);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
+}
+BENCHMARK(BM_GemmTransB)->Args({32, 64})->Args({64, 32});
+
 /// Per-type filter forward cost on the same graph (Table 1 Time column).
 void BM_FilterForward(benchmark::State& state,
                       const std::string& filter_name) {

@@ -231,7 +231,8 @@ std::string EncodeRecord(const std::string& bench, const CellRecord& record) {
   for (const auto& [name, value] : record.extras) {
     out += ",";
     AppendEscaped("x_" + name, &out);
-    out += ":" + FmtDouble(value);
+    out += ':';
+    out += FmtDouble(value);
   }
   out += "}";
   return out;

@@ -1,0 +1,64 @@
+// Row kernels behind ops::Gemm, ops::GemmTransA and ops::GemmTransB.
+//
+// Private to src/tensor/ops.cc and its tests. Each body is compiled twice:
+// once for the baseline ISA and once with AVX2 enabled (no -march needed);
+// ops.cc picks one set per process with CpuHasAvx2(). Vectorizing runs the
+// output columns j in lanes and leaves every element's operations and
+// their order alone, and the build sets -ffp-contract=off, so both sets
+// give the bits of the scalar loops (tests/tensor_test.cc, GemmIsa.*).
+//
+// All matrices are dense row-major; `out` must not alias an input. Each
+// kernel overwrites output rows [lo, hi) and touches no other row, so
+// disjoint row ranges may run concurrently.
+
+#ifndef SGNN_TENSOR_GEMM_KERNELS_H_
+#define SGNN_TENSOR_GEMM_KERNELS_H_
+
+#include <cstdint>
+
+namespace sgnn::ops::gemm {
+
+/// Rows [lo, hi) of out = a * b, with a (n,k), b (k,m), out (n,m). Each
+/// element accumulates float products a[i][kk] * b[kk][j] with kk
+/// ascending, skipping a[i][kk] == 0.
+void GemmRowsBaseline(const float* a, const float* b, float* out, int64_t lo,
+                      int64_t hi, int64_t k, int64_t m);
+void GemmRowsAvx2(const float* a, const float* b, float* out, int64_t lo,
+                  int64_t hi, int64_t k, int64_t m);
+
+/// Rows [lo, hi) of out = a^T * b, with a (k,n), b (k,m), out (n,m). Same
+/// per-element order and zero skip as GemmRows.
+void GemmTransARowsBaseline(const float* a, const float* b, float* out,
+                            int64_t lo, int64_t hi, int64_t k, int64_t n,
+                            int64_t m);
+void GemmTransARowsAvx2(const float* a, const float* b, float* out,
+                        int64_t lo, int64_t hi, int64_t k, int64_t n,
+                        int64_t m);
+
+/// Rows [lo, hi) of out = a * b^T given bt = b^T, with a (n,k), bt (k,m),
+/// out (n,m). Each element sums the exact double products
+/// a[i][kk] * bt[kk][j] with kk ascending, without a zero skip, and rounds
+/// once to float: the bits of a serial double dot product of a's row i
+/// with b's row j.
+void GemmTransBRowsBaseline(const float* a, const float* bt, float* out,
+                            int64_t lo, int64_t hi, int64_t k, int64_t m);
+void GemmTransBRowsAvx2(const float* a, const float* bt, float* out,
+                        int64_t lo, int64_t hi, int64_t k, int64_t m);
+
+/// One ISA's three row kernels.
+struct RowKernels {
+  decltype(&GemmRowsBaseline) gemm;
+  decltype(&GemmTransARowsBaseline) trans_a;
+  decltype(&GemmTransBRowsBaseline) trans_b;
+};
+inline constexpr RowKernels kBaselineKernels{
+    GemmRowsBaseline, GemmTransARowsBaseline, GemmTransBRowsBaseline};
+inline constexpr RowKernels kAvx2Kernels{GemmRowsAvx2, GemmTransARowsAvx2,
+                                         GemmTransBRowsAvx2};
+
+/// True when this CPU executes AVX2; always false off x86.
+bool CpuHasAvx2();
+
+}  // namespace sgnn::ops::gemm
+
+#endif  // SGNN_TENSOR_GEMM_KERNELS_H_

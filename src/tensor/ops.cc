@@ -1,11 +1,130 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
+#include "tensor/gemm_kernels.h"
 #include "tensor/parallel.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define SGNN_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define SGNN_TARGET_AVX2
+#endif
+
 namespace sgnn::ops {
+
+namespace gemm {
+namespace {
+
+// The GEMM row-loop bodies. always_inline puts a copy into each ISA twin
+// below, which the compiler then vectorizes for that twin's ISA.
+
+[[gnu::always_inline]] inline void GemmRowsBody(
+    const float* __restrict a, const float* __restrict b,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t m) {
+  // i-k-j: within a row, stream through b and out contiguously.
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* arow = a + i * k;
+    float* orow = out + i * m;
+    std::fill(orow, orow + m, 0.0f);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* brow = b + kk * m;
+      for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+
+[[gnu::always_inline]] inline void GemmTransARowsBody(
+    const float* __restrict a, const float* __restrict b,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t n,
+    int64_t m) {
+  // kk-outer streams a and b row by row; each element still accumulates
+  // with kk ascending.
+  std::fill(out + lo * m, out + hi * m, 0.0f);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* arow = a + kk * n;
+    const float* brow = b + kk * m;
+    for (int64_t i = lo; i < hi; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* orow = out + i * m;
+      for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+
+[[gnu::always_inline]] inline void GemmTransBRowsBody(
+    const float* __restrict a, const float* __restrict bt,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t m) {
+  // The m dot products of a row run side by side in `acc`, one lane per
+  // output column, instead of one after another: each is still its own
+  // kk-ascending double sum, but the sums no longer wait on each other.
+  std::vector<double> lanes(static_cast<size_t>(m));
+  double* __restrict acc = lanes.data();
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* arow = a + i * k;
+    std::fill(acc, acc + m, 0.0);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const double av = arow[kk];
+      const float* btrow = bt + kk * m;
+      for (int64_t j = 0; j < m; ++j) acc[j] += av * btrow[j];
+    }
+    float* orow = out + i * m;
+    for (int64_t j = 0; j < m; ++j) orow[j] = static_cast<float>(acc[j]);
+  }
+}
+
+}  // namespace
+
+void GemmRowsBaseline(const float* a, const float* b, float* out, int64_t lo,
+                      int64_t hi, int64_t k, int64_t m) {
+  GemmRowsBody(a, b, out, lo, hi, k, m);
+}
+
+SGNN_TARGET_AVX2 void GemmRowsAvx2(const float* a, const float* b, float* out,
+                                   int64_t lo, int64_t hi, int64_t k,
+                                   int64_t m) {
+  GemmRowsBody(a, b, out, lo, hi, k, m);
+}
+
+void GemmTransARowsBaseline(const float* a, const float* b, float* out,
+                            int64_t lo, int64_t hi, int64_t k, int64_t n,
+                            int64_t m) {
+  GemmTransARowsBody(a, b, out, lo, hi, k, n, m);
+}
+
+SGNN_TARGET_AVX2 void GemmTransARowsAvx2(const float* a, const float* b,
+                                         float* out, int64_t lo, int64_t hi,
+                                         int64_t k, int64_t n, int64_t m) {
+  GemmTransARowsBody(a, b, out, lo, hi, k, n, m);
+}
+
+void GemmTransBRowsBaseline(const float* a, const float* bt, float* out,
+                            int64_t lo, int64_t hi, int64_t k, int64_t m) {
+  GemmTransBRowsBody(a, bt, out, lo, hi, k, m);
+}
+
+SGNN_TARGET_AVX2 void GemmTransBRowsAvx2(const float* a, const float* bt,
+                                         float* out, int64_t lo, int64_t hi,
+                                         int64_t k, int64_t m) {
+  GemmTransBRowsBody(a, bt, out, lo, hi, k, m);
+}
+
+bool CpuHasAvx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+}  // namespace gemm
 
 namespace {
 
@@ -20,28 +139,30 @@ int64_t RowGrain(int64_t row_flops) {
   return parallel::GrainForFlops(row_flops, int64_t{1} << 16);
 }
 
+/// The AVX2 twins when the CPU has AVX2, else the baseline; chosen once.
+const gemm::RowKernels& ActiveRowKernels() {
+  static const gemm::RowKernels& kernels =
+      gemm::CpuHasAvx2() ? gemm::kAvx2Kernels : gemm::kBaselineKernels;
+  return kernels;
+}
+
 }  // namespace
+
+// The GEMMs are row-partitioned over `out`, and every output element
+// accumulates with kk ascending inside one chunk, so any thread count gives
+// the bits of the serial loop.
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(a.cols() == b.rows(), "Gemm: inner dimensions mismatch");
   SGNN_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
              "Gemm: output shape mismatch");
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  out->Fill(0.0f);
-  // Row-partitioned over `out`; within a row the i-k-j order streams through
-  // b and out contiguously and accumulates kk in ascending order, so the
-  // parallel result is bit-identical to the serial one.
+  const auto rows = ActiveRowKernels().gemm;
+  const float* ad = a.data();
+  const float* bd = b.data();
+  float* od = out->data();
   parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out->row(i);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (av == 0.0f) continue;
-        const float* brow = b.row(kk);
-        for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-      }
-    }
+    rows(ad, bd, od, lo, hi, k, m);
   });
 }
 
@@ -50,21 +171,12 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
              "GemmTransA: output shape mismatch");
   const int64_t k = a.rows(), n = a.cols(), m = b.cols();
-  out->Fill(0.0f);
-  // i-outer so each chunk owns a row range of `out` (the kk-outer order
-  // would race on out rows). Per output element the kk accumulation is
-  // still ascending, so any thread count gives the same bits.
+  const auto rows = ActiveRowKernels().trans_a;
+  const float* ad = a.data();
+  const float* bd = b.data();
+  float* od = out->data();
   parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.row(kk);
-      const float* brow = b.row(kk);
-      for (int64_t i = lo; i < hi; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        float* orow = out->row(i);
-        for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-      }
-    }
+    rows(ad, bd, od, lo, hi, k, n, m);
   });
 }
 
@@ -73,17 +185,21 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out->rows() == a.rows() && out->cols() == b.rows(),
              "GemmTransB: output shape mismatch");
   const int64_t n = a.rows(), k = a.cols(), m = b.rows();
-  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out->row(i);
-      for (int64_t j = 0; j < m; ++j) {
-        const float* brow = b.row(j);
-        double acc = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) acc += double(arow[kk]) * brow[kk];
-        orow[j] = static_cast<float>(acc);
-      }
+  // b^T lives in plain host memory, not a Matrix, so neither the
+  // DeviceTracker peaks nor a fault plan's allocation ordinals see it.
+  std::vector<float> bt(static_cast<size_t>(k * m));
+  for (int64_t j = 0; j < m; ++j) {
+    const float* brow = b.row(j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      bt[static_cast<size_t>(kk * m + j)] = brow[kk];
     }
+  }
+  const auto rows = ActiveRowKernels().trans_b;
+  const float* ad = a.data();
+  const float* btd = bt.data();
+  float* od = out->data();
+  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
+    rows(ad, btd, od, lo, hi, k, m);
   });
 }
 

@@ -266,7 +266,7 @@ TEST(Table, FmtHelpers) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(sw.ElapsedMs(), 0.0);
 }
 

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "tensor/device.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "tensor/status.h"
 
@@ -375,6 +380,195 @@ TEST(Ops, GemmTransBConsistentWithGemm) {
   ops::GemmTransB(a, b, &out1);
   ops::Gemm(a, bt, &out2);
   EXPECT_TRUE(out1.AllClose(out2, 1e-4f));
+}
+
+// The GEMM row kernels exist once per ISA (tensor/gemm_kernels.h). Both
+// sets must give the bits of the scalar loops the GEMMs ran before they
+// were vectorized, which these tests keep as the reference.
+
+/// out = a * b: i-k-j order, float sums with kk ascending, zero skip.
+void ScalarGemm(const Matrix& a, const Matrix& b, Matrix* out) {
+  out->Fill(0.0f);
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t kk = 0; kk < a.cols(); ++kk) {
+      const float av = a.at(i, kk);
+      if (av == 0.0f) continue;
+      for (int64_t j = 0; j < b.cols(); ++j) out->at(i, j) += av * b.at(kk, j);
+    }
+  }
+}
+
+/// out = a^T * b: same per-element order and zero skip.
+void ScalarGemmTransA(const Matrix& a, const Matrix& b, Matrix* out) {
+  out->Fill(0.0f);
+  for (int64_t kk = 0; kk < a.rows(); ++kk) {
+    for (int64_t i = 0; i < a.cols(); ++i) {
+      const float av = a.at(kk, i);
+      if (av == 0.0f) continue;
+      for (int64_t j = 0; j < b.cols(); ++j) out->at(i, j) += av * b.at(kk, j);
+    }
+  }
+}
+
+/// out = a * b^T: one serial double dot product per element.
+void ScalarGemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int64_t kk = 0; kk < a.cols(); ++kk) {
+        acc += double(a.at(i, kk)) * b.at(j, kk);
+      }
+      out->at(i, j) = static_cast<float>(acc);
+    }
+  }
+}
+
+/// Normal draws with every third row and about one entry in five set to
+/// an exact zero, so the kernels' `av == 0` skip is taken.
+Matrix RandomWithZeros(int64_t rows, int64_t cols, Rng* rng) {
+  Matrix x(rows, cols);
+  x.FillNormal(rng);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      if (i % 3 == 1 || rng->UniformInt(5) == 0) x.at(i, j) = 0.0f;
+    }
+  }
+  return x;
+}
+
+Matrix Transposed(const Matrix& x) {
+  Matrix t(x.cols(), x.rows());
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    for (int64_t j = 0; j < x.cols(); ++j) t.at(j, i) = x.at(i, j);
+  }
+  return t;
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+}
+
+/// The three products of one path.
+struct GemmProducts {
+  Matrix gemm, trans_a, trans_b;
+};
+
+/// Inputs of one shape and the scalar loops' products.
+struct GemmIsaCase {
+  int64_t n, k, m;
+  Matrix a, a_t, b, b_t;  // a (n,k), a_t (k,n), b (k,m), b_t (m,k)
+  GemmProducts ref;
+};
+
+/// Rows per chunk of the GEMMs in ops.cc: ~64k multiply-adds.
+int64_t RowGrain(int64_t row_flops) {
+  return parallel::GrainForFlops(row_flops, int64_t{1} << 16);
+}
+
+/// Calls `check` on each case in turn, so one case's matrices are alive at
+/// a time. m and k cross every vector tail (1, 7, 8, 9, 33 columns) and an
+/// empty inner dimension; n lands one row either side of the row grain, so
+/// a run ends on a partial chunk.
+template <typename Check>
+void ForEachGemmIsaCase(Check check) {
+  Rng rng(14);
+  for (int64_t m : {1, 7, 8, 9, 33, 64}) {
+    for (int64_t k : {0, 1, 31, 64}) {
+      const int64_t grain = RowGrain(k * m);
+      for (int64_t n : {grain - 1, grain + 1}) {
+        GemmIsaCase c{n,
+                      k,
+                      m,
+                      RandomWithZeros(n, k, &rng),
+                      RandomWithZeros(k, n, &rng),
+                      Matrix(k, m),
+                      Matrix(m, k),
+                      {Matrix(n, m), Matrix(n, m), Matrix(n, m)}};
+        c.b.FillNormal(&rng);
+        c.b_t.FillNormal(&rng);
+        if (k >= 3) {
+          // Row 0 of `a` is {2^60, -2^60, 1, 0, ...} and b^T's first two
+          // rows are equal, so the big products cancel exactly only when
+          // they are added first: GemmTransB's double sums, which random
+          // data rounds the same in any order, show their order too.
+          float* a0 = c.a.row(0);
+          std::fill(a0, a0 + k, 0.0f);
+          a0[0] = 0x1p60f;
+          a0[1] = -0x1p60f;
+          a0[2] = 1.0f;
+          for (int64_t j = 0; j < m; ++j) c.b_t.at(j, 1) = c.b_t.at(j, 0);
+        }
+        ScalarGemm(c.a, c.b, &c.ref.gemm);
+        ScalarGemmTransA(c.a_t, c.b, &c.ref.trans_a);
+        ScalarGemmTransB(c.a, c.b_t, &c.ref.trans_b);
+        check(c);
+      }
+    }
+  }
+}
+
+std::string CaseName(const GemmIsaCase& c, int threads) {
+  return "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+         " m=" + std::to_string(c.m) + " threads=" + std::to_string(threads);
+}
+
+/// Runs `twins`' three products over every output row in grain-sized
+/// chunks on the pool.
+GemmProducts RunTwins(const ops::gemm::RowKernels& twins,
+                      const GemmIsaCase& c) {
+  const int64_t grain = RowGrain(c.k * c.m);
+  const Matrix b_tt = Transposed(c.b_t);  // GemmTransB's rows take b^T
+  GemmProducts p{Matrix(c.n, c.m), Matrix(c.n, c.m), Matrix(c.n, c.m)};
+  p.gemm.Fill(1.0f);  // the kernels must overwrite, not accumulate
+  p.trans_a.Fill(1.0f);
+  p.trans_b.Fill(1.0f);
+  parallel::ParallelFor(0, c.n, grain, [&](int64_t lo, int64_t hi) {
+    twins.gemm(c.a.data(), c.b.data(), p.gemm.data(), lo, hi, c.k, c.m);
+    twins.trans_a(c.a_t.data(), c.b.data(), p.trans_a.data(), lo, hi, c.k,
+                  c.n, c.m);
+    twins.trans_b(c.a.data(), b_tt.data(), p.trans_b.data(), lo, hi, c.k,
+                  c.m);
+  });
+  return p;
+}
+
+void ExpectSameProducts(const GemmProducts& got, const GemmProducts& want) {
+  EXPECT_TRUE(SameBits(got.gemm, want.gemm)) << "Gemm";
+  EXPECT_TRUE(SameBits(got.trans_a, want.trans_a)) << "GemmTransA";
+  EXPECT_TRUE(SameBits(got.trans_b, want.trans_b)) << "GemmTransB";
+}
+
+TEST(GemmIsa, BaselineAndOpsMatchScalarLoops) {
+  ForEachGemmIsaCase([](const GemmIsaCase& c) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(CaseName(c, threads));
+      parallel::SetNumThreads(threads);
+      ExpectSameProducts(RunTwins(ops::gemm::kBaselineKernels, c), c.ref);
+      // The public ops, on this host's twins and their own b^T scratch.
+      GemmProducts public_ops{Matrix(c.n, c.m), Matrix(c.n, c.m),
+                              Matrix(c.n, c.m)};
+      ops::Gemm(c.a, c.b, &public_ops.gemm);
+      ops::GemmTransA(c.a_t, c.b, &public_ops.trans_a);
+      ops::GemmTransB(c.a, c.b_t, &public_ops.trans_b);
+      ExpectSameProducts(public_ops, c.ref);
+    }
+  });
+  parallel::SetNumThreads(0);
+}
+
+TEST(GemmIsa, Avx2MatchesBaselineAndScalarLoops) {
+  if (!ops::gemm::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  ForEachGemmIsaCase([](const GemmIsaCase& c) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(CaseName(c, threads));
+      parallel::SetNumThreads(threads);
+      const GemmProducts avx2 = RunTwins(ops::gemm::kAvx2Kernels, c);
+      ExpectSameProducts(avx2, RunTwins(ops::gemm::kBaselineKernels, c));
+      ExpectSameProducts(avx2, c.ref);
+    }
+  });
+  parallel::SetNumThreads(0);
 }
 
 TEST(Ops, AxpyAndScale) {

@@ -4,7 +4,7 @@
 // the programmable entry point behind the bench binaries, for ad-hoc
 // experiments and scripting.
 //
-//   sgnn_run --dataset cora_sim --filter chebyshev --scheme mb \
+//   sgnn_run --dataset cora_sim --filter chebyshev --scheme mb
 //            --hops 10 --epochs 100 --seeds 3 [--csv out.csv]
 //
 // Schemes: fb (full-batch), mb (mini-batch), gp (graph partition),
