@@ -1,12 +1,12 @@
 #include "models/partition.h"
 
 #include <algorithm>
-#include <deque>
-#include <numeric>
+#include <string>
 
 #include "eval/table.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
+#include "shard/partition.h"
 #include "sparse/adjacency.h"
 #include "tensor/ops.h"
 
@@ -27,82 +27,18 @@ struct Part {
 
 }  // namespace
 
-std::vector<int32_t> BfsPartition(const graph::Graph& g, int num_parts,
-                                  uint64_t seed) {
-  SGNN_CHECK(num_parts >= 1, "BfsPartition: need at least one part");
-  const int64_t target =
-      (g.n + num_parts - 1) / std::max(1, num_parts);
-  std::vector<int32_t> part(static_cast<size_t>(g.n), -1);
-  Rng rng(seed ^ 0x51ED2700AA11ULL);
-  const auto& indptr = g.adj.indptr();
-  const auto& indices = g.adj.indices();
-  int32_t current = 0;
-  int64_t in_current = 0;
-  std::deque<int32_t> frontier;
-  int64_t assigned = 0;
-  while (assigned < g.n) {
-    if (frontier.empty()) {
-      // Seed a new BFS at a random unassigned node.
-      int32_t v;
-      do {
-        v = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(g.n)));
-      } while (part[static_cast<size_t>(v)] >= 0);
-      frontier.push_back(v);
-      part[static_cast<size_t>(v)] = current;
-      ++in_current;
-      ++assigned;
-    }
-    const int32_t v = frontier.front();
-    frontier.pop_front();
-    for (int64_t p = indptr[static_cast<size_t>(v)];
-         p < indptr[static_cast<size_t>(v) + 1]; ++p) {
-      const int32_t u = indices[static_cast<size_t>(p)];
-      if (part[static_cast<size_t>(u)] >= 0) continue;
-      part[static_cast<size_t>(u)] = current;
-      frontier.push_back(u);
-      ++in_current;
-      ++assigned;
-      if (in_current >= target && current + 1 < num_parts) {
-        frontier.clear();
-        ++current;
-        in_current = 0;
-        break;
-      }
-    }
-    if (in_current >= target && current + 1 < num_parts) {
-      frontier.clear();
-      ++current;
-      in_current = 0;
-    }
-  }
-  return part;
-}
-
-double CutFraction(const graph::Graph& g, const std::vector<int32_t>& parts) {
-  const auto& indptr = g.adj.indptr();
-  const auto& indices = g.adj.indices();
-  int64_t cut = 0, total = 0;
-  for (int64_t v = 0; v < g.n; ++v) {
-    for (int64_t p = indptr[static_cast<size_t>(v)];
-         p < indptr[static_cast<size_t>(v) + 1]; ++p) {
-      const int32_t u = indices[static_cast<size_t>(p)];
-      if (u == v) continue;
-      ++total;
-      if (parts[static_cast<size_t>(u)] != parts[static_cast<size_t>(v)]) {
-        ++cut;
-      }
-    }
-  }
-  return total > 0 ? static_cast<double>(cut) / static_cast<double>(total)
-                   : 0.0;
-}
-
 TrainResult TrainGraphPartition(const graph::Graph& g,
                                 const graph::Splits& splits,
                                 graph::Metric metric,
                                 filters::SpectralFilter* filter,
                                 const PartitionConfig& config) {
   TrainResult result;
+  if (config.num_parts < 1 || config.num_parts > g.n) {
+    result.status = Status::InvalidArgument(
+        "TrainGraphPartition: num_parts " + std::to_string(config.num_parts) +
+        " is outside [1, " + std::to_string(g.n) + "]");
+    return result;
+  }
   auto& tracker = DeviceTracker::Global();
   tracker.ClearOom();
   tracker.ResetPeak();
@@ -113,7 +49,8 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
   // Build parts: induced subgraphs, gathered features, relabeled splits.
   Stopwatch pre_sw;
   const std::vector<int32_t> part_of =
-      BfsPartition(g, config.num_parts, base.seed);
+      shard::GreedyBfsPartition(g.adj, {config.num_parts, base.seed})
+          .shard_of;
   std::vector<Part> parts(static_cast<size_t>(config.num_parts));
   std::vector<int32_t> local_id(static_cast<size_t>(g.n));
   for (int64_t v = 0; v < g.n; ++v) {

@@ -1,6 +1,7 @@
 // Graph-partition (GP) training scheme (paper Table 2, Section 2.2).
 //
-// The model-agnostic scalability workaround: partition the node set,
+// The model-agnostic scalability workaround: partition the node set (with
+// shard::GreedyBfsPartition, the partitioner sharded propagation uses),
 // drop cross-partition edges, and train full-batch per part. Memory scales
 // with the largest part instead of the graph — but the severed topology
 // "undermines GNN expressiveness" (paper), which the scheme-ablation bench
@@ -8,8 +9,6 @@
 
 #ifndef SGNN_MODELS_PARTITION_H_
 #define SGNN_MODELS_PARTITION_H_
-
-#include <vector>
 
 #include "core/filter.h"
 #include "graph/graph.h"
@@ -20,21 +19,15 @@ namespace sgnn::models {
 /// GP-scheme configuration.
 struct PartitionConfig {
   TrainConfig base;
-  /// Number of parts; each part trains as an independent full batch.
+  /// Number of parts, in [1, n]; each part trains as an independent full
+  /// batch. The parts come from shard::GreedyBfsPartition seeded with
+  /// `base.seed`, the partitioner sharded propagation uses.
   int num_parts = 8;
 };
 
-/// BFS-grown node partition: parts are connected-ish chunks of roughly
-/// n / num_parts nodes (ClusterGCN-flavoured, METIS substitute).
-/// Returns a part id per node.
-std::vector<int32_t> BfsPartition(const graph::Graph& g, int num_parts,
-                                  uint64_t seed);
-
-/// Fraction of (directed, non-loop) edges severed by the partition.
-double CutFraction(const graph::Graph& g, const std::vector<int32_t>& parts);
-
 /// Trains the decoupled model under the GP scheme: per-epoch sweep over
-/// parts, each propagating only within its induced subgraph.
+/// parts, each propagating only within its induced subgraph. A part count
+/// outside [1, n] returns InvalidArgument in `TrainResult::status`.
 TrainResult TrainGraphPartition(const graph::Graph& g,
                                 const graph::Splits& splits,
                                 graph::Metric metric,

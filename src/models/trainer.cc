@@ -234,6 +234,12 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
                            const TrainConfig& config,
                            bool capture_embeddings) {
   TrainResult result;
+  if (config.batch_size < 1) {
+    result.status = Status::InvalidArgument(
+        "TrainMiniBatch: batch_size " + std::to_string(config.batch_size) +
+        " must be at least 1");
+    return result;
+  }
   if (!filter->SupportsMiniBatch()) {
     result.status = Status::InvalidArgument(
         "TrainMiniBatch: filter " + filter->name() +

@@ -31,7 +31,7 @@ struct TrainConfig {
   double dropout = 0.2;
   nn::AdamConfig weights_opt{5e-3, 0.9, 0.999, 1e-8, 5e-5};  ///< φ0/φ1
   nn::AdamConfig filter_opt{5e-2, 0.9, 0.999, 1e-8, 0.0};    ///< θ/γ
-  int batch_size = 4096;       ///< MB only
+  int batch_size = 4096;       ///< MB only; below 1 is InvalidArgument
   double rho = 0.5;            ///< graph normalization coefficient
   uint64_t seed = 1;
   /// Timing-only mode: skips metric tracking niceties (used by efficiency

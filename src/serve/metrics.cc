@@ -38,7 +38,10 @@ double LatencyHistogram::PercentileMs(double p) const {
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += counts_[static_cast<size_t>(i)];
     if (seen >= rank) {
-      return i == kNumBuckets - 1 ? max_ms_ : bounds_[static_cast<size_t>(i)];
+      // No sample exceeds max_ms_, so clamping keeps the over-estimate.
+      return i == kNumBuckets - 1
+                 ? max_ms_
+                 : std::min(max_ms_, bounds_[static_cast<size_t>(i)]);
     }
   }
   return max_ms_;

@@ -4,8 +4,9 @@
 // (bound[i-1], bound[i]] ms with bounds growing geometrically from 1 µs to
 // past 60 s, so a single preallocated array spans cache-hit microseconds and
 // cold-precompute seconds with ~35% relative resolution. Percentiles read
-// the cumulative counts and report the containing bucket's upper bound —
-// a deterministic over-estimate, which is the right bias for latency SLOs.
+// the cumulative counts and report the containing bucket's upper bound,
+// clamped to the recorded maximum — a deterministic over-estimate, which is
+// the right bias for latency SLOs.
 // Recording is O(log buckets) with no allocation, so it sits inside the
 // engine's dispatch loop without perturbing the latencies it measures.
 
@@ -35,8 +36,8 @@ class LatencyHistogram {
   double MeanMs() const;
 
   /// Latency at percentile `p` ∈ [0, 100]: the upper bound of the bucket
-  /// holding the ceil(p% · count)-th smallest sample (the exact maximum for
-  /// the overflow bucket). 0 when empty.
+  /// holding the ceil(p% · count)-th smallest sample, clamped to max_ms()
+  /// (the exact maximum for the overflow bucket). 0 when empty.
   double PercentileMs(double p) const;
 
   /// The histogram of samples recorded since `earlier` was snapshotted from

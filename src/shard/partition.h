@@ -7,11 +7,11 @@
 // substitute, seeded and bit-reproducible) so propagation can run
 // shard-by-shard under per-shard accelerator budgets (shard/spmm.h).
 //
-// Unlike the GP *training scheme* (models/partition.h), which severs
-// cross-partition edges and changes the model, this partitioner keeps every
-// edge: cross-shard edges become halo references resolved by the halo
-// exchange in shard/plan.h, so sharded propagation is bit-identical to
-// unsharded (docs/SHARDING.md).
+// The GP *training scheme* (models/partition.h) takes its parts from this
+// same partitioner. GP severs the cut edges, which changes the model;
+// sharding keeps every edge: cross-shard edges become halo references
+// resolved by the halo exchange in shard/plan.h, so sharded propagation is
+// bit-identical to unsharded (docs/SHARDING.md).
 
 #ifndef SGNN_SHARD_PARTITION_H_
 #define SGNN_SHARD_PARTITION_H_

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "core/registry.h"
 #include "eval/tuning.h"
@@ -29,49 +28,7 @@ graph::Graph TestGraph(double homophily = 0.85, int64_t n = 800) {
   return graph::GenerateSbm(c);
 }
 
-// ----------------------------------------------------------- BfsPartition
-
-TEST(BfsPartition, CoversAllNodesWithValidIds) {
-  graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 6, 1);
-  ASSERT_EQ(parts.size(), static_cast<size_t>(g.n));
-  for (const int32_t p : parts) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, 6);
-  }
-}
-
-TEST(BfsPartition, ProducesRequestedNumberOfParts) {
-  graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 5, 2);
-  std::set<int32_t> ids(parts.begin(), parts.end());
-  EXPECT_GE(ids.size(), 4u);  // BFS growth may merge tiny leftovers
-  EXPECT_LE(ids.size(), 5u);
-}
-
-TEST(BfsPartition, PartsRoughlyBalanced) {
-  graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 4, 3);
-  std::vector<int64_t> counts(4, 0);
-  for (const int32_t p : parts) counts[static_cast<size_t>(p)]++;
-  for (const int64_t c : counts) {
-    EXPECT_GT(c, g.n / 16);  // no part is vanishingly small
-  }
-}
-
-TEST(BfsPartition, SinglePartHasZeroCut) {
-  graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 1, 1);
-  EXPECT_DOUBLE_EQ(models::CutFraction(g, parts), 0.0);
-}
-
-TEST(BfsPartition, MorePartsCutMoreEdges) {
-  graph::Graph g = TestGraph();
-  const double cut4 = models::CutFraction(g, models::BfsPartition(g, 4, 1));
-  const double cut16 = models::CutFraction(g, models::BfsPartition(g, 16, 1));
-  EXPECT_GT(cut4, 0.0);
-  EXPECT_GT(cut16, cut4 * 0.8);  // monotone up to BFS randomness
-}
+// --------------------------------------------------------- GraphPartition
 
 TEST(GraphPartition, TrainsAboveChance) {
   graph::Graph g = TestGraph();
@@ -105,6 +62,27 @@ TEST(GraphPartition, AccuracyAtMostFullBatchPlusSlack) {
   auto gp = models::TrainGraphPartition(g, s, graph::Metric::kAccuracy,
                                         f2.get(), cfg);
   EXPECT_LT(gp.test_metric, fb.test_metric + 0.05);
+}
+
+TEST(GraphPartition, PartCountOutsideRangeIsInvalidArgument) {
+  // A part count of 0 used to abort inside the partitioner, and one above
+  // n sized the per-part state before anything checked it.
+  graph::Graph g = TestGraph(0.85, 60);
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  auto f = filters::CreateFilter("ppr", 4).MoveValue();
+  models::PartitionConfig cfg;
+  cfg.base.epochs = 1;
+  for (const int parts : {0, -3, static_cast<int>(g.n) + 1}) {
+    cfg.num_parts = parts;
+    const auto r = models::TrainGraphPartition(g, s, graph::Metric::kAccuracy,
+                                               f.get(), cfg);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+        << "num_parts=" << parts << ": " << r.status.ToString();
+  }
+  cfg.num_parts = static_cast<int>(g.n);  // one node per part is allowed
+  const auto r = models::TrainGraphPartition(g, s, graph::Metric::kAccuracy,
+                                             f.get(), cfg);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
 }
 
 // ------------------------------------------------------------------ Push

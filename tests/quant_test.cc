@@ -1,15 +1,17 @@
 // Tests for the quantized inference path: codec round-trip error bounds
 // (per channel), exhaustive fp16 bit round-trip, calibration determinism
 // under a fixed seed, typed rejection of precision-mismatched checkpoints
-// (both directions), quantized serving bit-stability at 1 and hw kernel
-// threads in both consumption modes, and tiered-cache byte accounting with
-// mixed-precision bundles.
+// (both directions), v2 round trips and fp drift under both calibration
+// policies, quantized serving bit-stability (sync and async) at 1 and hw
+// kernel threads in both consumption modes, and tiered-cache byte
+// accounting with mixed-precision bundles.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -227,21 +229,21 @@ TEST(PrecisionRejection, QuantizeCheckpointRejectsFp32Target) {
 
 // --- quantized checkpoint round-trip -----------------------------------------
 
+/// The term calibrations each round trip runs under: the default absmax and
+/// percentile over a held-out half of the rows. fp16 ignores both.
+std::vector<CalibConfig> Calibrations(int64_t n) {
+  CalibConfig percentile;
+  percentile.policy = CalibPolicy::kPercentile;
+  percentile.sample_rows = n / 2;
+  return {CalibConfig{}, percentile};
+}
+
 class QuantRoundTrip : public testing::TestWithParam<Precision> {};
 
 TEST_P(QuantRoundTrip, SaveLoadServeBitIdentical) {
   const serve::Checkpoint ckpt = TrainCheckpoint("chebyshev");
-  auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), CalibConfig{});
-  ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
-  const std::string path = TempPath("quant_rt.ckpt");
-  ASSERT_TRUE(serve::SaveQuantCheckpoint(q_or.value(), path).ok());
-  auto loaded_or = serve::LoadQuantCheckpoint(path);
-  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
-  std::remove(path.c_str());
-
   std::vector<int64_t> nodes;
   for (int64_t i = 0; i < ckpt.meta.n; i += 7) nodes.push_back(i);
-
   auto serve_with = [&nodes](const serve::QuantCheckpoint& qc) {
     auto model_or = serve::RestoreModel(qc);
     EXPECT_TRUE(model_or.ok()) << model_or.status().ToString();
@@ -250,11 +252,24 @@ TEST_P(QuantRoundTrip, SaveLoadServeBitIdentical) {
     EXPECT_TRUE(engine.ServeBatch(nodes, &logits).ok());
     return logits;
   };
-  const Matrix before = serve_with(q_or.value());
-  const Matrix after = serve_with(loaded_or.value());
-  ASSERT_EQ(before.rows(), after.rows());
-  ASSERT_EQ(before.cols(), after.cols());
-  EXPECT_EQ(std::memcmp(before.data(), after.data(), before.bytes()), 0);
+
+  for (const CalibConfig& calib : Calibrations(ckpt.meta.n)) {
+    SCOPED_TRACE(CalibPolicyName(calib.policy));
+    auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), calib);
+    ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
+    const std::string path = TempPath("quant_rt.ckpt");
+    ASSERT_TRUE(serve::SaveQuantCheckpoint(q_or.value(), path).ok());
+    auto loaded_or = serve::LoadQuantCheckpoint(path);
+    ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded_or.value().calib.policy, calib.policy);
+
+    const Matrix before = serve_with(q_or.value());
+    const Matrix after = serve_with(loaded_or.value());
+    ASSERT_EQ(before.rows(), after.rows());
+    ASSERT_EQ(before.cols(), after.cols());
+    EXPECT_EQ(std::memcmp(before.data(), after.data(), before.bytes()), 0);
+  }
 }
 
 TEST_P(QuantRoundTrip, LogitsTrackFpServingWithinTolerance) {
@@ -262,33 +277,45 @@ TEST_P(QuantRoundTrip, LogitsTrackFpServingWithinTolerance) {
   auto fp_model = serve::RestoreModel(ckpt);
   ASSERT_TRUE(fp_model.ok());
   serve::Engine fp_engine(fp_model.MoveValue(), {});
-  auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), CalibConfig{});
-  ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
-  auto q_model = serve::RestoreModel(q_or.value());
-  ASSERT_TRUE(q_model.ok()) << q_model.status().ToString();
-  serve::Engine q_engine(q_model.MoveValue(), {});
-
   std::vector<int64_t> nodes;
   for (int64_t i = 0; i < ckpt.meta.n; i += 3) nodes.push_back(i);
   Matrix fp_logits;
-  Matrix q_logits;
   ASSERT_TRUE(fp_engine.ServeBatch(nodes, &fp_logits).ok());
-  ASSERT_TRUE(q_engine.ServeBatch(nodes, &q_logits).ok());
-  double mae = 0.0;
-  double scale = 0.0;
-  for (int64_t r = 0; r < fp_logits.rows(); ++r) {
-    for (int64_t c = 0; c < fp_logits.cols(); ++c) {
-      mae += std::fabs(static_cast<double>(fp_logits.at(r, c)) -
-                       static_cast<double>(q_logits.at(r, c)));
-      scale = std::max(scale,
-                       std::fabs(static_cast<double>(fp_logits.at(r, c))));
+
+  for (const CalibConfig& calib : Calibrations(ckpt.meta.n)) {
+    SCOPED_TRACE(CalibPolicyName(calib.policy));
+    auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), calib);
+    ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
+    // The terms carry the scales of the requested calibration.
+    ASSERT_EQ(q_or.value().qterms.size(), ckpt.terms.size());
+    if (GetParam() == Precision::kInt8) {
+      for (size_t t = 0; t < ckpt.terms.size(); ++t) {
+        EXPECT_EQ(q_or.value().qterms[t].scales(),
+                  CalibrateScales(ckpt.terms[t], calib))
+            << "term " << t;
+      }
     }
+    auto q_model = serve::RestoreModel(q_or.value());
+    ASSERT_TRUE(q_model.ok()) << q_model.status().ToString();
+    serve::Engine q_engine(q_model.MoveValue(), {});
+    Matrix q_logits;
+    ASSERT_TRUE(q_engine.ServeBatch(nodes, &q_logits).ok());
+    double mae = 0.0;
+    double scale = 0.0;
+    for (int64_t r = 0; r < fp_logits.rows(); ++r) {
+      for (int64_t c = 0; c < fp_logits.cols(); ++c) {
+        mae += std::fabs(static_cast<double>(fp_logits.at(r, c)) -
+                         static_cast<double>(q_logits.at(r, c)));
+        scale = std::max(scale,
+                         std::fabs(static_cast<double>(fp_logits.at(r, c))));
+      }
+    }
+    mae /= static_cast<double>(fp_logits.size());
+    // Documented drift bounds (docs/QUANTIZATION.md): relative to the logit
+    // magnitude, fp16 stays within ~0.2%, int8 within ~4%.
+    const double bound = GetParam() == Precision::kFp16 ? 2e-3 : 4e-2;
+    EXPECT_LE(mae, bound * std::max(1.0, scale));
   }
-  mae /= static_cast<double>(fp_logits.size());
-  // Documented drift bounds (docs/QUANTIZATION.md): relative to the logit
-  // magnitude, fp16 stays within ~0.2%, int8 within ~4%.
-  const double bound = GetParam() == Precision::kFp16 ? 2e-3 : 4e-2;
-  EXPECT_LE(mae, bound * std::max(1.0, scale));
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, QuantRoundTrip,
@@ -329,6 +356,22 @@ TEST_P(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
                 0)
           << "node " << nodes[i] << " at " << counts[ci] << " threads";
     }
+    // The async path forms its own batches; each answer must still be the
+    // synchronous row.
+    engine.Start();
+    std::vector<std::future<serve::QueryResult>> futures;
+    for (const int64_t node : nodes) futures.push_back(engine.Submit(node));
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const serve::QueryResult r = futures[i].get();
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ASSERT_EQ(static_cast<int64_t>(r.logits.size()), batched.cols());
+      EXPECT_EQ(std::memcmp(r.logits.data(),
+                            batched.row(static_cast<int64_t>(i)),
+                            r.logits.size() * sizeof(float)),
+                0)
+          << "async node " << nodes[i] << " at " << counts[ci] << " threads";
+    }
+    engine.Stop();
     if (ci == 0) {
       reference = batched;
     } else {

@@ -2,7 +2,9 @@
 // (queue depth and queued bytes), deadline shed-at-dequeue, drain vs
 // typed-reject shutdown with a full queue, the SLO hold-time controller
 // (synthetic windows and in-engine convergence), LatencyHistogram interval
-// diffs, and Router hot-swap bit-identity with in-flight queries — the
+// diffs, Router hot-swap bit-identity with in-flight queries and under a
+// concurrently submitting client, RetryWithBackoff recovery of forced sheds,
+// and a verified load-generator replay of an ON/OFF burst — the
 // engine-level paths at 1 and hw kernel threads.
 //
 // Determinism recipe used throughout: with `max_batch` larger than the
@@ -13,9 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -26,8 +32,10 @@
 #include "serve/engine.h"
 #include "serve/loadgen.h"
 #include "serve/metrics.h"
+#include "runtime/retry.h"
 #include "serve/router.h"
 #include "tensor/parallel.h"
+#include "tensor/rng.h"
 
 namespace sgnn::serve {
 namespace {
@@ -200,6 +208,59 @@ TEST(Admission, OutOfRangeNodeFailsWithoutTouchingAdmission) {
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.GetOverloadStats().submitted, 0u);
   engine.Stop();
+}
+
+TEST(Admission, ForcedShedsRecoverThroughRetryWithBackoff) {
+  // A full queue held for 20 ms sheds the burst; a backoff that outlasts
+  // the hold re-admits every shed query once the held batch is served.
+  constexpr int kBudget = 8;
+  constexpr int kBurst = 24;
+  EngineConfig cfg;
+  cfg.max_batch = 64;
+  cfg.max_wait_ms = 20.0;
+  cfg.max_queue = kBudget;
+  Engine engine(Restore(CkptV1()), cfg);
+  engine.Start();
+  const int64_t n = engine.num_nodes();
+  std::vector<std::future<QueryResult>> admitted;
+  for (int i = 0; i < kBudget; ++i) admitted.push_back(engine.Submit(i % n));
+  // Sheds resolve at once, so the burst fits inside the hold unless the
+  // host stalls; a burst query admitted after the hold is simply served.
+  std::vector<int64_t> shed_nodes;
+  for (int i = 0; i < kBurst; ++i) {
+    if (engine.Submit(i % n).get().status.code() ==
+        StatusCode::kUnavailable) {
+      shed_nodes.push_back(i % n);
+    }
+  }
+  EXPECT_FALSE(shed_nodes.empty());
+
+  runtime::BackoffConfig backoff;
+  backoff.max_attempts = 8;
+  backoff.initial_delay_ms = 10.0;
+  backoff.max_delay_ms = 200.0;
+  Rng rng(11);
+  std::vector<std::pair<int64_t, std::vector<float>>> recovered;
+  for (const int64_t node : shed_nodes) {
+    QueryResult r;
+    const Status s = runtime::RetryWithBackoff(
+        [&] {
+          r = engine.Submit(node).get();
+          return r.status;
+        },
+        backoff, &rng);
+    EXPECT_TRUE(s.ok()) << "node " << node << ": " << s.ToString();
+    recovered.emplace_back(node, std::move(r.logits));
+  }
+  for (auto& fut : admitted) EXPECT_TRUE(fut.get().status.ok());
+  engine.Stop();
+
+  const OverloadStats stats = engine.GetOverloadStats();
+  EXPECT_GE(stats.shed_queue_full, shed_nodes.size());
+  EXPECT_EQ(stats.served_ok, static_cast<uint64_t>(kBudget + kBurst));
+  for (const auto& [node, logits] : recovered) {
+    EXPECT_TRUE(SameRow(logits, SingletonRow(&engine, node))) << node;
+  }
 }
 
 // --- deadline propagation ----------------------------------------------------
@@ -505,6 +566,55 @@ TEST(LoadGen, OnOffRateAlternatesAndPreservesTheMean) {
   EXPECT_NEAR(sum / steps, 1000.0, 30.0);
 }
 
+TEST(LoadGen, BurstReplayWithRetryAccountsEveryQuery) {
+  // A 5x ON/OFF burst against a 4-deep queue held 1 ms per batch sheds;
+  // the retrying client wins back every shed, each offered query lands in
+  // exactly one outcome, and every admitted answer equals singleton
+  // serving.
+  EngineConfig cfg;
+  cfg.max_batch = 64;
+  cfg.max_wait_ms = 1.0;
+  cfg.max_queue = 4;
+  Engine engine(Restore(CkptV2()), cfg);
+  Engine ref(Restore(CkptV2()), cfg);
+  engine.Start();
+
+  LoadGenConfig load;
+  load.process = ArrivalProcess::kOnOff;
+  load.mean_qps = 2000.0;
+  load.burst_multiplier = 5.0;
+  load.duration_ms = 100.0;
+  load.deadline_ms = 50.0;
+  load.seed = 3;
+  ReplayConfig replay;
+  replay.retry = true;
+  std::vector<std::pair<int64_t, std::vector<float>>> served;
+  replay.on_result = [&](const Arrival& a, const QueryResult& r) {
+    if (r.status.ok()) served.emplace_back(a.node, r.logits);
+  };
+  Rng rng(17);
+  const ReplayStats stats = Replay(
+      MakeSchedule(load, engine.num_nodes()),
+      [&](int64_t node, double deadline_ms) {
+        return engine.Submit(node, deadline_ms);
+      },
+      replay, &rng);
+  engine.Stop();
+
+  EXPECT_GT(stats.offered, 0u);
+  EXPECT_EQ(stats.offered,
+            stats.ok + stats.shed + stats.deadline_shed + stats.failed);
+  EXPECT_EQ(stats.failed, 0u);
+  // Retries run one at a time after the burst, so none can shed again.
+  EXPECT_GT(stats.retried, 0u);
+  EXPECT_EQ(stats.recovered, stats.retried);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(served.size(), stats.ok);
+  for (const auto& [node, logits] : served) {
+    EXPECT_TRUE(SameRow(logits, SingletonRow(&ref, node))) << node;
+  }
+}
+
 // --- router / hot-swap -------------------------------------------------------
 
 RouterConfig SmallRouterConfig() {
@@ -583,6 +693,82 @@ TEST(Router, HotSwapServesInFlightAgainstOriginalModel) {
     EXPECT_EQ(router.active_version(), 2u);
     EXPECT_EQ(router.resident().size(), 1u);
   }
+}
+
+TEST(Router, HotSwapUnderConcurrentSubmitsDropsNothing) {
+  // A client thread keeps submitting while the main thread activates v2
+  // and retires v1. With a hold that outlives the test and fewer v1
+  // queries than max_batch, every query v1 admitted is still queued when
+  // Retire runs, so only Retire's drain can answer them.
+  RouterConfig cfg = SmallRouterConfig();
+  cfg.engine.max_batch = 64;
+  cfg.engine.max_wait_ms = 10000.0;
+  const int64_t n = CkptV1().meta.n;
+  std::vector<int64_t> nodes;
+  std::vector<std::future<QueryResult>> futures;
+  {
+    Router router(cfg);
+    ASSERT_TRUE(router.Load(1, Restore(CkptV1())).ok());
+    ASSERT_TRUE(router.Activate(1).ok());
+    ASSERT_TRUE(router.Load(2, Restore(CkptV2())).ok());
+    const std::shared_ptr<Engine> v1 = router.engine(1);
+    const std::shared_ptr<Engine> v2 = router.engine(2);
+
+    std::atomic<bool> swapped{false};
+    std::thread client([&] {
+      Rng rng(13);
+      // Submits until the swap is over, then 16 more.
+      for (int after = 0; after < 16;) {
+        if (swapped.load()) ++after;
+        nodes.push_back(
+            static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n))));
+        futures.push_back(router.Submit(nodes.back(), 0.0));
+        std::this_thread::sleep_for(std::chrono::microseconds(30));
+      }
+    });
+    auto wait_admitted = [](const Engine& engine, uint64_t count) {
+      while (engine.GetOverloadStats().admitted < count) {
+        std::this_thread::yield();
+      }
+    };
+    wait_admitted(*v1, 8);
+    const Status activated = router.Activate(2);
+    Status retired = activated;
+    if (activated.ok()) {
+      // The client submits in order: once v2 admits one of its queries,
+      // none of its submits can still be on the way to v1.
+      wait_admitted(*v2, 1);
+      retired = router.Retire(1);
+    }
+    swapped.store(true);
+    client.join();
+    ASSERT_TRUE(activated.ok()) << activated.ToString();
+    ASSERT_TRUE(retired.ok()) << retired.ToString();
+    // Retire returned only after v1's queue was served.
+    const OverloadStats v1_stats = v1->GetOverloadStats();
+    EXPECT_GE(v1_stats.admitted, 8u);
+    EXPECT_EQ(v1_stats.served_ok, v1_stats.admitted);
+    EXPECT_EQ(router.active_version(), 2u);
+    EXPECT_EQ(router.resident().size(), 1u);
+  }  // ~Router drains v2's held batch
+
+  Engine ref1(Restore(CkptV1()), cfg.engine);
+  Engine ref2(Restore(CkptV2()), cfg.engine);
+  size_t by_v1 = 0;
+  size_t by_v2 = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const QueryResult r = futures[i].get();
+    ASSERT_TRUE(r.status.ok()) << "query " << i << ": " << r.status.ToString();
+    if (SameRow(r.logits, SingletonRow(&ref1, nodes[i]))) {
+      ++by_v1;
+    } else if (SameRow(r.logits, SingletonRow(&ref2, nodes[i]))) {
+      ++by_v2;
+    } else {
+      ADD_FAILURE() << "query " << i << " matches neither version";
+    }
+  }
+  EXPECT_GE(by_v1, 8u);
+  EXPECT_GT(by_v2, 0u);
 }
 
 TEST(Router, VersionsActuallyDiffer) {

@@ -510,6 +510,12 @@ TEST(LatencyHistogram, PercentilesBracketSamples) {
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.PercentileMs(99), 0.0);
+
+  // One sample: its bucket's upper bound (1e-3 * 1.35^25 ~ 1.813 ms) lies
+  // above the sample, so the percentile clamps to the recorded maximum.
+  h.Record(1.715);
+  EXPECT_EQ(h.PercentileMs(50), h.max_ms());
+  EXPECT_EQ(h.PercentileMs(99), h.max_ms());
 }
 
 // --- serialization primitives ------------------------------------------------

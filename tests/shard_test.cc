@@ -145,6 +145,10 @@ TEST(ShardPartition, EdgeCutCountsAndSingleShardHasNoCut) {
   const shard::EdgeCutStats s4 = shard::ComputeEdgeCut(prop, four);
   EXPECT_GT(s4.cut_edges, 0);
   EXPECT_LE(s4.cut_edges, s4.total_edges);
+
+  // Smaller shards leave more of each neighborhood outside.
+  const shard::Partition sixteen = shard::GreedyBfsPartition(prop, {16, 1});
+  EXPECT_GT(shard::ComputeEdgeCut(prop, sixteen).cut_edges, s4.cut_edges);
 }
 
 // --- plan / slices -----------------------------------------------------------

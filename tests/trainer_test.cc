@@ -189,6 +189,24 @@ TEST(MiniBatch, FullBatchOnlyFilterReturnsStatusInsteadOfAborting) {
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(MiniBatch, NonPositiveBatchSizeIsInvalidArgument) {
+  // Regression: a batch size of 0 never advanced the batch loop, so the
+  // run hung instead of failing.
+  graph::Graph g = EasyGraph();
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  auto f = filters::CreateFilter("ppr", 4).MoveValue();
+  TrainConfig c = FastConfig();
+  c.phi0_layers = 0;
+  c.phi1_layers = 2;
+  c.epochs = 1;
+  for (const int batch : {0, -1}) {
+    c.batch_size = batch;
+    TrainResult r = TrainMiniBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+        << "batch_size=" << batch << ": " << r.status.ToString();
+  }
+}
+
 TEST(FullBatch, CapturesEmbeddings) {
   graph::Graph g = EasyGraph();
   graph::Splits s = graph::RandomSplits(g.n, 1);

@@ -17,14 +17,13 @@
 // makes runs resumable; SPECTRAL_FAULT_PLAN injects faults.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
+#include "flags.h"
 #include "graph/datasets.h"
 #include "models/iterative.h"
 #include "models/partition.h"
@@ -35,36 +34,7 @@
 namespace {
 
 using namespace sgnn;
-
-/// Minimal --key value flag parser.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Flags;
 
 void Usage() {
   std::fprintf(

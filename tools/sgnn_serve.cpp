@@ -15,80 +15,35 @@
 //   sgnn_serve --checkpoint model.ckpt --queries 2000 --max-batch 32
 //              --max-wait-ms 0.5 --cache-accel-kb 256 --cache-host-kb 1024
 //
-//   # end-to-end smoke (the `serving_smoke` CTest): train on a fuzzed
-//   # graph, save, load, serve, and verify batched == singleton
-//   sgnn_serve --smoke 1
-//
-//   # overload smoke (the `serving_overload` CTest): admission control
-//   # sheds typed under a forced burst, RetryWithBackoff recovers the
-//   # sheds, and a Router hot-swap under live load drops nothing
-//   sgnn_serve --overload-smoke 1
-//
-//   # quantization smoke (the `quant_smoke` CTest): quantize a trained
-//   # checkpoint to int8, verify cross-precision loads fail typed, serve
-//   # on the quantized-compute fast path, check drift vs fp32 serving
-//   sgnn_serve --quant-smoke 1
-//
-// Serving verifies determinism on demand (--verify 1, default in smoke):
-// every async batched result must be bit-identical to a singleton
-// ServeBatch of the same node.
+// Serving verifies determinism on demand (--verify 1): every async batched
+// result must be bit-identical to a singleton ServeBatch of the same node.
+// The serve_cli_train, serve_cli_info and serve_cli_serve CTests run the
+// three modes above end to end (train on fuzz seed 7, inspect, serve 400
+// verified queries); the engine, checkpoint, overload and quantization
+// contracts are checked by the gtest suites in tests/.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <map>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "conformance/fuzz.h"
 #include "core/registry.h"
 #include "eval/table.h"
+#include "flags.h"
 #include "graph/datasets.h"
 #include "models/trainer.h"
-#include "runtime/retry.h"
 #include "serve/checkpoint.h"
 #include "serve/engine.h"
-#include "serve/loadgen.h"
-#include "serve/router.h"
 #include "sparse/adjacency.h"
 
 namespace {
 
 using namespace sgnn;
-
-/// Minimal --key value flag parser (same contract as sgnn_run).
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Flags;
 
 void Usage() {
   std::fprintf(
@@ -99,10 +54,7 @@ void Usage() {
       "       sgnn_serve --checkpoint <path> [--replay file | --queries N]\n"
       "                  [--max-batch B] [--max-wait-ms W]\n"
       "                  [--cache-accel-kb A] [--cache-host-kb H]\n"
-      "                  [--verify 0|1] [--seed S]\n"
-      "       sgnn_serve --smoke 1\n"
-      "       sgnn_serve --overload-smoke 1   # admission/retry/hot-swap\n"
-      "       sgnn_serve --quant-smoke 1      # int8/fp16 wire + serving\n");
+      "                  [--verify 0|1] [--seed S]\n");
 }
 
 /// Deterministic attributed graph from a conformance fuzz seed: topology
@@ -422,536 +374,10 @@ int RunServe(const Flags& flags) {
   return ServeQueries(&engine, nodes, flags.GetInt("verify", 0) != 0);
 }
 
-/// End-to-end smoke for CTest: train on a fuzzed graph, save, reload,
-/// serve with verification, and confirm corrupt files are rejected.
-int RunSmoke(const Flags& flags) {
-  const std::string dir = flags.Get("tmpdir", ".");
-  const std::string path = dir + "/sgnn_serve_smoke.ckpt";
-  // Train + export.
-  {
-    const char* argv[] = {"sgnn_serve", "--fuzz-seed", "7", "--out",
-                          path.c_str(), "--epochs", "12"};
-    Flags f(7, const_cast<char**>(argv));
-    const int rc = RunTrain(f);
-    if (rc != 0) return rc;
-  }
-  // Corrupt-file rejection: flip one payload byte and expect IOError.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    if (f == nullptr) return 1;
-    std::fseek(f, -1, SEEK_END);
-    const int last = std::fgetc(f);
-    std::fseek(f, -1, SEEK_END);
-    std::fputc(last ^ 0x5A, f);
-    std::fclose(f);
-    auto bad = serve::LoadCheckpoint(path);
-    if (bad.ok() || bad.status().code() != StatusCode::kIOError) {
-      std::fprintf(stderr, "corrupted checkpoint was not rejected\n");
-      return 1;
-    }
-    // Restore the byte so the serve phase reads a clean file.
-    f = std::fopen(path.c_str(), "rb+");
-    if (f == nullptr) return 1;
-    std::fseek(f, -1, SEEK_END);
-    std::fputc(last, f);
-    std::fclose(f);
-    std::printf("corrupt checkpoint rejected with IOError (as expected)\n");
-  }
-  // Serve with determinism verification.
-  {
-    const char* argv[] = {"sgnn_serve", "--checkpoint", path.c_str(),
-                          "--queries", "400", "--verify", "1",
-                          "--max-batch", "16", "--max-wait-ms", "0.5"};
-    Flags f(11, const_cast<char**>(argv));
-    const int rc = RunServe(f);
-    if (rc != 0) return rc;
-  }
-  std::remove(path.c_str());
-  std::printf("serving smoke: PASS\n");
-  return 0;
-}
-
-/// Trains a checkpoint on the seed-7 fuzz graph with `epochs` epochs —
-/// the overload smoke needs two versions of the *same* graph's model, so
-/// everything but the epoch count is held fixed.
-int TrainFuzzCheckpoint(const std::string& path, const char* epochs) {
-  const char* argv[] = {"sgnn_serve", "--fuzz-seed", "7",
-                        "--out",      path.c_str(),  "--epochs", epochs};
-  Flags f(7, const_cast<char**>(argv));
-  return RunTrain(f);
-}
-
-/// Quantization smoke for CTest (`quant_smoke`, inside tier1): the
-/// wire-format and serving contracts of docs/QUANTIZATION.md end to end —
-///
-///   1. typed rejection — a v2 (quantized) file handed to the fp reader
-///      fails kFailedPrecondition, and symmetrically the fp file handed to
-///      the quant reader; foreign-precision bytes are never half-parsed.
-///   2. quantized serving — the int8 artifact restores and serves on the
-///      quantized-compute fast path with batched == singleton verified bit
-///      for bit, and the cache accounts the bundles as quantized bytes.
-///   3. drift — int8 and fp16 logits stay within the documented bound of
-///      fp32 serving (docs/QUANTIZATION.md drift table).
-int RunQuantSmoke(const Flags& flags) {
-  const std::string dir = flags.Get("tmpdir", ".");
-  const std::string fp_path = dir + "/sgnn_serve_quant_fp.ckpt";
-  const std::string q_path = dir + "/sgnn_serve_quant_int8.ckpt";
-  {
-    const char* argv[] = {"sgnn_serve", "--fuzz-seed", "7", "--out",
-                          fp_path.c_str(), "--epochs", "10"};
-    Flags f(7, const_cast<char**>(argv));
-    if (const int rc = RunTrain(f); rc != 0) return rc;
-  }
-  auto ckpt_or = serve::LoadCheckpoint(fp_path);
-  if (!ckpt_or.ok()) {
-    std::fprintf(stderr, "%s\n", ckpt_or.status().ToString().c_str());
-    return 1;
-  }
-  const serve::Checkpoint ckpt = ckpt_or.MoveValue();
-
-  // Quantize int8/percentile and write the v2 file.
-  quant::CalibConfig calib;
-  calib.policy = quant::CalibPolicy::kPercentile;
-  calib.sample_rows = ckpt.meta.n / 2;
-  auto q_or = serve::QuantizeCheckpoint(ckpt, quant::Precision::kInt8, calib);
-  if (!q_or.ok()) {
-    std::fprintf(stderr, "%s\n", q_or.status().ToString().c_str());
-    return 1;
-  }
-  if (const Status s = serve::SaveQuantCheckpoint(q_or.value(), q_path);
-      !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-
-  // Phase 1: cross-precision loads fail typed, both directions.
-  {
-    auto fp_reader = serve::LoadCheckpoint(q_path);
-    auto q_reader = serve::LoadQuantCheckpoint(fp_path);
-    std::remove(fp_path.c_str());
-    if (fp_reader.ok() ||
-        fp_reader.status().code() != StatusCode::kFailedPrecondition ||
-        q_reader.ok() ||
-        q_reader.status().code() != StatusCode::kFailedPrecondition) {
-      std::fprintf(stderr,
-                   "cross-precision checkpoint was not rejected with "
-                   "FailedPrecondition\n");
-      return 1;
-    }
-    std::printf("[1/3] typed rejection: v1<->v2 cross-loads both "
-                "FailedPrecondition\n");
-  }
-
-  // Phase 2: the v2 file round-trips and serves on the fast path, with the
-  // batched == singleton contract verified and quant bytes accounted.
-  auto loaded_or = serve::LoadQuantCheckpoint(q_path);
-  std::remove(q_path.c_str());
-  if (!loaded_or.ok()) {
-    std::fprintf(stderr, "%s\n", loaded_or.status().ToString().c_str());
-    return 1;
-  }
-  auto model_or = serve::RestoreModel(loaded_or.value());
-  if (!model_or.ok()) {
-    std::fprintf(stderr, "%s\n", model_or.status().ToString().c_str());
-    return 1;
-  }
-  serve::EngineConfig cfg;
-  cfg.max_batch = 16;
-  cfg.max_wait_ms = 0.5;
-  cfg.cache.accel_budget_bytes = 1u << 20;
-  cfg.cache.host_budget_bytes = 1u << 20;
-  serve::Engine engine(model_or.MoveValue(), cfg);
-  if (engine.effective_quant_exec() != serve::QuantExecMode::kQuantCompute) {
-    std::fprintf(stderr, "quantized model fell back off the fast path\n");
-    return 1;
-  }
-  const std::vector<int64_t> nodes =
-      GenerateQueries(engine.num_nodes(), 400, 1);
-  if (ServeQueries(&engine, nodes, /*verify=*/true) != 0) return 1;
-  const serve::Engine::CacheUsage usage = engine.GetCacheUsage();
-  if (usage.entries == 0 ||
-      usage.accel_quant_bytes + usage.host_quant_bytes !=
-          usage.accel_bytes + usage.host_bytes) {
-    std::fprintf(stderr,
-                 "cache did not account quantized bundles as quant bytes\n");
-    return 1;
-  }
-  std::printf("[2/3] quantized serving: fast path, %zu cached bundles all "
-              "accounted as quant bytes\n",
-              usage.entries);
-
-  // Phase 3: int8 and fp16 logits track fp32 serving within the documented
-  // drift bounds (relative to the logit scale).
-  {
-    auto fp_model_or = serve::RestoreModel(ckpt);
-    if (!fp_model_or.ok()) return 1;
-    serve::Engine fp_engine(fp_model_or.MoveValue(), cfg);
-    std::vector<int64_t> all;
-    for (int64_t i = 0; i < engine.num_nodes(); ++i) all.push_back(i);
-    Matrix want;
-    if (const Status s = fp_engine.ServeBatch(all, &want); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    double scale = 1.0;
-    for (int64_t i = 0; i < want.size(); ++i) {
-      scale = std::max(scale, static_cast<double>(std::fabs(want.data()[i])));
-    }
-    const struct {
-      quant::Precision precision;
-      double bound;  ///< docs/QUANTIZATION.md drift bound, x logit scale
-    } rounds[] = {{quant::Precision::kInt8, 4e-2},
-                  {quant::Precision::kFp16, 2e-3}};
-    for (const auto& round : rounds) {
-      auto rq_or = serve::QuantizeCheckpoint(ckpt, round.precision, calib);
-      if (!rq_or.ok()) return 1;
-      auto rm_or = serve::RestoreModel(rq_or.value());
-      if (!rm_or.ok()) return 1;
-      serve::Engine q_engine(rm_or.MoveValue(), cfg);
-      Matrix got;
-      if (const Status s = q_engine.ServeBatch(all, &got); !s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 1;
-      }
-      double mae = 0.0;
-      for (int64_t i = 0; i < got.size(); ++i) {
-        mae += std::fabs(static_cast<double>(got.data()[i]) -
-                         static_cast<double>(want.data()[i]));
-      }
-      mae /= static_cast<double>(got.size());
-      std::printf("[3/3] drift %s: logit MAE %.5f (bound %.5f)\n",
-                  quant::PrecisionName(round.precision), mae,
-                  round.bound * scale);
-      if (mae > round.bound * scale) {
-        std::fprintf(stderr, "drift exceeded the documented bound\n");
-        return 1;
-      }
-    }
-  }
-  std::printf("quant smoke: PASS\n");
-  return 0;
-}
-
-/// Memoized singleton reference: bit-exact logits for `node` under `engine`.
-const std::vector<float>& SingletonRow(
-    serve::Engine* engine, int64_t node,
-    std::map<int64_t, std::vector<float>>* memo, bool* failed) {
-  auto it = memo->find(node);
-  if (it == memo->end()) {
-    Matrix one;
-    const Status s = engine->ServeBatch({node}, &one);
-    std::vector<float> row;
-    if (s.ok()) {
-      row.assign(one.data(), one.data() + one.cols());
-    } else {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      *failed = true;
-    }
-    it = memo->emplace(node, std::move(row)).first;
-  }
-  return it->second;
-}
-
-bool SameRow(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() && !a.empty() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-/// Overload smoke for CTest (`serving_overload`): four phases against two
-/// checkpoints trained on the same fuzz graph.
-///
-///   1. admission — a long partial-batch hold pins 8 admitted queries in
-///      the queue (depth budget 8), so every further Submit *must* shed
-///      with kUnavailable; Stop drains the admitted 8. Deterministic: no
-///      race against the dispatcher, which is mid-hold by construction.
-///   2. recovery — the same forced sheds re-submitted through
-///      runtime::RetryWithBackoff all recover once the hold expires.
-///   3. hot-swap — a client thread streams queries through a Router while
-///      v2 is Activated and v1 Retired mid-stream; every result must be
-///      bit-identical to v1 or v2 singleton serving (zero dropped, zero
-///      misrouted), and both versions must have actually served.
-///   4. verified replay — a 5x ON/OFF burst schedule from the load
-///      generator plays against a budgeted engine with retry; accounting
-///      must close (offered = ok + shed + deadline_shed) with zero
-///      untyped failures and admitted logits bit-identical.
-int RunOverloadSmoke(const Flags& flags) {
-  const std::string dir = flags.Get("tmpdir", ".");
-  const std::string v1_path = dir + "/sgnn_serve_overload_v1.ckpt";
-  const std::string v2_path = dir + "/sgnn_serve_overload_v2.ckpt";
-  if (TrainFuzzCheckpoint(v1_path, "8") != 0) return 1;
-  if (TrainFuzzCheckpoint(v2_path, "12") != 0) return 1;
-  auto v1_or = serve::LoadCheckpoint(v1_path);
-  auto v2_or = serve::LoadCheckpoint(v2_path);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  if (!v1_or.ok() || !v2_or.ok()) {
-    std::fprintf(stderr, "checkpoint reload failed\n");
-    return 1;
-  }
-  const serve::Checkpoint v1 = v1_or.MoveValue();
-  const serve::Checkpoint v2 = v2_or.MoveValue();
-  const int64_t n = v1.meta.n;
-
-  auto restore = [](const serve::Checkpoint& c) {
-    auto m = serve::RestoreModel(c);
-    if (!m.ok()) std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-    return m;
-  };
-
-  // Phase 1: forced burst against the queue-depth budget.
-  constexpr int kBudget = 8;
-  constexpr int kShedCount = 24;
-  {
-    auto model = restore(v1);
-    if (!model.ok()) return 1;
-    serve::EngineConfig cfg;
-    cfg.max_batch = 64;          // > budget: the batch can never fill...
-    cfg.max_wait_ms = 10000.0;   // ...and the hold outlives the phase,
-    cfg.max_queue = kBudget;     // so admitted queries stay queued.
-    serve::Engine engine(model.MoveValue(), cfg);
-    engine.Start();
-    std::vector<std::future<serve::QueryResult>> admitted;
-    for (int i = 0; i < kBudget; ++i) {
-      admitted.push_back(engine.Submit(i % n));
-    }
-    int sheds = 0;
-    for (int i = 0; i < kShedCount; ++i) {
-      serve::QueryResult r = engine.Submit(i % n).get();
-      if (r.status.code() == StatusCode::kUnavailable) ++sheds;
-    }
-    engine.Stop();  // drain_on_stop: the admitted 8 must all be served
-    int drained = 0;
-    for (auto& fut : admitted) {
-      if (fut.get().status.ok()) ++drained;
-    }
-    const serve::OverloadStats stats = engine.GetOverloadStats();
-    std::printf(
-        "[1/4] admission: %d/%d burst queries shed typed, %d/%d admitted "
-        "drained on Stop (shed_queue_full=%llu served_ok=%llu)\n",
-        sheds, kShedCount, drained, kBudget,
-        static_cast<unsigned long long>(stats.shed_queue_full),
-        static_cast<unsigned long long>(stats.served_ok));
-    if (sheds != kShedCount || drained != kBudget ||
-        stats.shed_queue_full != kShedCount ||
-        stats.served_ok != kBudget) {
-      std::fprintf(stderr, "admission control did not shed/drain as typed\n");
-      return 1;
-    }
-  }
-
-  // Phase 2: the same forced sheds, recovered through RetryWithBackoff.
-  {
-    auto model = restore(v1);
-    if (!model.ok()) return 1;
-    serve::EngineConfig cfg;
-    cfg.max_batch = 64;
-    cfg.max_wait_ms = 20.0;  // hold pins the queue across the burst...
-    cfg.max_queue = kBudget;
-    serve::Engine engine(model.MoveValue(), cfg);
-    engine.Start();
-    std::vector<std::future<serve::QueryResult>> admitted;
-    for (int i = 0; i < kBudget; ++i) {
-      admitted.push_back(engine.Submit(i % n));
-    }
-    // The whole burst sheds: the queue is full and mid-hold, and shed
-    // futures resolve immediately, so collecting them keeps the burst
-    // inside the hold window.
-    std::vector<int64_t> shed_nodes;
-    for (int i = 0; i < kShedCount; ++i) {
-      const int64_t node = i % n;
-      if (engine.Submit(node).get().status.code() ==
-          StatusCode::kUnavailable) {
-        shed_nodes.push_back(node);
-      }
-    }
-    runtime::BackoffConfig backoff;
-    backoff.max_attempts = 8;
-    backoff.initial_delay_ms = 10.0;  // ...but backoff outlasts the hold
-    backoff.max_delay_ms = 200.0;
-    Rng rng(11);
-    int recovered = 0;
-    for (const int64_t node : shed_nodes) {
-      const Status final_status = runtime::RetryWithBackoff(
-          [&]() { return engine.Submit(node).get().status; }, backoff, &rng);
-      if (final_status.ok()) ++recovered;
-    }
-    for (auto& fut : admitted) (void)fut.get();
-    engine.Stop();
-    std::printf("[2/4] recovery: %zu/%d shed in the burst, %d recovered "
-                "via RetryWithBackoff\n",
-                shed_nodes.size(), kShedCount, recovered);
-    if (shed_nodes.size() != static_cast<size_t>(kShedCount) ||
-        recovered != kShedCount) {
-      std::fprintf(stderr, "retry-with-backoff did not recover the sheds\n");
-      return 1;
-    }
-  }
-
-  // Phase 3: Router hot-swap under live load.
-  {
-    auto m1 = restore(v1);
-    auto m2 = restore(v2);
-    auto r1 = restore(v1);  // singleton references, outside the router
-    auto r2 = restore(v2);
-    if (!m1.ok() || !m2.ok() || !r1.ok() || !r2.ok()) return 1;
-    const size_t budget = v1.terms.size() *
-                          static_cast<size_t>(v1.phi1_in) * sizeof(float) *
-                          static_cast<size_t>(n);
-    serve::RouterConfig rcfg;
-    rcfg.engine.max_batch = 16;
-    rcfg.engine.max_wait_ms = 0.2;
-    rcfg.total_accel_budget_bytes = budget;
-    rcfg.total_host_budget_bytes = budget;
-    rcfg.max_resident = 2;
-    serve::Router router(rcfg);
-    if (const Status s = router.Load(1, m1.MoveValue()); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (const Status s = router.Activate(1); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-
-    constexpr int kStream = 3000;
-    std::vector<int64_t> stream_nodes(kStream);
-    std::vector<std::future<serve::QueryResult>> stream;
-    stream.reserve(kStream);
-    std::thread client([&] {
-      Rng rng(13);
-      for (int i = 0; i < kStream; ++i) {
-        stream_nodes[static_cast<size_t>(i)] =
-            static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
-        stream.push_back(
-            router.Submit(stream_nodes[static_cast<size_t>(i)], 0.0));
-        std::this_thread::sleep_for(std::chrono::microseconds(30));
-      }
-    });
-    // Swap mid-stream: load + activate v2, then retire v1 while its last
-    // batches are still in flight (Retire drains them).
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    Status swap = router.Load(2, m2.MoveValue());
-    if (swap.ok()) swap = router.Activate(2);
-    if (swap.ok()) swap = router.Retire(1);
-    client.join();
-    if (!swap.ok()) {
-      std::fprintf(stderr, "hot-swap failed: %s\n", swap.ToString().c_str());
-      return 1;
-    }
-
-    serve::Engine ref1(r1.MoveValue(), rcfg.engine);
-    serve::Engine ref2(r2.MoveValue(), rcfg.engine);
-    std::map<int64_t, std::vector<float>> memo1, memo2;
-    bool ref_failed = false;
-    int served_v1 = 0;
-    int served_v2 = 0;
-    int dropped = 0;
-    int misrouted = 0;
-    for (int i = 0; i < kStream; ++i) {
-      serve::QueryResult r = stream[static_cast<size_t>(i)].get();
-      if (!r.status.ok()) {
-        ++dropped;
-        continue;
-      }
-      const int64_t node = stream_nodes[static_cast<size_t>(i)];
-      const std::vector<float>& want1 =
-          SingletonRow(&ref1, node, &memo1, &ref_failed);
-      const std::vector<float>& want2 =
-          SingletonRow(&ref2, node, &memo2, &ref_failed);
-      if (SameRow(r.logits, want1)) {
-        ++served_v1;
-      } else if (SameRow(r.logits, want2)) {
-        ++served_v2;
-      } else {
-        ++misrouted;
-      }
-    }
-    std::printf("[3/4] hot-swap: %d queries in flight across the swap — "
-                "%d by v1, %d by v2, %d dropped, %d misrouted (active=%u)\n",
-                kStream, served_v1, served_v2, dropped, misrouted,
-                router.active_version());
-    if (ref_failed || dropped != 0 || misrouted != 0 || served_v1 == 0 ||
-        served_v2 == 0 || router.active_version() != 2 ||
-        router.resident().size() != 1) {
-      std::fprintf(stderr,
-                   "hot-swap dropped or misrouted in-flight queries\n");
-      return 1;
-    }
-  }
-
-  // Phase 4: verified replay of a 5x ON/OFF burst with a retrying client.
-  {
-    auto model = restore(v2);
-    auto ref_model = restore(v2);
-    if (!model.ok() || !ref_model.ok()) return 1;
-    serve::EngineConfig cfg;
-    cfg.max_batch = 16;
-    cfg.max_wait_ms = 0.5;
-    cfg.max_queue = 64;
-    cfg.slo.target_p99_ms = 10.0;
-    serve::Engine engine(model.MoveValue(), cfg);
-    serve::Engine ref(ref_model.MoveValue(), cfg);
-    engine.Start();
-
-    serve::LoadGenConfig load;
-    load.process = serve::ArrivalProcess::kOnOff;
-    load.mean_qps = 4000.0;
-    load.burst_multiplier = 5.0;
-    load.duration_ms = 150.0;
-    load.deadline_ms = 50.0;
-    load.seed = 3;
-    std::map<int64_t, std::vector<float>> memo;
-    bool identical = true;
-    bool ref_failed = false;
-    serve::ReplayConfig rcfg;
-    rcfg.retry = true;
-    rcfg.on_result = [&](const serve::Arrival& a,
-                         const serve::QueryResult& r) {
-      if (!r.status.ok()) return;
-      if (!SameRow(r.logits, SingletonRow(&ref, a.node, &memo, &ref_failed))) {
-        identical = false;
-      }
-    };
-    Rng rng(17);
-    const serve::ReplayStats stats =
-        serve::Replay(serve::MakeSchedule(load, n),
-                      [&](int64_t node, double deadline_ms) {
-                        return engine.Submit(node, deadline_ms);
-                      },
-                      rcfg, &rng);
-    engine.Stop();
-    const bool accounted =
-        stats.offered ==
-        stats.ok + stats.shed + stats.deadline_shed + stats.failed;
-    std::printf(
-        "[4/4] replay: offered %llu, ok %llu, shed %llu, deadline %llu, "
-        "failed %llu, retried %llu, recovered %llu — identical %s\n",
-        static_cast<unsigned long long>(stats.offered),
-        static_cast<unsigned long long>(stats.ok),
-        static_cast<unsigned long long>(stats.shed),
-        static_cast<unsigned long long>(stats.deadline_shed),
-        static_cast<unsigned long long>(stats.failed),
-        static_cast<unsigned long long>(stats.retried),
-        static_cast<unsigned long long>(stats.recovered),
-        identical ? "yes" : "NO");
-    if (!accounted || stats.failed != 0 || !identical || ref_failed ||
-        stats.ok == 0) {
-      std::fprintf(stderr, "verified replay violated overload accounting\n");
-      return 1;
-    }
-  }
-
-  std::printf("serving overload smoke: PASS\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (flags.GetInt("smoke", 0) != 0) return RunSmoke(flags);
-  if (flags.GetInt("overload-smoke", 0) != 0) return RunOverloadSmoke(flags);
-  if (flags.GetInt("quant-smoke", 0) != 0) return RunQuantSmoke(flags);
   const std::string mode = flags.Get(
       "mode", flags.Get("checkpoint", "").empty() ? "train" : "serve");
   if (mode == "train") return RunTrain(flags);
