@@ -28,6 +28,8 @@
 #include "quant/quantize.h"
 #include "serve/checkpoint.h"
 #include "serve/engine.h"
+#include "shard/plan.h"
+#include "shard/spmm.h"
 #include "sparse/adjacency.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
@@ -226,6 +228,88 @@ TEST(Golden, EveryFilterStageMatchesPinnedDigests) {
     check("precompute", g.want.precompute, got.precompute);
     check("combine", g.want.combine, got.combine);
   }
+}
+
+// --- feature widths and shards -----------------------------------------------
+
+/// The sbm fixture's graph.
+const sparse::CsrMatrix& SbmProp() {
+  const Fixture& f = Fixtures()[1];
+  SGNN_CHECK(f.family == "sbm", "golden fixture 1 must be the sbm graph");
+  return f.prop;
+}
+
+/// Digest of chebyshev's Forward output (when `forward`), then of every
+/// Precompute term for x in emission order.
+uint32_t ChebyshevDigest(const filters::FilterContext& ctx, const Matrix& x,
+                         bool forward) {
+  auto f = filters::CreateFilter("chebyshev", kHops, {}, x.cols());
+  SGNN_CHECK(f.ok(), "golden chebyshev must build");
+  auto filter = f.MoveValue();
+  Rng rng(400);
+  filter->ResetParameters(&rng);
+  Digest d;
+  if (forward) {
+    Matrix y;
+    filter->Forward(ctx, x, &y, /*cache=*/false);
+    d.Add(y);
+  }
+  std::vector<Matrix> terms;
+  SGNN_CHECK(filter->Precompute(ctx, x, &terms).ok(),
+             "golden precompute must succeed");
+  for (const Matrix& t : terms) d.Add(t);
+  return d.value();
+}
+
+/// The filter stages above run at F = 4 only. These widths cover a fallback
+/// width (12) and the widths products_sim's MB run (32) and FB's default
+/// hidden layer (64) propagate at.
+struct WidthGolden {
+  int64_t features;
+  uint32_t precompute;
+};
+
+// clang-format off
+const WidthGolden kWidthGolden[] = {
+    {12, 0x8ee25a9c},
+    {32, 0x7819f2c4},
+    {64, 0x2ed580cf},
+};
+// clang-format on
+
+TEST(Golden, ChebyshevPrecomputeAtEachWidthMatchesPinnedDigests) {
+  filters::FilterContext ctx;
+  ctx.prop = &SbmProp();
+  for (const WidthGolden& want : kWidthGolden) {
+    const Matrix x = RandomMatrix(SbmProp().n(), want.features,
+                                  static_cast<uint64_t>(want.features));
+    const uint32_t got = ChebyshevDigest(ctx, x, /*forward=*/false);
+    EXPECT_EQ(got, want.precompute)
+        << "F=" << want.features << ": actual " << Hex(got) << ", pinned "
+        << Hex(want.precompute);
+  }
+}
+
+/// chebyshev Forward and Precompute at F = 32 on the sbm graph.
+constexpr uint32_t kShardedChebyshevGolden = 0xc9466c6a;
+
+TEST(Golden, FourShardChebyshevMatchesUnshardedAndPinnedDigest) {
+  const Matrix x = RandomMatrix(SbmProp().n(), 32, 404);
+  filters::FilterContext ctx;
+  ctx.prop = &SbmProp();
+  const uint32_t unsharded = ChebyshevDigest(ctx, x, /*forward=*/true);
+
+  const shard::ShardPlan plan =
+      shard::BuildShardPlan(SbmProp(), shard::PartitionOptions{4, 7});
+  const shard::ShardedSpmmOperator op(&plan);
+  ctx.op = &op;
+  const uint32_t sharded = ChebyshevDigest(ctx, x, /*forward=*/true);
+  EXPECT_EQ(op.stats().applies, 2 * kHops);
+  EXPECT_EQ(sharded, unsharded) << "sharded " << Hex(sharded)
+                                << ", unsharded " << Hex(unsharded);
+  EXPECT_EQ(sharded, kShardedChebyshevGolden)
+      << "actual " << Hex(sharded) << ", pinned "
+      << Hex(kShardedChebyshevGolden);
 }
 
 // --- training ----------------------------------------------------------------
