@@ -24,19 +24,63 @@ graph::Graph MakeGraph(int64_t n, double deg) {
   return graph::GenerateSbm(gc);
 }
 
-/// O(mF) propagation: CSR SpMM (the "SP backend").
+Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  m.FillNormal(&rng);
+  return m;
+}
+
+/// O(mF) propagation: CSR SpMM (the "SP backend"), at n nodes and F
+/// features. F = 16/32/64 run the register-row kernels
+/// (sparse/spmm_kernels.h).
 void BM_SpMM(benchmark::State& state) {
   const int64_t n = state.range(0);
+  const int64_t f = state.range(1);
   graph::Graph g = MakeGraph(n, 10.0);
   sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, 0.5);
-  Matrix y(n, 32);
+  const Matrix x = RandomMatrix(n, f, 5);
+  Matrix y(n, f);
   for (auto _ : state) {
-    norm.SpMM(g.features, &y);
+    norm.SpMM(x, &y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * norm.nnz() * 32);
+  state.SetItemsProcessed(state.iterations() * norm.nnz() * f);
 }
-BENCHMARK(BM_SpMM)->Arg(2000)->Arg(8000)->Arg(32000);
+BENCHMARK(BM_SpMM)
+    ->Args({2000, 32})
+    ->Args({8000, 32})
+    ->Args({32000, 16})
+    ->Args({32000, 32})
+    ->Args({32000, 64});
+
+/// One Chebyshev hop, T_k = 2·Ã·T_{k-1} − T_{k-2}, at n = 32000 and F = 32:
+/// fused (arg 1) applies the tail in the SpMM's row store; unfused (arg 0)
+/// replays SpMM, Scale and Axpy as three passes over n x F.
+void BM_SpmmAffine(benchmark::State& state) {
+  const int64_t n = 32000, f = 32;
+  const bool fused = state.range(0) != 0;
+  graph::Graph g = MakeGraph(n, 10.0);
+  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, 0.5);
+  const Matrix cur = RandomMatrix(n, f, 5);
+  const Matrix prev = RandomMatrix(n, f, 6);
+  Matrix y(n, f);
+  for (auto _ : state) {
+    if (fused) {
+      norm.SpMMAffine(cur, 2.0f, &prev, -1.0f, nullptr, 0.0f, &y);
+    } else {
+      norm.SpMM(cur, &y);
+      ops::Scale(2.0f, &y);
+      ops::Axpy(-1.0f, prev, &y);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(fused ? "fused" : "unfused");
+  state.SetItemsProcessed(state.iterations() * norm.nnz() * f);
+}
+BENCHMARK(BM_SpmmAffine)->Arg(0)->Arg(1);
 
 /// O(mF) propagation with an O(mF) message buffer: the "EI backend".
 void BM_EdgeIndexPropagate(benchmark::State& state) {
@@ -70,13 +114,6 @@ BENCHMARK(BM_Transformation)->Arg(2000)->Arg(8000);
 
 /// Batch rows of one MB φ1 step (models::TrainMiniBatch's batch_size).
 constexpr int64_t kPhi1Batch = 4096;
-
-Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
-  Rng rng(seed);
-  Matrix m(rows, cols);
-  m.FillNormal(&rng);
-  return m;
-}
 
 /// The three GEMMs of one MB φ1 layer (nn::Linear) at batch 4096. Args are
 /// the layer's (in, out) widths, 32->64 and 64->32 in the MB epoch; items

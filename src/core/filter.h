@@ -102,6 +102,11 @@ class CsrSpmmOperator : public opgraph::SpmmOperator {
   void Apply(const Matrix& x, Matrix* out) const override {
     prop_->SpMM(x, out);
   }
+  /// The tail is applied as each SpMM output row is stored.
+  void ApplyAffine(const Matrix& x, float ca, const Matrix* in1, float ci,
+                   const Matrix* in2, float cp, Matrix* out) const override {
+    prop_->SpMMAffine(x, ca, in1, ci, in2, cp, out);
+  }
 
  private:
   const sparse::CsrMatrix* prop_;

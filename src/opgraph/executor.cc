@@ -39,6 +39,11 @@ class Storage {
     return *Dest(v);
   }
 
+  /// Src(v), or null for kNoValue.
+  const Matrix* SrcOrNull(ValueId v) {
+    return v == kNoValue ? nullptr : &Src(v);
+  }
+
  private:
   const Graph& graph_;
   const Plan& plan_;
@@ -94,12 +99,9 @@ Status Execute(const Graph& graph, const Plan& plan) {
         break;
       }
       case OpKind::kFusedSpmmAffine:
-        // Exact kernel order of the unfused chain: SpMM, Scale, Axpy(ci),
-        // Axpy(cp) — bit-identical to it, minus the scratch copy.
-        n.spmm->Apply(storage.Src(n.in0), out);
-        ops::Scale(n.ca, out);
-        if (n.in1 != kNoValue) ops::Axpy(n.ci, storage.Src(n.in1), out);
-        if (n.in2 != kNoValue) ops::Axpy(n.cp, storage.Src(n.in2), out);
+        // Bit-identical to the unfused chain, minus its scratch values.
+        n.spmm->ApplyAffine(storage.Src(n.in0), n.ca, storage.SrcOrNull(n.in1),
+                            n.ci, storage.SrcOrNull(n.in2), n.cp, out);
         break;
     }
   }

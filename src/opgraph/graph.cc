@@ -1,6 +1,21 @@
 #include "opgraph/graph.h"
 
+#include "tensor/ops.h"
+
 namespace sgnn::opgraph {
+
+void SpmmOperator::ApplyAffine(const Matrix& x, float ca, const Matrix* in1,
+                               float ci, const Matrix* in2, float cp,
+                               Matrix* out) const {
+  SGNN_CHECK(out != in1 && out != in2,
+             "ApplyAffine: output must not alias a tail input");
+  // The unfused chain's kernels in its order: SpMM, Scale, Axpy(ci),
+  // Axpy(cp).
+  Apply(x, out);
+  ops::Scale(ca, out);
+  if (in1 != nullptr) ops::Axpy(ci, *in1, out);
+  if (in2 != nullptr) ops::Axpy(cp, *in2, out);
+}
 
 const char* OpKindName(OpKind kind) {
   switch (kind) {

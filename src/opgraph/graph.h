@@ -48,6 +48,15 @@ class SpmmOperator {
 
   /// out = A x. `out` is pre-shaped (n, x.cols()) and never aliases x.
   virtual void Apply(const Matrix& x, Matrix* out) const = 0;
+
+  /// out = ca·(A x) + ci·in1 + cp·in2, a null in1 or in2 dropping its term:
+  /// one fused recurrence hop (OpKind::kFusedSpmmAffine). The default
+  /// replays Apply, Scale(ca), Axpy(ci, in1), Axpy(cp, in2); an operator
+  /// with a fused kernel overrides it with the same bits. `out` aliases
+  /// none of x, in1 and in2.
+  virtual void ApplyAffine(const Matrix& x, float ca, const Matrix* in1,
+                           float ci, const Matrix* in2, float cp,
+                           Matrix* out) const;
 };
 
 /// Node taxonomy (docs/OPGRAPH.md). kFusedSpmmAffine only appears after the
@@ -74,8 +83,10 @@ struct Node {
   EwKind ew = EwKind::kRelu;
   float alpha = 0.0f;  ///< kScale / kAxpy coefficient
   /// kFusedSpmmAffine coefficients: out = ca·(A·in0) + ci·in1 + cp·in2,
-  /// replayed as SpMM, Scale(ca), Axpy(ci, in1), Axpy(cp, in2) — the exact
-  /// kernel order of the unfused chain.
+  /// one SpmmOperator::ApplyAffine call. The CSR operator applies the tail
+  /// as it stores each SpMM output row; operators without a fused kernel
+  /// replay SpMM, Scale(ca), Axpy(ci, in1), Axpy(cp, in2). Either way each
+  /// element gets the unfused chain's operations in its order.
   float ca = 0.0f, ci = 0.0f, cp = 0.0f;
   const SpmmOperator* spmm = nullptr;  ///< kSpmm / kFusedSpmmAffine
   ValueId in0 = kNoValue;

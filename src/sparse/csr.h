@@ -58,6 +58,13 @@ class CsrMatrix {
   /// pre-shaped (n, F); aliasing with x is not allowed.
   void SpMM(const Matrix& x, Matrix* out) const;
 
+  /// out = ca·(this * x) + ci·in1 + cp·in2, a null in1 or in2 dropping its
+  /// term: one recurrence hop, with the tail applied as each output row is
+  /// stored. Same bits as SpMM, then Scale(ca), Axpy(ci, in1) and
+  /// Axpy(cp, in2). in1 and in2 are (n, F) and `out` aliases neither.
+  void SpMMAffine(const Matrix& x, float ca, const Matrix* in1, float ci,
+                  const Matrix* in2, float cp, Matrix* out) const;
+
   /// y = this * x for a single vector.
   void SpMV(const std::vector<float>& x, std::vector<float>* y) const;
 

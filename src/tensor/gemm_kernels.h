@@ -2,10 +2,11 @@
 //
 // Private to src/tensor/ops.cc and its tests. Each body is compiled twice:
 // once for the baseline ISA and once with AVX2 enabled (no -march needed);
-// ops.cc picks one set per process with CpuHasAvx2(). Vectorizing runs the
-// output columns j in lanes and leaves every element's operations and
-// their order alone, and the build sets -ffp-contract=off, so both sets
-// give the bits of the scalar loops (tests/tensor_test.cc, GemmIsa.*).
+// ops.cc picks one set per process with CpuHasAvx2() (tensor/cpu.h).
+// Vectorizing runs the output columns j in lanes and leaves every element's
+// operations and their order alone, and the build sets -ffp-contract=off,
+// so both sets give the bits of the scalar loops (tests/tensor_test.cc,
+// GemmIsa.*).
 //
 // All matrices are dense row-major; `out` must not alias an input. Each
 // kernel overwrites output rows [lo, hi) and touches no other row, so
@@ -55,9 +56,6 @@ inline constexpr RowKernels kBaselineKernels{
     GemmRowsBaseline, GemmTransARowsBaseline, GemmTransBRowsBaseline};
 inline constexpr RowKernels kAvx2Kernels{GemmRowsAvx2, GemmTransARowsAvx2,
                                          GemmTransBRowsAvx2};
-
-/// True when this CPU executes AVX2; always false off x86.
-bool CpuHasAvx2();
 
 }  // namespace sgnn::ops::gemm
 

@@ -5,14 +5,9 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/cpu.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/parallel.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SGNN_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define SGNN_TARGET_AVX2
-#endif
 
 namespace sgnn::ops {
 
@@ -115,15 +110,6 @@ SGNN_TARGET_AVX2 void GemmTransBRowsAvx2(const float* a, const float* bt,
   GemmTransBRowsBody(a, bt, out, lo, hi, k, m);
 }
 
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace gemm
 
 namespace {
@@ -142,7 +128,7 @@ int64_t RowGrain(int64_t row_flops) {
 /// The AVX2 twins when the CPU has AVX2, else the baseline; chosen once.
 const gemm::RowKernels& ActiveRowKernels() {
   static const gemm::RowKernels& kernels =
-      gemm::CpuHasAvx2() ? gemm::kAvx2Kernels : gemm::kBaselineKernels;
+      CpuHasAvx2() ? gemm::kAvx2Kernels : gemm::kBaselineKernels;
   return kernels;
 }
 

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "core/filter.h"
 #include "sparse/adjacency.h"
 #include "sparse/csr.h"
 #include "sparse/edge_index.h"
+#include "sparse/spmm_kernels.h"
+#include "tensor/cpu.h"
+#include "tensor/ops.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 
 namespace sgnn::sparse {
@@ -215,6 +223,243 @@ TEST(CsrMatrix, DeviceAccounting) {
   }
   EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
   t.ResetAll();
+}
+
+// The SpMM row kernels exist once per ISA (sparse/spmm_kernels.h). Both
+// twins, the public SpMM / SpMMAffine and the CSR operator's ApplyAffine
+// must give the bits of the row loop SpMM ran before they existed, kept
+// here as the reference, followed by the op-graph's old replay of a fused
+// hop's tail: Scale(ca), Axpy(ci, in1), Axpy(cp, in2).
+
+/// out = a·x: the scalar row loop, loading and storing the output row once
+/// per nonzero.
+void RowLoopSpmm(const CsrMatrix& a, const Matrix& x, Matrix* out) {
+  const int64_t f = x.cols();
+  for (int64_t i = 0; i < a.n(); ++i) {
+    float* orow = out->row(i);
+    std::memset(orow, 0, static_cast<size_t>(f) * sizeof(float));
+    for (int64_t p = a.indptr()[i]; p < a.indptr()[i + 1]; ++p) {
+      const float w = a.values()[p];
+      const float* xrow = x.row(a.indices()[p]);
+      for (int64_t j = 0; j < f; ++j) orow[j] += w * xrow[j];
+    }
+  }
+}
+
+/// A fused hop's tail; `affine` false is a plain SpMM.
+struct SpmmTail {
+  const char* name;
+  bool affine;
+  bool with_in1;
+  bool with_in2;
+};
+
+// The last case, ca·s + cp·in2 without in1, is the one-term tail with its
+// term in the second slot.
+const SpmmTail kSpmmTails[] = {
+    {"none", false, false, false},
+    {"ca", true, false, false},
+    {"ca+ci*in1", true, true, false},
+    {"ca+ci*in1+cp*in2", true, true, true},
+    {"ca+cp*in2", true, false, true},
+};
+constexpr float kCa = 1.7f, kCi = -0.9f, kCp = 0.3f;
+
+/// Operands of one shape: a has exactly 3n nonzeros, so its chunk grain is
+/// a function of F alone.
+struct SpmmIsaCase {
+  int64_t n, f;
+  CsrMatrix a;
+  Matrix x, in1, in2;
+};
+
+/// Rows per chunk of CsrMatrix::SpMM at 3 nonzeros per row: ~64k
+/// multiply-adds.
+int64_t SpmmRowGrain(int64_t f) {
+  return parallel::GrainForFlops((3 + 1) * f, int64_t{1} << 16);
+}
+
+/// n x n with random entries, except:
+///   row 0      empty;
+///   row 1      three products that are all -0.0 (weight -0 on x's row
+///              n-1, which is all ones), summing to +0 only from a +0 seed;
+///   row 2      2^60·1 - 2^60·1 + 1·x[0], which cancels exactly only when
+///              the nonzeros are added in stored order;
+///   row n-1    six entries, so nnz = 3n.
+CsrMatrix SpmmIsaMatrix(int64_t n, Rng* rng) {
+  std::vector<int64_t> indptr = {0};
+  std::vector<int32_t> indices;
+  std::vector<float> values;
+  const auto add = [&](int64_t col, float w) {
+    indices.push_back(static_cast<int32_t>(col));
+    values.push_back(w);
+  };
+  for (int64_t i = 0; i < n; ++i) {
+    if (i == 1) {
+      for (int k = 0; k < 3; ++k) add(n - 1, -0.0f);
+    } else if (i == 2) {
+      add(n - 1, 0x1p60f);
+      add(n - 1, -0x1p60f);
+      add(0, 1.0f);
+    } else if (i != 0) {
+      for (int k = 0; k < (i == n - 1 ? 6 : 3); ++k) {
+        add(static_cast<int64_t>(rng->UniformInt(static_cast<uint64_t>(n))),
+            static_cast<float>(rng->Normal()));
+      }
+    }
+    indptr.push_back(static_cast<int64_t>(indices.size()));
+  }
+  return CsrMatrix(n, std::move(indptr), std::move(indices),
+                   std::move(values));
+}
+
+Matrix NormalMatrix(int64_t rows, int64_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  m.FillNormal(rng);
+  return m;
+}
+
+/// Calls `check` on each case in turn. F crosses every vector tail and
+/// each specialized width; n lands one row either side of the row grain,
+/// so a run ends on a partial chunk.
+template <typename Check>
+void ForEachSpmmIsaCase(Check check) {
+  Rng rng(21);
+  for (int64_t f : {1, 4, 8, 12, 16, 32, 48, 64}) {
+    const int64_t grain = SpmmRowGrain(f);
+    for (int64_t n : {grain - 1, grain + 1}) {
+      SpmmIsaCase c{n,
+                    f,
+                    SpmmIsaMatrix(n, &rng),
+                    NormalMatrix(n, f, &rng),
+                    NormalMatrix(n, f, &rng),
+                    NormalMatrix(n, f, &rng)};
+      ASSERT_EQ(c.a.nnz(), 3 * n);
+      float* ones = c.x.row(n - 1);
+      std::fill(ones, ones + f, 1.0f);
+      check(c);
+    }
+  }
+}
+
+/// The row loop, then the old replay of the tail.
+Matrix Reference(const SpmmIsaCase& c, const SpmmTail& t) {
+  Matrix out(c.n, c.f);
+  RowLoopSpmm(c.a, c.x, &out);
+  if (!t.affine) return out;
+  ops::Scale(kCa, &out);
+  if (t.with_in1) ops::Axpy(kCi, c.in1, &out);
+  if (t.with_in2) ops::Axpy(kCp, c.in2, &out);
+  return out;
+}
+
+/// Runs one twin over every row in grain-sized chunks on the pool.
+Matrix RunTwin(void (*rows)(const spmm::RowArgs&, int64_t, int64_t),
+               const SpmmIsaCase& c, const SpmmTail& t) {
+  Matrix out(c.n, c.f);
+  out.Fill(1.0f);  // the kernels must overwrite, not accumulate
+  spmm::RowArgs args;
+  args.indptr = c.a.indptr().data();
+  args.indices = c.a.indices().data();
+  args.values = c.a.values().data();
+  args.x = c.x.data();
+  args.out = out.data();
+  args.f = c.f;
+  args.affine = t.affine;
+  args.ca = kCa;
+  // The twins take a one-term tail in the first slot (SpMMAffine moves
+  // ca·s + cp·in2 there).
+  if (t.with_in1) {
+    args.in1 = c.in1.data();
+    args.ci = kCi;
+    if (t.with_in2) {
+      args.in2 = c.in2.data();
+      args.cp = kCp;
+    }
+  } else if (t.with_in2) {
+    args.in1 = c.in2.data();
+    args.ci = kCp;
+  }
+  parallel::ParallelFor(0, c.n, SpmmRowGrain(c.f),
+                        [&](int64_t lo, int64_t hi) { rows(args, lo, hi); });
+  return out;
+}
+
+/// An operator without a fused kernel: ApplyAffine is the default replay.
+class ReplayOperator : public opgraph::SpmmOperator {
+ public:
+  explicit ReplayOperator(const CsrMatrix* a) : a_(a) {}
+  int64_t n() const override { return a_->n(); }
+  void Apply(const Matrix& x, Matrix* out) const override {
+    a_->SpMM(x, out);
+  }
+
+ private:
+  const CsrMatrix* a_;
+};
+
+/// Runs `op`'s public entry point for the tail.
+Matrix RunOperator(const opgraph::SpmmOperator& op, const SpmmIsaCase& c,
+                   const SpmmTail& t) {
+  Matrix out(c.n, c.f);
+  out.Fill(1.0f);
+  if (t.affine) {
+    op.ApplyAffine(c.x, kCa, t.with_in1 ? &c.in1 : nullptr, kCi,
+                   t.with_in2 ? &c.in2 : nullptr, kCp, &out);
+  } else {
+    op.Apply(c.x, &out);
+  }
+  return out;
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+}
+
+std::string SpmmCaseName(const SpmmIsaCase& c, const SpmmTail& t,
+                         int threads) {
+  return "n=" + std::to_string(c.n) + " f=" + std::to_string(c.f) +
+         " tail=" + t.name + " threads=" + std::to_string(threads);
+}
+
+TEST(SpmmIsa, BaselineAndPublicMatchRowLoop) {
+  ForEachSpmmIsaCase([](const SpmmIsaCase& c) {
+    const filters::CsrSpmmOperator csr(&c.a);
+    const ReplayOperator replay(&c.a);
+    for (const SpmmTail& t : kSpmmTails) {
+      const Matrix ref = Reference(c, t);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(SpmmCaseName(c, t, threads));
+        parallel::SetNumThreads(threads);
+        EXPECT_TRUE(SameBits(RunTwin(spmm::SpmmRowsBaseline, c, t), ref))
+            << "baseline twin";
+        EXPECT_TRUE(SameBits(RunOperator(csr, c, t), ref))
+            << "CsrMatrix::SpMM / SpMMAffine";
+        EXPECT_TRUE(SameBits(RunOperator(replay, c, t), ref))
+            << "default ApplyAffine replay";
+      }
+    }
+  });
+  parallel::SetNumThreads(0);
+}
+
+TEST(SpmmIsa, Avx2MatchesBaselineAndRowLoop) {
+  if (!CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  ForEachSpmmIsaCase([](const SpmmIsaCase& c) {
+    for (const SpmmTail& t : kSpmmTails) {
+      const Matrix ref = Reference(c, t);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(SpmmCaseName(c, t, threads));
+        parallel::SetNumThreads(threads);
+        const Matrix avx2 = RunTwin(spmm::SpmmRowsAvx2, c, t);
+        EXPECT_TRUE(SameBits(avx2, RunTwin(spmm::SpmmRowsBaseline, c, t)))
+            << "AVX2 vs baseline twin";
+        EXPECT_TRUE(SameBits(avx2, ref)) << "AVX2 twin vs row loop";
+      }
+    }
+  });
+  parallel::SetNumThreads(0);
 }
 
 }  // namespace

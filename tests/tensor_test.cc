@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "tensor/cpu.h"
 #include "tensor/device.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/matrix.h"
@@ -558,7 +559,7 @@ TEST(GemmIsa, BaselineAndOpsMatchScalarLoops) {
 }
 
 TEST(GemmIsa, Avx2MatchesBaselineAndScalarLoops) {
-  if (!ops::gemm::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  if (!CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
   ForEachGemmIsaCase([](const GemmIsaCase& c) {
     for (int threads : {1, 4}) {
       SCOPED_TRACE(CaseName(c, threads));
