@@ -1,8 +1,10 @@
 #include "runtime/journal.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 namespace sgnn::runtime {
 
@@ -154,6 +156,24 @@ class FlatParser {
   std::map<std::string, std::string> scalars_;
 };
 
+/// Reads numeric field `key` into the integer *out when present. A value
+/// that is not finite or whose integer part lies outside T would make the
+/// cast undefined behaviour, so it is InvalidArgument instead.
+template <typename T>
+Status GetInteger(const FlatParser& parser, const std::string& key, T* out) {
+  double num = 0.0;
+  if (!parser.GetDouble(key, &num)) return Status::OK();
+  // min() is exact in double; max() + 1 rounds to the power of two just
+  // past T's range.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!std::isfinite(num) || num < lo || num >= hi) {
+    return Status::InvalidArgument("journal field out of range: " + key);
+  }
+  *out = static_cast<T>(num);
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* CellStatusName(CellStatus status) {
@@ -253,8 +273,7 @@ Result<CellRecord> DecodeRecord(const std::string& line) {
   r.key.dataset = *dataset;
   r.key.filter = *filter;
   r.key.scheme = *scheme;
-  double num = 0.0;
-  if (parser.GetDouble("seed", &num)) r.key.seed = static_cast<int>(num);
+  SGNN_RETURN_IF_ERROR(GetInteger(parser, "seed", &r.key.seed));
   if (const std::string* s = parser.GetString("variant")) r.key.variant = *s;
   parser.GetBool("terminal", &r.terminal);
   if (const std::string* s = parser.GetString("status")) {
@@ -264,7 +283,7 @@ Result<CellRecord> DecodeRecord(const std::string& line) {
     r.final_scheme = *s;
   }
   parser.GetBool("fell_back", &r.fell_back);
-  if (parser.GetDouble("attempts", &num)) r.attempts = static_cast<int>(num);
+  SGNN_RETURN_IF_ERROR(GetInteger(parser, "attempts", &r.attempts));
   if (const std::string* s = parser.GetString("detail")) r.detail = *s;
   parser.GetDouble("val", &r.val_metric);
   parser.GetDouble("test", &r.test_metric);
@@ -272,21 +291,14 @@ Result<CellRecord> DecodeRecord(const std::string& line) {
   parser.GetDouble("pre_ms", &r.stats.precompute_ms);
   parser.GetDouble("train_ms", &r.stats.train_ms_per_epoch);
   parser.GetDouble("infer_ms", &r.stats.infer_ms);
-  if (parser.GetDouble("ram_bytes", &num)) {
-    r.stats.peak_ram_bytes = static_cast<size_t>(num);
-  }
-  if (parser.GetDouble("accel_bytes", &num)) {
-    r.stats.peak_accel_bytes = static_cast<size_t>(num);
-  }
-  if (parser.GetDouble("threads", &num)) {
-    r.stats.threads = static_cast<int>(num);
-  }
-  if (parser.GetDouble("shards", &num)) {
-    r.stats.shards = static_cast<int>(num);
-  }
-  if (parser.GetDouble("shard_spills", &num)) {
-    r.stats.shard_spills = static_cast<int64_t>(num);
-  }
+  SGNN_RETURN_IF_ERROR(
+      GetInteger(parser, "ram_bytes", &r.stats.peak_ram_bytes));
+  SGNN_RETURN_IF_ERROR(
+      GetInteger(parser, "accel_bytes", &r.stats.peak_accel_bytes));
+  SGNN_RETURN_IF_ERROR(GetInteger(parser, "threads", &r.stats.threads));
+  SGNN_RETURN_IF_ERROR(GetInteger(parser, "shards", &r.stats.shards));
+  SGNN_RETURN_IF_ERROR(
+      GetInteger(parser, "shard_spills", &r.stats.shard_spills));
   parser.GetDouble("wall_ms", &r.wall_ms);
   for (const auto& [key, raw] : parser.scalars()) {
     if (key.rfind("x_", 0) == 0) {

@@ -98,7 +98,8 @@ struct CellRecord {
 /// Serializes a record as one JSON object (no trailing newline).
 std::string EncodeRecord(const std::string& bench, const CellRecord& record);
 
-/// Parses a journal line; returns InvalidArgument on malformed input.
+/// Parses a journal line; returns InvalidArgument on malformed input,
+/// including an integer field whose value is not finite or out of range.
 [[nodiscard]] Result<CellRecord> DecodeRecord(const std::string& line);
 
 /// Append-only JSONL journal with replay-on-open.

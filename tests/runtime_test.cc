@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -105,6 +106,47 @@ TEST(JournalRecord, EscapesSpecialCharacters) {
 TEST(JournalRecord, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeRecord("not json").ok());
   EXPECT_FALSE(DecodeRecord("{\"bench\":\"x\", truncated").ok());
+}
+
+/// `line` with the value of numeric field `key` replaced by `value`.
+std::string WithField(std::string line, const std::string& key,
+                      const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const size_t start = line.find(tag) + tag.size();
+  const size_t end = line.find_first_of(",}", start);
+  return line.replace(start, end - start, value);
+}
+
+TEST(JournalRecord, OutOfRangeIntegerFieldsAreInvalidArgument) {
+  CellRecord r;
+  r.key = {"d", "f", "fb", 1, ""};
+  const std::string line = EncodeRecord("b", r);
+  ASSERT_TRUE(DecodeRecord(line).ok());
+  // Casting any of these to the field's integer type would be undefined
+  // behaviour (UBSan's float-cast-overflow).
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"seed", "1e300"},         {"seed", "-1e300"},
+      {"seed", "2147483648"},    {"seed", "nan"},
+      {"threads", "1e10"},       {"threads", "inf"},
+      {"ram_bytes", "1e300"},    {"ram_bytes", "-1"},
+      {"ram_bytes", "1.9e19"},   {"attempts", "-3e9"},
+      {"shards", "1e300"},       {"accel_bytes", "1e20"},
+      {"shard_spills", "1e19"},
+  };
+  for (const auto& [key, value] : bad) {
+    const auto d = DecodeRecord(WithField(line, key, value));
+    ASSERT_FALSE(d.ok()) << key << "=" << value;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument)
+        << key << "=" << value;
+  }
+  // The extremes of each range still decode.
+  const auto edge = DecodeRecord(WithField(
+      WithField(WithField(line, "seed", "-2147483648"), "threads",
+                "2147483647"),
+      "ram_bytes", "0"));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge.value().key.seed, -2147483647 - 1);
+  EXPECT_EQ(edge.value().stats.threads, 2147483647);
 }
 
 TEST(Journal, DisabledWithEmptyPath) {
