@@ -32,7 +32,7 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
 }
 
 /// O(mF) propagation: CSR SpMM (the "SP backend"), at n nodes and F
-/// features. F = 16/32/64 run the register-row kernels
+/// features. F = 8/16/32/64 run the register-row kernels
 /// (sparse/spmm_kernels.h).
 void BM_SpMM(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -257,7 +257,9 @@ TEST_P(QuantRoundTrip, SaveLoadServeBitIdentical) {
     SCOPED_TRACE(CalibPolicyName(calib.policy));
     auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), calib);
     ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
-    const std::string path = TempPath("quant_rt.ckpt");
+    // One file per precision: ctest runs the parameters concurrently.
+    const std::string path = TempPath(std::string("quant_rt_") +
+                                      PrecisionName(GetParam()) + ".ckpt");
     ASSERT_TRUE(serve::SaveQuantCheckpoint(q_or.value(), path).ok());
     auto loaded_or = serve::LoadQuantCheckpoint(path);
     ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
