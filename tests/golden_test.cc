@@ -329,11 +329,30 @@ const graph::Graph& TrainGraph() {
   return *g;
 }
 
-models::TrainConfig TrainCfg(bool mb) {
+/// The graph above has 8 features and 3 classes and its runs train at
+/// hidden 16. This one has 32 features and 32 classes, and its runs train
+/// at hidden 64, so every φ0/φ1 GEMM runs at the widths products_sim's MB
+/// epoch does (m = 32 and 64).
+const graph::Graph& WideTrainGraph() {
+  static const graph::Graph* g = [] {
+    graph::GeneratorConfig c;
+    c.n = 640;
+    c.avg_degree = 6.0;
+    c.num_classes = 32;
+    c.homophily = 0.8;
+    c.feature_dim = 32;
+    c.noise = 1.5;
+    c.seed = 19;
+    return new graph::Graph(graph::GenerateSbm(c));
+  }();
+  return *g;
+}
+
+models::TrainConfig TrainCfg(bool mb, int hidden = 16) {
   models::TrainConfig c;
   c.epochs = 5;
   c.eval_every = 5;
-  c.hidden = 16;
+  c.hidden = hidden;
   c.batch_size = 64;
   c.seed = 3;
   if (mb) {
@@ -367,33 +386,48 @@ const TrainGolden kTrainGolden[] = {
 };
 // clang-format on
 
-TEST(Golden, FiveEpochTrainingMatchesPinnedDigests) {
-  const graph::Graph& g = TrainGraph();
+/// Trains `want.name` for five epochs on `g`, FB then MB, and checks the
+/// final loss bits and the test-logit digest of each run.
+void ExpectTrainingMatches(const graph::Graph& g, const TrainGolden& want,
+                           int hidden) {
   const graph::Splits s = graph::RandomSplits(g.n, 4);
-  for (const TrainGolden& want : kTrainGolden) {
-    for (const bool mb : {false, true}) {
-      auto f = filters::CreateFilter(want.name, kHops, {}, g.features.cols());
-      ASSERT_TRUE(f.ok()) << want.name;
-      auto filter = f.MoveValue();
-      const models::TrainResult r =
-          mb ? models::TrainMiniBatch(g, s, graph::Metric::kAccuracy,
-                                      filter.get(), TrainCfg(true))
-             : models::TrainFullBatch(g, s, graph::Metric::kAccuracy,
-                                      filter.get(), TrainCfg(false));
-      ASSERT_TRUE(r.status.ok()) << want.name << ": " << r.status.ToString();
-      const char* scheme = mb ? "mb" : "fb";
-      const uint64_t loss = Bits(r.final_train_loss);
-      const uint64_t want_loss = mb ? want.mb_loss_bits : want.fb_loss_bits;
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "0x%016llx",
-                    static_cast<unsigned long long>(loss));
-      EXPECT_EQ(loss, want_loss)
-          << want.name << "/" << scheme << "_loss: actual " << buf;
-      const uint32_t logits = Digest().Add(r.test_logits).value();
-      EXPECT_EQ(logits, mb ? want.mb_logits : want.fb_logits)
-          << want.name << "/" << scheme << "_logits: actual " << Hex(logits);
-    }
+  for (const bool mb : {false, true}) {
+    auto f = filters::CreateFilter(want.name, kHops, {}, g.features.cols());
+    ASSERT_TRUE(f.ok()) << want.name;
+    auto filter = f.MoveValue();
+    const models::TrainResult r =
+        mb ? models::TrainMiniBatch(g, s, graph::Metric::kAccuracy,
+                                    filter.get(), TrainCfg(true, hidden))
+           : models::TrainFullBatch(g, s, graph::Metric::kAccuracy,
+                                    filter.get(), TrainCfg(false, hidden));
+    ASSERT_TRUE(r.status.ok()) << want.name << ": " << r.status.ToString();
+    const char* scheme = mb ? "mb" : "fb";
+    const uint64_t loss = Bits(r.final_train_loss);
+    const uint64_t want_loss = mb ? want.mb_loss_bits : want.fb_loss_bits;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(loss));
+    EXPECT_EQ(loss, want_loss)
+        << want.name << "/" << scheme << "_loss: actual " << buf;
+    const uint32_t logits = Digest().Add(r.test_logits).value();
+    EXPECT_EQ(logits, mb ? want.mb_logits : want.fb_logits)
+        << want.name << "/" << scheme << "_logits: actual " << Hex(logits);
   }
+}
+
+TEST(Golden, FiveEpochTrainingMatchesPinnedDigests) {
+  for (const TrainGolden& want : kTrainGolden) {
+    ExpectTrainingMatches(TrainGraph(), want, /*hidden=*/16);
+  }
+}
+
+/// chebyshev on WideTrainGraph at hidden 64.
+constexpr TrainGolden kWideTrainGolden = {
+    "chebyshev", 0x40092bf901273c55ull, 0xc9ce3e26, 0x3fe70b6110f8d482ull,
+    0xba017cb0};
+
+TEST(Golden, FiveEpochTrainingAtMbWidthsMatchesPinnedDigests) {
+  ExpectTrainingMatches(WideTrainGraph(), kWideTrainGolden, /*hidden=*/64);
 }
 
 // --- checkpoint files and served logits ----------------------------------
