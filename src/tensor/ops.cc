@@ -14,10 +14,196 @@ namespace sgnn::ops {
 namespace gemm {
 namespace {
 
-// The GEMM row-loop bodies. always_inline puts a copy into each ISA twin
-// below, which the compiler then vectorizes for that twin's ISA.
+// The GEMM kernel bodies. always_inline puts a copy into each ISA twin
+// below, where a float vector is 4 lanes (baseline) or 8 lanes (AVX2) and a
+// double vector half as many. Rows are only float-aligned, so every vector
+// load and store goes through memcpy.
 
-[[gnu::always_inline]] inline void GemmRowsBody(
+using Vec4f = float __attribute__((vector_size(16)));
+using Vec8f = float __attribute__((vector_size(32)));
+using Vec4i = int32_t __attribute__((vector_size(16)));
+using Vec8i = int32_t __attribute__((vector_size(32)));
+using Vec2d = double __attribute__((vector_size(16)));
+using Vec4d = double __attribute__((vector_size(32)));
+
+// One twin's vector types: F float, I the int32 mask of a float compare,
+// D double. Each is named outright, because GCC drops vector_size from an
+// alias whose element type depends on a template parameter.
+struct BaselineIsa {
+  using F = Vec4f;
+  using I = Vec4i;
+  using D = Vec2d;
+};
+struct Avx2Isa {
+  using F = Vec8f;
+  using I = Vec8i;
+  using D = Vec4d;
+};
+
+/// Gemm lists a row's nonzero kk in blocks of this many.
+constexpr int64_t kNonzeroBlock = 64;
+
+/// Gemm rows at a compile-time width M: a row's M sums stay in vector
+/// registers while the kernel walks the row's nonzero kk in ascending
+/// order, and the row is stored once. The nonzero list is built without a
+/// branch, and walking it is the `a[i][kk] == 0` skip.
+template <typename Isa, int64_t M>
+[[gnu::always_inline]] inline void GemmFixedWidth(
+    const float* __restrict a, const float* __restrict b,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k) {
+  using V = typename Isa::F;
+  constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+  constexpr int64_t kVecs = M / kLanes;
+  int64_t nonzero[kNonzeroBlock] = {};
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* arow = a + i * k;
+    V acc[kVecs];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) acc[v] = V{};  // +0.0f in every lane
+    for (int64_t k0 = 0; k0 < k; k0 += kNonzeroBlock) {
+      const int64_t k1 = std::min(k, k0 + kNonzeroBlock);
+      int64_t count = 0;
+      for (int64_t kk = k0; kk < k1; ++kk) {
+        nonzero[count] = kk;
+        count += arow[kk] != 0.0f;
+      }
+      for (int64_t p = 0; p < count; ++p) {
+        const int64_t kk = nonzero[p];
+        const float av = arow[kk];
+        const float* brow = b + kk * M;
+#pragma GCC unroll 16
+        for (int64_t v = 0; v < kVecs; ++v) {
+          V bv;
+          std::memcpy(&bv, brow + v * kLanes, sizeof bv);
+          acc[v] += av * bv;
+        }
+      }
+    }
+    float* orow = out + i * M;
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(orow + v * kLanes, &acc[v], sizeof acc[v]);
+    }
+  }
+}
+
+/// GemmTransA output rows [i0, i0 + R) at a compile-time width M: R x M
+/// sums stay in vector registers across every kk. `a` is read in place,
+/// R adjacent floats of its row kk at a time. A zero a[kk][i] adds its
+/// product masked to +0 instead of skipping it. That gives the bits of the
+/// skip: a sum that starts at +0 never becomes −0 (a float sum is −0 only
+/// when both addends are), and s + (+0) == s for every other s, inf and
+/// NaN included, whatever b holds.
+template <typename Isa, int64_t M, int64_t R>
+[[gnu::always_inline]] inline void TransATile(const float* __restrict a,
+                                              const float* __restrict b,
+                                              float* __restrict out,
+                                              int64_t i0, int64_t k,
+                                              int64_t n) {
+  using V = typename Isa::F;
+  using I = typename Isa::I;
+  constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+  constexpr int64_t kVecs = M / kLanes;
+  V acc[R][kVecs];
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) acc[r][v] = V{};
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* arow = a + kk * n + i0;
+    const float* brow = b + kk * M;
+    V bv[kVecs];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(&bv[v], brow + v * kLanes, sizeof bv[v]);
+    }
+#pragma GCC unroll 16
+    for (int64_t r = 0; r < R; ++r) {
+      // a[kk][i] in every lane (+0 + a is a, except that −0 becomes +0,
+      // whose product is masked anyway). `keep` is true in the lanes where
+      // a != 0, NaN included; a vector ?: computes both arms, so there is
+      // no branch.
+      const V av = V{} + arow[r];
+      const I keep = av != V{};
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kVecs; ++v) {
+        acc[r][v] += keep ? av * bv[v] : V{};
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < R; ++r) {
+    float* orow = out + (i0 + r) * M;
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(orow + v * kLanes, &acc[r][v], sizeof acc[r][v]);
+    }
+  }
+}
+
+/// GemmTransA rows at a compile-time width M: tiles of as many rows as
+/// kMaxTileRows vector accumulators hold (at least one), then the rows
+/// left over one at a time.
+template <typename Isa, int64_t M>
+[[gnu::always_inline]] inline void TransAFixedWidth(
+    const float* __restrict a, const float* __restrict b,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t n) {
+  constexpr int64_t kVecs = M / (sizeof(typename Isa::F) / sizeof(float));
+  constexpr int64_t kRows = std::max<int64_t>(1, kMaxTileRows / kVecs);
+  int64_t i = lo;
+  for (; i + kRows <= hi; i += kRows) {
+    TransATile<Isa, M, kRows>(a, b, out, i, k, n);
+  }
+  for (; i < hi; ++i) TransATile<Isa, M, 1>(a, b, out, i, k, n);
+}
+
+/// Double vectors one GemmTransB block holds across kk.
+constexpr int64_t kTransBBlockVecs = 8;
+
+/// GemmTransB rows at a compile-time width M: a row's M double sums run in
+/// blocks of up to kTransBBlockVecs vectors, each held in registers across
+/// every kk and rounded to float once, at the store.
+template <typename Isa, int64_t M>
+[[gnu::always_inline]] inline void TransBFixedWidth(
+    const float* __restrict a, const double* __restrict bt,
+    float* __restrict out, int64_t lo, int64_t hi, int64_t k) {
+  using D = typename Isa::D;
+  constexpr int64_t kLanes = sizeof(D) / sizeof(double);
+  constexpr int64_t kVecs = M / kLanes;
+  constexpr int64_t kBlock = std::min(kVecs, kTransBBlockVecs);
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* arow = a + i * k;
+    float* orow = out + i * M;
+    for (int64_t v0 = 0; v0 < kVecs; v0 += kBlock) {
+      D acc[kBlock];
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kBlock; ++v) acc[v] = D{};
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const double av = arow[kk];
+        const double* btrow = bt + kk * M + v0 * kLanes;
+#pragma GCC unroll 16
+        for (int64_t v = 0; v < kBlock; ++v) {
+          D bv;
+          std::memcpy(&bv, btrow + v * kLanes, sizeof bv);
+          acc[v] += av * bv;
+        }
+      }
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kBlock; ++v) {
+#pragma GCC unroll 8
+        for (int64_t l = 0; l < kLanes; ++l) {
+          orow[(v0 + v) * kLanes + l] = static_cast<float>(acc[v][l]);
+        }
+      }
+    }
+  }
+}
+
+// The row loops every other width runs. The compiler vectorizes their j
+// loops, which load and store the output row once per kk.
+
+[[gnu::always_inline]] inline void GemmAnyWidth(
     const float* __restrict a, const float* __restrict b,
     float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t m) {
   // i-k-j: within a row, stream through b and out contiguously.
@@ -34,7 +220,7 @@ namespace {
   }
 }
 
-[[gnu::always_inline]] inline void GemmTransARowsBody(
+[[gnu::always_inline]] inline void TransAAnyWidth(
     const float* __restrict a, const float* __restrict b,
     float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t n,
     int64_t m) {
@@ -53,8 +239,8 @@ namespace {
   }
 }
 
-[[gnu::always_inline]] inline void GemmTransBRowsBody(
-    const float* __restrict a, const float* __restrict bt,
+[[gnu::always_inline]] inline void TransBAnyWidth(
+    const float* __restrict a, const double* __restrict bt,
     float* __restrict out, int64_t lo, int64_t hi, int64_t k, int64_t m) {
   // The m dot products of a row run side by side in `acc`, one lane per
   // output column, instead of one after another: each is still its own
@@ -66,7 +252,7 @@ namespace {
     std::fill(acc, acc + m, 0.0);
     for (int64_t kk = 0; kk < k; ++kk) {
       const double av = arow[kk];
-      const float* btrow = bt + kk * m;
+      const double* btrow = bt + kk * m;
       for (int64_t j = 0; j < m; ++j) acc[j] += av * btrow[j];
     }
     float* orow = out + i * m;
@@ -74,40 +260,99 @@ namespace {
   }
 }
 
+template <typename Isa>
+[[gnu::always_inline]] inline void GemmRowsBody(const float* a,
+                                                const float* b, float* out,
+                                                int64_t lo, int64_t hi,
+                                                int64_t k, int64_t m) {
+  switch (m) {
+    case 8:
+      return GemmFixedWidth<Isa, 8>(a, b, out, lo, hi, k);
+    case 16:
+      return GemmFixedWidth<Isa, 16>(a, b, out, lo, hi, k);
+    case 32:
+      return GemmFixedWidth<Isa, 32>(a, b, out, lo, hi, k);
+    case 64:
+      return GemmFixedWidth<Isa, 64>(a, b, out, lo, hi, k);
+    default:
+      return GemmAnyWidth(a, b, out, lo, hi, k, m);
+  }
+}
+
+template <typename Isa>
+[[gnu::always_inline]] inline void TransARowsBody(const float* a,
+                                                  const float* b, float* out,
+                                                  int64_t lo, int64_t hi,
+                                                  int64_t k, int64_t n,
+                                                  int64_t m) {
+  switch (m) {
+    case 8:
+      return TransAFixedWidth<Isa, 8>(a, b, out, lo, hi, k, n);
+    case 16:
+      return TransAFixedWidth<Isa, 16>(a, b, out, lo, hi, k, n);
+    case 32:
+      return TransAFixedWidth<Isa, 32>(a, b, out, lo, hi, k, n);
+    case 64:
+      return TransAFixedWidth<Isa, 64>(a, b, out, lo, hi, k, n);
+    default:
+      return TransAAnyWidth(a, b, out, lo, hi, k, n, m);
+  }
+}
+
+template <typename Isa>
+[[gnu::always_inline]] inline void TransBRowsBody(const float* a,
+                                                  const double* bt,
+                                                  float* out, int64_t lo,
+                                                  int64_t hi, int64_t k,
+                                                  int64_t m) {
+  switch (m) {
+    case 8:
+      return TransBFixedWidth<Isa, 8>(a, bt, out, lo, hi, k);
+    case 16:
+      return TransBFixedWidth<Isa, 16>(a, bt, out, lo, hi, k);
+    case 32:
+      return TransBFixedWidth<Isa, 32>(a, bt, out, lo, hi, k);
+    case 64:
+      return TransBFixedWidth<Isa, 64>(a, bt, out, lo, hi, k);
+    default:
+      return TransBAnyWidth(a, bt, out, lo, hi, k, m);
+  }
+}
+
 }  // namespace
 
 void GemmRowsBaseline(const float* a, const float* b, float* out, int64_t lo,
                       int64_t hi, int64_t k, int64_t m) {
-  GemmRowsBody(a, b, out, lo, hi, k, m);
+  GemmRowsBody<BaselineIsa>(a, b, out, lo, hi, k, m);
 }
 
 SGNN_TARGET_AVX2 void GemmRowsAvx2(const float* a, const float* b, float* out,
                                    int64_t lo, int64_t hi, int64_t k,
                                    int64_t m) {
-  GemmRowsBody(a, b, out, lo, hi, k, m);
+  GemmRowsBody<Avx2Isa>(a, b, out, lo, hi, k, m);
 }
 
 void GemmTransARowsBaseline(const float* a, const float* b, float* out,
                             int64_t lo, int64_t hi, int64_t k, int64_t n,
                             int64_t m) {
-  GemmTransARowsBody(a, b, out, lo, hi, k, n, m);
+  TransARowsBody<BaselineIsa>(a, b, out, lo, hi, k, n, m);
 }
 
 SGNN_TARGET_AVX2 void GemmTransARowsAvx2(const float* a, const float* b,
                                          float* out, int64_t lo, int64_t hi,
                                          int64_t k, int64_t n, int64_t m) {
-  GemmTransARowsBody(a, b, out, lo, hi, k, n, m);
+  TransARowsBody<Avx2Isa>(a, b, out, lo, hi, k, n, m);
 }
 
-void GemmTransBRowsBaseline(const float* a, const float* bt, float* out,
+void GemmTransBRowsBaseline(const float* a, const double* bt, float* out,
                             int64_t lo, int64_t hi, int64_t k, int64_t m) {
-  GemmTransBRowsBody(a, bt, out, lo, hi, k, m);
+  TransBRowsBody<BaselineIsa>(a, bt, out, lo, hi, k, m);
 }
 
-SGNN_TARGET_AVX2 void GemmTransBRowsAvx2(const float* a, const float* bt,
+SGNN_TARGET_AVX2 void GemmTransBRowsAvx2(const float* a, const double* bt,
                                          float* out, int64_t lo, int64_t hi,
                                          int64_t k, int64_t m) {
-  GemmTransBRowsBody(a, bt, out, lo, hi, k, m);
+  TransBRowsBody<Avx2Isa>(a, bt, out, lo, hi, k, m);
 }
 
 }  // namespace gemm
@@ -161,7 +406,10 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   const float* ad = a.data();
   const float* bd = b.data();
   float* od = out->data();
-  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
+  // At a batch-scale k one row is a whole chunk's work, but a chunk must
+  // hold at least one register tile.
+  const int64_t grain = std::max(RowGrain(k * m), gemm::kMaxTileRows);
+  parallel::ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
     rows(ad, bd, od, lo, hi, k, n, m);
   });
 }
@@ -172,8 +420,10 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
              "GemmTransB: output shape mismatch");
   const int64_t n = a.rows(), k = a.cols(), m = b.rows();
   // b^T lives in plain host memory, not a Matrix, so neither the
-  // DeviceTracker peaks nor a fault plan's allocation ordinals see it.
-  std::vector<float> bt(static_cast<size_t>(k * m));
+  // DeviceTracker peaks nor a fault plan's allocation ordinals see it. It
+  // is converted to double once here; converting each element inside the
+  // kernel, once per output row, made it no faster than the row loop.
+  std::vector<double> bt(static_cast<size_t>(k * m));
   for (int64_t j = 0; j < m; ++j) {
     const float* brow = b.row(j);
     for (int64_t kk = 0; kk < k; ++kk) {
@@ -182,7 +432,7 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   }
   const auto rows = ActiveRowKernels().trans_b;
   const float* ad = a.data();
-  const float* btd = bt.data();
+  const double* btd = bt.data();
   float* od = out->data();
   parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
     rows(ad, btd, od, lo, hi, k, m);

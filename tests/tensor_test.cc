@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -437,14 +438,6 @@ Matrix RandomWithZeros(int64_t rows, int64_t cols, Rng* rng) {
   return x;
 }
 
-Matrix Transposed(const Matrix& x) {
-  Matrix t(x.cols(), x.rows());
-  for (int64_t i = 0; i < x.rows(); ++i) {
-    for (int64_t j = 0; j < x.cols(); ++j) t.at(j, i) = x.at(i, j);
-  }
-  return t;
-}
-
 bool SameBits(const Matrix& x, const Matrix& y) {
   return x.rows() == y.rows() && x.cols() == y.cols() &&
          std::memcmp(x.data(), y.data(), x.bytes()) == 0;
@@ -462,22 +455,34 @@ struct GemmIsaCase {
   GemmProducts ref;
 };
 
-/// Rows per chunk of the GEMMs in ops.cc: ~64k multiply-adds.
-int64_t RowGrain(int64_t row_flops) {
-  return parallel::GrainForFlops(row_flops, int64_t{1} << 16);
+/// Rows per chunk of Gemm and GemmTransB in ops.cc: ~64k multiply-adds.
+int64_t RowGrain(int64_t k, int64_t m) {
+  return parallel::GrainForFlops(k * m, int64_t{1} << 16);
+}
+
+/// Rows per chunk of GemmTransA in ops.cc: at least one register tile.
+int64_t TransAGrain(int64_t k, int64_t m) {
+  return std::max(RowGrain(k, m), ops::gemm::kMaxTileRows);
 }
 
 /// Calls `check` on each case in turn, so one case's matrices are alive at
-/// a time. m and k cross every vector tail (1, 7, 8, 9, 33 columns) and an
-/// empty inner dimension; n lands one row either side of the row grain, so
-/// a run ends on a partial chunk.
+/// a time. m and k cross every vector tail (1, 7, 8, 9, 33 columns), every
+/// register-kernel width (8, 16, 32, 64), an empty inner dimension and a
+/// batch-scale one (4096, where GemmTransA's grain is a tile, not a row).
+/// n lands one row either side of each grain, so a run ends on a partial
+/// chunk and GemmTransA runs both full tiles and leftover rows.
 template <typename Check>
 void ForEachGemmIsaCase(Check check) {
   Rng rng(14);
-  for (int64_t m : {1, 7, 8, 9, 33, 64}) {
-    for (int64_t k : {0, 1, 31, 64}) {
-      const int64_t grain = RowGrain(k * m);
-      for (int64_t n : {grain - 1, grain + 1}) {
+  for (int64_t m : {1, 7, 8, 9, 16, 32, 33, 64}) {
+    for (int64_t k : {0, 1, 31, 64, 4096}) {
+      std::vector<int64_t> ns;
+      for (int64_t grain : {RowGrain(k, m), TransAGrain(k, m)}) {
+        for (int64_t n : {grain - 1, grain + 1}) {
+          if (std::find(ns.begin(), ns.end(), n) == ns.end()) ns.push_back(n);
+        }
+      }
+      for (int64_t n : ns) {
         GemmIsaCase c{n,
                       k,
                       m,
@@ -488,7 +493,7 @@ void ForEachGemmIsaCase(Check check) {
                       {Matrix(n, m), Matrix(n, m), Matrix(n, m)}};
         c.b.FillNormal(&rng);
         c.b_t.FillNormal(&rng);
-        if (k >= 3) {
+        if (n >= 1 && k >= 3) {
           // Row 0 of `a` is {2^60, -2^60, 1, 0, ...} and b^T's first two
           // rows are equal, so the big products cancel exactly only when
           // they are added first: GemmTransB's double sums, which random
@@ -499,6 +504,23 @@ void ForEachGemmIsaCase(Check check) {
           a0[1] = -0x1p60f;
           a0[2] = 1.0f;
           for (int64_t j = 0; j < m; ++j) c.b_t.at(j, 1) = c.b_t.at(j, 0);
+        }
+        if (n >= 3 && m >= 2) {
+          // Row 2 of `a` and column 2 of a_t are -1, and column m-1 of b
+          // and row m-1 of b_t are +0: that output element sums only -0
+          // products, and a sum that starts at +0 stays +0.
+          for (int64_t kk = 0; kk < k; ++kk) {
+            c.a.at(2, kk) = -1.0f;
+            c.a_t.at(kk, 2) = -1.0f;
+            c.b.at(kk, m - 1) = 0.0f;
+            c.b_t.at(m - 1, kk) = 0.0f;
+          }
+        }
+        if (k >= 2) {
+          // Row 1 of a_t and every third row of `a` are zero there, so
+          // skipping the zeros leaves those sums finite, where multiplying
+          // would give 0 * inf = NaN.
+          c.b.at(1, 0) = std::numeric_limits<float>::infinity();
         }
         ScalarGemm(c.a, c.b, &c.ref.gemm);
         ScalarGemmTransA(c.a_t, c.b, &c.ref.trans_a);
@@ -514,23 +536,32 @@ std::string CaseName(const GemmIsaCase& c, int threads) {
          " m=" + std::to_string(c.m) + " threads=" + std::to_string(threads);
 }
 
-/// Runs `twins`' three products over every output row in grain-sized
-/// chunks on the pool.
+/// Runs `twins`' three products over every output row in chunks of their
+/// ops.cc grains on the pool.
 GemmProducts RunTwins(const ops::gemm::RowKernels& twins,
                       const GemmIsaCase& c) {
-  const int64_t grain = RowGrain(c.k * c.m);
-  const Matrix b_tt = Transposed(c.b_t);  // GemmTransB's rows take b^T
+  // GemmTransB's rows take b^T in double.
+  std::vector<double> b_tt(static_cast<size_t>(c.k * c.m));
+  for (int64_t j = 0; j < c.m; ++j) {
+    for (int64_t kk = 0; kk < c.k; ++kk) {
+      b_tt[static_cast<size_t>(kk * c.m + j)] = c.b_t.at(j, kk);
+    }
+  }
   GemmProducts p{Matrix(c.n, c.m), Matrix(c.n, c.m), Matrix(c.n, c.m)};
   p.gemm.Fill(1.0f);  // the kernels must overwrite, not accumulate
   p.trans_a.Fill(1.0f);
   p.trans_b.Fill(1.0f);
-  parallel::ParallelFor(0, c.n, grain, [&](int64_t lo, int64_t hi) {
-    twins.gemm(c.a.data(), c.b.data(), p.gemm.data(), lo, hi, c.k, c.m);
-    twins.trans_a(c.a_t.data(), c.b.data(), p.trans_a.data(), lo, hi, c.k,
-                  c.n, c.m);
-    twins.trans_b(c.a.data(), b_tt.data(), p.trans_b.data(), lo, hi, c.k,
-                  c.m);
-  });
+  parallel::ParallelFor(
+      0, c.n, RowGrain(c.k, c.m), [&](int64_t lo, int64_t hi) {
+        twins.gemm(c.a.data(), c.b.data(), p.gemm.data(), lo, hi, c.k, c.m);
+        twins.trans_b(c.a.data(), b_tt.data(), p.trans_b.data(), lo, hi,
+                      c.k, c.m);
+      });
+  parallel::ParallelFor(
+      0, c.n, TransAGrain(c.k, c.m), [&](int64_t lo, int64_t hi) {
+        twins.trans_a(c.a_t.data(), c.b.data(), p.trans_a.data(), lo, hi,
+                      c.k, c.n, c.m);
+      });
   return p;
 }
 
