@@ -632,8 +632,9 @@ void ReluBackwardInPlace(const Matrix& preact, Matrix* grad) {
   float* gd = grad->data();
   parallel::ParallelFor(0, grad->size(), kElementGrain,
                         [&](int64_t lo, int64_t hi) {
+                          // A select, not a branch on the sign.
                           for (int64_t i = lo; i < hi; ++i) {
-                            if (pd[i] <= 0.0f) gd[i] = 0.0f;
+                            gd[i] = pd[i] <= 0.0f ? 0.0f : gd[i];
                           }
                         });
 }

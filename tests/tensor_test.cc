@@ -603,6 +603,34 @@ TEST(GemmIsa, Avx2MatchesBaselineAndScalarLoops) {
   parallel::SetNumThreads(0);
 }
 
+TEST(Ops, ReluBackwardMatchesBranchyLoopBitForBit) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float pre[] = {nan, -nan, inf, -inf, 2.5f, -2.5f, 0.0f, -0.0f,
+                       denorm, -denorm};
+  const float grad[] = {1.5f, -1.5f, 0.0f, -0.0f, nan, inf};
+  Matrix preact(std::size(pre), std::size(grad));
+  Matrix got(preact.rows(), preact.cols());
+  for (int64_t i = 0; i < preact.rows(); ++i) {
+    for (int64_t j = 0; j < preact.cols(); ++j) {
+      preact.at(i, j) = pre[i];
+      got.at(i, j) = grad[j];
+    }
+  }
+  // The branchy loop the kernel replaced: a NaN pre-activation keeps its
+  // gradient, and so does a positive one.
+  Matrix want = got;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    if (preact.data()[i] <= 0.0f) want.data()[i] = 0.0f;
+  }
+  ops::ReluBackwardInPlace(preact, &got);
+  EXPECT_TRUE(SameBits(got, want));
+  EXPECT_EQ(got.at(0, 0), 1.5f);  // NaN pre-activation
+  EXPECT_EQ(got.at(7, 0), 0.0f);  // -0 pre-activation
+  EXPECT_EQ(got.at(8, 0), 1.5f);  // smallest positive pre-activation
+}
+
 TEST(Ops, AxpyAndScale) {
   Matrix x(2, 2), y(2, 2);
   x.Fill(2.0f);
