@@ -117,35 +117,56 @@ constexpr int64_t kPhi1Batch = 4096;
 
 /// The three GEMMs of one MB φ1 layer (nn::Linear) at batch 4096. Args are
 /// the layer's (in, out) widths, 32->64 and 64->32 in the MB epoch; items
-/// are multiply-adds, batch * in * out for each product.
-///
+/// are multiply-adds, batch * in * out for each product. Gemm and
+/// GemmTransA skip zeros of x, so they take a third arg, the percent of
+/// x's entries set to zero: 0 is dense, and 60 is the density of the
+/// layer-2 input after ReLU (half zero) and dropout 0.2.
+
+/// Normal draws with each entry zero with probability zeros_pct / 100.
+Matrix SparseInput(int64_t rows, int64_t cols, int64_t zeros_pct,
+                   uint64_t seed) {
+  Matrix x = RandomMatrix(rows, cols, seed);
+  Rng rng(seed + 100);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    if (rng.Uniform() * 100.0 < static_cast<double>(zeros_pct)) {
+      x.data()[i] = 0.0f;
+    }
+  }
+  return x;
+}
+
 /// Forward: y = x W.
 void BM_Gemm(benchmark::State& state) {
   const int64_t in = state.range(0), out = state.range(1);
-  const Matrix x = RandomMatrix(kPhi1Batch, in, 1);
+  const Matrix x = SparseInput(kPhi1Batch, in, state.range(2), 1);
   const Matrix w = RandomMatrix(in, out, 2);
   Matrix y(kPhi1Batch, out);
   for (auto _ : state) {
     ops::Gemm(x, w, &y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
 }
-BENCHMARK(BM_Gemm)->Args({32, 64})->Args({64, 32});
+BENCHMARK(BM_Gemm)->Args({32, 64, 0})->Args({64, 32, 0})->Args({64, 32, 60});
 
 /// Weight gradient: dW = x^T dY.
 void BM_GemmTransA(benchmark::State& state) {
   const int64_t in = state.range(0), out = state.range(1);
-  const Matrix x = RandomMatrix(kPhi1Batch, in, 1);
+  const Matrix x = SparseInput(kPhi1Batch, in, state.range(2), 1);
   const Matrix dy = RandomMatrix(kPhi1Batch, out, 3);
   Matrix dw(in, out);
   for (auto _ : state) {
     ops::GemmTransA(x, dy, &dw);
     benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
 }
-BENCHMARK(BM_GemmTransA)->Args({32, 64})->Args({64, 32});
+BENCHMARK(BM_GemmTransA)
+    ->Args({32, 64, 0})
+    ->Args({64, 32, 0})
+    ->Args({64, 32, 60});
 
 /// Input gradient: dX = dY W^T.
 void BM_GemmTransB(benchmark::State& state) {
@@ -156,6 +177,7 @@ void BM_GemmTransB(benchmark::State& state) {
   for (auto _ : state) {
     ops::GemmTransB(dy, w, &dx);
     benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kPhi1Batch * in * out);
 }
