@@ -27,9 +27,10 @@
 
 namespace sgnn::ops::gemm {
 
-/// Most output rows one GemmTransA register tile holds. A row range of at
-/// least this many rows holds a full tile at every width, so ops.cc never
-/// gives GemmTransA a smaller chunk.
+/// Most output rows one GemmTransA register tile holds: a tile is as many
+/// rows as 12 vector accumulators hold, and one row takes at least one
+/// vector. A row range of at least this many rows holds a full tile at
+/// every width, so ops.cc never gives GemmTransA a smaller chunk.
 inline constexpr int64_t kMaxTileRows = 12;
 
 /// Rows [lo, hi) of out = a * b, with a (n,k), b (k,m), out (n,m). Each

@@ -21,22 +21,18 @@ namespace {
 
 using Vec4f = float __attribute__((vector_size(16)));
 using Vec8f = float __attribute__((vector_size(32)));
-using Vec4i = int32_t __attribute__((vector_size(16)));
-using Vec8i = int32_t __attribute__((vector_size(32)));
 using Vec2d = double __attribute__((vector_size(16)));
 using Vec4d = double __attribute__((vector_size(32)));
 
-// One twin's vector types: F float, I the int32 mask of a float compare,
-// D double. Each is named outright, because GCC drops vector_size from an
-// alias whose element type depends on a template parameter.
+// One twin's vector types, F float and D double. Each is named outright,
+// because GCC drops vector_size from an alias whose element type depends
+// on a template parameter.
 struct BaselineIsa {
   using F = Vec4f;
-  using I = Vec4i;
   using D = Vec2d;
 };
 struct Avx2Isa {
   using F = Vec8f;
-  using I = Vec8i;
   using D = Vec4d;
 };
 
@@ -101,7 +97,6 @@ template <typename Isa, int64_t M, int64_t R>
                                               int64_t i0, int64_t k,
                                               int64_t n) {
   using V = typename Isa::F;
-  using I = typename Isa::I;
   constexpr int64_t kLanes = sizeof(V) / sizeof(float);
   constexpr int64_t kVecs = M / kLanes;
   V acc[R][kVecs];
@@ -121,11 +116,11 @@ template <typename Isa, int64_t M, int64_t R>
 #pragma GCC unroll 16
     for (int64_t r = 0; r < R; ++r) {
       // a[kk][i] in every lane (+0 + a is a, except that −0 becomes +0,
-      // whose product is masked anyway). `keep` is true in the lanes where
-      // a != 0, NaN included; a vector ?: computes both arms, so there is
-      // no branch.
+      // whose product is masked anyway). `keep` is all ones in the lanes
+      // where a != 0, NaN included; a vector ?: computes both arms, so
+      // there is no branch.
       const V av = V{} + arow[r];
-      const I keep = av != V{};
+      const auto keep = av != V{};
 #pragma GCC unroll 16
       for (int64_t v = 0; v < kVecs; ++v) {
         acc[r][v] += keep ? av * bv[v] : V{};
@@ -142,9 +137,10 @@ template <typename Isa, int64_t M, int64_t R>
   }
 }
 
-/// GemmTransA rows at a compile-time width M: tiles of as many rows as
-/// kMaxTileRows vector accumulators hold (at least one), then the rows
-/// left over one at a time.
+/// GemmTransA rows at a compile-time width M: tiles of
+/// R = max(1, kMaxTileRows / (M / lanes)) rows, which hold at most
+/// kMaxTileRows vector accumulators when a row fits in that many, then the
+/// rows left over one at a time.
 template <typename Isa, int64_t M>
 [[gnu::always_inline]] inline void TransAFixedWidth(
     const float* __restrict a, const float* __restrict b,

@@ -517,9 +517,9 @@ void ForEachGemmIsaCase(Check check) {
           }
         }
         if (k >= 2) {
-          // Row 1 of a_t and every third row of `a` are zero there, so
-          // skipping the zeros leaves those sums finite, where multiplying
-          // would give 0 * inf = NaN.
+          // a[i][1] is zero in every third row of `a`, and a_t[1][i] is
+          // zero except at i = 2, so skipping those zeros leaves their sums
+          // finite, where multiplying would give 0 * inf = NaN.
           c.b.at(1, 0) = std::numeric_limits<float>::infinity();
         }
         ScalarGemm(c.a, c.b, &c.ref.gemm);
