@@ -1,12 +1,14 @@
-// Golden digests: the bit-level spec of every filter and of the two
-// training schemes, pinned as CRC-32 values of raw float (and double) bits.
+// Golden digests: the bit-level spec of every filter and of every training
+// scheme, pinned as CRC-32 values of raw float (and double) bits.
 //
 // A refactor that keeps behaviour keeps these digests; a change that moves
 // one bit anywhere in a filter's forward, backward, precompute or combine
-// path, or in a short FB/MB training run, fails here naming the filter and
-// the stage and printing the actual CRC. The checkpoint files one fixed MB
-// model saves (v1 fp32, v2 int8 and fp16) are pinned byte for byte, with
-// the logits each one serves after loading back. The dense oracle
+// path, or in a short training run of any scheme, fails here naming the
+// filter or scheme and the stage and printing the actual value. The runs
+// of the schemes other than FB and MB also pin their peak host and
+// accelerator bytes. The checkpoint files one fixed MB model saves (v1
+// fp32, v2 int8 and fp16) are pinned byte for byte, with the logits each
+// one serves after loading back. The dense oracle
 // (conformance/oracle.cc) stays the numerical reference; this table is the
 // bit reference across builds and refactors. The expected values are edited
 // by hand when a change is meant to move bits, and that change says so.
@@ -19,11 +21,16 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "conformance/fuzz.h"
 #include "core/registry.h"
 #include "graph/generator.h"
+#include "models/baselines.h"
+#include "models/iterative.h"
+#include "models/linkpred.h"
+#include "models/partition.h"
 #include "models/trainer.h"
 #include "quant/quantize.h"
 #include "serve/checkpoint.h"
@@ -428,6 +435,139 @@ constexpr TrainGolden kWideTrainGolden = {
 
 TEST(Golden, FiveEpochTrainingAtMbWidthsMatchesPinnedDigests) {
   ExpectTrainingMatches(WideTrainGraph(), kWideTrainGolden, /*hidden=*/64);
+}
+
+// --- the other training schemes ----------------------------------------------
+
+/// Six epochs with an eval round every second one, so the best-validation
+/// capture runs three times.
+models::TrainConfig SchemeCfg() {
+  models::TrainConfig c = TrainCfg(false);
+  c.epochs = 6;
+  c.eval_every = 2;
+  return c;
+}
+
+/// One scheme's short run on TrainGraph().
+models::TrainResult RunScheme(const std::string& scheme) {
+  const graph::Graph& g = TrainGraph();
+  const graph::Splits s = graph::RandomSplits(g.n, 4);
+  const models::TrainConfig cfg = SchemeCfg();
+  auto filter = [&](const char* name) {
+    auto f = filters::CreateFilter(name, kHops, {}, g.features.cols());
+    SGNN_CHECK(f.ok(), "golden scheme filter must build");
+    return f.MoveValue();
+  };
+  const std::pair<const char*, std::pair<models::BaselineKind,
+                                         models::Backend>>
+      baselines[] = {
+          {"gcn_sp", {models::BaselineKind::kGcn, models::Backend::kSp}},
+          {"gcn_ei", {models::BaselineKind::kGcn, models::Backend::kEi}},
+          {"sage_sp", {models::BaselineKind::kSage, models::Backend::kSp}},
+          {"chebnet_ei",
+           {models::BaselineKind::kChebNet, models::Backend::kEi}},
+          {"nagphormer",
+           {models::BaselineKind::kNagphormer, models::Backend::kSp}},
+          {"ansgt", {models::BaselineKind::kAnsGt, models::Backend::kSp}},
+      };
+  for (const auto& [name, kind] : baselines) {
+    if (scheme == name) {
+      return models::TrainBaseline(g, s, graph::Metric::kAccuracy, kind.first,
+                                   kind.second, cfg);
+    }
+  }
+  if (scheme == "gp_ppr") {
+    models::PartitionConfig p;
+    p.base = cfg;
+    p.num_parts = 4;
+    auto f = filter("ppr");
+    return models::TrainGraphPartition(g, s, graph::Metric::kAccuracy, f.get(),
+                                       p);
+  }
+  if (scheme == "iterative_linear") {
+    models::IterativeConfig it;
+    it.base = cfg;
+    it.layers = 2;
+    it.layer_filter = "linear";
+    return models::TrainIterative(g, s, graph::Metric::kAccuracy, it);
+  }
+  SGNN_CHECK(scheme == "linkpred_ppr", "unknown golden scheme");
+  models::LinkPredConfig lp;
+  lp.base = cfg;
+  auto f = filter("ppr");
+  const models::LinkPredResult r = models::TrainLinkPrediction(g, f.get(), lp);
+  models::TrainResult out;
+  out.oom = r.oom;
+  out.test_metric = r.test_auc;
+  out.stats = r.stats;
+  return out;
+}
+
+struct SchemeGolden {
+  const char* scheme;
+  uint64_t loss_bits;   ///< not checked for linkpred_ppr (see below)
+  uint64_t val_bits;
+  uint64_t test_bits;
+  uint32_t logits;      ///< CRC of test_logits; 0 where a scheme keeps none
+  size_t host_bytes;    ///< peak host bytes above those live at the call
+  size_t accel_bytes;   ///< the same for the accelerator
+};
+
+// Link prediction reported no training loss when this table was pinned, so
+// its loss column is not part of the spec.
+// clang-format off
+const SchemeGolden kSchemeGolden[] = {
+    {"gcn_sp",           0x3ff0d37a6ebfc9acull, 0x3fe3555555555555ull, 0x3fe6000000000000ull, 0x00000000, 14056, 174616},
+    {"gcn_ei",           0x3ff0d37a6ebfc9acull, 0x3fe3555555555555ull, 0x3fe6000000000000ull, 0x00000000, 14056, 284072},
+    {"sage_sp",          0x3fee35ae693f986aull, 0x3fe3555555555555ull, 0x3fe4000000000000ull, 0x00000000, 14056, 239176},
+    {"chebnet_ei",       0x3ff1395ae0dac0f4ull, 0x3fe2aaaaaaaaaaabull, 0x3fd5555555555555ull, 0x00000000, 14056, 413192},
+    {"nagphormer",       0x3feb08e3c7f70585ull, 0x3fecaaaaaaaaaaabull, 0x3fecaaaaaaaaaaabull, 0x00000000, 88104, 128880},
+    {"ansgt",            0x3fe1ba7836869355ull, 0x3fe9555555555555ull, 0x3fea000000000000ull, 0x00000000, 7680, 621680},
+    {"gp_ppr",           0x3fead735bb39b8ffull, 0x3fe8aaaaaaaaaaabull, 0x3fe6000000000000ull, 0x4b4197a4, 6896, 42576},
+    {"iterative_linear", 0x3ff062067707c9aaull, 0x3fe1555555555555ull, 0x3fe4000000000000ull, 0x7f0675d7, 14056, 143896},
+    {"linkpred_ppr",     0x0000000000000000ull, 0x0000000000000000ull, 0x3fe9f11cae466068ull, 0x00000000, 37096, 26480},
+};
+// clang-format on
+
+std::string Hex64(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Golden, EverySchemeMatchesPinnedDigests) {
+  auto& tracker = DeviceTracker::Global();
+  TrainGraph();  // built once, before the live-byte baselines are read
+  for (const SchemeGolden& want : kSchemeGolden) {
+    const size_t host0 = tracker.live_bytes(Device::kHost);
+    const size_t accel0 = tracker.live_bytes(Device::kAccel);
+    const models::TrainResult r = RunScheme(want.scheme);
+    ASSERT_TRUE(r.status.ok() && !r.oom)
+        << want.scheme << ": " << r.status.ToString();
+    const SchemeGolden got = {
+        want.scheme,
+        Bits(r.final_train_loss),
+        Bits(r.val_metric),
+        Bits(r.test_metric),
+        Digest().Add(r.test_logits).value(),
+        r.stats.peak_ram_bytes - host0,
+        r.stats.peak_accel_bytes - accel0};
+    const std::string actual =
+        std::string("actual {\"") + want.scheme + "\", " +
+        Hex64(got.loss_bits) + "ull, " + Hex64(got.val_bits) + "ull, " +
+        Hex64(got.test_bits) + "ull, " + Hex(got.logits) + ", " +
+        std::to_string(got.host_bytes) + ", " +
+        std::to_string(got.accel_bytes) + "}";
+    if (std::string(want.scheme) != "linkpred_ppr") {
+      EXPECT_EQ(got.loss_bits, want.loss_bits) << actual;
+    }
+    EXPECT_EQ(got.val_bits, want.val_bits) << actual;
+    EXPECT_EQ(got.test_bits, want.test_bits) << actual;
+    EXPECT_EQ(got.logits, want.logits) << actual;
+    EXPECT_EQ(got.host_bytes, want.host_bytes) << actual;
+    EXPECT_EQ(got.accel_bytes, want.accel_bytes) << actual;
+  }
 }
 
 // --- checkpoint files and served logits ----------------------------------
