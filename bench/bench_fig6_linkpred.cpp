@@ -38,10 +38,10 @@ int main() {
     const auto rec = sup.Run(
         {"ppa_sim", name, "mb", 1, "linkpred"},
         [&] {
-          models::TrainResult tr;
           auto filter_or = bench::MakeFilter(name, bench::UniversalHops(),
                                              g.features.cols());
           if (!filter_or.ok()) {
+            models::TrainResult tr;
             tr.status = filter_or.status();
             return tr;
           }
@@ -50,10 +50,7 @@ int main() {
           cfg.base = bench::UniversalConfig(true);
           cfg.base.epochs = bench::FullMode() ? 10 : 3;
           cfg.neg_ratio = 2;
-          auto r = models::TrainLinkPrediction(g, filter.get(), cfg);
-          tr.test_metric = r.test_auc;
-          tr.stats = r.stats;
-          return tr;
+          return models::TrainLinkPrediction(g, filter.get(), cfg);
         });
     if (rec.ok()) {
       table.AddRow({name, eval::Fmt(rec.test_metric, 3),

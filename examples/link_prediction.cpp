@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   auto r = models::TrainLinkPrediction(g, filter.get(), cfg);
   std::printf("filter %-12s test AUC %.4f  precompute %.1f ms  "
               "train %.1f ms/epoch  accel peak %s\n",
-              filter->name().c_str(), r.test_auc, r.stats.precompute_ms,
+              filter->name().c_str(), r.test_metric, r.stats.precompute_ms,
               r.stats.train_ms_per_epoch,
               FormatBytes(r.stats.peak_accel_bytes).c_str());
   std::printf(

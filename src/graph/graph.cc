@@ -10,11 +10,7 @@ Splits RandomSplits(int64_t n, uint64_t seed, double train_frac,
   std::vector<int32_t> perm(static_cast<size_t>(n));
   std::iota(perm.begin(), perm.end(), 0);
   Rng rng(seed ^ 0xA5F152EDB001ULL);
-  // Fisher-Yates shuffle.
-  for (int64_t i = n - 1; i > 0; --i) {
-    const auto j = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(i + 1)));
-    std::swap(perm[static_cast<size_t>(i)], perm[static_cast<size_t>(j)]);
-  }
+  Shuffle(&perm, &rng);
   const auto n_train = static_cast<size_t>(train_frac * static_cast<double>(n));
   const auto n_val = static_cast<size_t>(val_frac * static_cast<double>(n));
   Splits s;

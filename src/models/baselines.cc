@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "eval/table.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "sparse/adjacency.h"
@@ -14,55 +13,29 @@ namespace sgnn::models {
 
 namespace {
 
-using eval::Stopwatch;
-
-/// Propagation dispatcher over the two backends.
-class Propagator {
- public:
-  Propagator(const sparse::CsrMatrix* csr, Backend backend, Device device)
-      : csr_(csr), backend_(backend) {
-    if (backend == Backend::kEi) {
-      ei_ = std::make_unique<sparse::EdgeIndex>(*csr, device);
-    }
-  }
-
-  void Apply(const Matrix& x, Matrix* out) const {
-    if (backend_ == Backend::kSp) {
-      csr_->SpMM(x, out);
-    } else {
-      ei_->PropagateGatherScatter(x, out);
-    }
-  }
-
- private:
-  const sparse::CsrMatrix* csr_;
-  Backend backend_;
-  std::unique_ptr<sparse::EdgeIndex> ei_;
-};
-
-void ReluBackward(const Matrix& pre, Matrix* grad) {
-  const float* pd = pre.data();
-  float* gd = grad->data();
-  for (int64_t i = 0; i < grad->size(); ++i) {
-    if (pd[i] <= 0.0f) gd[i] = 0.0f;
-  }
-}
-
 /// Two-layer message-passing trainer shared by GCN / SAGE / ChebNet.
 TrainResult TrainMessagePassing(const graph::Graph& g,
                                 const graph::Splits& splits,
                                 graph::Metric metric, BaselineKind kind,
                                 Backend backend, const TrainConfig& config) {
   TrainResult result;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
+  EpochLoop loop(config, &result);
   Rng rng(config.seed * 0x5851F42D4C957F2DULL + 11);
 
   sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, config.rho);
   norm.MoveToDevice(Device::kAccel);
   Matrix x = g.features.CloneTo(Device::kAccel);
-  Propagator prop(&norm, backend, Device::kAccel);
+  std::unique_ptr<sparse::EdgeIndex> ei;
+  if (backend == Backend::kEi) {
+    ei = std::make_unique<sparse::EdgeIndex>(norm, Device::kAccel);
+  }
+  auto propagate = [&](const Matrix& h, Matrix* out) {
+    if (ei != nullptr) {
+      ei->PropagateGatherScatter(h, out);
+    } else {
+      norm.SpMM(h, out);
+    }
+  };
 
   const int64_t fi = g.features.cols();
   const int64_t hid = config.hidden;
@@ -78,35 +51,26 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
     l2.back().Init(&rng);
   }
 
-  // Produces the per-weight input matrices of one layer.
+  // Produces the per-weight input matrices of one layer: GCN [Ã h], SAGE
+  // [h, Ã h], ChebNet order 2 [T0, T1, T2] = [h, Ã h, 2Ã T1 - T0].
   auto layer_inputs = [&](const Matrix& h, std::vector<Matrix>* inputs) {
     inputs->clear();
-    if (kind == BaselineKind::kGcn) {
-      Matrix p(h.rows(), h.cols(), Device::kAccel);
-      prop.Apply(h, &p);
-      inputs->push_back(std::move(p));
-    } else if (kind == BaselineKind::kSage) {
-      inputs->push_back(h);
-      Matrix p(h.rows(), h.cols(), Device::kAccel);
-      prop.Apply(h, &p);
-      inputs->push_back(std::move(p));
-    } else {
-      // Chebyshev order-2: T0 = h, T1 = Ã h, T2 = 2Ã T1 - T0.
-      inputs->push_back(h);
-      Matrix t1(h.rows(), h.cols(), Device::kAccel);
-      prop.Apply(h, &t1);
-      Matrix t2(h.rows(), h.cols(), Device::kAccel);
-      prop.Apply(t1, &t2);
+    if (kind != BaselineKind::kGcn) inputs->push_back(h);
+    Matrix t1(h.rows(), h.cols(), Device::kAccel);
+    propagate(h, &t1);
+    Matrix t2;
+    if (kind == BaselineKind::kChebNet) {
+      t2 = Matrix(h.rows(), h.cols(), Device::kAccel);
+      propagate(t1, &t2);
       ops::Scale(2.0f, &t2);
       ops::Axpy(-1.0f, h, &t2);
-      inputs->push_back(std::move(t1));
-      inputs->push_back(std::move(t2));
     }
+    inputs->push_back(std::move(t1));
+    if (t2.size() > 0) inputs->push_back(std::move(t2));
   };
 
-  auto forward = [&](bool train, std::vector<Matrix>* in1,
-                     std::vector<Matrix>* in2, Matrix* pre1, Matrix* logits) {
-    (void)train;
+  auto forward = [&](std::vector<Matrix>* in1, std::vector<Matrix>* in2,
+                     Matrix* pre1, Matrix* logits) {
     layer_inputs(x, in1);
     Matrix z1(g.n, hid, Device::kAccel);
     Matrix tmp(g.n, hid, Device::kAccel);
@@ -116,8 +80,7 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
       ops::Axpy(1.0f, tmp, &z1);
     }
     *pre1 = z1;
-    float* zd = z1.data();
-    for (int64_t i = 0; i < z1.size(); ++i) zd[i] = zd[i] > 0 ? zd[i] : 0.0f;
+    ops::ReluInPlace(&z1);
     layer_inputs(z1, in2);
     Matrix z2(g.n, c, Device::kAccel);
     Matrix tmp2(g.n, c, Device::kAccel);
@@ -131,54 +94,50 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
   };
 
   // Gradient of one layer's inputs back to its pre-propagation activation:
-  // propagation matrices are symmetric, so replay Apply on the gradient.
+  // propagation matrices are symmetric, so replay propagate on the
+  // gradient. d/dh of [h, Ãh, 2Ã²h - h] is g0 + Ã g1 + 2Ã² g2 - g2.
   auto backward_inputs = [&](const std::vector<Matrix>& grads_in,
                              Matrix* grad_h) {
     if (kind == BaselineKind::kGcn) {
-      prop.Apply(grads_in[0], grad_h);
-    } else if (kind == BaselineKind::kSage) {
-      ops::Copy(grads_in[0], grad_h);
-      Matrix p(grad_h->rows(), grad_h->cols(), Device::kAccel);
-      prop.Apply(grads_in[1], &p);
-      ops::Axpy(1.0f, p, grad_h);
-    } else {
-      // d/dh of [h, Ãh, 2Ã²h - h]: g0 + Ã g1 + 2Ã² g2 - g2.
-      ops::Copy(grads_in[0], grad_h);
-      Matrix p(grad_h->rows(), grad_h->cols(), Device::kAccel);
-      prop.Apply(grads_in[1], &p);
-      ops::Axpy(1.0f, p, grad_h);
+      propagate(grads_in[0], grad_h);
+      return;
+    }
+    ops::Copy(grads_in[0], grad_h);
+    Matrix p(grad_h->rows(), grad_h->cols(), Device::kAccel);
+    propagate(grads_in[1], &p);
+    ops::Axpy(1.0f, p, grad_h);
+    if (kind == BaselineKind::kChebNet) {
       Matrix p2(grad_h->rows(), grad_h->cols(), Device::kAccel);
-      prop.Apply(grads_in[2], &p2);
-      prop.Apply(p2, &p);
+      propagate(grads_in[2], &p2);
+      propagate(p2, &p);
       ops::Axpy(2.0f, p, grad_h);
       ops::Axpy(-1.0f, grads_in[2], grad_h);
     }
   };
 
-  double best_val = -1.0;
-  double train_ms_total = 0.0;
   int64_t step = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch sw;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
     std::vector<Matrix> in1, in2;
     Matrix pre1, logits;
-    forward(/*train=*/true, &in1, &in2, &pre1, &logits);
-    Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-    result.final_train_loss =
-        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &grad);
+    forward(&in1, &in2, &pre1, &logits);
+    EpochOutput out;
+    out.grad = Matrix(logits.rows(), logits.cols(), Device::kAccel);
+    out.loss =
+        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &out.grad);
     for (auto& l : l1) l.ZeroGrad();
     for (auto& l : l2) l.ZeroGrad();
     // Layer 2 backward.
     std::vector<Matrix> gin2;
     for (int w = 0; w < w_per_layer; ++w) {
       Matrix gi(g.n, hid, Device::kAccel);
-      l2[static_cast<size_t>(w)].Backward(in2[static_cast<size_t>(w)], grad,
-                                          &gi);
+      l2[static_cast<size_t>(w)].Backward(in2[static_cast<size_t>(w)],
+                                          out.grad, &gi);
       gin2.push_back(std::move(gi));
     }
     Matrix grad_h1(g.n, hid, Device::kAccel);
     backward_inputs(gin2, &grad_h1);
-    ReluBackward(pre1, &grad_h1);
+    ops::ReluBackwardInPlace(pre1, &grad_h1);
     for (int w = 0; w < w_per_layer; ++w) {
       l1[static_cast<size_t>(w)].Backward(in1[static_cast<size_t>(w)],
                                           grad_h1, nullptr);
@@ -186,37 +145,30 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
     ++step;
     for (auto& l : l1) l.AdamStep(config.weights_opt, step);
     for (auto& l : l2) l.AdamStep(config.weights_opt, step);
-    train_ms_total += sw.ElapsedMs();
-    if (tracker.accel_oom()) {
-      result.oom = true;
-      break;
+    for (std::vector<Matrix>* v : {&in1, &in2, &gin2}) {
+      for (Matrix& m : *v) out.live.push_back(std::move(m));
     }
-    if (!config.timing_only && ((epoch + 1) % config.eval_every == 0 ||
-                                epoch + 1 == config.epochs)) {
-      std::vector<Matrix> e1, e2;
-      Matrix ep, elogits;
-      forward(/*train=*/false, &e1, &e2, &ep, &elogits);
-      const double val = EvaluateMetric(metric, elogits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        result.test_metric =
-            EvaluateMetric(metric, elogits, g.labels, splits.test);
-      }
+    for (Matrix* m : {&pre1, &logits, &grad_h1}) {
+      out.live.push_back(std::move(*m));
     }
-  }
-  {
-    Stopwatch sw;
-    std::vector<Matrix> e1, e2;
-    Matrix ep, elogits;
-    forward(/*train=*/false, &e1, &e2, &ep, &elogits);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+    return out;
+  };
+  // Eval-mode logits; the layer inputs are dropped on return.
+  auto predict = [&] {
+    std::vector<Matrix> in1, in2;
+    Matrix pre1, logits;
+    forward(&in1, &in2, &pre1, &logits);
+    return logits;
+  };
+  bodies.evaluate = [&] {
+    const Matrix logits = predict();
+    if (loop.NewBest(EvaluateMetric(metric, logits, g.labels, splits.val))) {
+      result.test_metric =
+          EvaluateMetric(metric, logits, g.labels, splits.test);
+    }
+  };
+  bodies.infer = predict;
+  loop.Run(bodies);
   return result;
 }
 
@@ -225,9 +177,9 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
 TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
                             graph::Metric metric, const TrainConfig& config) {
   TrainResult result;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
+  result.status = CheckBatching("NAGphormer", config, nullptr);
+  if (!result.status.ok()) return result;
+  EpochLoop loop(config, &result);
   Rng rng(config.seed * 0xD1342543DE82EF95ULL + 3);
   const int hops = 8;
   const int64_t fi = g.features.cols();
@@ -235,16 +187,18 @@ TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
 
   // Precompute hop features Ã^k X on the host (the long precompute column
   // of Table 6).
-  Stopwatch pre_sw;
-  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, config.rho);
+  sparse::CsrMatrix norm;
   std::vector<Matrix> hop_feats;
-  hop_feats.push_back(g.features);
-  for (int k = 1; k <= hops; ++k) {
-    Matrix next(g.n, fi, Device::kHost);
-    norm.SpMM(hop_feats.back(), &next);
-    hop_feats.push_back(std::move(next));
-  }
-  result.stats.precompute_ms = pre_sw.ElapsedMs();
+  loop.RunPrecompute([&] {
+    norm = sparse::NormalizeAdjacency(g.adj, config.rho);
+    hop_feats.push_back(g.features);
+    for (int k = 1; k <= hops; ++k) {
+      Matrix next(g.n, fi, Device::kHost);
+      norm.SpMM(hop_feats.back(), &next);
+      hop_feats.push_back(std::move(next));
+    }
+    return Status::OK();
+  });
 
   nn::Linear proj(fi, d, Device::kAccel);
   proj.Init(&rng);
@@ -344,81 +298,48 @@ TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
 
   Matrix all_logits(g.n, g.num_classes, Device::kHost);
   auto eval_rows = [&](const std::vector<int32_t>& rows) {
-    for (size_t start = 0; start < rows.size();
-         start += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          rows.size(), start + static_cast<size_t>(config.batch_size));
-      std::vector<int32_t> batch(rows.begin() + static_cast<int64_t>(start),
-                                 rows.begin() + static_cast<int64_t>(end));
-      BatchCache cache;
-      Matrix logits;
-      forward_batch(batch, /*train=*/false, &cache, &logits);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        for (int64_t cc = 0; cc < g.num_classes; ++cc) {
-          all_logits.at(batch[i], cc) = logits.at(static_cast<int64_t>(i), cc);
-        }
-      }
-    }
+    ForEachBatch(rows, config.batch_size,
+                 [&](const std::vector<int32_t>& batch) {
+                   BatchCache cache;
+                   Matrix logits;
+                   forward_batch(batch, /*train=*/false, &cache, &logits);
+                   ScatterRows(logits, batch, &all_logits);
+                 });
   };
 
   std::vector<int32_t> train_idx = splits.train;
-  double train_ms_total = 0.0;
-  double best_val = -1.0;
   int64_t step = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch sw;
-    for (size_t i = train_idx.size(); i > 1; --i) {
-      const auto j = static_cast<size_t>(rng.UniformInt(i));
-      std::swap(train_idx[i - 1], train_idx[j]);
-    }
-    for (size_t start = 0; start < train_idx.size();
-         start += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          train_idx.size(), start + static_cast<size_t>(config.batch_size));
-      std::vector<int32_t> batch(
-          train_idx.begin() + static_cast<int64_t>(start),
-          train_idx.begin() + static_cast<int64_t>(end));
+  EpochBodies bodies;
+  bodies.epoch = [&] {
+    EpochOutput out;
+    Shuffle(&train_idx, &rng);
+    ForEachBatch(train_idx, config.batch_size,
+                 [&](const std::vector<int32_t>& batch) {
       BatchCache cache;
       Matrix logits;
       forward_batch(batch, /*train=*/true, &cache, &logits);
-      std::vector<int32_t> batch_labels(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_labels[i] = g.labels[static_cast<size_t>(batch[i])];
-      }
       Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-      result.final_train_loss =
-          nn::SoftmaxCrossEntropy(logits, batch_labels, {}, &grad);
+      out.loss = nn::SoftmaxCrossEntropy(logits, Gather(g.labels, batch),
+                                         {}, &grad);
       backward_batch(&cache, grad);
       ++step;
       proj.AdamStep(config.weights_opt, step);
       query.AdamStep(config.weights_opt, step);
       head.AdamStep(config.weights_opt, step);
+    });
+    return out;
+  };
+  bodies.evaluate = [&] {
+    eval_rows(splits.val);
+    if (loop.NewBest(
+            EvaluateMetric(metric, all_logits, g.labels, splits.val))) {
+      eval_rows(splits.test);
+      result.test_metric =
+          EvaluateMetric(metric, all_logits, g.labels, splits.test);
     }
-    train_ms_total += sw.ElapsedMs();
-    if (!config.timing_only && ((epoch + 1) % config.eval_every == 0 ||
-                                epoch + 1 == config.epochs)) {
-      eval_rows(splits.val);
-      const double val =
-          EvaluateMetric(metric, all_logits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        eval_rows(splits.test);
-        result.test_metric =
-            EvaluateMetric(metric, all_logits, g.labels, splits.test);
-      }
-    }
-  }
-  {
-    Stopwatch sw;
-    eval_rows(splits.test);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+  };
+  bodies.infer = [&] { eval_rows(splits.test); };
+  loop.Run(bodies);
   return result;
 }
 
@@ -427,9 +348,7 @@ TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
 TrainResult TrainAnsGt(const graph::Graph& g, const graph::Splits& splits,
                        graph::Metric metric, const TrainConfig& config) {
   TrainResult result;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
+  EpochLoop loop(config, &result);
   Rng rng(config.seed * 0xB5297A4D68D9C175ULL + 5);
   const int64_t fi = g.features.cols();
   const int64_t d = config.hidden;
@@ -469,14 +388,25 @@ TrainResult TrainAnsGt(const graph::Graph& g, const graph::Splits& splits,
     *v_out = std::move(v);
   };
 
-  std::vector<int32_t> train_idx = splits.train;
-  double train_ms_total = 0.0;
-  double best_val = -1.0;
+  // Scores `rows` in batches of `sample`, each its own attention context.
+  auto eval_metric = [&](const std::vector<int32_t>& rows) {
+    std::vector<int32_t> local(rows.size());
+    std::iota(local.begin(), local.end(), 0);
+    Matrix big(static_cast<int64_t>(rows.size()), g.num_classes,
+               Device::kHost);
+    ForEachBatch(local, sample, [&](const std::vector<int32_t>& ids) {
+      Matrix xs, attn, v, logits;
+      forward(Gather(rows, ids), /*train=*/false, &xs, &attn, &v, &logits);
+      ScatterRows(logits, ids, &big);
+    });
+    return EvaluateMetric(metric, big, Gather(g.labels, rows), local);
+  };
+
+  const std::vector<int32_t>& train_idx = splits.train;
   int64_t step = 0;
-  Stopwatch pre_sw;
-  result.stats.precompute_ms = pre_sw.ElapsedMs();
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch sw;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
+    EpochOutput out;
     // Several adaptively-sampled attention steps per epoch (the model's
     // costly per-epoch loop in the paper's Table 6).
     for (int sub = 0; sub < 5; ++sub) {
@@ -487,13 +417,9 @@ TrainResult TrainAnsGt(const graph::Graph& g, const graph::Splits& splits,
       }
       Matrix xs, attn, v, logits;
       forward(batch, /*train=*/true, &xs, &attn, &v, &logits);
-      std::vector<int32_t> batch_labels(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_labels[i] = g.labels[static_cast<size_t>(batch[i])];
-      }
       Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-      result.final_train_loss =
-          nn::SoftmaxCrossEntropy(logits, batch_labels, {}, &grad);
+      out.loss = nn::SoftmaxCrossEntropy(logits, Gather(g.labels, batch),
+                                         {}, &grad);
       wv.ZeroGrad();
       head.ZeroGrad();
       Matrix grad_z(v.rows(), d, Device::kAccel);
@@ -507,68 +433,22 @@ TrainResult TrainAnsGt(const graph::Graph& g, const graph::Splits& splits,
       wv.AdamStep(config.weights_opt, step);
       head.AdamStep(config.weights_opt, step);
     }
-    train_ms_total += sw.ElapsedMs();
-    if (tracker.accel_oom()) {
-      result.oom = true;
-      break;
+    return out;
+  };
+  bodies.evaluate = [&] {
+    if (loop.NewBest(eval_metric(splits.val))) {
+      result.test_metric = eval_metric(splits.test);
     }
-    if (!config.timing_only && ((epoch + 1) % config.eval_every == 0 ||
-                                epoch + 1 == config.epochs)) {
-      // Evaluate on a sampled context containing the val/test rows batched.
-      auto eval_metric = [&](const std::vector<int32_t>& rows) {
-        double correct_like = 0.0;
-        int64_t total = 0;
-        Matrix big(static_cast<int64_t>(rows.size()), g.num_classes,
-                   Device::kHost);
-        for (size_t start = 0; start < rows.size();
-             start += static_cast<size_t>(sample)) {
-          const size_t end =
-              std::min(rows.size(), start + static_cast<size_t>(sample));
-          std::vector<int32_t> ebatch(
-              rows.begin() + static_cast<int64_t>(start),
-              rows.begin() + static_cast<int64_t>(end));
-          Matrix exs, eattn, ev, elogits;
-          forward(ebatch, /*train=*/false, &exs, &eattn, &ev, &elogits);
-          for (size_t i = 0; i < ebatch.size(); ++i) {
-            for (int64_t cc = 0; cc < g.num_classes; ++cc) {
-              big.at(static_cast<int64_t>(start + i), cc) =
-                  elogits.at(static_cast<int64_t>(i), cc);
-            }
-          }
-        }
-        std::vector<int32_t> local_labels(rows.size());
-        std::vector<int32_t> local_rows(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-          local_labels[i] = g.labels[static_cast<size_t>(rows[i])];
-          local_rows[i] = static_cast<int32_t>(i);
-        }
-        (void)correct_like;
-        (void)total;
-        return EvaluateMetric(metric, big, local_labels, local_rows);
-      };
-      const double val = eval_metric(splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        result.test_metric = eval_metric(splits.test);
-      }
-    }
-  }
-  {
-    Stopwatch sw;
+  };
+  bodies.infer = [&] {
     std::vector<int32_t> batch(splits.test.begin(),
                                splits.test.begin() +
                                    std::min<size_t>(splits.test.size(),
                                                     static_cast<size_t>(sample)));
     Matrix xs, attn, v, logits;
     forward(batch, /*train=*/false, &xs, &attn, &v, &logits);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+  };
+  loop.Run(bodies);
   return result;
 }
 

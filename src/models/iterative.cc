@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/registry.h"
-#include "eval/table.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "sparse/adjacency.h"
@@ -12,8 +11,6 @@
 namespace sgnn::models {
 
 namespace {
-
-using eval::Stopwatch;
 
 /// One iterative layer: h -> ReLU(g(L̃) h W + b). Caches what backward needs.
 struct Layer {
@@ -31,10 +28,8 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
                            graph::Metric metric,
                            const IterativeConfig& config) {
   TrainResult result;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
   const TrainConfig& base = config.base;
+  EpochLoop loop(base, &result);
   Rng rng(base.seed * 0x94D049BB133111EBULL + 37);
 
   sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, base.rho);
@@ -72,12 +67,7 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
         layer.propagated = prop;
         layer.preact = z;
       }
-      if (j + 1 < config.layers) {
-        float* zd = z.data();
-        for (int64_t i = 0; i < z.size(); ++i) {
-          zd[i] = zd[i] > 0 ? zd[i] : 0.0f;
-        }
-      }
+      if (j + 1 < config.layers) ops::ReluInPlace(&z);
       h = std::move(z);
     }
     *logits = std::move(h);
@@ -87,14 +77,8 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
     Matrix grad = grad_logits;
     for (int j = config.layers - 1; j >= 0; --j) {
       auto& layer = layers[static_cast<size_t>(j)];
-      if (j + 1 < config.layers) {
-        // Undo the ReLU of this layer's output.
-        const float* pd = layer.preact.data();
-        float* gd = grad.data();
-        for (int64_t i = 0; i < grad.size(); ++i) {
-          if (pd[i] <= 0.0f) gd[i] = 0.0f;
-        }
-      }
+      // Undo the ReLU of this layer's output.
+      if (j + 1 < config.layers) ops::ReluBackwardInPlace(layer.preact, &grad);
       Matrix grad_prop(layer.propagated.rows(), layer.propagated.cols(),
                        Device::kAccel);
       layer.linear.Backward(layer.propagated, grad, &grad_prop);
@@ -105,56 +89,42 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
     }
   };
 
-  double best_val = -1.0;
-  double train_ms_total = 0.0;
   int64_t step = 0;
-  for (int epoch = 0; epoch < base.epochs; ++epoch) {
-    Stopwatch sw;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
     Matrix logits;
     forward(/*train=*/true, &logits);
-    Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-    result.final_train_loss =
-        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &grad);
+    EpochOutput out;
+    out.grad = Matrix(logits.rows(), logits.cols(), Device::kAccel);
+    out.loss =
+        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &out.grad);
     for (auto& layer : layers) {
       layer.linear.ZeroGrad();
       layer.filter->params().ZeroGrad();
     }
-    backward(grad);
+    backward(out.grad);
     ++step;
     for (auto& layer : layers) {
       layer.linear.AdamStep(base.weights_opt, step);
       layer.filter->params().AdamStep(base.filter_opt, step);
     }
-    train_ms_total += sw.ElapsedMs();
-    if (tracker.accel_oom()) {
-      result.oom = true;
-      break;
-    }
-    if (!base.timing_only &&
-        ((epoch + 1) % base.eval_every == 0 || epoch + 1 == base.epochs)) {
-      Matrix elogits;
-      forward(/*train=*/false, &elogits);
-      const double val = EvaluateMetric(metric, elogits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        result.test_metric =
-            EvaluateMetric(metric, elogits, g.labels, splits.test);
-        result.test_logits = elogits.CloneTo(Device::kHost);
-      }
-    }
-  }
-  {
-    Stopwatch sw;
+    out.live.push_back(std::move(logits));
+    return out;
+  };
+  bodies.evaluate = [&] {
     Matrix elogits;
     forward(/*train=*/false, &elogits);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, base.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+    if (loop.NewBest(EvaluateMetric(metric, elogits, g.labels, splits.val))) {
+      result.test_metric =
+          EvaluateMetric(metric, elogits, g.labels, splits.test);
+      result.test_logits = elogits.CloneTo(Device::kHost);
+    }
+  };
+  bodies.infer = [&] {
+    Matrix logits;
+    forward(/*train=*/false, &logits);
+  };
+  loop.Run(bodies);
   return result;
 }
 

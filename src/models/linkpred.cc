@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "eval/metrics.h"
-#include "eval/table.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "sparse/adjacency.h"
@@ -12,8 +11,6 @@
 namespace sgnn::models {
 
 namespace {
-
-using eval::Stopwatch;
 
 /// One scored node pair.
 struct EdgeSample {
@@ -39,32 +36,31 @@ std::vector<std::pair<int32_t, int32_t>> CollectEdges(const graph::Graph& g) {
 
 }  // namespace
 
-LinkPredResult TrainLinkPrediction(const graph::Graph& g,
-                                   filters::SpectralFilter* filter,
-                                   const LinkPredConfig& config) {
-  LinkPredResult result;
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
-  Rng rng(config.base.seed * 0x8B72E1F371C69AEDULL + 17);
+TrainResult TrainLinkPrediction(const graph::Graph& g,
+                                filters::SpectralFilter* filter,
+                                const LinkPredConfig& config) {
+  const TrainConfig& base = config.base;
+  TrainResult result;
+  result.status = CheckBatching("TrainLinkPrediction", base, filter);
+  if (!result.status.ok()) return result;
+  EpochLoop loop(base, &result);
+  Rng rng(base.seed * 0x8B72E1F371C69AEDULL + 17);
   filter->ResetParameters(&rng);
 
   // Precompute filtered embeddings on the host (fixed-filter path folds θ;
   // variable filters keep per-hop terms and combine per batch).
-  Stopwatch pre_sw;
-  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, config.base.rho);
-  filters::FilterContext ctx{&norm, Device::kHost};
+  sparse::CsrMatrix norm;
   std::vector<Matrix> terms;
-  const Status pre = filter->Precompute(ctx, g.features, &terms);
-  SGNN_CHECK(pre.ok(), "link prediction requires an MB-capable filter");
-  result.stats.precompute_ms = pre_sw.ElapsedMs();
+  loop.RunPrecompute([&] {
+    norm = sparse::NormalizeAdjacency(g.adj, base.rho);
+    const filters::FilterContext ctx{&norm, Device::kHost};
+    return filter->Precompute(ctx, g.features, &terms);
+  });
+  if (!result.status.ok()) return result;
 
   // Edge samples: held-out positives + uniform negatives (κ per positive).
   std::vector<std::pair<int32_t, int32_t>> edges = CollectEdges(g);
-  for (size_t i = edges.size(); i > 1; --i) {
-    const auto j = static_cast<size_t>(rng.UniformInt(i));
-    std::swap(edges[i - 1], edges[j]);
-  }
+  Shuffle(&edges, &rng);
   const auto n_test =
       static_cast<size_t>(config.test_frac * static_cast<double>(edges.size()));
   auto make_samples = [&](size_t begin, size_t end) {
@@ -85,108 +81,80 @@ LinkPredResult TrainLinkPrediction(const graph::Graph& g,
   std::vector<EdgeSample> train_samples = make_samples(n_test, edges.size());
 
   const int64_t fi = g.features.cols();
-  nn::Mlp scorer(2, fi, config.base.hidden, 1, config.base.dropout,
-                 Device::kAccel);
+  nn::Mlp scorer(2, fi, base.hidden, 1, base.dropout, Device::kAccel);
   scorer.Init(&rng);
 
   // Builds the Hadamard-product features h_u ⊙ h_v for a sample batch.
-  auto batch_features = [&](const std::vector<EdgeSample>& samples,
-                            size_t begin, size_t end, bool train, Matrix* feat,
-                            std::vector<const Matrix*>* ptrs_u,
-                            std::vector<Matrix>* hold) {
+  // `hold_u` receives the u-side term slices; the caller keeps them until
+  // its scorer pass is done.
+  auto batch_features = [&](const std::vector<EdgeSample>& batch,
+                            Matrix* feat, std::vector<Matrix>* hold_u) {
     std::vector<int32_t> us, vs;
-    for (size_t i = begin; i < end; ++i) {
-      us.push_back(samples[i].u);
-      vs.push_back(samples[i].v);
+    for (const EdgeSample& s : batch) {
+      us.push_back(s.u);
+      vs.push_back(s.v);
     }
-    hold->clear();
-    ptrs_u->clear();
     std::vector<Matrix> hold_v;
-    std::vector<const Matrix*> ptrs_v;
+    std::vector<const Matrix*> ptrs_u, ptrs_v;
     for (const auto& term : terms) {
-      Matrix su = term.GatherRows(us);
-      su.MoveToDevice(Device::kAccel);
-      hold->push_back(std::move(su));
-      Matrix sv = term.GatherRows(vs);
-      sv.MoveToDevice(Device::kAccel);
-      hold_v.push_back(std::move(sv));
+      hold_u->push_back(term.GatherRows(us));
+      hold_u->back().MoveToDevice(Device::kAccel);
+      hold_v.push_back(term.GatherRows(vs));
+      hold_v.back().MoveToDevice(Device::kAccel);
     }
-    for (const auto& m : *hold) ptrs_u->push_back(&m);
+    for (const auto& m : *hold_u) ptrs_u.push_back(&m);
     for (const auto& m : hold_v) ptrs_v.push_back(&m);
     Matrix hu, hv;
-    filter->CombineTerms(*ptrs_u, &hu, /*cache=*/false);
+    filter->CombineTerms(ptrs_u, &hu, /*cache=*/false);
     filter->CombineTerms(ptrs_v, &hv, /*cache=*/false);
-    (void)train;
     ops::MulInPlace(hv, &hu);
     *feat = std::move(hu);
   };
 
-  double train_ms_total = 0.0;
   int64_t step = 0;
-  for (int epoch = 0; epoch < config.base.epochs; ++epoch) {
-    Stopwatch sw;
-    for (size_t i = train_samples.size(); i > 1; --i) {
-      const auto j = static_cast<size_t>(rng.UniformInt(i));
-      std::swap(train_samples[i - 1], train_samples[j]);
-    }
-    const auto bs = static_cast<size_t>(config.base.batch_size);
-    for (size_t start = 0; start < train_samples.size(); start += bs) {
-      const size_t end = std::min(train_samples.size(), start + bs);
+  EpochBodies bodies;
+  bodies.epoch = [&] {
+    EpochOutput out;
+    Shuffle(&train_samples, &rng);
+    ForEachBatch(train_samples, base.batch_size,
+                 [&](const std::vector<EdgeSample>& batch) {
       Matrix feat;
-      std::vector<const Matrix*> ptrs;
       std::vector<Matrix> hold;
-      batch_features(train_samples, start, end, true, &feat, &ptrs, &hold);
+      batch_features(batch, &feat, &hold);
       Matrix logits;
       scorer.Forward(feat, &logits, /*train=*/true, &rng);
       std::vector<float> targets;
-      targets.reserve(end - start);
-      for (size_t i = start; i < end; ++i) {
-        targets.push_back(train_samples[i].label);
-      }
+      targets.reserve(batch.size());
+      for (const EdgeSample& s : batch) targets.push_back(s.label);
       Matrix grad(logits.rows(), 1, Device::kAccel);
-      nn::BceWithLogits(logits, targets, &grad);
+      out.loss = nn::BceWithLogits(logits, targets, &grad);
       scorer.ZeroGrad();
       scorer.Backward(grad, nullptr);
       ++step;
-      scorer.AdamStep(config.base.weights_opt, step);
-    }
-    train_ms_total += sw.ElapsedMs();
-    if (tracker.accel_oom()) {
-      result.oom = true;
-      break;
-    }
-  }
-
-  // Test AUC + inference timing.
-  {
-    Stopwatch sw;
+      scorer.AdamStep(base.weights_opt, step);
+    });
+    return out;
+  };
+  // Test AUC; timed as the inference pass.
+  bodies.infer = [&] {
     std::vector<double> scores;
     std::vector<int32_t> truth;
-    const auto bs = static_cast<size_t>(config.base.batch_size);
-    for (size_t start = 0; start < test_samples.size(); start += bs) {
-      const size_t end = std::min(test_samples.size(), start + bs);
-      Matrix feat;
-      std::vector<const Matrix*> ptrs;
-      std::vector<Matrix> hold;
-      batch_features(test_samples, start, end, false, &feat, &ptrs, &hold);
-      Matrix logits;
-      scorer.Forward(feat, &logits, /*train=*/false, nullptr);
-      for (int64_t i = 0; i < logits.rows(); ++i) {
-        scores.push_back(logits.at(i, 0));
-        truth.push_back(test_samples[start + static_cast<size_t>(i)].label >
-                                0.5f
-                            ? 1
-                            : 0);
-      }
-    }
-    result.test_auc = eval::RocAucFromScores(scores, truth);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.base.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+    ForEachBatch(test_samples, base.batch_size,
+                 [&](const std::vector<EdgeSample>& batch) {
+                   Matrix feat;
+                   std::vector<Matrix> hold;
+                   batch_features(batch, &feat, &hold);
+                   Matrix logits;
+                   scorer.Forward(feat, &logits, /*train=*/false, nullptr);
+                   for (int64_t i = 0; i < logits.rows(); ++i) {
+                     scores.push_back(logits.at(i, 0));
+                     truth.push_back(
+                         batch[static_cast<size_t>(i)].label > 0.5f ? 1 : 0);
+                   }
+                 });
+    result.test_metric = eval::RocAucFromScores(scores, truth);
+  };
+  loop.Run(bodies);
   return result;
 }
 

@@ -26,18 +26,15 @@ struct LinkPredConfig {
   double test_frac = 0.2;
 };
 
-/// Link-prediction outcome.
-struct LinkPredResult {
-  bool oom = false;
-  double test_auc = 0.0;
-  StageStats stats;
-};
-
 /// Runs decoupled MB link prediction with the given filter: precompute
-/// filtered embeddings, then train an MLP scorer on edge batches.
-LinkPredResult TrainLinkPrediction(const graph::Graph& g,
-                                   filters::SpectralFilter* filter,
-                                   const LinkPredConfig& config);
+/// filtered embeddings, then train an MLP scorer on edge batches. The
+/// result's test_metric is the test ROC-AUC, and its final_train_loss the
+/// last batch's binary cross-entropy. There are no eval rounds, so
+/// val_metric stays 0. A batch size below 1 or an FB-only filter returns
+/// InvalidArgument.
+TrainResult TrainLinkPrediction(const graph::Graph& g,
+                                filters::SpectralFilter* filter,
+                                const LinkPredConfig& config);
 
 }  // namespace sgnn::models
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "eval/table.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "shard/partition.h"
@@ -13,8 +12,6 @@
 namespace sgnn::models {
 
 namespace {
-
-using eval::Stopwatch;
 
 /// One partition's materialized state.
 struct Part {
@@ -39,64 +36,63 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
         " is outside [1, " + std::to_string(g.n) + "]");
     return result;
   }
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
   const TrainConfig& base = config.base;
+  EpochLoop loop(base, &result);
   Rng rng(base.seed * 0x6C62272E07BB0142ULL + 29);
   filter->ResetParameters(&rng);
 
   // Build parts: induced subgraphs, gathered features, relabeled splits.
-  Stopwatch pre_sw;
-  const std::vector<int32_t> part_of =
-      shard::GreedyBfsPartition(g.adj, {config.num_parts, base.seed})
-          .shard_of;
   std::vector<Part> parts(static_cast<size_t>(config.num_parts));
-  std::vector<int32_t> local_id(static_cast<size_t>(g.n));
-  for (int64_t v = 0; v < g.n; ++v) {
-    auto& part = parts[static_cast<size_t>(part_of[static_cast<size_t>(v)])];
-    local_id[static_cast<size_t>(v)] =
-        static_cast<int32_t>(part.nodes.size());
-    part.nodes.push_back(static_cast<int32_t>(v));
-  }
-  std::vector<bool> in_train(static_cast<size_t>(g.n), false);
-  for (const int32_t v : splits.train) in_train[static_cast<size_t>(v)] = true;
-  const auto& indptr = g.adj.indptr();
-  const auto& indices = g.adj.indices();
-  for (auto& part : parts) {
-    const auto pn = static_cast<int64_t>(part.nodes.size());
-    sparse::EdgeList edges;
-    for (int64_t i = 0; i < pn; ++i) {
-      const int32_t v = part.nodes[static_cast<size_t>(i)];
-      for (int64_t p = indptr[static_cast<size_t>(v)];
-           p < indptr[static_cast<size_t>(v) + 1]; ++p) {
-        const int32_t u = indices[static_cast<size_t>(p)];
-        if (u == v || part_of[static_cast<size_t>(u)] !=
-                          part_of[static_cast<size_t>(v)]) {
-          continue;  // severed cross-partition edge
+  loop.RunPrecompute([&] {
+    const std::vector<int32_t> part_of =
+        shard::GreedyBfsPartition(g.adj, {config.num_parts, base.seed})
+            .shard_of;
+    std::vector<int32_t> local_id(static_cast<size_t>(g.n));
+    for (int64_t v = 0; v < g.n; ++v) {
+      auto& part = parts[static_cast<size_t>(part_of[static_cast<size_t>(v)])];
+      local_id[static_cast<size_t>(v)] =
+          static_cast<int32_t>(part.nodes.size());
+      part.nodes.push_back(static_cast<int32_t>(v));
+    }
+    std::vector<bool> in_train(static_cast<size_t>(g.n), false);
+    for (const int32_t v : splits.train) in_train[static_cast<size_t>(v)] = true;
+    const auto& indptr = g.adj.indptr();
+    const auto& indices = g.adj.indices();
+    for (auto& part : parts) {
+      const auto pn = static_cast<int64_t>(part.nodes.size());
+      sparse::EdgeList edges;
+      for (int64_t i = 0; i < pn; ++i) {
+        const int32_t v = part.nodes[static_cast<size_t>(i)];
+        for (int64_t p = indptr[static_cast<size_t>(v)];
+             p < indptr[static_cast<size_t>(v) + 1]; ++p) {
+          const int32_t u = indices[static_cast<size_t>(p)];
+          if (u == v || part_of[static_cast<size_t>(u)] !=
+                            part_of[static_cast<size_t>(v)]) {
+            continue;  // severed cross-partition edge
+          }
+          if (local_id[static_cast<size_t>(u)] > i) {
+            edges.emplace_back(static_cast<int32_t>(i),
+                               local_id[static_cast<size_t>(u)]);
+          }
         }
-        if (local_id[static_cast<size_t>(u)] > i) {
-          edges.emplace_back(static_cast<int32_t>(i),
-                             local_id[static_cast<size_t>(u)]);
+      }
+      auto adj = sparse::BuildAdjacency(std::max<int64_t>(pn, 1), edges,
+                                        /*add_self_loops=*/true);
+      SGNN_CHECK(adj.ok(), "partition adjacency failed");
+      part.norm = sparse::NormalizeAdjacency(adj.value(), base.rho);
+      part.norm.MoveToDevice(Device::kAccel);
+      part.features = g.features.GatherRows(part.nodes);
+      part.features.MoveToDevice(Device::kAccel);
+      part.labels.resize(part.nodes.size());
+      for (size_t i = 0; i < part.nodes.size(); ++i) {
+        part.labels[i] = g.labels[static_cast<size_t>(part.nodes[i])];
+        if (in_train[static_cast<size_t>(part.nodes[i])]) {
+          part.local_train.push_back(static_cast<int32_t>(i));
         }
       }
     }
-    auto adj = sparse::BuildAdjacency(std::max<int64_t>(pn, 1), edges,
-                                      /*add_self_loops=*/true);
-    SGNN_CHECK(adj.ok(), "partition adjacency failed");
-    part.norm = sparse::NormalizeAdjacency(adj.value(), base.rho);
-    part.norm.MoveToDevice(Device::kAccel);
-    part.features = g.features.GatherRows(part.nodes);
-    part.features.MoveToDevice(Device::kAccel);
-    part.labels.resize(part.nodes.size());
-    for (size_t i = 0; i < part.nodes.size(); ++i) {
-      part.labels[i] = g.labels[static_cast<size_t>(part.nodes[i])];
-      if (in_train[static_cast<size_t>(part.nodes[i])]) {
-        part.local_train.push_back(static_cast<int32_t>(i));
-      }
-    }
-  }
-  result.stats.precompute_ms = pre_sw.ElapsedMs();
+    return Status::OK();
+  });
 
   const int64_t fi = g.features.cols();
   const int64_t mid = base.phi0_layers > 0 ? base.hidden : fi;
@@ -122,27 +118,21 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
       if (part.nodes.empty()) continue;
       Matrix logits;
       forward_part(part, /*train=*/false, &logits);
-      for (size_t i = 0; i < part.nodes.size(); ++i) {
-        for (int64_t c = 0; c < g.num_classes; ++c) {
-          all_logits.at(part.nodes[i], c) =
-              logits.at(static_cast<int64_t>(i), c);
-        }
-      }
+      ScatterRows(logits, part.nodes, &all_logits);
     }
   };
 
-  double best_val = -1.0;
-  double train_ms_total = 0.0;
   int64_t step = 0;
-  for (int epoch = 0; epoch < base.epochs; ++epoch) {
-    Stopwatch sw;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
+    EpochOutput out;
     for (auto& part : parts) {
       if (part.local_train.empty()) continue;
       Matrix logits;
       forward_part(part, /*train=*/true, &logits);
       Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-      result.final_train_loss = nn::SoftmaxCrossEntropy(
-          logits, part.labels, part.local_train, &grad);
+      out.loss = nn::SoftmaxCrossEntropy(logits, part.labels,
+                                         part.local_train, &grad);
       phi0.ZeroGrad();
       phi1.ZeroGrad();
       filter->params().ZeroGrad();
@@ -158,35 +148,19 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
       filter->params().AdamStep(base.filter_opt, step);
       filter->ClearCache();
     }
-    train_ms_total += sw.ElapsedMs();
-    if (tracker.accel_oom()) {
-      result.oom = true;
-      break;
-    }
-    if (!base.timing_only &&
-        ((epoch + 1) % base.eval_every == 0 || epoch + 1 == base.epochs)) {
-      eval_all();
-      const double val =
-          EvaluateMetric(metric, all_logits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        result.test_metric =
-            EvaluateMetric(metric, all_logits, g.labels, splits.test);
-        result.test_logits = all_logits;
-      }
-    }
-  }
-  {
-    Stopwatch sw;
+    return out;
+  };
+  bodies.evaluate = [&] {
     eval_all();
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, base.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
-  if (tracker.accel_oom()) result.oom = true;
+    if (loop.NewBest(
+            EvaluateMetric(metric, all_logits, g.labels, splits.val))) {
+      result.test_metric =
+          EvaluateMetric(metric, all_logits, g.labels, splits.test);
+      result.test_logits = all_logits;
+    }
+  };
+  bodies.infer = eval_all;
+  loop.Run(bodies);
   return result;
 }
 

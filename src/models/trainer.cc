@@ -15,77 +15,111 @@
 
 namespace sgnn::models {
 
-namespace {
-
-using eval::Stopwatch;
-
-/// Fisher-Yates shuffle of an index vector.
-void Shuffle(std::vector<int32_t>* idx, Rng* rng) {
-  for (size_t i = idx->size(); i > 1; --i) {
-    const auto j = static_cast<size_t>(rng->UniformInt(i));
-    std::swap((*idx)[i - 1], (*idx)[j]);
-  }
+EpochLoop::EpochLoop(const TrainConfig& config, TrainResult* result)
+    : config_(config), result_(result) {
+  result_->stats.threads = parallel::NumThreads();
+  auto& tracker = DeviceTracker::Global();
+  tracker.ClearOom();
+  tracker.ResetPeak();
 }
 
-/// Shared failure-path supervision for the training loops: the latched-OOM
-/// check (one place instead of a copy per loop), NaN/Inf divergence
-/// detection on loss and gradient, and the per-run wall-clock deadline.
-/// A run that trips a guard stops instead of crashing; the TrainResult
-/// carries which guard fired.
-class RunGuard {
- public:
-  RunGuard(const TrainConfig& config, TrainResult* result)
-      : config_(config), result_(result) {}
+void EpochLoop::RunPrecompute(const std::function<Status()>& body) {
+  eval::Stopwatch sw;
+  const Status st = body();
+  if (!st.ok()) {
+    // A sharded hop can latch the accelerator OOM flag; report it as the
+    // OOM guard would, so the Supervisor journals an (OOM) cell.
+    result_->oom = st.code() == StatusCode::kOutOfMemory;
+    result_->status = st;
+    return;
+  }
+  result_->stats.precompute_ms = sw.ElapsedMs();
+}
 
-  /// Epoch-granularity check; returns true when the run must stop. `grad`,
-  /// when non-null, is the current loss gradient and is checked for
-  /// non-finite entries along with the loss.
-  bool ShouldStop(double loss, const Matrix* grad) {
-    if (DeviceTracker::Global().accel_oom()) {
-      result_->oom = true;
-      result_->status =
-          Status::OutOfMemory("simulated accelerator over capacity");
-      return true;
+bool EpochLoop::NewBest(double val) {
+  if (val <= best_val_) return false;
+  best_val_ = val;
+  result_->val_metric = val;
+  return true;
+}
+
+bool EpochLoop::LatchOom() {
+  if (!DeviceTracker::Global().accel_oom()) return false;
+  result_->oom = true;
+  result_->status = Status::OutOfMemory("simulated accelerator over capacity");
+  return true;
+}
+
+bool EpochLoop::ShouldStop(double loss, const Matrix& grad) {
+  if (LatchOom()) return true;
+  if (config_.divergence_check &&
+      (!std::isfinite(loss) || !ops::AllFinite(grad))) {
+    result_->diverged = true;
+    result_->status =
+        Status::NumericalError("non-finite training loss or gradient");
+    return true;
+  }
+  if (config_.deadline_ms > 0.0 && clock_.ElapsedMs() > config_.deadline_ms) {
+    result_->timed_out = true;
+    result_->status = Status::DeadlineExceeded(
+        "run exceeded deadline of " + std::to_string(config_.deadline_ms) +
+        " ms");
+    return true;
+  }
+  return false;
+}
+
+void EpochLoop::Run(const EpochBodies& bodies) {
+  double train_ms_total = 0.0;
+  int stale_rounds = 0;
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    eval::Stopwatch sw;
+    const EpochOutput out = bodies.epoch();
+    train_ms_total += sw.ElapsedMs();
+    result_->final_train_loss = out.loss;
+    if (ShouldStop(out.loss, out.grad)) break;
+    const bool round = (epoch + 1) % config_.eval_every == 0 ||
+                       epoch + 1 == config_.epochs;
+    if (config_.timing_only || !bodies.evaluate || !round) continue;
+    const double best_before = best_val_;
+    bodies.evaluate();
+    if (best_val_ > best_before) {
+      stale_rounds = 0;
+    } else if (++stale_rounds > config_.patience) {
+      break;
     }
-    if (config_.divergence_check &&
-        (!std::isfinite(loss) ||
-         (grad != nullptr && !ops::AllFinite(*grad)))) {
-      result_->diverged = true;
-      result_->status =
-          Status::NumericalError("non-finite training loss or gradient");
-      return true;
-    }
-    if (config_.deadline_ms > 0.0 &&
-        clock_.ElapsedMs() > config_.deadline_ms) {
-      result_->timed_out = true;
-      result_->status = Status::DeadlineExceeded(
-          "run exceeded deadline of " + std::to_string(config_.deadline_ms) +
-          " ms");
-      return true;
-    }
-    return false;
   }
 
-  /// End-of-run check: latches an OOM that fired after the last per-epoch
-  /// check (e.g. during the final evaluation pass).
-  void Finalize() {
-    if (DeviceTracker::Global().accel_oom() && !result_->oom) {
-      result_->oom = true;
-      result_->status =
-          Status::OutOfMemory("simulated accelerator over capacity");
-    }
+  // An aborted run must not keep allocating or burn past its deadline.
+  if (result_->status.ok()) {
+    eval::Stopwatch sw;
+    bodies.infer();
+    result_->stats.infer_ms = sw.ElapsedMs();
+    if (bodies.finish) bodies.finish();
   }
+  auto& tracker = DeviceTracker::Global();
+  result_->stats.train_ms_per_epoch =
+      train_ms_total / std::max(1, config_.epochs);
+  result_->stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
+  result_->stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
+  // An OOM may have fired after the last per-epoch check (in an eval round,
+  // inference or `finish`).
+  LatchOom();
+}
 
-  /// True once any guard fired; aborted runs skip the inference pass.
-  bool aborted() const { return !result_->status.ok(); }
-
- private:
-  const TrainConfig& config_;
-  TrainResult* result_;
-  Stopwatch clock_;
-};
-
-}  // namespace
+Status CheckBatching(const std::string& scheme, const TrainConfig& config,
+                     const filters::SpectralFilter* filter) {
+  if (config.batch_size < 1) {
+    return Status::InvalidArgument(scheme + ": batch_size " +
+                                   std::to_string(config.batch_size) +
+                                   " must be at least 1");
+  }
+  if (filter != nullptr && !filter->SupportsMiniBatch()) {
+    return Status::InvalidArgument(scheme + ": filter " + filter->name() +
+                                   " has no per-hop terms to batch");
+  }
+  return Status::OK();
+}
 
 double EvaluateMetric(graph::Metric metric, const Matrix& logits,
                       const std::vector<int32_t>& labels,
@@ -96,17 +130,30 @@ double EvaluateMetric(graph::Metric metric, const Matrix& logits,
   return eval::Accuracy(logits, labels, rows);
 }
 
+std::vector<int32_t> Gather(const std::vector<int32_t>& values,
+                            const std::vector<int32_t>& rows) {
+  std::vector<int32_t> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out[i] = values[static_cast<size_t>(rows[i])];
+  }
+  return out;
+}
+
+void ScatterRows(const Matrix& src, const std::vector<int32_t>& rows,
+                 Matrix* dst) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::copy_n(src.row(static_cast<int64_t>(i)), src.cols(),
+                dst->row(rows[i]));
+  }
+}
+
 TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
                            graph::Metric metric,
                            filters::SpectralFilter* filter,
                            const TrainConfig& config,
                            bool capture_embeddings) {
   TrainResult result;
-  result.stats.threads = parallel::NumThreads();
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
-  RunGuard guard(config, &result);
+  EpochLoop loop(config, &result);
 
   Rng rng(config.seed * 0x2545F4914F6CDD1DULL + 7);
   // FB loads graph topology and attributes onto the accelerator. Sharded FB
@@ -146,27 +193,31 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
   filters::FilterContext ctx{&norm, run_device};
   ctx.op = shard_op.get();
 
-  double best_val = -1.0;
-  int64_t step = 0;
-  double train_ms_total = 0.0;
-  int stale_rounds = 0;
+  // One eval-mode pass: φ0 -> g(L̃) -> φ1.
+  auto forward = [&](Matrix* h0, Matrix* hf, Matrix* logits) {
+    phi0.ForwardInference(x, h0);
+    filter->Forward(ctx, *h0, hf, /*cache=*/false);
+    phi1.ForwardInference(*hf, logits);
+  };
 
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch sw;
+  int64_t step = 0;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
     // Forward: φ0 -> g(L̃) -> φ1.
     Matrix h0, hf, logits;
     phi0.Forward(x, &h0, /*train=*/true, &rng);
     filter->Forward(ctx, h0, &hf, /*cache=*/true);
     phi1.Forward(hf, &logits, /*train=*/true, &rng);
-    Matrix grad(logits.rows(), logits.cols(), run_device);
-    result.final_train_loss =
-        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &grad);
+    EpochOutput out;
+    out.grad = Matrix(logits.rows(), logits.cols(), run_device);
+    out.loss =
+        nn::SoftmaxCrossEntropy(logits, g.labels, splits.train, &out.grad);
     // Backward + optimizer step.
     phi0.ZeroGrad();
     phi1.ZeroGrad();
     filter->params().ZeroGrad();
     Matrix g_hf(hf.rows(), hf.cols(), run_device);
-    phi1.Backward(grad, &g_hf);
+    phi1.Backward(out.grad, &g_hf);
     Matrix g_h0;
     filter->Backward(ctx, g_hf, config.phi0_layers > 0 ? &g_h0 : nullptr);
     if (config.phi0_layers > 0) phi0.Backward(g_h0, nullptr);
@@ -175,56 +226,35 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
     phi1.AdamStep(config.weights_opt, step);
     filter->params().AdamStep(config.filter_opt, step);
     filter->ClearCache();
-    train_ms_total += sw.ElapsedMs();
-
-    if (guard.ShouldStop(result.final_train_loss, &grad)) break;
-
-    const bool last = (epoch + 1 == config.epochs);
-    if (!config.timing_only &&
-        ((epoch + 1) % config.eval_every == 0 || last)) {
-      Matrix eh0, ehf, elogits;
-      phi0.ForwardInference(x, &eh0);
-      filter->Forward(ctx, eh0, &ehf, /*cache=*/false);
-      phi1.ForwardInference(ehf, &elogits);
-      const double val = EvaluateMetric(metric, elogits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        result.test_metric =
-            EvaluateMetric(metric, elogits, g.labels, splits.test);
-        result.test_logits = elogits.CloneTo(Device::kHost);
-        stale_rounds = 0;
-      } else if (++stale_rounds > config.patience) {
-        break;
-      }
-      if (capture_embeddings && last) {
-        result.embeddings = ehf.CloneTo(Device::kHost);
-      }
+    for (Matrix* m : {&h0, &hf, &logits, &g_hf, &g_h0}) {
+      out.live.push_back(std::move(*m));
     }
-  }
-
-  // Inference timing: one full eval-mode pass (skipped when a guard fired:
-  // an aborted run must not keep allocating or burn past its deadline).
-  if (!guard.aborted()) {
-    Stopwatch sw;
+    return out;
+  };
+  bodies.evaluate = [&] {
     Matrix eh0, ehf, elogits;
-    phi0.ForwardInference(x, &eh0);
-    filter->Forward(ctx, eh0, &ehf, /*cache=*/false);
-    phi1.ForwardInference(ehf, &elogits);
-    result.stats.infer_ms = sw.ElapsedMs();
+    forward(&eh0, &ehf, &elogits);
+    if (loop.NewBest(EvaluateMetric(metric, elogits, g.labels, splits.val))) {
+      result.test_metric =
+          EvaluateMetric(metric, elogits, g.labels, splits.test);
+      result.test_logits = elogits.CloneTo(Device::kHost);
+    }
+    if (capture_embeddings && step == config.epochs) {
+      result.embeddings = ehf.CloneTo(Device::kHost);
+    }
+  };
+  bodies.infer = [&] {
+    Matrix eh0, ehf, elogits;
+    forward(&eh0, &ehf, &elogits);
     if (capture_embeddings && result.embeddings.size() == 0) {
       result.embeddings = ehf.CloneTo(Device::kHost);
     }
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
+  };
+  loop.Run(bodies);
   if (is_sharded) {
     result.stats.shards = config.num_shards;
     result.stats.shard_spills = shard_op->stats().shard_spills;
   }
-  guard.Finalize();
   return result;
 }
 
@@ -234,23 +264,9 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
                            const TrainConfig& config,
                            bool capture_embeddings) {
   TrainResult result;
-  if (config.batch_size < 1) {
-    result.status = Status::InvalidArgument(
-        "TrainMiniBatch: batch_size " + std::to_string(config.batch_size) +
-        " must be at least 1");
-    return result;
-  }
-  if (!filter->SupportsMiniBatch()) {
-    result.status = Status::InvalidArgument(
-        "TrainMiniBatch: filter " + filter->name() +
-        " does not support the MB scheme");
-    return result;
-  }
-  result.stats.threads = parallel::NumThreads();
-  auto& tracker = DeviceTracker::Global();
-  tracker.ClearOom();
-  tracker.ResetPeak();
-  RunGuard guard(config, &result);
+  result.status = CheckBatching("TrainMiniBatch", config, filter);
+  if (!result.status.ok()) return result;
+  EpochLoop loop(config, &result);
 
   Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 13);
   filter->ResetParameters(&rng);
@@ -259,31 +275,26 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
   // each propagation hop streams per-shard working sets through the
   // accelerator under sub-budgets instead of touching the whole graph at
   // once; terms still land host-resident and bit-identical.
-  Stopwatch pre_sw;
-  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, config.rho);
-  filters::FilterContext host_ctx{&norm, Device::kHost};
+  sparse::CsrMatrix norm;
   std::unique_ptr<shard::ShardPlan> plan;
   std::unique_ptr<shard::ShardedSpmmOperator> shard_op;
-  if (config.num_shards > 1) {
-    plan = std::make_unique<shard::ShardPlan>(shard::BuildShardPlan(
-        norm, shard::PartitionOptions{config.num_shards, config.seed}));
-    shard::ShardExecOptions shard_opts;
-    shard_opts.compute_device = Device::kAccel;
-    shard_opts.shard_budget_bytes = config.shard_budget_bytes;
-    shard_op = std::make_unique<shard::ShardedSpmmOperator>(plan.get(),
-                                                            shard_opts);
-    host_ctx.op = shard_op.get();
-  }
   std::vector<Matrix> terms;
-  const Status pre = filter->Precompute(host_ctx, g.features, &terms);
-  if (!pre.ok()) {
-    // A sharded hop can latch the accelerator OOM flag; report it as the
-    // OOM guard would, so the Supervisor journals an (OOM) cell.
-    result.oom = pre.code() == StatusCode::kOutOfMemory;
-    result.status = pre;
-    return result;
-  }
-  result.stats.precompute_ms = pre_sw.ElapsedMs();
+  loop.RunPrecompute([&] {
+    norm = sparse::NormalizeAdjacency(g.adj, config.rho);
+    filters::FilterContext host_ctx{&norm, Device::kHost};
+    if (config.num_shards > 1) {
+      plan = std::make_unique<shard::ShardPlan>(shard::BuildShardPlan(
+          norm, shard::PartitionOptions{config.num_shards, config.seed}));
+      shard::ShardExecOptions shard_opts;
+      shard_opts.compute_device = Device::kAccel;
+      shard_opts.shard_budget_bytes = config.shard_budget_bytes;
+      shard_op = std::make_unique<shard::ShardedSpmmOperator>(plan.get(),
+                                                              shard_opts);
+      host_ctx.op = shard_op.get();
+    }
+    return filter->Precompute(host_ctx, g.features, &terms);
+  });
+  if (!result.status.ok()) return result;
 
   // Stage 2: batched training; only batch slices reach the accelerator.
   const int64_t fi = g.features.cols();
@@ -294,8 +305,6 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
   auto gather_batch = [&](const std::vector<int32_t>& batch_rows,
                           std::vector<Matrix>* hold,
                           std::vector<const Matrix*>* ptrs) {
-    hold->clear();
-    ptrs->clear();
     hold->resize(terms.size());
     // Host-side row gathers are independent per term and may run
     // concurrently (DeviceTracker host accounting is mutex-protected and
@@ -314,55 +323,29 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
     for (const auto& m : *hold) ptrs->push_back(&m);
   };
 
-  auto batch_logits = [&](const std::vector<int32_t>& rows, bool train,
-                          Matrix* out) {
-    std::vector<Matrix> hold;
-    std::vector<const Matrix*> ptrs;
-    gather_batch(rows, &hold, &ptrs);
-    Matrix h;
-    filter->CombineTerms(ptrs, &h, /*cache=*/train);
-    if (train) {
-      phi1.Forward(h, out, /*train=*/true, &rng);
-    } else {
-      phi1.ForwardInference(h, out);
-    }
-  };
-
   // Full-graph eval helper: fills logits rows for the listed nodes.
   Matrix all_logits(g.n, g.num_classes, Device::kHost);
   auto eval_rows = [&](const std::vector<int32_t>& rows) {
-    for (size_t start = 0; start < rows.size();
-         start += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          rows.size(), start + static_cast<size_t>(config.batch_size));
-      std::vector<int32_t> batch(rows.begin() + static_cast<int64_t>(start),
-                                 rows.begin() + static_cast<int64_t>(end));
-      Matrix logits;
-      batch_logits(batch, /*train=*/false, &logits);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        for (int64_t c = 0; c < g.num_classes; ++c) {
-          all_logits.at(batch[i], c) = logits.at(static_cast<int64_t>(i), c);
-        }
-      }
-    }
+    ForEachBatch(rows, config.batch_size,
+                 [&](const std::vector<int32_t>& batch) {
+                   std::vector<Matrix> hold;
+                   std::vector<const Matrix*> ptrs;
+                   gather_batch(batch, &hold, &ptrs);
+                   Matrix h, logits;
+                   filter->CombineTerms(ptrs, &h, /*cache=*/false);
+                   phi1.ForwardInference(h, &logits);
+                   ScatterRows(logits, batch, &all_logits);
+                 });
   };
 
   std::vector<int32_t> train_idx = splits.train;
-  double train_ms_total = 0.0;
-  double best_val = -1.0;
   int64_t step = 0;
-  int stale_rounds = 0;
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    Stopwatch sw;
+  EpochBodies bodies;
+  bodies.epoch = [&] {
+    EpochOutput out;
     Shuffle(&train_idx, &rng);
-    for (size_t start = 0; start < train_idx.size();
-         start += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          train_idx.size(), start + static_cast<size_t>(config.batch_size));
-      std::vector<int32_t> batch(
-          train_idx.begin() + static_cast<int64_t>(start),
-          train_idx.begin() + static_cast<int64_t>(end));
+    ForEachBatch(train_idx, config.batch_size,
+                 [&](const std::vector<int32_t>& batch) {
       std::vector<Matrix> hold;
       std::vector<const Matrix*> ptrs;
       gather_batch(batch, &hold, &ptrs);
@@ -370,13 +353,9 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
       filter->CombineTerms(ptrs, &h, /*cache=*/true);
       Matrix logits;
       phi1.Forward(h, &logits, /*train=*/true, &rng);
-      std::vector<int32_t> batch_labels(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_labels[i] = g.labels[static_cast<size_t>(batch[i])];
-      }
       Matrix grad(logits.rows(), logits.cols(), Device::kAccel);
-      result.final_train_loss =
-          nn::SoftmaxCrossEntropy(logits, batch_labels, {}, &grad);
+      out.loss = nn::SoftmaxCrossEntropy(logits, Gather(g.labels, batch),
+                                         {}, &grad);
       phi1.ZeroGrad();
       filter->params().ZeroGrad();
       Matrix g_h(h.rows(), h.cols(), Device::kAccel);
@@ -385,77 +364,53 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
       ++step;
       phi1.AdamStep(config.weights_opt, step);
       filter->params().AdamStep(config.filter_opt, step);
+    });
+    return out;
+  };
+  bodies.evaluate = [&] {
+    eval_rows(splits.val);
+    if (loop.NewBest(
+            EvaluateMetric(metric, all_logits, g.labels, splits.val))) {
+      eval_rows(splits.test);
+      result.test_metric =
+          EvaluateMetric(metric, all_logits, g.labels, splits.test);
+      result.test_logits = all_logits;
     }
-    train_ms_total += sw.ElapsedMs();
-    if (guard.ShouldStop(result.final_train_loss, nullptr)) break;
-    const bool last = (epoch + 1 == config.epochs);
-    if (!config.timing_only &&
-        ((epoch + 1) % config.eval_every == 0 || last)) {
-      eval_rows(splits.val);
-      const double val =
-          EvaluateMetric(metric, all_logits, g.labels, splits.val);
-      if (val > best_val) {
-        best_val = val;
-        result.val_metric = val;
-        eval_rows(splits.test);
-        result.test_metric =
-            EvaluateMetric(metric, all_logits, g.labels, splits.test);
-        result.test_logits = all_logits;
-        stale_rounds = 0;
-      } else if (++stale_rounds > config.patience) {
-        break;
-      }
+  };
+  // Inference timing over the test set.
+  bodies.infer = [&] { eval_rows(splits.test); };
+  bodies.finish = [&] {
+    if (capture_embeddings) {
+      std::vector<int32_t> all(static_cast<size_t>(g.n));
+      std::iota(all.begin(), all.end(), 0);
+      Matrix emb(g.n, fi, Device::kHost);
+      ForEachBatch(all, config.batch_size,
+                   [&](const std::vector<int32_t>& batch) {
+                     std::vector<Matrix> hold;
+                     std::vector<const Matrix*> ptrs;
+                     gather_batch(batch, &hold, &ptrs);
+                     Matrix h;
+                     filter->CombineTerms(ptrs, &h, /*cache=*/false);
+                     ScatterRows(h, batch, &emb);
+                   });
+      result.embeddings = std::move(emb);
     }
-  }
-
-  // Inference timing over the test set (skipped when a guard fired).
-  if (!guard.aborted()) {
-    Stopwatch sw;
-    eval_rows(splits.test);
-    result.stats.infer_ms = sw.ElapsedMs();
-  }
-  if (capture_embeddings && !guard.aborted()) {
-    std::vector<int32_t> all(static_cast<size_t>(g.n));
-    std::iota(all.begin(), all.end(), 0);
-    Matrix emb(g.n, fi, Device::kHost);
-    for (size_t start = 0; start < all.size();
-         start += static_cast<size_t>(config.batch_size)) {
-      const size_t end =
-          std::min(all.size(), start + static_cast<size_t>(config.batch_size));
-      std::vector<int32_t> batch(all.begin() + static_cast<int64_t>(start),
-                                 all.begin() + static_cast<int64_t>(end));
-      std::vector<Matrix> hold;
-      std::vector<const Matrix*> ptrs;
-      gather_batch(batch, &hold, &ptrs);
-      Matrix h;
-      filter->CombineTerms(ptrs, &h, /*cache=*/false);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        for (int64_t c = 0; c < fi; ++c) {
-          emb.at(batch[i], c) = h.at(static_cast<int64_t>(i), c);
-        }
-      }
+    if (config.export_model) {
+      // Serving artifact: the terms are moved out (training is over), φ1
+      // and θ are copied at their final values. A guard-tripped run never
+      // gets here: a checkpoint must never capture a diverged model.
+      auto exported = std::make_shared<ExportedModel>();
+      exported->phi1 = phi1;
+      exported->terms = std::move(terms);
+      exported->theta = filter->params().values();
+      result.exported = std::move(exported);
     }
-    result.embeddings = std::move(emb);
-  }
-  if (config.export_model && !guard.aborted()) {
-    // Serving artifact: the terms are moved out (training is over), φ1 and
-    // θ are copied at their final values. A guard-tripped run exports
-    // nothing — a checkpoint must never capture a diverged model.
-    auto exported = std::make_shared<ExportedModel>();
-    exported->phi1 = phi1;
-    exported->terms = std::move(terms);
-    exported->theta = filter->params().values();
-    result.exported = std::move(exported);
-  }
-  result.stats.train_ms_per_epoch =
-      train_ms_total / std::max(1, config.epochs);
-  result.stats.peak_ram_bytes = tracker.peak_bytes(Device::kHost);
-  result.stats.peak_accel_bytes = tracker.peak_bytes(Device::kAccel);
+  };
+  loop.Run(bodies);
   if (config.num_shards > 1) {
     result.stats.shards = config.num_shards;
     result.stats.shard_spills = shard_op->stats().shard_spills;
   }
-  guard.Finalize();
   return result;
 }
 

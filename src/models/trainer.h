@@ -4,44 +4,55 @@
 //   * Mini-batch (MB): g's per-hop terms are precomputed once on the host;
 //     only batch slices move to the accelerator; φ0 is empty and φ1 trains
 //     on batches (paper Table 4 universal settings).
+// Also the epoch loop (EpochLoop) every scheme in src/models runs, and
+// the helpers the schemes share.
 
 #ifndef SGNN_MODELS_TRAINER_H_
 #define SGNN_MODELS_TRAINER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/filter.h"
+#include "eval/table.h"
 #include "graph/graph.h"
 #include "nn/mlp.h"
 #include "tensor/status.h"
 
 namespace sgnn::models {
 
-/// Training-run configuration (paper Table 4 universal + individual).
+/// Training-run configuration (paper Table 4 universal + individual) of
+/// every scheme. The epoch, eval and guard fields act in EpochLoop.
 struct TrainConfig {
   int epochs = 120;
-  int eval_every = 5;          ///< validation cadence (epochs)
-  int patience = 1000;         ///< early-stop patience in eval rounds
+  int eval_every = 5;          ///< eval-round cadence (epochs)
+  int patience = 1000;         ///< rounds without a new best before a stop
   int hidden = 64;             ///< hidden width F
-  int phi0_layers = 1;         ///< FB default 1; MB must use 0
-  int phi1_layers = 1;         ///< FB default 1; MB default 2
+  int phi0_layers = 1;         ///< FB and GP default 1; MB must use 0
+  int phi1_layers = 1;         ///< FB and GP default 1; MB default 2
   double dropout = 0.2;
   nn::AdamConfig weights_opt{5e-3, 0.9, 0.999, 1e-8, 5e-5};  ///< φ0/φ1
   nn::AdamConfig filter_opt{5e-2, 0.9, 0.999, 1e-8, 0.0};    ///< θ/γ
-  int batch_size = 4096;       ///< MB only; below 1 is InvalidArgument
+  /// MB, NAGphormer and link prediction (node pairs); below 1 is
+  /// InvalidArgument.
+  int batch_size = 4096;
   double rho = 0.5;            ///< graph normalization coefficient
   uint64_t seed = 1;
-  /// Timing-only mode: skips metric tracking niceties (used by efficiency
-  /// benches to keep runs short); epochs still execute fully.
+  /// Timing-only mode: no eval rounds (used by efficiency benches to keep
+  /// runs short); epochs and the inference pass still execute fully.
   bool timing_only = false;
-  /// Per-run wall-clock deadline in milliseconds (0 = none). When exceeded
-  /// the run stops and is marked timed_out — the cell-level analogue of the
+  /// Per-run wall-clock deadline in milliseconds (0 = none), counted from
+  /// the start of set-up and checked after every epoch. When exceeded the
+  /// run stops and is marked timed_out — the cell-level analogue of the
   /// paper's "(OOM)" table entries.
   double deadline_ms = 0.0;
-  /// NaN/Inf divergence detection on the training loss and loss gradient.
+  /// NaN/Inf divergence detection on the training loss (and, in the
+  /// full-graph schemes, the loss gradient) after every epoch.
   bool divergence_check = true;
   /// Capture the trained φ1, filter θ snapshot, and (MB) the precomputed
   /// terms in TrainResult::exported, the artifact the serving checkpoint
@@ -64,7 +75,9 @@ struct TrainConfig {
 
 /// Per-stage efficiency measurements (paper Tables 9/11, Figure 2).
 struct StageStats {
-  double precompute_ms = 0.0;    ///< MB graph precomputation (0 for FB)
+  /// Host-side precompute: MB's per-hop terms, NAGphormer's hop features,
+  /// GP's part build, link prediction's embeddings (0 for the others).
+  double precompute_ms = 0.0;
   double train_ms_per_epoch = 0.0;
   double infer_ms = 0.0;
   size_t peak_ram_bytes = 0;     ///< host high-water mark
@@ -98,12 +111,15 @@ struct TrainResult {
   /// Non-OK when the run aborted (OOM / NumericalError / DeadlineExceeded /
   /// precompute failure); carries the human-readable reason.
   Status status;
+  /// Best eval round's validation score (0 for link prediction, which has
+  /// no eval rounds).
   double val_metric = 0.0;
+  /// Test score at that round; link prediction's test ROC-AUC.
   double test_metric = 0.0;
   double final_train_loss = 0.0;
   StageStats stats;
-  /// Test predictions (logits) at the best validation epoch; empty when
-  /// timing_only.
+  /// Test predictions (logits) at the best validation epoch, kept by FB,
+  /// MB, GP and iterative; empty when timing_only.
   Matrix test_logits;
   /// Filter output embeddings at the final epoch (Figure 8 analysis); only
   /// captured when `capture_embeddings` was set in the call.
@@ -135,6 +151,95 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
 double EvaluateMetric(graph::Metric metric, const Matrix& logits,
                       const std::vector<int32_t>& labels,
                       const std::vector<int32_t>& rows);
+
+// --- the one epoch loop ---------------------------------------------------
+
+/// What one epoch of a scheme's optimizer steps hands EpochLoop.
+struct EpochOutput {
+  double loss = 0.0;  ///< the epoch's last training loss
+  /// The last step's loss gradient, checked with the loss by the divergence
+  /// guard (empty in the batched schemes).
+  Matrix grad;
+  /// A full-graph step's activations: live through the epoch's eval round,
+  /// as a loop body's locals are, so the peak bytes count them there.
+  std::vector<Matrix> live;
+};
+
+/// One scheme's parts, run by EpochLoop::Run.
+struct EpochBodies {
+  std::function<EpochOutput()> epoch;  ///< timed into train_ms_per_epoch
+  /// One eval round: scores the validation rows, hands the score to
+  /// EpochLoop::NewBest and, on true, fills the test fields. Null: none.
+  std::function<void()> evaluate;
+  std::function<void()> infer;   ///< timed into infer_ms
+  /// Untimed, after infer and before the peaks are read. Null: none.
+  std::function<void()> finish;
+};
+
+/// The epoch loop of every training scheme: the same guards and the same
+/// things inside the timers for all (DESIGN.md, "Failure semantics").
+/// Construct it before set-up (it clears the OOM latch, resets the peaks
+/// and starts the deadline clock), then RunPrecompute if the scheme has a
+/// host-side precompute, then Run.
+class EpochLoop {
+ public:
+  /// `config` and `result` must outlive the loop.
+  EpochLoop(const TrainConfig& config, TrainResult* result);
+  EpochLoop(const EpochLoop&) = delete;
+  EpochLoop& operator=(const EpochLoop&) = delete;
+
+  /// Runs `body` timed into precompute_ms. A non-OK status lands in the
+  /// result (an OOM also sets `oom`); the caller then returns it.
+  void RunPrecompute(const std::function<Status()>& body);
+
+  /// Records an eval round's validation score; true (and val_metric set)
+  /// when it beats every earlier round.
+  bool NewBest(double val);
+
+  /// Runs config.epochs epochs. After each come the guards (latched
+  /// accelerator OOM, non-finite loss or gradient, deadline), which end the
+  /// run with their status, then an eval round every eval_every epochs and
+  /// after the last (none when timing_only); more than `patience` rounds in
+  /// a row without a new best end it early. Then infer and finish, skipped
+  /// once a guard fired, and the StageStats fill.
+  void Run(const EpochBodies& bodies);
+
+ private:
+  /// Sets oom and the OOM status when the accelerator OOM flag is latched.
+  bool LatchOom();
+  bool ShouldStop(double loss, const Matrix& grad);
+
+  const TrainConfig& config_;
+  TrainResult* result_;
+  eval::Stopwatch clock_;  ///< the deadline clock
+  double best_val_ = -1.0;
+};
+
+/// The batched schemes' argument check, before any work: InvalidArgument
+/// for a batch size below 1 (ForEachBatch would never advance) or an
+/// FB-only `filter` (no per-hop terms to batch; null: no filter).
+Status CheckBatching(const std::string& scheme, const TrainConfig& config,
+                     const filters::SpectralFilter* filter);
+
+/// Calls `fn` on consecutive `batch_size`-long slices of `items` (the last
+/// may be shorter), in order.
+template <typename T, typename Fn>
+void ForEachBatch(const std::vector<T>& items, int64_t batch_size, Fn&& fn) {
+  const auto size = static_cast<size_t>(batch_size);
+  for (size_t start = 0; start < items.size(); start += size) {
+    const size_t end = std::min(items.size(), start + size);
+    fn(std::vector<T>(items.begin() + static_cast<std::ptrdiff_t>(start),
+                      items.begin() + static_cast<std::ptrdiff_t>(end)));
+  }
+}
+
+/// values[rows[i]] for each i.
+std::vector<int32_t> Gather(const std::vector<int32_t>& values,
+                            const std::vector<int32_t>& rows);
+
+/// Copies row i of `src` to row rows[i] of `dst`, for each i.
+void ScatterRows(const Matrix& src, const std::vector<int32_t>& rows,
+                 Matrix* dst);
 
 }  // namespace sgnn::models
 

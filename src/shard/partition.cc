@@ -26,10 +26,7 @@ Partition GreedyBfsPartition(const sparse::CsrMatrix& graph,
   std::vector<int32_t> perm(static_cast<size_t>(n));
   for (int64_t v = 0; v < n; ++v) perm[static_cast<size_t>(v)] = static_cast<int32_t>(v);
   Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + 0x5851F42D4C957F2DULL);
-  for (size_t i = perm.size(); i > 1; --i) {
-    const auto j = static_cast<size_t>(rng.UniformInt(i));
-    std::swap(perm[i - 1], perm[j]);
-  }
+  Shuffle(&perm, &rng);
 
   const int64_t target = (n + k - 1) / k;  // ceil(n / K)
   size_t cursor = 0;                       // next permutation candidate

@@ -6,7 +6,10 @@
 #ifndef SGNN_TENSOR_RNG_H_
 #define SGNN_TENSOR_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace sgnn {
 
@@ -46,6 +49,16 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// Fisher-Yates shuffle of `v` in place: for i = size() down to 2, swaps
+/// element i-1 with the element UniformInt(i) picks.
+template <typename T>
+void Shuffle(std::vector<T>* v, Rng* rng) {
+  for (size_t i = v->size(); i > 1; --i) {
+    const auto j = static_cast<size_t>(rng->UniformInt(i));
+    std::swap((*v)[i - 1], (*v)[j]);
+  }
+}
 
 }  // namespace sgnn
 

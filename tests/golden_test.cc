@@ -495,12 +495,7 @@ models::TrainResult RunScheme(const std::string& scheme) {
   models::LinkPredConfig lp;
   lp.base = cfg;
   auto f = filter("ppr");
-  const models::LinkPredResult r = models::TrainLinkPrediction(g, f.get(), lp);
-  models::TrainResult out;
-  out.oom = r.oom;
-  out.test_metric = r.test_auc;
-  out.stats = r.stats;
-  return out;
+  return models::TrainLinkPrediction(g, f.get(), lp);
 }
 
 struct SchemeGolden {

@@ -81,13 +81,13 @@ TEST(LinkPred, TrainsOnSbmGraphAndBeatsChance) {
   LinkPredConfig config = FastLinkPredConfig();
   config.base.epochs = 60;
   config.neg_ratio = 3;
-  const LinkPredResult r =
+  const TrainResult r =
       TrainLinkPrediction(g, filter.value().get(), config);
   EXPECT_FALSE(r.oom);
-  EXPECT_TRUE(std::isfinite(r.test_auc));
-  EXPECT_GE(r.test_auc, 0.0);
-  EXPECT_LE(r.test_auc, 1.0);
-  EXPECT_GT(r.test_auc, 0.55) << "auc=" << r.test_auc;
+  EXPECT_TRUE(std::isfinite(r.test_metric));
+  EXPECT_GE(r.test_metric, 0.0);
+  EXPECT_LE(r.test_metric, 1.0);
+  EXPECT_GT(r.test_metric, 0.55) << "auc=" << r.test_metric;
 }
 
 TEST(LinkPred, DeterministicAcrossIdenticalRuns) {
@@ -98,7 +98,7 @@ TEST(LinkPred, DeterministicAcrossIdenticalRuns) {
   for (int run = 0; run < 2; ++run) {
     auto filter = filters::CreateFilter("chebyshev", 5);
     ASSERT_TRUE(filter.ok());
-    auc[run] = TrainLinkPrediction(g, filter.value().get(), config).test_auc;
+    auc[run] = TrainLinkPrediction(g, filter.value().get(), config).test_metric;
   }
   EXPECT_DOUBLE_EQ(auc[0], auc[1]);
 }
@@ -110,11 +110,11 @@ TEST(LinkPred, SurvivesSparseDisconnectedGraph) {
   ASSERT_TRUE(filter.ok());
   LinkPredConfig config = FastLinkPredConfig();
   config.base.epochs = 10;
-  const LinkPredResult r =
+  const TrainResult r =
       TrainLinkPrediction(g, filter.value().get(), config);
-  EXPECT_TRUE(std::isfinite(r.test_auc));
-  EXPECT_GE(r.test_auc, 0.0);
-  EXPECT_LE(r.test_auc, 1.0);
+  EXPECT_TRUE(std::isfinite(r.test_metric));
+  EXPECT_GE(r.test_metric, 0.0);
+  EXPECT_LE(r.test_metric, 1.0);
 }
 
 TEST(Regression, VariableFilterFitsSmoothLowPassTarget) {

@@ -16,6 +16,7 @@
 #include "graph/datasets.h"
 #include "graph/generator.h"
 #include "graph/io.h"
+#include "models/linkpred.h"
 #include "models/trainer.h"
 #include "runtime/fault_injection.h"
 #include "runtime/journal.h"
@@ -394,6 +395,25 @@ TEST(Supervisor, OomWithoutFallbackIsReported) {
   tracker.ResetAll();
   EXPECT_EQ(r.status, CellStatus::kOom);
   EXPECT_FALSE(r.fell_back);
+}
+
+TEST(Supervisor, LinkPredictionOomRecordsOomCell) {
+  // Link prediction reports OOM through its TrainResult like every scheme,
+  // so Supervisor::Run journals the cell as OOM, not OK.
+  auto& tracker = DeviceTracker::Global();
+  tracker.ResetAll();
+  tracker.set_accel_capacity(64 * 1024);
+  graph::Graph g = SmallGraph();
+  Supervisor sup("test", "");
+  const CellRecord r = sup.Run({"small", "ppr", "mb", 1, "linkpred"}, [&] {
+    auto filter = filters::CreateFilter("ppr", 4).MoveValue();
+    models::LinkPredConfig cfg;
+    cfg.base = FastConfig();
+    return models::TrainLinkPrediction(g, filter.get(), cfg);
+  });
+  tracker.set_accel_capacity(0);
+  tracker.ResetAll();
+  EXPECT_EQ(r.status, CellStatus::kOom);
 }
 
 TEST(Supervisor, DeadlineProducesTimeoutCell) {

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/registry.h"
 #include "eval/signals.h"
 #include "graph/datasets.h"
 #include "models/baselines.h"
+#include "models/iterative.h"
 #include "models/linkpred.h"
+#include "models/partition.h"
 #include "models/regression.h"
 #include "models/trainer.h"
 
@@ -150,43 +154,106 @@ TEST(FullBatch, DivergenceCheckCanBeDisabled) {
   EXPECT_FALSE(r.diverged);
 }
 
-TEST(FullBatch, DeadlineMarksTimeout) {
-  graph::Graph g = EasyGraph();
-  graph::Splits s = graph::RandomSplits(g.n, 1);
-  auto f = filters::CreateFilter("ppr", 4).MoveValue();
-  TrainConfig c = FastConfig();
-  c.epochs = 10000;
-  c.deadline_ms = 1.0;
-  TrainResult r = TrainFullBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+/// A short run of one of the eight training schemes, with `filter` where
+/// the scheme takes one.
+TrainResult RunScheme(const std::string& scheme, const graph::Graph& g,
+                      const graph::Splits& s, TrainConfig c,
+                      const char* filter = "ppr") {
+  const auto acc = graph::Metric::kAccuracy;
+  auto f = filters::CreateFilter(filter, 4, {}, g.features.cols()).MoveValue();
+  if (scheme == "fb") return TrainFullBatch(g, s, acc, f.get(), c);
+  if (scheme == "mb") {
+    c.phi0_layers = 0;
+    c.phi1_layers = 2;
+    return TrainMiniBatch(g, s, acc, f.get(), c);
+  }
+  if (scheme == "gcn") {
+    return TrainBaseline(g, s, acc, BaselineKind::kGcn, Backend::kSp, c);
+  }
+  if (scheme == "nagphormer") {
+    return TrainBaseline(g, s, acc, BaselineKind::kNagphormer, Backend::kSp,
+                         c);
+  }
+  if (scheme == "ansgt") {
+    return TrainBaseline(g, s, acc, BaselineKind::kAnsGt, Backend::kSp, c);
+  }
+  if (scheme == "gp") {
+    PartitionConfig p;
+    p.base = c;
+    return TrainGraphPartition(g, s, acc, f.get(), p);
+  }
+  if (scheme == "iterative") {
+    IterativeConfig it;
+    it.base = c;
+    return TrainIterative(g, s, acc, it);
+  }
+  EXPECT_EQ(scheme, "linkpred");
+  LinkPredConfig lp;
+  lp.base = c;
+  return TrainLinkPrediction(g, f.get(), lp);
 }
 
-TEST(MiniBatch, DeadlineMarksTimeout) {
+/// Every scheme runs the one epoch loop, so every scheme honours its guards.
+class SchemeGuards : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SchemeGuards, DeadlineMarksTimeout) {
   graph::Graph g = EasyGraph();
   graph::Splits s = graph::RandomSplits(g.n, 1);
-  auto f = filters::CreateFilter("ppr", 4).MoveValue();
   TrainConfig c = FastConfig();
-  c.phi0_layers = 0;
-  c.phi1_layers = 2;
-  c.epochs = 10000;
+  c.epochs = 100000;
   c.deadline_ms = 1.0;
-  TrainResult r = TrainMiniBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
+  const TrainResult r = RunScheme(GetParam(), g, s, c);
   EXPECT_TRUE(r.timed_out);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r.stats.infer_ms, 0.0) << "inference ran after the guard fired";
 }
+
+TEST_P(SchemeGuards, TinyCapacityStopsAfterOneEpoch) {
+  auto& tracker = DeviceTracker::Global();
+  graph::Graph g = EasyGraph();
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  // Counts accelerator allocations without failing any.
+  size_t allocs = 0;
+  tracker.SetAllocFaultHook([&](Device d, size_t) {
+    allocs += d == Device::kAccel ? 1 : 0;
+    return false;
+  });
+  tracker.set_accel_capacity(64 * 1024);
+  size_t one_epoch = 0;
+  TrainResult r;
+  for (const int epochs : {1, 40}) {
+    TrainConfig c = FastConfig();
+    c.epochs = epochs;
+    allocs = 0;
+    r = RunScheme(GetParam(), g, s, c);
+    if (epochs == 1) one_epoch = allocs;
+  }
+  tracker.set_accel_capacity(0);
+  tracker.SetAllocFaultHook(nullptr);
+  tracker.ClearOom();
+  EXPECT_TRUE(r.oom);
+  EXPECT_EQ(r.status.code(), StatusCode::kOutOfMemory);
+  EXPECT_EQ(allocs, one_epoch) << "a 40-epoch run went past its first epoch";
+  EXPECT_EQ(r.stats.infer_ms, 0.0) << "inference ran after the guard fired";
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, SchemeGuards,
+                         ::testing::Values("fb", "mb", "gcn", "nagphormer",
+                                           "ansgt", "gp", "iterative",
+                                           "linkpred"),
+                         [](const auto& info) { return info.param; });
 
 TEST(MiniBatch, FullBatchOnlyFilterReturnsStatusInsteadOfAborting) {
   graph::Graph g = EasyGraph();
   graph::Splits s = graph::RandomSplits(g.n, 1);
-  auto f = filters::CreateFilter("adagnn", 4, {}, g.features.cols())
-               .MoveValue();
-  ASSERT_FALSE(f->SupportsMiniBatch());
-  TrainConfig c = FastConfig();
-  c.phi0_layers = 0;
-  c.phi1_layers = 2;
-  TrainResult r = TrainMiniBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  ASSERT_FALSE(filters::CreateFilter("adagnn", 4, {}, g.features.cols())
+                   .value()
+                   ->SupportsMiniBatch());
+  // Link prediction used to abort here on an SGNN_CHECK.
+  for (const char* scheme : {"mb", "linkpred"}) {
+    const TrainResult r = RunScheme(scheme, g, s, FastConfig(), "adagnn");
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << scheme;
+  }
 }
 
 TEST(MiniBatch, NonPositiveBatchSizeIsInvalidArgument) {
@@ -194,16 +261,15 @@ TEST(MiniBatch, NonPositiveBatchSizeIsInvalidArgument) {
   // run hung instead of failing.
   graph::Graph g = EasyGraph();
   graph::Splits s = graph::RandomSplits(g.n, 1);
-  auto f = filters::CreateFilter("ppr", 4).MoveValue();
   TrainConfig c = FastConfig();
-  c.phi0_layers = 0;
-  c.phi1_layers = 2;
   c.epochs = 1;
-  for (const int batch : {0, -1}) {
-    c.batch_size = batch;
-    TrainResult r = TrainMiniBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
-    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
-        << "batch_size=" << batch << ": " << r.status.ToString();
+  for (const char* scheme : {"mb", "nagphormer", "linkpred"}) {
+    for (const int batch : {0, -1}) {
+      c.batch_size = batch;
+      const TrainResult r = RunScheme(scheme, g, s, c);
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+          << scheme << " batch_size=" << batch << ": " << r.status.ToString();
+    }
   }
 }
 
@@ -365,8 +431,8 @@ TEST(LinkPrediction, BeatsChanceAuc) {
   LinkPredConfig cfg;
   cfg.base = FastConfig();
   cfg.base.epochs = 20;
-  LinkPredResult r = TrainLinkPrediction(g, f.get(), cfg);
-  EXPECT_GT(r.test_auc, 0.6);
+  TrainResult r = TrainLinkPrediction(g, f.get(), cfg);
+  EXPECT_GT(r.test_metric, 0.6);
   EXPECT_GT(r.stats.precompute_ms, 0.0);
 }
 
