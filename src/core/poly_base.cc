@@ -165,7 +165,7 @@ void PolynomialBasisFilter::Forward(const FilterContext& ctx, const Matrix& x,
                                     Matrix* y, bool cache) {
   const bool keep_terms = cache && type_ != FilterType::kFixed;
   // An OutOfMemory here only repeats the DeviceTracker's latched OOM flag,
-  // which the trainers' RunGuard reads after the step; the outputs are
+  // which the trainers' run guards read after the epoch; the outputs are
   // fully computed either way.
   (void)RunBasis(ctx, x, y, keep_terms ? &cached_terms_ : nullptr);
   has_cache_ = keep_terms;

@@ -58,15 +58,14 @@ TrainResult TrainMessagePassing(const graph::Graph& g,
     if (kind != BaselineKind::kGcn) inputs->push_back(h);
     Matrix t1(h.rows(), h.cols(), Device::kAccel);
     propagate(h, &t1);
-    Matrix t2;
+    inputs->push_back(std::move(t1));
     if (kind == BaselineKind::kChebNet) {
-      t2 = Matrix(h.rows(), h.cols(), Device::kAccel);
-      propagate(t1, &t2);
+      Matrix t2(h.rows(), h.cols(), Device::kAccel);
+      propagate(inputs->back(), &t2);
       ops::Scale(2.0f, &t2);
       ops::Axpy(-1.0f, h, &t2);
+      inputs->push_back(std::move(t2));
     }
-    inputs->push_back(std::move(t1));
-    if (t2.size() > 0) inputs->push_back(std::move(t2));
   };
 
   auto forward = [&](std::vector<Matrix>* in1, std::vector<Matrix>* in2,
@@ -298,13 +297,12 @@ TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
 
   Matrix all_logits(g.n, g.num_classes, Device::kHost);
   auto eval_rows = [&](const std::vector<int32_t>& rows) {
-    ForEachBatch(rows, config.batch_size,
-                 [&](const std::vector<int32_t>& batch) {
-                   BatchCache cache;
-                   Matrix logits;
-                   forward_batch(batch, /*train=*/false, &cache, &logits);
-                   ScatterRows(logits, batch, &all_logits);
-                 });
+    ForEachBatch(rows, config.batch_size, [&](const auto& batch) {
+      BatchCache cache;
+      Matrix logits;
+      forward_batch(batch, /*train=*/false, &cache, &logits);
+      ScatterRows(logits, batch, &all_logits);
+    });
   };
 
   std::vector<int32_t> train_idx = splits.train;
@@ -313,8 +311,7 @@ TrainResult TrainNagphormer(const graph::Graph& g, const graph::Splits& splits,
   bodies.epoch = [&] {
     EpochOutput out;
     Shuffle(&train_idx, &rng);
-    ForEachBatch(train_idx, config.batch_size,
-                 [&](const std::vector<int32_t>& batch) {
+    ForEachBatch(train_idx, config.batch_size, [&](const auto& batch) {
       BatchCache cache;
       Matrix logits;
       forward_batch(batch, /*train=*/true, &cache, &logits);
@@ -394,7 +391,7 @@ TrainResult TrainAnsGt(const graph::Graph& g, const graph::Splits& splits,
     std::iota(local.begin(), local.end(), 0);
     Matrix big(static_cast<int64_t>(rows.size()), g.num_classes,
                Device::kHost);
-    ForEachBatch(local, sample, [&](const std::vector<int32_t>& ids) {
+    ForEachBatch(local, sample, [&](const auto& ids) {
       Matrix xs, attn, v, logits;
       forward(Gather(rows, ids), /*train=*/false, &xs, &attn, &v, &logits);
       ScatterRows(logits, ids, &big);

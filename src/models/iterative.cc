@@ -44,7 +44,10 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
     auto& layer = layers[static_cast<size_t>(j)];
     auto filter = filters::CreateFilter(config.layer_filter, /*hops=*/1, {},
                                         in_dim);
-    SGNN_CHECK(filter.ok(), "TrainIterative: unknown layer filter");
+    if (!filter.ok()) {
+      result.status = filter.status();
+      return result;
+    }
     layer.filter = filter.MoveValue();
     layer.filter->ResetParameters(&rng);
     const int64_t out_dim =

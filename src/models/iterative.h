@@ -33,6 +33,7 @@ struct IterativeConfig {
 
 /// Trains the iterative spectral model: per-layer one-hop filters g_j
 /// interleaved with Linear + ReLU transformations, softmax head on top.
+/// An unknown `layer_filter` returns CreateFilter's NotFound status.
 TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
                            graph::Metric metric, const IterativeConfig& config);
 

@@ -116,8 +116,7 @@ TrainResult TrainLinkPrediction(const graph::Graph& g,
   bodies.epoch = [&] {
     EpochOutput out;
     Shuffle(&train_samples, &rng);
-    ForEachBatch(train_samples, base.batch_size,
-                 [&](const std::vector<EdgeSample>& batch) {
+    ForEachBatch(train_samples, base.batch_size, [&](const auto& batch) {
       Matrix feat;
       std::vector<Matrix> hold;
       batch_features(batch, &feat, &hold);
@@ -139,19 +138,18 @@ TrainResult TrainLinkPrediction(const graph::Graph& g,
   bodies.infer = [&] {
     std::vector<double> scores;
     std::vector<int32_t> truth;
-    ForEachBatch(test_samples, base.batch_size,
-                 [&](const std::vector<EdgeSample>& batch) {
-                   Matrix feat;
-                   std::vector<Matrix> hold;
-                   batch_features(batch, &feat, &hold);
-                   Matrix logits;
-                   scorer.Forward(feat, &logits, /*train=*/false, nullptr);
-                   for (int64_t i = 0; i < logits.rows(); ++i) {
-                     scores.push_back(logits.at(i, 0));
-                     truth.push_back(
-                         batch[static_cast<size_t>(i)].label > 0.5f ? 1 : 0);
-                   }
-                 });
+    ForEachBatch(test_samples, base.batch_size, [&](const auto& batch) {
+      Matrix feat;
+      std::vector<Matrix> hold;
+      batch_features(batch, &feat, &hold);
+      Matrix logits;
+      scorer.Forward(feat, &logits, /*train=*/false, nullptr);
+      for (int64_t i = 0; i < logits.rows(); ++i) {
+        scores.push_back(logits.at(i, 0));
+        truth.push_back(
+            batch[static_cast<size_t>(i)].label > 0.5f ? 1 : 0);
+      }
+    });
     result.test_metric = eval::RocAucFromScores(scores, truth);
   };
   loop.Run(bodies);

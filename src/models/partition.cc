@@ -55,7 +55,9 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
       part.nodes.push_back(static_cast<int32_t>(v));
     }
     std::vector<bool> in_train(static_cast<size_t>(g.n), false);
-    for (const int32_t v : splits.train) in_train[static_cast<size_t>(v)] = true;
+    for (const int32_t v : splits.train) {
+      in_train[static_cast<size_t>(v)] = true;
+    }
     const auto& indptr = g.adj.indptr();
     const auto& indices = g.adj.indices();
     for (auto& part : parts) {

@@ -326,16 +326,15 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
   // Full-graph eval helper: fills logits rows for the listed nodes.
   Matrix all_logits(g.n, g.num_classes, Device::kHost);
   auto eval_rows = [&](const std::vector<int32_t>& rows) {
-    ForEachBatch(rows, config.batch_size,
-                 [&](const std::vector<int32_t>& batch) {
-                   std::vector<Matrix> hold;
-                   std::vector<const Matrix*> ptrs;
-                   gather_batch(batch, &hold, &ptrs);
-                   Matrix h, logits;
-                   filter->CombineTerms(ptrs, &h, /*cache=*/false);
-                   phi1.ForwardInference(h, &logits);
-                   ScatterRows(logits, batch, &all_logits);
-                 });
+    ForEachBatch(rows, config.batch_size, [&](const auto& batch) {
+      std::vector<Matrix> hold;
+      std::vector<const Matrix*> ptrs;
+      gather_batch(batch, &hold, &ptrs);
+      Matrix h, logits;
+      filter->CombineTerms(ptrs, &h, /*cache=*/false);
+      phi1.ForwardInference(h, &logits);
+      ScatterRows(logits, batch, &all_logits);
+    });
   };
 
   std::vector<int32_t> train_idx = splits.train;
@@ -344,8 +343,7 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
   bodies.epoch = [&] {
     EpochOutput out;
     Shuffle(&train_idx, &rng);
-    ForEachBatch(train_idx, config.batch_size,
-                 [&](const std::vector<int32_t>& batch) {
+    ForEachBatch(train_idx, config.batch_size, [&](const auto& batch) {
       std::vector<Matrix> hold;
       std::vector<const Matrix*> ptrs;
       gather_batch(batch, &hold, &ptrs);
@@ -384,15 +382,14 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
       std::vector<int32_t> all(static_cast<size_t>(g.n));
       std::iota(all.begin(), all.end(), 0);
       Matrix emb(g.n, fi, Device::kHost);
-      ForEachBatch(all, config.batch_size,
-                   [&](const std::vector<int32_t>& batch) {
-                     std::vector<Matrix> hold;
-                     std::vector<const Matrix*> ptrs;
-                     gather_batch(batch, &hold, &ptrs);
-                     Matrix h;
-                     filter->CombineTerms(ptrs, &h, /*cache=*/false);
-                     ScatterRows(h, batch, &emb);
-                   });
+      ForEachBatch(all, config.batch_size, [&](const auto& batch) {
+        std::vector<Matrix> hold;
+        std::vector<const Matrix*> ptrs;
+        gather_batch(batch, &hold, &ptrs);
+        Matrix h;
+        filter->CombineTerms(ptrs, &h, /*cache=*/false);
+        ScatterRows(h, batch, &emb);
+      });
       result.embeddings = std::move(emb);
     }
     if (config.export_model) {

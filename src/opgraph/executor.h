@@ -10,8 +10,9 @@
 // accelerator OOM latched during those allocations (capacity overflow or an
 // armed fault plan — see runtime/fault_injection.h) does not abort the
 // kernels: execution completes with correct results and Execute returns
-// Status::OutOfMemory. The filters leave that status to the trainers'
-// RunGuard, which reads the same latched flag and stops the run.
+// Status::OutOfMemory. The filters leave that status to the run guards of
+// the trainers' epoch loop, which read the same latched flag and stop the
+// run.
 
 #ifndef SGNN_OPGRAPH_EXECUTOR_H_
 #define SGNN_OPGRAPH_EXECUTOR_H_

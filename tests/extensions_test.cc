@@ -265,6 +265,17 @@ TEST(Iterative, DeeperStacksStillFinite) {
   EXPECT_TRUE(std::isfinite(r.final_train_loss));
 }
 
+TEST(Iterative, UnknownLayerFilterReturnsStatus) {
+  // Regression: an unknown layer filter aborted the process.
+  graph::Graph g = TestGraph();
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  models::IterativeConfig cfg;
+  cfg.base.epochs = 2;
+  cfg.layer_filter = "nosuchfilter";
+  auto r = models::TrainIterative(g, s, graph::Metric::kAccuracy, cfg);
+  EXPECT_EQ(r.status.code(), StatusCode::kNotFound) << r.status.ToString();
+}
+
 TEST(Iterative, ComparableToDecoupledSameContent) {
   // Paper Appendix A.1: same propagation expressiveness; empirical accuracy
   // should be in the same band for a simple homophilous task.
