@@ -1,6 +1,6 @@
 #include "models/iterative.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/registry.h"
 #include "nn/loss.h"

@@ -1,6 +1,6 @@
 #include "models/linkpred.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "eval/metrics.h"
 #include "nn/loss.h"
@@ -146,8 +146,7 @@ TrainResult TrainLinkPrediction(const graph::Graph& g,
       scorer.Forward(feat, &logits, /*train=*/false, nullptr);
       for (int64_t i = 0; i < logits.rows(); ++i) {
         scores.push_back(logits.at(i, 0));
-        truth.push_back(
-            batch[static_cast<size_t>(i)].label > 0.5f ? 1 : 0);
+        truth.push_back(batch[static_cast<size_t>(i)].label > 0.5f ? 1 : 0);
       }
     });
     result.test_metric = eval::RocAucFromScores(scores, truth);
