@@ -8,10 +8,12 @@
 // of the schemes other than FB and MB also pin their peak host and
 // accelerator bytes. The checkpoint files one fixed MB model saves (v1
 // fp32, v2 int8 and fp16) are pinned byte for byte, with the logits each
-// one serves after loading back. The dense oracle
-// (conformance/oracle.cc) stays the numerical reference; this table is the
-// bit reference across builds and refactors. The expected values are edited
-// by hand when a change is meant to move bits, and that change says so.
+// one serves after loading back. Each of the 22 datasets at seed 1 is
+// pinned by its adjacency arrays, feature bits, labels and splits. The
+// dense oracle (conformance/oracle.cc) stays the numerical reference; this
+// table is the bit reference across builds and refactors. The expected
+// values are edited by hand when a change is meant to move bits, and that
+// change says so.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 
 #include "conformance/fuzz.h"
 #include "core/registry.h"
+#include "graph/datasets.h"
 #include "graph/generator.h"
 #include "models/baselines.h"
 #include "models/iterative.h"
@@ -653,6 +656,84 @@ TEST(Golden, CheckpointBytesAndServedLogitsMatchPinnedDigests) {
         << Hex(want.logits);
   }
   std::remove(path.c_str());
+}
+
+// --- the 22 synthetic datasets -----------------------------------------------
+
+/// CRC-32 of the raw bytes of `v`'s elements, continuing from `crc`.
+template <typename T>
+uint32_t VectorCrc(const std::vector<T>& v, uint32_t crc = 0) {
+  return serialize::Crc32(v.data(), v.size() * sizeof(T), crc);
+}
+
+struct DatasetGolden {
+  const char* name;
+  uint32_t indptr;
+  uint32_t indices;
+  uint32_t values;
+  uint32_t features;
+  uint32_t labels;
+  uint32_t splits;  ///< train, val, test of RandomSplits(n, 1), in that order
+};
+
+// clang-format off
+const DatasetGolden kDatasetGolden[] = {
+    {"cora_sim",          0xe9e3f495, 0xe1c88959, 0x1dde66d5, 0x8165161c, 0x3455107e, 0x1f037e4c},
+    {"citeseer_sim",      0x16233348, 0xaa05e596, 0xe38b6955, 0xb442c58c, 0x2fc4d5ca, 0xbbbbd7eb},
+    {"pubmed_sim",        0x5ec1985e, 0x0e843f04, 0x050a6914, 0xf176a2e2, 0xc5ebc763, 0x6b8d1e91},
+    {"minesweeper_sim",   0xf4b457de, 0x5ac7c1cd, 0xf58e2023, 0x5e4ba167, 0x119bf0d2, 0xdd693ae4},
+    {"questions_sim",     0xb337a3ca, 0x414cff9d, 0x7612fb46, 0xd9917742, 0xcc501fc1, 0x6b8d1e91},
+    {"tolokers_sim",      0x13e35438, 0x755b2ac0, 0x907fafda, 0x98595258, 0x4b0f3023, 0xadb6abc5},
+    {"chameleon_sim",     0x2ea6f9f1, 0x585c8f80, 0x44d7bf3e, 0xc1c2181c, 0x4738985c, 0x8b5edd05},
+    {"squirrel_sim",      0xf49fdb28, 0x60e5a680, 0x64ab3d7d, 0x30689ba7, 0xf38c2467, 0xc4e1547f},
+    {"actor_sim",         0x7c5734a9, 0x51428e71, 0x11c00a82, 0x04ca167d, 0xf205a854, 0xadb6abc5},
+    {"roman_sim",         0xc1bece37, 0xe7b9e90a, 0x80b36ca7, 0xf03c6299, 0xca50ed2c, 0x6b8d1e91},
+    {"ratings_sim",       0x7cfd28b9, 0xad3800f9, 0xd6e95ad9, 0x9ad30d88, 0x9451189a, 0x6b8d1e91},
+    {"flickr_sim",        0x68e45be1, 0xf317e943, 0xe0c99b56, 0xc2ff6621, 0x90727067, 0xc69ec465},
+    {"arxiv_sim",         0xa07be726, 0xd7aaaf1d, 0x2bec9cf1, 0xa0cc2397, 0xda543b44, 0x39c011ae},
+    {"arxiv_year_sim",    0x2e2fb6c0, 0x208068c5, 0xf274773f, 0x691043b4, 0x2f510c1d, 0x39c011ae},
+    {"penn94_sim",        0xc64f6afa, 0xc2bc0c45, 0xe572889c, 0xfc13657f, 0xaf784a56, 0x3f290b9b},
+    {"genius_sim",        0x050e853f, 0xeca01d56, 0xd9a26ff2, 0x49dfb363, 0xb847062f, 0xab8b1c6b},
+    {"twitch_sim",        0x95832f16, 0x1132d6b2, 0x28e67aef, 0x102bcc56, 0xdf3e88db, 0x56ea6ca8},
+    {"mag_sim",           0x14dea0c7, 0xbc29c969, 0xdbf4cdbf, 0xc27ab5f6, 0x0c7a18aa, 0xa773d29b},
+    {"products_sim",      0xcef1b71f, 0xff7bfb0e, 0xed0a778c, 0x667410b1, 0x97264c1f, 0xc0643763},
+    {"pokec_sim",         0x624f46ee, 0x0dbaadbe, 0x3c742628, 0x1ae303b3, 0xbeb4cd0c, 0xf3445a6f},
+    {"snap_patents_sim",  0xb5b210bb, 0x50f214dc, 0x5351cabd, 0xaf210a25, 0x4d2152f1, 0x668624db},
+    {"wiki_sim",          0x75c8fb09, 0xc4475e27, 0x5c5d6854, 0xaf8413b7, 0x84e89da2, 0x5525d1a8},
+};
+// clang-format on
+
+TEST(Golden, EveryDatasetMatchesPinnedDigests) {
+  if (graph::GlobalScaleFactor() != 1.0) {
+    GTEST_SKIP() << "the pins describe the datasets at SPECTRAL_SCALE=1";
+  }
+  const std::vector<graph::DatasetSpec>& specs = graph::AllDatasets();
+  ASSERT_EQ(specs.size(), std::size(kDatasetGolden));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const DatasetGolden& want = kDatasetGolden[i];
+    const graph::Graph g = graph::MakeDataset(specs[i], 1);
+    const graph::Splits s = graph::RandomSplits(g.n, 1);
+    const DatasetGolden got = {
+        specs[i].name.c_str(),
+        VectorCrc(g.adj.indptr()),
+        VectorCrc(g.adj.indices()),
+        VectorCrc(g.adj.values()),
+        Digest().Add(g.features).value(),
+        VectorCrc(g.labels),
+        VectorCrc(s.test, VectorCrc(s.val, VectorCrc(s.train)))};
+    const std::string actual =
+        std::string("actual {\"") + got.name + "\", " + Hex(got.indptr) +
+        ", " + Hex(got.indices) + ", " + Hex(got.values) + ", " +
+        Hex(got.features) + ", " + Hex(got.labels) + ", " + Hex(got.splits) +
+        "}";
+    EXPECT_STREQ(got.name, want.name) << actual;
+    EXPECT_EQ(got.indptr, want.indptr) << actual;
+    EXPECT_EQ(got.indices, want.indices) << actual;
+    EXPECT_EQ(got.values, want.values) << actual;
+    EXPECT_EQ(got.features, want.features) << actual;
+    EXPECT_EQ(got.labels, want.labels) << actual;
+    EXPECT_EQ(got.splits, want.splits) << actual;
+  }
 }
 
 }  // namespace
