@@ -5,44 +5,13 @@
 #include <cstring>
 #include <numeric>
 
+#include "graph/weighted_sampler.h"
 #include "sparse/adjacency.h"
 #include "tensor/ops.h"
 
 namespace sgnn::graph {
 
 namespace {
-
-/// Weighted sampler over a node subset via cumulative sums + binary search.
-class WeightedSampler {
- public:
-  WeightedSampler(const std::vector<int32_t>& nodes,
-                  const std::vector<double>& weights) {
-    nodes_ = nodes;
-    cumulative_.resize(nodes.size());
-    double acc = 0.0;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      acc += weights[static_cast<size_t>(nodes[i])];
-      cumulative_[i] = acc;
-    }
-    total_ = acc;
-  }
-
-  bool empty() const { return nodes_.empty() || total_ <= 0.0; }
-
-  int32_t Sample(Rng* rng) const {
-    const double u = rng->Uniform() * total_;
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-    const size_t idx = std::min(
-        static_cast<size_t>(it - cumulative_.begin()), nodes_.size() - 1);
-    return nodes_[idx];
-  }
-
- private:
-  std::vector<int32_t> nodes_;
-  std::vector<double> cumulative_;
-  double total_ = 0.0;
-};
 
 /// Assigns labels with optional skew; returns per-class node lists.
 std::vector<std::vector<int32_t>> AssignLabels(const GeneratorConfig& config,

@@ -8,33 +8,52 @@ namespace sgnn::sparse {
 Result<CsrMatrix> BuildAdjacency(int64_t n, const EdgeList& edges,
                                  bool add_self_loops) {
   if (n <= 0) return Status::InvalidArgument("BuildAdjacency: n must be > 0");
-  // Symmetrized, deduplicated edge set built via sort-unique over directed
-  // pairs. Memory: O(m) int64 keys.
-  std::vector<int64_t> keys;
-  keys.reserve(edges.size() * 2 + (add_self_loops ? static_cast<size_t>(n) : 0));
+  // indptr[i + 1] counts row i's directed entries, duplicates included.
+  std::vector<int64_t> indptr(static_cast<size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) {
     if (u < 0 || v < 0 || u >= n || v >= n) {
       return Status::InvalidArgument("BuildAdjacency: edge endpoint out of range");
     }
-    keys.push_back(static_cast<int64_t>(u) * n + v);
-    keys.push_back(static_cast<int64_t>(v) * n + u);
+    ++indptr[static_cast<size_t>(u) + 1];
+    ++indptr[static_cast<size_t>(v) + 1];
   }
   if (add_self_loops) {
-    for (int64_t i = 0; i < n; ++i) keys.push_back(i * n + i);
+    for (size_t i = 1; i < indptr.size(); ++i) ++indptr[i];
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
 
-  std::vector<int64_t> indptr(static_cast<size_t>(n) + 1, 0);
-  std::vector<int32_t> indices(keys.size());
-  std::vector<float> values(keys.size(), 1.0f);
-  for (size_t p = 0; p < keys.size(); ++p) {
-    const int64_t row = keys[p] / n;
-    indptr[static_cast<size_t>(row) + 1]++;
-    indices[p] = static_cast<int32_t>(keys[p] % n);
+  // Scatters both directions of every edge, then the self loops, into their
+  // rows; indptr[i] advances from row i's start to its end.
+  std::vector<int32_t> entries(static_cast<size_t>(indptr.back()));
+  for (const auto& [u, v] : edges) {
+    entries[static_cast<size_t>(indptr[static_cast<size_t>(u)]++)] = v;
+    entries[static_cast<size_t>(indptr[static_cast<size_t>(v)]++)] = u;
   }
-  for (int64_t i = 0; i < n; ++i)
-    indptr[static_cast<size_t>(i) + 1] += indptr[static_cast<size_t>(i)];
+  if (add_self_loops) {
+    for (int64_t i = 0; i < n; ++i) {
+      entries[static_cast<size_t>(indptr[static_cast<size_t>(i)]++)] =
+          static_cast<int32_t>(i);
+    }
+  }
+
+  // Sorts and deduplicates each row, packing the rows to the front; indptr[i]
+  // goes from row i's old end to its packed start. The rows come out as the
+  // sort-unique of all (row, column) pairs would give them.
+  int64_t begin = 0;
+  int64_t nnz = 0;
+  for (size_t i = 0; i + 1 < indptr.size(); ++i) {
+    const int64_t end = indptr[i];
+    const auto first = entries.begin() + begin;
+    std::sort(first, entries.begin() + end);
+    const auto last = std::unique(first, entries.begin() + end);
+    if (nnz != begin) std::copy(first, last, entries.begin() + nnz);
+    indptr[i] = nnz;
+    nnz += last - first;
+    begin = end;
+  }
+  indptr.back() = nnz;
+  std::vector<int32_t> indices(entries.begin(), entries.begin() + nnz);
+  std::vector<float> values(indices.size(), 1.0f);
   return CsrMatrix(n, std::move(indptr), std::move(indices), std::move(values));
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -12,6 +14,7 @@
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "graph/weighted_sampler.h"
 #include "tensor/serialize.h"
 
 namespace sgnn::graph {
@@ -101,6 +104,72 @@ TEST(Generator, GridLabelsPatchy) {
   GeneratorConfig c = SmallConfig(0.85);
   Graph g = GenerateGrid(30, 30, c);
   EXPECT_GT(NodeHomophily(g), 0.45);
+}
+
+/// The index the binary-search sampler drew: the first cumulative weight
+/// above u, clamped to the last index.
+size_t UpperBoundIndex(const std::vector<double>& cumulative, double u) {
+  const auto it = std::upper_bound(cumulative.begin(), cumulative.end(), u);
+  return std::min(static_cast<size_t>(it - cumulative.begin()),
+                  cumulative.size() - 1);
+}
+
+/// Checks WeightedSampler against upper_bound plus the clamp: Index at each
+/// cumulative weight, just below and above it, at 0 and at the total, and
+/// Sample on 20000 seeded draws.
+void ExpectSamplerMatchesUpperBound(const std::vector<int32_t>& nodes,
+                                    const std::vector<double>& weights) {
+  const WeightedSampler sampler(nodes, weights);
+  std::vector<double> cumulative;
+  double total = 0.0;
+  for (const int32_t v : nodes) {
+    total += weights[static_cast<size_t>(v)];
+    cumulative.push_back(total);
+  }
+  std::vector<double> us = {0.0, total};
+  for (const double c : cumulative) {
+    us.push_back(c);
+    us.push_back(std::nextafter(c, 0.0));
+    us.push_back(std::nextafter(c, 2.0 * total + 1.0));
+  }
+  for (const double u : us) {
+    ASSERT_EQ(sampler.Index(u), UpperBoundIndex(cumulative, u)) << "u=" << u;
+  }
+  Rng a(5), b(5);
+  for (int k = 0; k < 20000; ++k) {
+    const double u = b.Uniform() * total;
+    ASSERT_EQ(sampler.Sample(&a), nodes[UpperBoundIndex(cumulative, u)])
+        << "draw " << k;
+  }
+}
+
+TEST(WeightedSampler, MatchesUpperBoundOnZeroWeightPlateaus) {
+  const std::vector<int32_t> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  ExpectSamplerMatchesUpperBound(
+      nodes, {0, 0, 1.0, 0, 0, 0, 2.5, 0, 0, 0.5, 0, 0});
+  ExpectSamplerMatchesUpperBound(nodes, std::vector<double>(12, 0.0));
+}
+
+TEST(WeightedSampler, MatchesUpperBoundOnParetoClampedWeights) {
+  // The generator's propensities: Pareto(1.5) draws clamped to [1, 1e3],
+  // over a subset of the nodes in a shuffled order.
+  Rng rng(9);
+  std::vector<double> weights(6000);
+  for (double& w : weights) {
+    w = std::min(std::pow(std::max(rng.Uniform(), 1e-12), -1.0 / 1.5), 1e3);
+  }
+  weights[17] = 1e3;
+  std::vector<int32_t> nodes;
+  for (int32_t v = 0; v < 6000; v += 3) nodes.push_back(v);
+  Shuffle(&nodes, &rng);
+  ExpectSamplerMatchesUpperBound(nodes, weights);
+}
+
+TEST(WeightedSampler, MatchesUpperBoundOnASingleNode) {
+  std::vector<double> weights(8, 0.0);
+  weights[7] = 3.0;
+  ExpectSamplerMatchesUpperBound({7}, weights);
+  ExpectSamplerMatchesUpperBound({2}, weights);
 }
 
 TEST(Splits, PartitionCoversAllNodes) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/filter.h"
@@ -45,14 +47,122 @@ TEST(BuildAdjacency, DeduplicatesParallelEdges) {
 }
 
 TEST(BuildAdjacency, RejectsOutOfRangeEndpoint) {
-  EdgeList edges = {{0, 5}};
-  auto r = BuildAdjacency(3, edges, true);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // The bad endpoint may sit after valid edges, on either side, either sign.
+  for (const EdgeList& edges :
+       {EdgeList{{0, 5}}, EdgeList{{0, 1}, {1, 2}, {3, 0}},
+        EdgeList{{0, 1}, {-1, 2}}, EdgeList{{2, 1}, {1, -4}}}) {
+    for (const bool self_loops : {false, true}) {
+      auto r = BuildAdjacency(3, edges, self_loops);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(BuildAdjacency, RejectsEmptyGraph) {
-  EXPECT_FALSE(BuildAdjacency(0, {}, true).ok());
+  for (const int64_t n : {0, -3}) {
+    auto r = BuildAdjacency(n, {}, true);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// The sort-unique build that the counting build replaced, verbatim: the
+/// reference BuildAdjacency must match bit for bit.
+Result<CsrMatrix> SortUniqueBuildAdjacency(int64_t n, const EdgeList& edges,
+                                           bool add_self_loops) {
+  if (n <= 0) return Status::InvalidArgument("BuildAdjacency: n must be > 0");
+  // Symmetrized, deduplicated edge set built via sort-unique over directed
+  // pairs. Memory: O(m) int64 keys.
+  std::vector<int64_t> keys;
+  keys.reserve(edges.size() * 2 + (add_self_loops ? static_cast<size_t>(n) : 0));
+  for (const auto& [u, v] : edges) {
+    if (u < 0 || v < 0 || u >= n || v >= n) {
+      return Status::InvalidArgument("BuildAdjacency: edge endpoint out of range");
+    }
+    keys.push_back(static_cast<int64_t>(u) * n + v);
+    keys.push_back(static_cast<int64_t>(v) * n + u);
+  }
+  if (add_self_loops) {
+    for (int64_t i = 0; i < n; ++i) keys.push_back(i * n + i);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  std::vector<int64_t> indptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int32_t> indices(keys.size());
+  std::vector<float> values(keys.size(), 1.0f);
+  for (size_t p = 0; p < keys.size(); ++p) {
+    const int64_t row = keys[p] / n;
+    indptr[static_cast<size_t>(row) + 1]++;
+    indices[p] = static_cast<int32_t>(keys[p] % n);
+  }
+  for (int64_t i = 0; i < n; ++i)
+    indptr[static_cast<size_t>(i) + 1] += indptr[static_cast<size_t>(i)];
+  return CsrMatrix(n, std::move(indptr), std::move(indices), std::move(values));
+}
+
+/// Builds `edges` both ways, with and without self loops, and expects the
+/// same CSR arrays from each.
+void ExpectMatchesSortUnique(int64_t n, const EdgeList& edges,
+                             const std::string& what) {
+  for (const bool self_loops : {false, true}) {
+    auto got = BuildAdjacency(n, edges, self_loops);
+    auto want = SortUniqueBuildAdjacency(n, edges, self_loops);
+    ASSERT_TRUE(got.ok() && want.ok()) << what;
+    const std::string where =
+        what + (self_loops ? " +self loops" : " -self loops");
+    EXPECT_EQ(got.value().n(), want.value().n()) << where;
+    EXPECT_EQ(got.value().indptr(), want.value().indptr()) << where;
+    EXPECT_EQ(got.value().indices(), want.value().indices()) << where;
+    EXPECT_EQ(got.value().values(), want.value().values()) << where;
+  }
+}
+
+TEST(BuildAdjacency, MatchesSortUniqueReferenceOnEdgeCases) {
+  ExpectMatchesSortUnique(1, {}, "n=1, no edges");
+  ExpectMatchesSortUnique(1, {{0, 0}, {0, 0}}, "n=1, repeated self loop");
+  ExpectMatchesSortUnique(6, {}, "no edges");
+  ExpectMatchesSortUnique(6, {{4, 1}}, "one edge, four isolated nodes");
+  ExpectMatchesSortUnique(3, {{2, 0}, {0, 2}, {2, 0}, {1, 1}, {1, 1}},
+                          "both directions, duplicates, a self loop");
+}
+
+TEST(BuildAdjacency, MatchesSortUniqueReferenceOnRandomEdgeLists) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<int64_t>(1 + rng.UniformInt(80));
+    // Every third list touches only the first half of the nodes, so the
+    // rest are isolated; odd trials draw no self-loop edges.
+    const int64_t reach = trial % 3 == 0 ? (n + 1) / 2 : n;
+    const bool loop_edges = trial % 2 == 0;
+    const auto draws = rng.UniformInt(static_cast<uint64_t>(4 * n + 1));
+    EdgeList edges;
+    for (uint64_t k = 0; k < draws; ++k) {
+      const auto u = static_cast<int32_t>(
+          rng.UniformInt(static_cast<uint64_t>(reach)));
+      const auto v = static_cast<int32_t>(
+          rng.UniformInt(static_cast<uint64_t>(reach)));
+      if (u == v && !loop_edges) continue;
+      edges.emplace_back(u, v);
+      if (rng.Bernoulli(0.3)) {  // a duplicate, in either direction
+        const auto e = edges[rng.UniformInt(edges.size())];
+        const bool flip = rng.Bernoulli(0.5);
+        edges.emplace_back(flip ? e.second : e.first,
+                           flip ? e.first : e.second);
+      }
+    }
+    ExpectMatchesSortUnique(n, edges, "trial " + std::to_string(trial));
+  }
+  // Long rows: half of the endpoints hit one of three hubs.
+  EdgeList edges;
+  for (int k = 0; k < 20000; ++k) {
+    const auto u = static_cast<int32_t>(rng.Bernoulli(0.5)
+                                            ? rng.UniformInt(3)
+                                            : rng.UniformInt(2000));
+    edges.emplace_back(u, static_cast<int32_t>(rng.UniformInt(2000)));
+  }
+  ExpectMatchesSortUnique(2000, edges, "hubs");
 }
 
 TEST(CsrMatrix, RowSums) {
