@@ -59,9 +59,13 @@ void Supervisor::FillFromResult(const models::TrainResult& result,
   } else if (result.diverged) {
     record->status = CellStatus::kDiverged;
   } else if (!result.status.ok()) {
-    if (result.status.code() == StatusCode::kInvalidArgument) {
+    const StatusCode code = result.status.code();
+    if (code == StatusCode::kInvalidArgument ||
+        code == StatusCode::kNotFound) {
+      // The cell cannot run: a bad hyperparameter, or a filter name
+      // CreateFilter does not know (however the scheme built its filter).
       record->status = CellStatus::kSkipped;
-    } else if (result.status.code() == StatusCode::kUnavailable) {
+    } else if (code == StatusCode::kUnavailable) {
       // A serving cell whose load was entirely shed by admission control:
       // journaled as SHED so overload sweeps keep the row (and its shed
       // counters in extras) the way efficiency tables keep "(OOM)" rows.

@@ -16,6 +16,7 @@
 #include "graph/datasets.h"
 #include "graph/generator.h"
 #include "graph/io.h"
+#include "models/iterative.h"
 #include "models/linkpred.h"
 #include "models/trainer.h"
 #include "runtime/fault_injection.h"
@@ -290,6 +291,32 @@ TEST(Supervisor, RecordsSkippedForUnknownFilter) {
                                        FastConfig());
   EXPECT_EQ(r.status, CellStatus::kSkipped);
   EXPECT_NE(r.detail.find("no_such_filter"), std::string::npos);
+}
+
+TEST(Supervisor, RunRecordsSkippedForUnknownFilterInEveryScheme) {
+  // Schemes that build their filter inside the cell body (GP as sgnn_run
+  // does, iterative inside its trainer) hand back CreateFilter's NotFound,
+  // which journals SKIPPED like RunTraining's own check.
+  graph::Graph g = SmallGraph();
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  Supervisor sup("test", "");
+  const CellRecord gp = sup.Run({"g", "no_such_filter", "gp", 1}, [&] {
+    models::TrainResult r;
+    r.status = filters::CreateFilter("no_such_filter", 4).status();
+    return r;
+  });
+  const CellRecord iterative =
+      sup.Run({"g", "no_such_filter", "iterative", 1}, [&] {
+        models::IterativeConfig cfg;
+        cfg.base = FastConfig();
+        cfg.layer_filter = "no_such_filter";
+        return models::TrainIterative(g, s, graph::Metric::kAccuracy, cfg);
+      });
+  for (const CellRecord& r : {gp, iterative}) {
+    EXPECT_EQ(r.status, CellStatus::kSkipped) << r.key.scheme;
+    EXPECT_NE(r.detail.find("no_such_filter"), std::string::npos)
+        << r.key.scheme;
+  }
 }
 
 TEST(Supervisor, RecordsSkippedForFullBatchOnlyFilterInMbScheme) {
