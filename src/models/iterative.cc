@@ -17,7 +17,6 @@ struct Layer {
   std::unique_ptr<filters::SpectralFilter> filter;  // one-hop
   nn::Linear linear;
   // Caches from the last training forward.
-  Matrix input;       // h^j
   Matrix propagated;  // g(L̃) h^j
   Matrix preact;      // propagated W + b
 };
@@ -66,7 +65,6 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
       Matrix z(prop.rows(), layer.linear.out_dim(), Device::kAccel);
       layer.linear.Forward(prop, &z);
       if (train) {
-        layer.input = h;
         layer.propagated = prop;
         layer.preact = z;
       }

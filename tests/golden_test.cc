@@ -522,7 +522,7 @@ const SchemeGolden kSchemeGolden[] = {
     {"nagphormer",       0x3feb08e3c7f70585ull, 0x3fecaaaaaaaaaaabull, 0x3fecaaaaaaaaaaabull, 0x00000000, 88104, 128880},
     {"ansgt",            0x3fe1ba7836869355ull, 0x3fe9555555555555ull, 0x3fea000000000000ull, 0x00000000, 7680, 621680},
     {"gp_ppr",           0x3fead735bb39b8ffull, 0x3fe8aaaaaaaaaaabull, 0x3fe6000000000000ull, 0x4b4197a4, 6896, 42576},
-    {"iterative_linear", 0x3ff062067707c9aaull, 0x3fe1555555555555ull, 0x3fe4000000000000ull, 0x7f0675d7, 14056, 143896},
+    {"iterative_linear", 0x3ff062067707c9aaull, 0x3fe1555555555555ull, 0x3fe4000000000000ull, 0x7f0675d7, 14056, 120856},
     {"linkpred_ppr",     0x0000000000000000ull, 0x0000000000000000ull, 0x3fe9f11cae466068ull, 0x00000000, 37096, 26480},
 };
 // clang-format on
