@@ -4,7 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "core/registry.h"
+#include "graph/datasets.h"
 #include "graph/generator.h"
 #include "sparse/adjacency.h"
 #include "sparse/edge_index.h"
@@ -232,6 +235,43 @@ void BM_Normalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Normalize);
+
+/// products_sim's node count and undirected edge count (n · degree / 2).
+std::pair<int64_t, int64_t> ProductsSize() {
+  const graph::DatasetSpec spec = graph::FindDataset("products_sim").value();
+  return {spec.n,
+          static_cast<int64_t>(spec.avg_degree * static_cast<double>(spec.n) /
+                               2.0)};
+}
+
+/// The adjacency build alone: count, scatter, per-row sort and dedupe of a
+/// products_sim-sized edge list with uniform random endpoints.
+void BM_BuildAdjacency(benchmark::State& state) {
+  const auto [n, m] = ProductsSize();
+  Rng rng(11);
+  sparse::EdgeList edges(static_cast<size_t>(m));
+  for (auto& [u, v] : edges) {
+    u = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+    v = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+  }
+  for (auto _ : state) {
+    auto adj = sparse::BuildAdjacency(n, edges, /*add_self_loops=*/true);
+    benchmark::DoNotOptimize(adj.value().nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_BuildAdjacency)->Unit(benchmark::kMillisecond);
+
+/// The whole products_sim generation: labels, propensities, edge sampling,
+/// the adjacency build and the features.
+void BM_GenerateSbm(benchmark::State& state) {
+  const graph::DatasetSpec spec = graph::FindDataset("products_sim").value();
+  for (auto _ : state) {
+    graph::Graph g = graph::MakeDataset(spec, 1);
+    benchmark::DoNotOptimize(g.adj.nnz());
+  }
+}
+BENCHMARK(BM_GenerateSbm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
