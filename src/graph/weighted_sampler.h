@@ -1,12 +1,11 @@
 // Weighted node sampler of the synthetic graph generator.
 //
 // Internal to src/graph: generator.cc draws every DC-SBM endpoint through
-// it, and graph_test checks it against the binary search it replaced.
+// it, and graph_test checks each draw against std::upper_bound.
 
 #ifndef SGNN_GRAPH_WEIGHTED_SAMPLER_H_
 #define SGNN_GRAPH_WEIGHTED_SAMPLER_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>

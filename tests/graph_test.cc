@@ -106,8 +106,8 @@ TEST(Generator, GridLabelsPatchy) {
   EXPECT_GT(NodeHomophily(g), 0.45);
 }
 
-/// The index the binary-search sampler drew: the first cumulative weight
-/// above u, clamped to the last index.
+/// The reference index: the first cumulative weight above u, found by
+/// std::upper_bound and clamped to the last index.
 size_t UpperBoundIndex(const std::vector<double>& cumulative, double u) {
   const auto it = std::upper_bound(cumulative.begin(), cumulative.end(), u);
   return std::min(static_cast<size_t>(it - cumulative.begin()),
@@ -158,7 +158,7 @@ TEST(WeightedSampler, MatchesUpperBoundOnParetoClampedWeights) {
   for (double& w : weights) {
     w = std::min(std::pow(std::max(rng.Uniform(), 1e-12), -1.0 / 1.5), 1e3);
   }
-  weights[17] = 1e3;
+  weights[18] = 1e3;  // one node of the subset at the clamp
   std::vector<int32_t> nodes;
   for (int32_t v = 0; v < 6000; v += 3) nodes.push_back(v);
   Shuffle(&nodes, &rng);
