@@ -57,8 +57,9 @@ class Digest {
     crc_ = serialize::Crc32(m.data(), m.bytes(), crc_);
     return *this;
   }
-  Digest& Add(const std::vector<double>& v) {
-    crc_ = serialize::Crc32(v.data(), v.size() * sizeof(double), crc_);
+  template <typename T>
+  Digest& Add(const std::vector<T>& v) {
+    crc_ = serialize::Crc32(v.data(), v.size() * sizeof(T), crc_);
     return *this;
   }
   uint32_t value() const { return crc_; }
@@ -660,12 +661,6 @@ TEST(Golden, CheckpointBytesAndServedLogitsMatchPinnedDigests) {
 
 // --- the 22 synthetic datasets -----------------------------------------------
 
-/// CRC-32 of the raw bytes of `v`'s elements, continuing from `crc`.
-template <typename T>
-uint32_t VectorCrc(const std::vector<T>& v, uint32_t crc = 0) {
-  return serialize::Crc32(v.data(), v.size() * sizeof(T), crc);
-}
-
 struct DatasetGolden {
   const char* name;
   uint32_t indptr;
@@ -715,12 +710,12 @@ TEST(Golden, EveryDatasetMatchesPinnedDigests) {
     const graph::Splits s = graph::RandomSplits(g.n, 1);
     const DatasetGolden got = {
         specs[i].name.c_str(),
-        VectorCrc(g.adj.indptr()),
-        VectorCrc(g.adj.indices()),
-        VectorCrc(g.adj.values()),
+        Digest().Add(g.adj.indptr()).value(),
+        Digest().Add(g.adj.indices()).value(),
+        Digest().Add(g.adj.values()).value(),
         Digest().Add(g.features).value(),
-        VectorCrc(g.labels),
-        VectorCrc(s.test, VectorCrc(s.val, VectorCrc(s.train)))};
+        Digest().Add(g.labels).value(),
+        Digest().Add(s.train).Add(s.val).Add(s.test).value()};
     const std::string actual =
         std::string("actual {\"") + got.name + "\", " + Hex(got.indptr) +
         ", " + Hex(got.indices) + ", " + Hex(got.values) + ", " +
