@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <utility>
-
 #include "core/registry.h"
 #include "graph/datasets.h"
 #include "graph/generator.h"
@@ -236,18 +234,14 @@ void BM_Normalize(benchmark::State& state) {
 }
 BENCHMARK(BM_Normalize);
 
-/// products_sim's node count and undirected edge count (n · degree / 2).
-std::pair<int64_t, int64_t> ProductsSize() {
-  const graph::DatasetSpec spec = graph::FindDataset("products_sim").value();
-  return {spec.n,
-          static_cast<int64_t>(spec.avg_degree * static_cast<double>(spec.n) /
-                               2.0)};
-}
-
 /// The adjacency build alone: count, scatter, per-row sort and dedupe of a
-/// products_sim-sized edge list with uniform random endpoints.
+/// products_sim-sized edge list (n nodes, n · degree / 2 edges) with uniform
+/// random endpoints.
 void BM_BuildAdjacency(benchmark::State& state) {
-  const auto [n, m] = ProductsSize();
+  const graph::DatasetSpec spec = graph::FindDataset("products_sim").value();
+  const int64_t n = spec.n;
+  const auto m =
+      static_cast<int64_t>(spec.avg_degree * static_cast<double>(n) / 2.0);
   Rng rng(11);
   sparse::EdgeList edges(static_cast<size_t>(m));
   for (auto& [u, v] : edges) {
