@@ -91,37 +91,6 @@ double R2Score(const Matrix& pred, const Matrix& target) {
   return 1.0 - ss_res / ss_tot;
 }
 
-double MacroF1(const Matrix& logits, const std::vector<int32_t>& labels,
-               const std::vector<int32_t>& rows, int32_t num_classes) {
-  std::vector<int64_t> tp(static_cast<size_t>(num_classes), 0);
-  std::vector<int64_t> fp(static_cast<size_t>(num_classes), 0);
-  std::vector<int64_t> fn(static_cast<size_t>(num_classes), 0);
-  for (const int32_t r : rows) {
-    const float* lrow = logits.row(r);
-    int64_t pred = 0;
-    for (int64_t j = 1; j < logits.cols(); ++j) {
-      if (lrow[j] > lrow[pred]) pred = j;
-    }
-    const int32_t y = labels[static_cast<size_t>(r)];
-    if (pred == y) {
-      tp[static_cast<size_t>(y)]++;
-    } else {
-      fp[static_cast<size_t>(pred)]++;
-      fn[static_cast<size_t>(y)]++;
-    }
-  }
-  double f1_sum = 0.0;
-  int32_t counted = 0;
-  for (int32_t c = 0; c < num_classes; ++c) {
-    const auto i = static_cast<size_t>(c);
-    const double denom = 2.0 * tp[i] + fp[i] + fn[i];
-    if (tp[i] + fp[i] + fn[i] == 0) continue;
-    f1_sum += denom > 0 ? 2.0 * tp[i] / denom : 0.0;
-    ++counted;
-  }
-  return counted > 0 ? f1_sum / counted : 0.0;
-}
-
 MeanStd Summarize(const std::vector<double>& values) {
   MeanStd out;
   if (values.empty()) return out;

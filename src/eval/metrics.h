@@ -28,10 +28,6 @@ double RocAuc(const Matrix& logits, const std::vector<int32_t>& labels,
 /// (flattened across all entries).
 double R2Score(const Matrix& pred, const Matrix& target);
 
-/// Macro-averaged F1 over the listed rows.
-double MacroF1(const Matrix& logits, const std::vector<int32_t>& labels,
-               const std::vector<int32_t>& rows, int32_t num_classes);
-
 /// Mean and (population) standard deviation of a sample.
 struct MeanStd {
   double mean = 0.0;

@@ -466,6 +466,9 @@ std::string BaselineLabel(BaselineKind kind, Backend backend) {
 TrainResult TrainBaseline(const graph::Graph& g, const graph::Splits& splits,
                           graph::Metric metric, BaselineKind kind,
                           Backend backend, const TrainConfig& config) {
+  TrainResult result;
+  result.status = CheckTrainConfig(BaselineLabel(kind, backend), config);
+  if (!result.status.ok()) return result;
   switch (kind) {
     case BaselineKind::kNagphormer:
       return TrainNagphormer(g, splits, metric, config);

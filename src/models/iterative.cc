@@ -28,6 +28,8 @@ TrainResult TrainIterative(const graph::Graph& g, const graph::Splits& splits,
                            const IterativeConfig& config) {
   TrainResult result;
   const TrainConfig& base = config.base;
+  result.status = CheckTrainConfig("TrainIterative", base);
+  if (!result.status.ok()) return result;
   EpochLoop loop(base, &result);
   Rng rng(base.seed * 0x94D049BB133111EBULL + 37);
 

@@ -41,7 +41,10 @@ TrainResult TrainLinkPrediction(const graph::Graph& g,
                                 const LinkPredConfig& config) {
   const TrainConfig& base = config.base;
   TrainResult result;
-  result.status = CheckBatching("TrainLinkPrediction", base, filter);
+  result.status = CheckTrainConfig("TrainLinkPrediction", base);
+  if (result.status.ok()) {
+    result.status = CheckBatching("TrainLinkPrediction", base, filter);
+  }
   if (!result.status.ok()) return result;
   EpochLoop loop(base, &result);
   Rng rng(base.seed * 0x8B72E1F371C69AEDULL + 17);

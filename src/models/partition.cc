@@ -30,6 +30,8 @@ TrainResult TrainGraphPartition(const graph::Graph& g,
                                 filters::SpectralFilter* filter,
                                 const PartitionConfig& config) {
   TrainResult result;
+  result.status = CheckTrainConfig("TrainGraphPartition", config.base);
+  if (!result.status.ok()) return result;
   if (config.num_parts < 1 || config.num_parts > g.n) {
     result.status = Status::InvalidArgument(
         "TrainGraphPartition: num_parts " + std::to_string(config.num_parts) +

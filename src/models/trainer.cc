@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "shard/plan.h"
 #include "shard/spmm.h"
@@ -107,6 +108,28 @@ void EpochLoop::Run(const EpochBodies& bodies) {
   LatchOom();
 }
 
+Status CheckTrainConfig(const std::string& scheme, const TrainConfig& config) {
+  const std::pair<const char*, int> counts[] = {
+      {"hidden", config.hidden},
+      {"epochs", config.epochs},
+      {"eval_every", config.eval_every},
+  };
+  for (const auto& [field, value] : counts) {
+    if (value < 1) {
+      return Status::InvalidArgument(scheme + ": " + field + " " +
+                                     std::to_string(value) +
+                                     " must be at least 1");
+    }
+  }
+  // Written so that NaN fails it too.
+  if (!(config.rho >= 0.0 && config.rho <= 1.0)) {
+    return Status::InvalidArgument(scheme + ": rho " +
+                                   std::to_string(config.rho) +
+                                   " must be in [0, 1]");
+  }
+  return Status::OK();
+}
+
 Status CheckBatching(const std::string& scheme, const TrainConfig& config,
                      const filters::SpectralFilter* filter) {
   if (config.batch_size < 1) {
@@ -153,6 +176,8 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
                            const TrainConfig& config,
                            bool capture_embeddings) {
   TrainResult result;
+  result.status = CheckTrainConfig("TrainFullBatch", config);
+  if (!result.status.ok()) return result;
   EpochLoop loop(config, &result);
 
   Rng rng(config.seed * 0x2545F4914F6CDD1DULL + 7);
@@ -264,7 +289,10 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
                            const TrainConfig& config,
                            bool capture_embeddings) {
   TrainResult result;
-  result.status = CheckBatching("TrainMiniBatch", config, filter);
+  result.status = CheckTrainConfig("TrainMiniBatch", config);
+  if (result.status.ok()) {
+    result.status = CheckBatching("TrainMiniBatch", config, filter);
+  }
   if (!result.status.ok()) return result;
   EpochLoop loop(config, &result);
 

@@ -215,6 +215,11 @@ class EpochLoop {
   double best_val_ = -1.0;
 };
 
+/// Every scheme's argument check, before any set-up: InvalidArgument naming
+/// the field when hidden, epochs or eval_every is below 1, or rho lies
+/// outside [0, 1] (NaN included).
+Status CheckTrainConfig(const std::string& scheme, const TrainConfig& config);
+
 /// The batched schemes' argument check, before any work: InvalidArgument
 /// for a batch size below 1 (ForEachBatch would never advance) or an
 /// FB-only `filter` (no per-hop terms to batch; null: no filter).

@@ -158,13 +158,4 @@ void Mlp::AdamStep(const AdamConfig& config, int64_t t) {
   for (auto& layer : layers_) layer.AdamStep(config, t);
 }
 
-int64_t Mlp::NumParams() const {
-  int64_t total = 0;
-  for (const auto& layer : layers_) {
-    // Const access to parameter shapes via in/out dims.
-    total += layer.in_dim() * layer.out_dim() + layer.out_dim();
-  }
-  return total;
-}
-
 }  // namespace sgnn::nn

@@ -81,9 +81,6 @@ class Mlp {
   void ZeroGrad();
   void AdamStep(const AdamConfig& config, int64_t t);
 
-  /// Total scalar count across weights and biases (for model-size reporting).
-  int64_t NumParams() const;
-
   std::vector<Linear>& layers() { return layers_; }
   const std::vector<Linear>& layers() const { return layers_; }
   double dropout() const { return dropout_; }

@@ -17,19 +17,6 @@ void SpmmOperator::ApplyAffine(const Matrix& x, float ca, const Matrix* in1,
   if (in2 != nullptr) ops::Axpy(cp, *in2, out);
 }
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kZero: return "zero";
-    case OpKind::kSpmm: return "spmm";
-    case OpKind::kScale: return "scale";
-    case OpKind::kAxpy: return "axpy";
-    case OpKind::kGemm: return "gemm";
-    case OpKind::kElementwise: return "elementwise";
-    case OpKind::kFusedSpmmAffine: return "fused_spmm_affine";
-  }
-  return "unknown";
-}
-
 const ValueInfo& Graph::At(ValueId v) const {
   SGNN_CHECK(v >= 0 && v < num_values(), "opgraph: value id out of range");
   return values_[static_cast<size_t>(v)];

@@ -71,9 +71,6 @@ enum class OpKind : uint8_t {
   kFusedSpmmAffine,  ///< out = ca·(A·in0) + ci·in1 + cp·in2
 };
 
-/// Returns a stable lowercase name ("spmm", "fused_spmm_affine", ...).
-const char* OpKindName(OpKind kind);
-
 /// Elementwise flavor for kElementwise.
 enum class EwKind : uint8_t { kRelu };
 

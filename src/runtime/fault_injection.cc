@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "graph/io.h"
 #include "tensor/device.h"
 
 namespace sgnn::runtime {
@@ -27,18 +26,13 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text) {
       plan.accel_alloc_fail_nth = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "accel_prob") {
       plan.accel_alloc_fail_prob = std::atof(value.c_str());
-    } else if (key == "io_nth") {
-      plan.io_fail_nth = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "io_prob") {
-      plan.io_fail_prob = std::atof(value.c_str());
     } else if (key == "seed") {
       plan.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else {
       return Status::InvalidArgument("unknown fault plan key: " + key);
     }
   }
-  if (plan.accel_alloc_fail_prob < 0.0 || plan.accel_alloc_fail_prob > 1.0 ||
-      plan.io_fail_prob < 0.0 || plan.io_fail_prob > 1.0) {
+  if (plan.accel_alloc_fail_prob < 0.0 || plan.accel_alloc_fail_prob > 1.0) {
     return Status::InvalidArgument("fault probabilities must be in [0, 1]");
   }
   return plan;
@@ -54,7 +48,7 @@ void FaultInjector::Arm(const FaultPlan& plan) {
     std::lock_guard<std::mutex> lock(mu_);
     plan_ = plan;
     rng_ = Rng(plan.seed);
-    accel_allocs_ = io_ops_ = alloc_faults_ = io_faults_ = 0;
+    accel_allocs_ = alloc_faults_ = 0;
     armed_ = true;
   }
   DeviceTracker::Global().SetAllocFaultHook(
@@ -62,9 +56,6 @@ void FaultInjector::Arm(const FaultPlan& plan) {
         if (device != Device::kAccel) return false;
         return OnAccelAlloc();
       });
-  graph::SetIoFaultHook([this](const char* op, const std::string& path) {
-    return OnIo(op, path);
-  });
 }
 
 bool FaultInjector::ArmFromEnv() {
@@ -82,7 +73,6 @@ bool FaultInjector::ArmFromEnv() {
 
 void FaultInjector::Disarm() {
   DeviceTracker::Global().SetAllocFaultHook(nullptr);
-  graph::SetIoFaultHook(nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = false;
 }
@@ -97,19 +87,9 @@ uint64_t FaultInjector::observed_accel_allocs() const {
   return accel_allocs_;
 }
 
-uint64_t FaultInjector::observed_io_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return io_ops_;
-}
-
 uint64_t FaultInjector::injected_alloc_faults() const {
   std::lock_guard<std::mutex> lock(mu_);
   return alloc_faults_;
-}
-
-uint64_t FaultInjector::injected_io_faults() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return io_faults_;
 }
 
 bool FaultInjector::OnAccelAlloc() {
@@ -123,19 +103,6 @@ bool FaultInjector::OnAccelAlloc() {
   }
   if (fail) ++alloc_faults_;
   return fail;
-}
-
-Status FaultInjector::OnIo(const char* op, const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_) return Status::OK();
-  ++io_ops_;
-  bool fail = plan_.io_fail_nth != 0 && io_ops_ == plan_.io_fail_nth;
-  if (!fail && plan_.io_fail_prob > 0.0) {
-    fail = rng_.Bernoulli(plan_.io_fail_prob);
-  }
-  if (!fail) return Status::OK();
-  ++io_faults_;
-  return Status::IOError(std::string("injected fault on ") + op + " " + path);
 }
 
 }  // namespace sgnn::runtime

@@ -1,13 +1,12 @@
-// Deterministic fault injection for the simulated device and graph IO.
+// Deterministic fault injection for the simulated accelerator.
 //
 // The paper's tables contain cells that legitimately fail — "(OOM)" in
 // Tables 9/11 — but real capacity is the only way the seed harness could
-// reach those paths. This layer hooks DeviceTracker::OnAlloc and
-// graph::io Save/Load so OOM and IO-error handling is testable on demand:
-// faults are scripted (fail exactly the Nth operation) or probabilistic
-// (seeded, so a plan replays identically), and never terminate the process
-// — they surface as the same latched-OOM flag / Status values the organic
-// failures produce.
+// reach those paths. This layer hooks DeviceTracker::OnAlloc so OOM
+// handling is testable on demand: faults are scripted (fail exactly the Nth
+// allocation) or probabilistic (seeded, so a plan replays identically), and
+// never terminate the process — they surface as the same latched-OOM flag
+// the organic failures produce.
 
 #ifndef SGNN_RUNTIME_FAULT_INJECTION_H_
 #define SGNN_RUNTIME_FAULT_INJECTION_H_
@@ -29,25 +28,21 @@ struct FaultPlan {
   uint64_t accel_alloc_fail_nth = 0;
   /// Fail each accelerator allocation independently with this probability.
   double accel_alloc_fail_prob = 0.0;
-  /// Fail exactly the Nth graph IO operation (one-shot).
-  uint64_t io_fail_nth = 0;
-  /// Fail each graph IO operation independently with this probability.
-  double io_fail_prob = 0.0;
   /// Seed for the probabilistic draws; same plan + seed => same faults.
   uint64_t seed = 1;
 };
 
-/// Parses "accel_nth=120,accel_prob=0.01,io_nth=3,io_prob=0.1,seed=7".
-/// Unknown keys are rejected. Used by SPECTRAL_FAULT_PLAN.
+/// Parses "accel_nth=120,accel_prob=0.01,seed=7". Unknown keys are
+/// rejected. Used by SPECTRAL_FAULT_PLAN.
 [[nodiscard]] Result<FaultPlan> ParseFaultPlan(const std::string& text);
 
-/// Process-wide injector. Arm() installs the DeviceTracker and graph::io
-/// hooks; Disarm() removes them. Thread-safe.
+/// Process-wide injector. Arm() installs the DeviceTracker hook; Disarm()
+/// removes it. Thread-safe.
 class FaultInjector {
  public:
   static FaultInjector& Global();
 
-  /// Installs the hooks and resets counters. Re-arming replaces the plan.
+  /// Installs the hook and resets counters. Re-arming replaces the plan.
   void Arm(const FaultPlan& plan);
 
   /// Arms from the SPECTRAL_FAULT_PLAN environment variable. Returns true
@@ -55,31 +50,26 @@ class FaultInjector {
   /// stderr and ignored (a bad env var must not kill a bench).
   bool ArmFromEnv();
 
-  /// Uninstalls both hooks.
+  /// Uninstalls the hook.
   void Disarm();
 
   bool armed() const;
 
   /// Operations observed / faults injected since the last Arm().
   uint64_t observed_accel_allocs() const;
-  uint64_t observed_io_ops() const;
   uint64_t injected_alloc_faults() const;
-  uint64_t injected_io_faults() const;
 
  private:
   FaultInjector() = default;
 
   bool OnAccelAlloc();
-  [[nodiscard]] Status OnIo(const char* op, const std::string& path);
 
   mutable std::mutex mu_;
   bool armed_ SGNN_GUARDED_BY(mu_) = false;
   FaultPlan plan_ SGNN_GUARDED_BY(mu_);
   Rng rng_ SGNN_GUARDED_BY(mu_){1};
   uint64_t accel_allocs_ SGNN_GUARDED_BY(mu_) = 0;
-  uint64_t io_ops_ SGNN_GUARDED_BY(mu_) = 0;
   uint64_t alloc_faults_ SGNN_GUARDED_BY(mu_) = 0;
-  uint64_t io_faults_ SGNN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sgnn::runtime

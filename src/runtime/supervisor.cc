@@ -150,39 +150,17 @@ CellRecord Supervisor::RunTraining(const CellKey& key, const graph::Graph& g,
                                     mb_config);
   } else {
     result = models::TrainFullBatch(g, splits, metric, filter.get(), config);
-    // Journals the failed FB attempt (non-terminal) before a degradation
-    // retry, so the ladder is visible in the journal.
-    auto journal_attempt = [&](const char* scheme) {
+    if (result.oom && options.fallback_to_mb && filter->SupportsMiniBatch()) {
+      // Journals the failed FB attempt (non-terminal), so the fallback is
+      // visible in the journal, then degrades to the decoupled mini-batch
+      // scheme on a fresh filter.
       CellRecord attempt;
       attempt.key = key;
       attempt.terminal = false;
-      attempt.final_scheme = scheme;
+      attempt.final_scheme = "fb";
       attempt.wall_ms = sw.ElapsedMs();
       FillFromResult(result, &attempt);
       journal_->Append(bench_, attempt);
-    };
-    if (result.oom && options.fallback_shards > 1 && config.num_shards <= 1) {
-      // First degradation rung (docs/SHARDING.md): keep the FB scheme but
-      // shard propagation — graph and representations host-resident, shard
-      // working sets streamed through the accelerator under sub-budgets.
-      journal_attempt("fb");
-      DeviceTracker::Global().ClearOom();
-      auto retry_or = make_filter();
-      if (retry_or.ok()) {
-        auto retry_filter = retry_or.MoveValue();
-        models::TrainConfig shard_config = config;
-        shard_config.num_shards = options.fallback_shards;
-        result = models::TrainFullBatch(g, splits, metric, retry_filter.get(),
-                                        shard_config);
-        record.fell_back = true;
-        record.final_scheme = "fb-sharded";
-        ++record.attempts;
-      }
-    }
-    if (result.oom && options.fallback_to_mb && filter->SupportsMiniBatch()) {
-      // Degrade to the decoupled mini-batch scheme on a fresh filter.
-      journal_attempt(record.final_scheme == "fb-sharded" ? "fb-sharded"
-                                                          : "fb");
       DeviceTracker::Global().ClearOom();
       auto retry_or = make_filter();
       if (retry_or.ok()) {

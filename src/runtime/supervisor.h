@@ -35,13 +35,6 @@ struct RunOptions {
   /// filter supports it. Efficiency benches that *report* OOM cells turn
   /// this off; effectiveness grids keep it on to salvage a number.
   bool fallback_to_mb = true;
-  /// When > 1, retry a full-batch accelerator OOM sharded at this shard
-  /// count before (or instead of) the MB fallback: same scheme, graph and
-  /// representations host-resident, per-shard working sets streamed through
-  /// the accelerator under sub-budgets (docs/SHARDING.md). This upgrades
-  /// the degradation ladder from accel-OOM → MB-fallback to accel-OOM →
-  /// shard-spill; sub-budget overruns are journaled as SHARD_SPILL cells.
-  int fallback_shards = 0;
   /// Filter hyperparameters for RunTraining's filter construction.
   filters::FilterHyperParams hp;
   /// Hop count for RunTraining's filter construction.

@@ -78,9 +78,8 @@ struct CacheStats {
   double HitRate() const;
 };
 
-/// Two-tier LRU over per-node term bundles (fp32 or quantized — mixed
-/// precisions may coexist, e.g. across a router hot-swap between an fp and
-/// a quantized checkpoint of the same lineage). Keys are node ids.
+/// Two-tier LRU over per-node term bundles (fp32 or quantized). Keys are
+/// node ids.
 class TieredCache {
  public:
   explicit TieredCache(CacheConfig config) : config_(config) {}

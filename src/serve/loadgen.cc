@@ -50,15 +50,6 @@ double PeakRate(const LoadGenConfig& config) {
 
 }  // namespace
 
-const char* ArrivalProcessName(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kPoisson: return "poisson";
-    case ArrivalProcess::kOnOff: return "onoff";
-    case ArrivalProcess::kDiurnal: return "diurnal";
-  }
-  return "poisson";
-}
-
 double RateAtMs(const LoadGenConfig& config, double t_ms) {
   switch (config.process) {
     case ArrivalProcess::kPoisson:

@@ -22,8 +22,8 @@
 // bit-identically: same seed, same arrivals, same node ids, same retry
 // jitter. Only the pacing sleeps read the wall clock.
 //
-// Replay() drives a schedule against any submit function (an Engine or a
-// Router) in real time and aggregates goodput/shed-rate/latency, retrying
+// Replay() drives a schedule against a submit function (an Engine's) in
+// real time and aggregates goodput/shed-rate/latency, retrying
 // kUnavailable sheds through runtime::RetryWithBackoff when configured —
 // the well-behaved-client half of the admission-control contract.
 
@@ -48,9 +48,6 @@ enum class ArrivalProcess {
   kOnOff,
   kDiurnal,
 };
-
-/// "poisson" / "onoff" / "diurnal".
-const char* ArrivalProcessName(ArrivalProcess process);
 
 /// Load-shape knobs; defaults give a modest Poisson stream.
 struct LoadGenConfig {
@@ -124,7 +121,7 @@ struct ReplayStats {
   double ShedRate() const;
 };
 
-/// Submit target: an Engine::Submit or Router::Submit bound by the caller.
+/// Submit target: an Engine::Submit bound by the caller.
 using SubmitFn =
     std::function<std::future<QueryResult>(int64_t node, double deadline_ms)>;
 

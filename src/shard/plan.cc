@@ -1,7 +1,5 @@
 #include "shard/plan.h"
 
-#include "tensor/status.h"
-
 namespace sgnn::shard {
 
 ShardPlan BuildShardPlan(const sparse::CsrMatrix& prop,
@@ -78,32 +76,6 @@ ShardPlan BuildShardPlan(const sparse::CsrMatrix& prop,
     for (const int32_t g : slice.gather) local_id[static_cast<size_t>(g)] = -1;
   }
   return plan;
-}
-
-void RefreshPlanDerived(ShardPlan* plan) {
-  plan->num_shards = static_cast<int>(plan->slices.size());
-  plan->partition.num_shards = plan->num_shards;
-  plan->partition.shard_of.assign(static_cast<size_t>(plan->n), -1);
-  plan->partition.owned.assign(static_cast<size_t>(plan->num_shards), {});
-  plan->stats.total_halo = 0;
-  plan->stats.total_owned = plan->n;
-  for (size_t s = 0; s < plan->slices.size(); ++s) {
-    ShardSlice& slice = plan->slices[s];
-    for (const int32_t g : slice.owned) {
-      SGNN_CHECK(g >= 0 && g < plan->n, "shard plan owned id out of range");
-      SGNN_CHECK(plan->partition.shard_of[static_cast<size_t>(g)] == -1,
-                 "shard plan owns a node twice");
-      plan->partition.shard_of[static_cast<size_t>(g)] = static_cast<int32_t>(s);
-    }
-    plan->partition.owned[s] = slice.owned;
-    slice.gather = slice.owned;
-    slice.gather.insert(slice.gather.end(), slice.halo.begin(), slice.halo.end());
-    plan->stats.total_halo += slice.halo_count();
-  }
-  for (int64_t v = 0; v < plan->n; ++v) {
-    SGNN_CHECK(plan->partition.shard_of[static_cast<size_t>(v)] != -1,
-               "shard plan leaves a node unowned");
-  }
 }
 
 }  // namespace sgnn::shard

@@ -63,10 +63,6 @@ struct ShardPlan {
 ShardPlan BuildShardPlan(const sparse::CsrMatrix& prop,
                          const PartitionOptions& options);
 
-/// Rebuilds the derived fields (gather lists, halo stats) of a plan whose
-/// owned/halo/local fields were restored from storage (shard/serialize.h).
-void RefreshPlanDerived(ShardPlan* plan);
-
 }  // namespace sgnn::shard
 
 #endif  // SGNN_SHARD_PLAN_H_

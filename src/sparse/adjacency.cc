@@ -86,11 +86,4 @@ CsrMatrix NormalizeAdjacency(const CsrMatrix& adj, double rho) {
                    adj.device());
 }
 
-std::vector<int64_t> Degrees(const CsrMatrix& adj) {
-  std::vector<int64_t> deg(static_cast<size_t>(adj.n()));
-  for (int64_t i = 0; i < adj.n(); ++i)
-    deg[static_cast<size_t>(i)] = adj.RowDegree(i);
-  return deg;
-}
-
 }  // namespace sgnn::sparse

@@ -31,9 +31,6 @@ using EdgeList = std::vector<std::pair<int32_t, int32_t>>;
 /// Rows/cols with zero degree are left zero.
 CsrMatrix NormalizeAdjacency(const CsrMatrix& adj, double rho);
 
-/// Degrees (row nnz counts) of an adjacency matrix.
-std::vector<int64_t> Degrees(const CsrMatrix& adj);
-
 }  // namespace sgnn::sparse
 
 #endif  // SGNN_SPARSE_ADJACENCY_H_

@@ -43,7 +43,6 @@ class CsrMatrix {
   const std::vector<int64_t>& indptr() const { return indptr_; }
   const std::vector<int32_t>& indices() const { return indices_; }
   const std::vector<float>& values() const { return values_; }
-  std::vector<float>& mutable_values() { return values_; }
 
   /// Storage bytes (indptr + indices + values), the O(m) graph footprint.
   size_t bytes() const;

@@ -1,7 +1,5 @@
-// Stream codec for CSR matrices, shared by every file that stores one: the
-// graph file (graph/io.h), each shard of a persisted shard plan
-// (shard/serialize.h), and the serving checkpoint, which can embed the
-// normalized propagation matrix so a served model can refresh its
+// Stream codec for CSR matrices, used by the serving checkpoint, which can
+// embed the normalized propagation matrix so a served model can refresh its
 // precomputed terms after a graph update. All multi-byte fields go through
 // tensor/serialize.h and are therefore little-endian on every host.
 

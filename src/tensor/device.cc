@@ -5,10 +5,6 @@
 
 namespace sgnn {
 
-const char* DeviceName(Device device) {
-  return device == Device::kHost ? "host" : "accel";
-}
-
 DeviceTracker& DeviceTracker::Global() {
   static DeviceTracker tracker;
   return tracker;

@@ -31,9 +31,6 @@ enum class Device {
   kAccel = 1,  ///< Simulated accelerator ("GPU" in paper tables).
 };
 
-/// Returns "host" or "accel".
-const char* DeviceName(Device device);
-
 /// Global byte accounting for the simulated machine. Thread-safe.
 class DeviceTracker {
  public:

@@ -183,8 +183,6 @@ void SetNumThreads(int n) {
   g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
-int ThreadCount() { return NumThreads(); }
-
 bool InParallelRegion() { return tls_in_parallel; }
 
 int64_t NumChunks(int64_t begin, int64_t end, int64_t grain) {

@@ -40,10 +40,6 @@ int NumThreads();
 /// n <= 0 clears the override back to env/hardware resolution.
 void SetNumThreads(int n);
 
-/// Maximum workers the pool would use right now (alias for NumThreads, for
-/// journal rows and bench banners).
-int ThreadCount();
-
 /// True while the calling thread is inside a ParallelFor chunk (including
 /// the serial fallback). Nested ParallelFor calls run serially.
 bool InParallelRegion();

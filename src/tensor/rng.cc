@@ -80,6 +80,4 @@ double Rng::Normal(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace sgnn

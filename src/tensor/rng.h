@@ -41,9 +41,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
-  /// Forks an independent stream (useful for per-worker determinism).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_cached_normal_ = false;

@@ -171,7 +171,7 @@ class [[nodiscard]] Result {
 
 /// Evaluates `rexpr` (a Result<T> expression); on error returns its Status
 /// to the caller, otherwise move-assigns the value into `lhs`. `lhs` may be
-/// a declaration ("auto g, LoadGraph(p)") or an existing lvalue.
+/// a declaration ("auto c, LoadCheckpoint(p)") or an existing lvalue.
 #define SGNN_ASSIGN_OR_RETURN(lhs, rexpr)                             \
   SGNN_ASSIGN_OR_RETURN_IMPL_(                                        \
       SGNN_STATUS_CONCAT_(_sgnn_result_, __COUNTER__), lhs, rexpr)

@@ -78,16 +78,6 @@ TEST(R2Score, MeanPredictionIsZero) {
   EXPECT_NEAR(R2Score(pred, t), 0.0, 1e-9);
 }
 
-TEST(MacroF1, PerfectPrediction) {
-  Matrix logits(4, 2);
-  logits.at(0, 0) = 1;
-  logits.at(1, 1) = 1;
-  logits.at(2, 0) = 1;
-  logits.at(3, 1) = 1;
-  std::vector<int32_t> labels = {0, 1, 0, 1};
-  EXPECT_DOUBLE_EQ(MacroF1(logits, labels, {0, 1, 2, 3}, 2), 1.0);
-}
-
 TEST(Summarize, MeanAndStd) {
   const MeanStd s = Summarize({1.0, 2.0, 3.0});
   EXPECT_DOUBLE_EQ(s.mean, 2.0);

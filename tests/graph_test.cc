@@ -4,18 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <set>
 #include <string>
 
 #include "graph/datasets.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
-#include "graph/io.h"
 #include "graph/weighted_sampler.h"
-#include "tensor/serialize.h"
 
 namespace sgnn::graph {
 namespace {
@@ -255,163 +250,6 @@ TEST(Homophily, PerfectOnSingleClassGraph) {
   Graph g = GenerateSbm(c);
   std::fill(g.labels.begin(), g.labels.end(), 0);
   EXPECT_DOUBLE_EQ(NodeHomophily(g), 1.0);
-}
-
-
-TEST(GraphIo, RoundTrip) {
-  GeneratorConfig c = SmallConfig(0.7);
-  Graph g = GenerateSbm(c);
-  const std::string path = "/tmp/sgnn_graph_test.bin";
-  ASSERT_TRUE(SaveGraph(g, path).ok());
-  auto r = LoadGraph(path);
-  ASSERT_TRUE(r.ok());
-  const Graph& h = r.value();
-  EXPECT_EQ(h.n, g.n);
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  EXPECT_EQ(h.labels, g.labels);
-  EXPECT_TRUE(h.features.AllClose(g.features));
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, LoadMissingFails) {
-  EXPECT_FALSE(LoadGraph("/tmp/sgnn_missing_graph.bin").ok());
-}
-
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-}
-
-/// A small saved graph's bytes: the 28-byte frame header, then the payload
-/// (i32 classes, i64 n, i64 nnz, indptr, indices, values, features,
-/// labels).
-std::string SavedGraphBytes(const std::string& path, Graph* g) {
-  GeneratorConfig c = SmallConfig(0.7);
-  c.n = 40;
-  *g = GenerateSbm(c);
-  EXPECT_TRUE(SaveGraph(*g, path).ok());
-  return ReadBytes(path);
-}
-
-constexpr size_t kFrame = serialize::kFrameHeaderSize;
-
-/// Rewrites `path` as `payload` in the saved file's frame (same magic and
-/// version) with a valid CRC, so the corruption reaches the payload checks
-/// instead of stopping at the CRC check.
-void Reframe(const std::string& path, const std::string& saved,
-             const std::string& payload) {
-  serialize::Reader header(saved.data() + 8, 4);
-  uint32_t version = 0;
-  ASSERT_TRUE(header.U32(&version).ok());
-  serialize::Writer w;
-  w.PutBytes(payload.data(), payload.size());
-  ASSERT_TRUE(
-      serialize::WriteFramedFile(path, saved.substr(0, 8), version, 0, w).ok());
-}
-
-/// Little-endian bytes of one fixed-width value.
-std::string I32Bytes(int32_t v) {
-  serialize::Writer w;
-  w.PutI32(v);
-  return w.buffer();
-}
-
-void ExpectLoadFails(const std::string& path, StatusCode code) {
-  const auto r = LoadGraph(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), code) << r.status().ToString();
-}
-
-TEST(GraphIo, InflatedHeaderIsIoErrorNotAbort) {
-  // A payload whose CSR header claims n = 2^40 nodes: the loader must
-  // reject it before allocating anything sized by n.
-  const std::string path = testing::TempDir() + "/sgnn_inflated_graph.bin";
-  Graph g;
-  const std::string saved = SavedGraphBytes(path, &g);
-  std::string payload = saved.substr(kFrame);
-  serialize::Writer n;
-  n.PutI64(int64_t{1} << 40);
-  payload.replace(4, 8, n.buffer());
-  Reframe(path, saved, payload);
-  ExpectLoadFails(path, StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, TruncatedFileIsIoError) {
-  const std::string path = testing::TempDir() + "/sgnn_truncated_graph.bin";
-  Graph g;
-  const std::string saved = SavedGraphBytes(path, &g);
-  // Shorter than its frame declares.
-  WriteBytes(path, saved.substr(0, saved.size() - 7));
-  ExpectLoadFails(path, StatusCode::kIOError);
-  // A consistent frame around a payload that ends mid-labels.
-  Reframe(path, saved, saved.substr(kFrame, saved.size() - kFrame - 7));
-  ExpectLoadFails(path, StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, OutOfRangeColumnIsIoError) {
-  const std::string path = testing::TempDir() + "/sgnn_bad_column_graph.bin";
-  Graph g;
-  const std::string saved = SavedGraphBytes(path, &g);
-  std::string payload = saved.substr(kFrame);
-  // The first column index follows classes, n, nnz and the n+1 indptr.
-  const size_t first_col = 4 + 16 + static_cast<size_t>(g.n + 1) * 8;
-  payload.replace(first_col, 4, I32Bytes(static_cast<int32_t>(g.n) + 5));
-  Reframe(path, saved, payload);
-  ExpectLoadFails(path, StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, OutOfRangeLabelIsIoError) {
-  const std::string path = testing::TempDir() + "/sgnn_bad_label_graph.bin";
-  Graph g;
-  const std::string saved = SavedGraphBytes(path, &g);
-  std::string payload = saved.substr(kFrame);
-  // The last label closes the payload.
-  payload.replace(payload.size() - 4, 4, I32Bytes(g.num_classes));
-  Reframe(path, saved, payload);
-  ExpectLoadFails(path, StatusCode::kIOError);
-  payload.replace(payload.size() - 4, 4, I32Bytes(-1));
-  Reframe(path, saved, payload);
-  ExpectLoadFails(path, StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, WrongVersionIsFailedPrecondition) {
-  const std::string path = testing::TempDir() + "/sgnn_version_graph.bin";
-  Graph g;
-  std::string bytes = SavedGraphBytes(path, &g);
-  // The u32 version follows the 8-byte magic; the CRC covers only the
-  // payload, so this file is intact apart from its version.
-  bytes[8] = static_cast<char>(bytes[8] + 1);
-  WriteBytes(path, bytes);
-  ExpectLoadFails(path, StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-TEST(EdgeHomophily, TracksNodeHomophily) {
-  Graph high = GenerateSbm(SmallConfig(0.9));
-  Graph low = GenerateSbm(SmallConfig(0.1));
-  EXPECT_GT(EdgeHomophily(high), EdgeHomophily(low) + 0.3);
-}
-
-TEST(AdjustedHomophily, NearZeroForRandomLabels) {
-  Graph g = GenerateSbm(SmallConfig(0.5));
-  Rng rng(21);
-  for (auto& y : g.labels) {
-    y = static_cast<int32_t>(rng.UniformInt(4));
-  }
-  EXPECT_NEAR(AdjustedHomophily(g), 0.0, 0.05);
-}
-
-TEST(AdjustedHomophily, PositiveUnderHomophily) {
-  Graph g = GenerateSbm(SmallConfig(0.9));
-  EXPECT_GT(AdjustedHomophily(g), 0.5);
 }
 
 }  // namespace

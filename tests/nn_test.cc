@@ -211,11 +211,6 @@ TEST(Mlp, BackwardGradientFiniteDifference) {
   EXPECT_NEAR(grad_in.at(1, 2), fd, 5e-2);
 }
 
-TEST(Mlp, NumParamsCountsWeightsAndBiases) {
-  Mlp mlp(2, 3, 5, 2, 0.0, Device::kHost);
-  EXPECT_EQ(mlp.NumParams(), 3 * 5 + 5 + 5 * 2 + 2);
-}
-
 TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC) {
   Matrix logits(2, 4);
   std::vector<int32_t> labels = {0, 3};

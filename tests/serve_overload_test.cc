@@ -2,10 +2,9 @@
 // (queue depth and queued bytes), deadline shed-at-dequeue, drain vs
 // typed-reject shutdown with a full queue, the SLO hold-time controller
 // (synthetic windows and in-engine convergence), LatencyHistogram interval
-// diffs, Router hot-swap bit-identity with in-flight queries and under a
-// concurrently submitting client, RetryWithBackoff recovery of forced sheds,
-// and a verified load-generator replay of an ON/OFF burst — the
-// engine-level paths at 1 and hw kernel threads.
+// diffs, RetryWithBackoff recovery of forced sheds, and a verified
+// load-generator replay of an ON/OFF burst — the engine-level paths at 1
+// and hw kernel threads.
 //
 // Determinism recipe used throughout: with `max_batch` larger than the
 // queue budget and a hold (`max_wait_ms`) that outlives the test step, the
@@ -15,11 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <future>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "serve/loadgen.h"
 #include "serve/metrics.h"
 #include "runtime/retry.h"
-#include "serve/router.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -52,9 +47,8 @@ graph::Graph SmallGraph() {
   return graph::GenerateSbm(c);
 }
 
-/// Trains a small mini-batch model and builds its checkpoint; `epochs`
-/// varies the weights so two checkpoints of the same graph disagree (the
-/// hot-swap tests need distinguishable versions).
+/// Trains a small mini-batch model for `epochs` epochs and builds its
+/// checkpoint.
 Checkpoint TrainCheckpoint(int epochs = 6) {
   graph::Graph g = SmallGraph();
   graph::Splits splits = graph::RandomSplits(g.n, 1);
@@ -613,170 +607,6 @@ TEST(LoadGen, BurstReplayWithRetryAccountsEveryQuery) {
   for (const auto& [node, logits] : served) {
     EXPECT_TRUE(SameRow(logits, SingletonRow(&ref, node))) << node;
   }
-}
-
-// --- router / hot-swap -------------------------------------------------------
-
-RouterConfig SmallRouterConfig() {
-  RouterConfig cfg;
-  cfg.engine.max_batch = 8;
-  cfg.engine.max_wait_ms = 0.2;
-  cfg.total_accel_budget_bytes = 1 << 22;
-  cfg.total_host_budget_bytes = 1 << 22;
-  cfg.max_resident = 2;
-  return cfg;
-}
-
-TEST(Router, LifecycleErrorsAreTyped) {
-  Router router(SmallRouterConfig());
-  EXPECT_EQ(router.active_version(), 0u);
-  QueryResult idle = router.Submit(0, 0.0).get();
-  EXPECT_EQ(idle.status.code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(router.Load(1, Restore(CkptV1())).ok());
-  EXPECT_EQ(router.Load(1, Restore(CkptV1())).code(),
-            StatusCode::kFailedPrecondition);  // duplicate version
-  ASSERT_TRUE(router.Load(2, Restore(CkptV2())).ok());
-  EXPECT_EQ(router.Load(3, Restore(CkptV1())).code(),
-            StatusCode::kUnavailable);  // roster full: max_resident = 2
-
-  EXPECT_EQ(router.Activate(9).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(router.Activate(1).ok());
-  EXPECT_EQ(router.Retire(1).code(),
-            StatusCode::kFailedPrecondition);  // active version
-  EXPECT_EQ(router.Retire(9).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(router.Retire(2).ok());
-  EXPECT_EQ(router.resident().size(), 1u);
-}
-
-TEST(Router, HotSwapServesInFlightAgainstOriginalModel) {
-  // In-flight queries submitted before the swap complete against v1 while
-  // queries after the swap hit v2 — bit-identical to each version's
-  // singleton serving, zero dropped, zero misrouted. The v1 queue is still
-  // non-empty at swap time by construction: the dispatcher can't outrun a
-  // flat-out submit loop of this size, and Retire *drains* the remainder.
-  ThreadRestorer restore_threads;
-  for (const int threads : ThreadCounts()) {
-    parallel::SetNumThreads(threads);
-    Router router(SmallRouterConfig());
-    ASSERT_TRUE(router.Load(1, Restore(CkptV1())).ok());
-    ASSERT_TRUE(router.Activate(1).ok());
-
-    constexpr int kPerPhase = 200;
-    const int64_t n = CkptV1().meta.n;
-    std::vector<std::future<QueryResult>> before;
-    for (int i = 0; i < kPerPhase; ++i) {
-      before.push_back(router.Submit(i % n, 0.0));
-    }
-    ASSERT_TRUE(router.Load(2, Restore(CkptV2())).ok());
-    ASSERT_TRUE(router.Activate(2).ok());
-    ASSERT_TRUE(router.Retire(1).ok());  // drains v1's in-flight queries
-    std::vector<std::future<QueryResult>> after;
-    for (int i = 0; i < kPerPhase; ++i) {
-      after.push_back(router.Submit(i % n, 0.0));
-    }
-
-    Engine ref1(Restore(CkptV1()), SmallRouterConfig().engine);
-    Engine ref2(Restore(CkptV2()), SmallRouterConfig().engine);
-    for (int i = 0; i < kPerPhase; ++i) {
-      QueryResult r = before[static_cast<size_t>(i)].get();
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      EXPECT_TRUE(SameRow(r.logits, SingletonRow(&ref1, i % n)))
-          << "pre-swap query " << i << " not served by v1";
-    }
-    for (int i = 0; i < kPerPhase; ++i) {
-      QueryResult r = after[static_cast<size_t>(i)].get();
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      EXPECT_TRUE(SameRow(r.logits, SingletonRow(&ref2, i % n)))
-          << "post-swap query " << i << " not served by v2";
-    }
-    EXPECT_EQ(router.active_version(), 2u);
-    EXPECT_EQ(router.resident().size(), 1u);
-  }
-}
-
-TEST(Router, HotSwapUnderConcurrentSubmitsDropsNothing) {
-  // A client thread keeps submitting while the main thread activates v2
-  // and retires v1. With a hold that outlives the test and fewer v1
-  // queries than max_batch, every query v1 admitted is still queued when
-  // Retire runs, so only Retire's drain can answer them.
-  RouterConfig cfg = SmallRouterConfig();
-  cfg.engine.max_batch = 64;
-  cfg.engine.max_wait_ms = 10000.0;
-  const int64_t n = CkptV1().meta.n;
-  std::vector<int64_t> nodes;
-  std::vector<std::future<QueryResult>> futures;
-  {
-    Router router(cfg);
-    ASSERT_TRUE(router.Load(1, Restore(CkptV1())).ok());
-    ASSERT_TRUE(router.Activate(1).ok());
-    ASSERT_TRUE(router.Load(2, Restore(CkptV2())).ok());
-    const std::shared_ptr<Engine> v1 = router.engine(1);
-    const std::shared_ptr<Engine> v2 = router.engine(2);
-
-    std::atomic<bool> swapped{false};
-    std::thread client([&] {
-      Rng rng(13);
-      // Submits until the swap is over, then 16 more.
-      for (int after = 0; after < 16;) {
-        if (swapped.load()) ++after;
-        nodes.push_back(
-            static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n))));
-        futures.push_back(router.Submit(nodes.back(), 0.0));
-        std::this_thread::sleep_for(std::chrono::microseconds(30));
-      }
-    });
-    auto wait_admitted = [](const Engine& engine, uint64_t count) {
-      while (engine.GetOverloadStats().admitted < count) {
-        std::this_thread::yield();
-      }
-    };
-    wait_admitted(*v1, 8);
-    const Status activated = router.Activate(2);
-    Status retired = activated;
-    if (activated.ok()) {
-      // The client submits in order: once v2 admits one of its queries,
-      // none of its submits can still be on the way to v1.
-      wait_admitted(*v2, 1);
-      retired = router.Retire(1);
-    }
-    swapped.store(true);
-    client.join();
-    ASSERT_TRUE(activated.ok()) << activated.ToString();
-    ASSERT_TRUE(retired.ok()) << retired.ToString();
-    // Retire returned only after v1's queue was served.
-    const OverloadStats v1_stats = v1->GetOverloadStats();
-    EXPECT_GE(v1_stats.admitted, 8u);
-    EXPECT_EQ(v1_stats.served_ok, v1_stats.admitted);
-    EXPECT_EQ(router.active_version(), 2u);
-    EXPECT_EQ(router.resident().size(), 1u);
-  }  // ~Router drains v2's held batch
-
-  Engine ref1(Restore(CkptV1()), cfg.engine);
-  Engine ref2(Restore(CkptV2()), cfg.engine);
-  size_t by_v1 = 0;
-  size_t by_v2 = 0;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    const QueryResult r = futures[i].get();
-    ASSERT_TRUE(r.status.ok()) << "query " << i << ": " << r.status.ToString();
-    if (SameRow(r.logits, SingletonRow(&ref1, nodes[i]))) {
-      ++by_v1;
-    } else if (SameRow(r.logits, SingletonRow(&ref2, nodes[i]))) {
-      ++by_v2;
-    } else {
-      ADD_FAILURE() << "query " << i << " matches neither version";
-    }
-  }
-  EXPECT_GE(by_v1, 8u);
-  EXPECT_GT(by_v2, 0u);
-}
-
-TEST(Router, VersionsActuallyDiffer) {
-  // The hot-swap assertions above are vacuous if v1 and v2 agree — pin the
-  // precondition that different epoch counts give different logits.
-  Engine ref1(Restore(CkptV1()), SmallRouterConfig().engine);
-  Engine ref2(Restore(CkptV2()), SmallRouterConfig().engine);
-  EXPECT_FALSE(SameRow(SingletonRow(&ref1, 0), SingletonRow(&ref2, 0)));
 }
 
 }  // namespace

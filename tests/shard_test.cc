@@ -2,11 +2,9 @@
 // partitioner determinism/coverage/balance, slice structure invariants,
 // sharded-vs-unsharded bit-identity across the nine fuzz graph families x
 // shard counts x thread counts (raw operator, filter forward, precompute
-// terms), shard-plan persistence round trips with CRC rejection,
-// per-shard budget/spill semantics against DeviceTracker, the
-// OOM-unsharded-completes-sharded memory demo, SHARD_SPILL journaling and
-// the FB -> fb-sharded degradation rung, and a sharded kill-and-resume
-// Supervisor round trip.
+// terms), per-shard budget/spill semantics against DeviceTracker, the
+// OOM-unsharded-completes-sharded memory demo, SHARD_SPILL journaling, and
+// a sharded kill-and-resume Supervisor round trip.
 
 #include <gtest/gtest.h>
 
@@ -29,14 +27,11 @@
 #include "runtime/supervisor.h"
 #include "shard/partition.h"
 #include "shard/plan.h"
-#include "shard/serialize.h"
 #include "shard/spmm.h"
 #include "sparse/adjacency.h"
-#include "sparse/serialize.h"
 #include "tensor/device.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
-#include "tensor/serialize.h"
 
 namespace sgnn {
 namespace {
@@ -292,177 +287,6 @@ TEST(ShardBitIdentity, ConformanceCheckerPassesRepresentativeFilters) {
   }
 }
 
-// --- persistence -------------------------------------------------------------
-
-TEST(ShardSerialize, RoundTripsPlansAtMultipleShardCounts) {
-  const sparse::CsrMatrix prop = SmallProp(48, 17);
-  const Matrix x = RandomMatrix(48, 3, 18);
-  for (const int k : {2, 4, 8}) {
-    const shard::ShardPlan plan = shard::BuildShardPlan(prop, {k, 5});
-    const std::string prefix =
-        TempPath("shard_rt_k" + std::to_string(k));
-    ASSERT_TRUE(shard::SaveShardPlan(plan, prefix).ok());
-
-    shard::ShardPlan loaded;
-    ASSERT_TRUE(shard::LoadShardPlan(prefix, &loaded).ok());
-    EXPECT_EQ(loaded.num_shards, plan.num_shards);
-    EXPECT_EQ(loaded.n, plan.n);
-    EXPECT_EQ(loaded.options.seed, plan.options.seed);
-    EXPECT_EQ(loaded.partition.shard_of, plan.partition.shard_of);
-    EXPECT_EQ(loaded.stats.cut_edges, plan.stats.cut_edges);
-    EXPECT_EQ(loaded.stats.total_halo, plan.stats.total_halo);
-    ASSERT_EQ(loaded.slices.size(), plan.slices.size());
-    for (size_t s = 0; s < plan.slices.size(); ++s) {
-      EXPECT_EQ(loaded.slices[s].owned, plan.slices[s].owned);
-      EXPECT_EQ(loaded.slices[s].halo, plan.slices[s].halo);
-      EXPECT_EQ(loaded.slices[s].gather, plan.slices[s].gather);
-      EXPECT_EQ(loaded.slices[s].local.nnz(), plan.slices[s].local.nnz());
-    }
-    // The loaded plan propagates bit-identically to the built one.
-    const shard::ShardedSpmmOperator built_op(&plan);
-    const shard::ShardedSpmmOperator loaded_op(&loaded);
-    Matrix y_built(48, 3, Device::kHost);
-    Matrix y_loaded(48, 3, Device::kHost);
-    built_op.Apply(x, &y_built);
-    loaded_op.Apply(x, &y_loaded);
-    EXPECT_TRUE(BitIdentical(y_loaded, y_built)) << "K=" << k;
-
-    std::remove(shard::ManifestPath(prefix).c_str());
-    for (int s = 0; s < k; ++s) {
-      std::remove(shard::ShardFilePath(prefix, s).c_str());
-    }
-  }
-}
-
-TEST(ShardSerialize, RejectsCorruptionAndMixedGenerations) {
-  const sparse::CsrMatrix prop = SmallProp(32, 21);
-  const shard::ShardPlan plan = shard::BuildShardPlan(prop, {2, 5});
-  const std::string prefix = TempPath("shard_corrupt");
-  ASSERT_TRUE(shard::SaveShardPlan(plan, prefix).ok());
-
-  // Flip one payload byte in shard 1: the CRC check must reject the load.
-  const std::string victim = shard::ShardFilePath(prefix, 1);
-  {
-    std::FILE* f = std::fopen(victim.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, -1, SEEK_END);
-    const int c = std::fgetc(f);
-    std::fseek(f, -1, SEEK_END);
-    std::fputc(c ^ 0x40, f);
-    std::fclose(f);
-  }
-  shard::ShardPlan loaded;
-  const Status corrupt = shard::LoadShardPlan(prefix, &loaded);
-  EXPECT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.code(), StatusCode::kIOError) << corrupt.ToString();
-
-  // A shard file from a different plan generation (fresh save of a
-  // different partition) fails the manifest CRC cross-check.
-  ASSERT_TRUE(shard::SaveShardPlan(plan, prefix).ok());
-  const shard::ShardPlan other = shard::BuildShardPlan(prop, {2, 99});
-  const std::string other_prefix = TempPath("shard_other");
-  ASSERT_TRUE(shard::SaveShardPlan(other, other_prefix).ok());
-  ASSERT_EQ(std::rename(shard::ShardFilePath(other_prefix, 1).c_str(),
-                        victim.c_str()),
-            0);
-  const Status mixed = shard::LoadShardPlan(prefix, &loaded);
-  EXPECT_FALSE(mixed.ok());
-  EXPECT_EQ(mixed.code(), StatusCode::kIOError) << mixed.ToString();
-
-  // A missing shard file is a clean IOError too.
-  ASSERT_EQ(std::remove(victim.c_str()), 0);
-  const Status missing = shard::LoadShardPlan(prefix, &loaded);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.code(), StatusCode::kIOError);
-
-  std::remove(shard::ManifestPath(prefix).c_str());
-  std::remove(shard::ShardFilePath(prefix, 0).c_str());
-  std::remove(shard::ManifestPath(other_prefix).c_str());
-  std::remove(shard::ShardFilePath(other_prefix, 0).c_str());
-}
-
-TEST(ShardSerialize, InflatedCountsAreIOErrorNotAbort) {
-  // Files with valid CRCs whose counts claim far more than they hold: the
-  // loader must reject each count before allocating from it.
-  const std::string prefix = TempPath("shard_inflated");
-  const auto save = [&](const serialize::Writer& manifest,
-                        const serialize::Writer& shard) {
-    ASSERT_TRUE(serialize::WriteFramedFile(shard::ShardFilePath(prefix, 0),
-                                           "SGSHRD01", 1, 0, shard)
-                    .ok());
-    ASSERT_TRUE(serialize::WriteFramedFile(shard::ManifestPath(prefix),
-                                           "SGSHMF01", 1, 0, manifest)
-                    .ok());
-  };
-  const auto manifest = [](int32_t shards, int64_t n,
-                           const serialize::Writer& shard) {
-    serialize::Writer m;
-    m.PutI32(shards);
-    m.PutI64(n);
-    m.PutU64(5);  // seed
-    m.PutI64(0);  // total edges
-    m.PutI64(0);  // cut edges
-    m.PutU32(serialize::Crc32(shard.buffer().data(), shard.size()));
-    return m;
-  };
-  const auto expect_io_error = [&](const char* what) {
-    shard::ShardPlan loaded;
-    const Status s = shard::LoadShardPlan(prefix, &loaded);
-    EXPECT_EQ(s.code(), StatusCode::kIOError) << what << ": " << s.ToString();
-  };
-
-  // n = 2^40 and an owned list claiming 2^34 ids.
-  serialize::Writer huge_list;
-  huge_list.PutI64(int64_t{1} << 34);
-  save(manifest(1, int64_t{1} << 40, huge_list), huge_list);
-  expect_io_error("inflated owned list");
-
-  // A well-formed one-node shard under a manifest declaring n = 2^40.
-  serialize::Writer one_node;
-  one_node.PutI64(1);  // owned: {0}
-  one_node.PutI32(0);
-  one_node.PutI64(0);  // halo: {}
-  sparse::AppendCsr(sparse::CsrMatrix(1, {0, 1}, {0}, {1.0f}), &one_node);
-  save(manifest(1, int64_t{1} << 40, one_node), one_node);
-  expect_io_error("inflated node count");
-
-  // A manifest claiming 2^31 - 1 shards with one CRC entry.
-  save(manifest(INT32_MAX, 1, one_node), one_node);
-  expect_io_error("inflated shard count");
-
-  std::remove(shard::ManifestPath(prefix).c_str());
-  std::remove(shard::ShardFilePath(prefix, 0).c_str());
-}
-
-TEST(ShardSerialize, WrongVersionIsFailedPrecondition) {
-  const sparse::CsrMatrix prop = SmallProp(32, 21);
-  const shard::ShardPlan plan = shard::BuildShardPlan(prop, {2, 5});
-  const std::string prefix = TempPath("shard_version");
-  // The u32 version follows the 8-byte magic; the CRC covers only the
-  // payload, so each edited file is intact apart from its version.
-  const auto bump_version = [](const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 8, SEEK_SET);
-    const int c = std::fgetc(f);
-    std::fseek(f, 8, SEEK_SET);
-    std::fputc(c + 1, f);
-    std::fclose(f);
-  };
-  for (const std::string& victim :
-       {shard::ManifestPath(prefix), shard::ShardFilePath(prefix, 1)}) {
-    ASSERT_TRUE(shard::SaveShardPlan(plan, prefix).ok());
-    bump_version(victim);
-    shard::ShardPlan loaded;
-    const Status s = shard::LoadShardPlan(prefix, &loaded);
-    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition)
-        << victim << ": " << s.ToString();
-  }
-  std::remove(shard::ManifestPath(prefix).c_str());
-  std::remove(shard::ShardFilePath(prefix, 0).c_str());
-  std::remove(shard::ShardFilePath(prefix, 1).c_str());
-}
-
 // --- budgets and spills ------------------------------------------------------
 
 TEST(ShardBudget, SpillsOverBudgetHopsHostSideWithIdenticalBits) {
@@ -715,42 +539,6 @@ TEST(ShardSupervisor, JournalsShardSpillCompanionRecords) {
     EXPECT_GT(done->stats.shard_spills, 0);
   }
   std::remove(path.c_str());
-  tracker.ResetAll();
-}
-
-// Degradation ladder: an FB cell that OOMs retries as fb-sharded before
-// any MB fallback when RunOptions::fallback_shards is set.
-TEST(ShardSupervisor, FbOomRetriesShardedBeforeMb) {
-  auto& tracker = DeviceTracker::Global();
-  tracker.ResetAll();
-  graph::GeneratorConfig gc;
-  gc.n = 300;
-  gc.node_multiplier = 10.0;
-  gc.avg_degree = 8.0;
-  gc.num_classes = 4;
-  gc.feature_dim = 32;
-  gc.seed = 3;
-  graph::Graph g = graph::GenerateSbm(gc);
-  graph::Splits s = graph::RandomSplits(g.n, 1);
-
-  models::TrainConfig cfg;
-  cfg.epochs = 4;
-  cfg.eval_every = 2;
-  cfg.hidden = 32;
-
-  runtime::RunOptions options;
-  options.fallback_shards = 4;
-
-  tracker.set_accel_capacity(2u << 20);
-  runtime::Supervisor sup("shard_ladder", "");
-  const runtime::CellRecord rec =
-      sup.RunTraining({"tenx", "chebyshev", "fb", 1}, g, s,
-                      graph::Metric::kAccuracy, cfg, options);
-  tracker.set_accel_capacity(0);
-  ASSERT_TRUE(rec.ok()) << rec.detail;
-  EXPECT_EQ(rec.final_scheme, "fb-sharded");
-  EXPECT_GE(rec.attempts, 2);
-  EXPECT_EQ(rec.stats.shards, 4);
   tracker.ResetAll();
 }
 

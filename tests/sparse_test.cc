@@ -278,13 +278,6 @@ TEST(Normalize, SpectrumBoundedByOne) {
   EXPECT_LE(lambda, 1.0 + 1e-4);
 }
 
-TEST(Degrees, MatchRowNnz) {
-  CsrMatrix a = PathGraph();
-  const auto deg = Degrees(a);
-  EXPECT_EQ(deg[0], 2);
-  EXPECT_EQ(deg[1], 3);
-}
-
 TEST(EdgeIndex, PropagateMatchesSpMM) {
   Rng rng(11);
   EdgeList edges;

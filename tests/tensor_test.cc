@@ -147,12 +147,6 @@ TEST(Rng, NormalMomentsApproximate) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Rng, ForkIndependentStream) {
-  Rng a(5);
-  Rng b = a.Fork();
-  EXPECT_NE(a.Next(), b.Next());
-}
-
 TEST(Matrix, ZeroInitialized) {
   Matrix m(3, 4);
   EXPECT_EQ(m.rows(), 3);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/registry.h"
@@ -235,6 +236,40 @@ TEST_P(SchemeGuards, TinyCapacityStopsAfterOneEpoch) {
   EXPECT_EQ(r.status.code(), StatusCode::kOutOfMemory);
   EXPECT_EQ(allocs, one_epoch) << "a 40-epoch run went past its first epoch";
   EXPECT_EQ(r.stats.infer_ms, 0.0) << "inference ran after the guard fired";
+}
+
+TEST_P(SchemeGuards, InvalidConfigIsRejectedBeforeSetUp) {
+  auto& tracker = DeviceTracker::Global();
+  graph::Graph g = EasyGraph();
+  graph::Splits s = graph::RandomSplits(g.n, 1);
+  struct Case {
+    const char* field;
+    void (*edit)(TrainConfig*);
+  };
+  const Case cases[] = {
+      {"hidden", [](TrainConfig* c) { c->hidden = 0; }},
+      {"epochs", [](TrainConfig* c) { c->epochs = 0; }},
+      {"eval_every", [](TrainConfig* c) { c->eval_every = 0; }},
+      {"rho", [](TrainConfig* c) { c->rho = 7.0; }},
+      {"rho", [](TrainConfig* c) { c->rho = -0.25; }},
+      {"rho", [](TrainConfig* c) { c->rho = std::nan(""); }},
+  };
+  // Counts accelerator allocations without failing any.
+  size_t allocs = 0;
+  tracker.SetAllocFaultHook([&](Device d, size_t) {
+    allocs += d == Device::kAccel ? 1 : 0;
+    return false;
+  });
+  for (const Case& c : cases) {
+    TrainConfig config = FastConfig();
+    c.edit(&config);
+    const TrainResult r = RunScheme(GetParam(), g, s, config);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(r.status.ToString().find(c.field), std::string::npos)
+        << r.status.ToString();
+  }
+  tracker.SetAllocFaultHook(nullptr);
+  EXPECT_EQ(allocs, 0u) << "a rejected config reached set-up";
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, SchemeGuards,
