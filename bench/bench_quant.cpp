@@ -182,7 +182,6 @@ struct PointResult {
   double qps = 0.0;
   size_t resident = 0;
   size_t bundle_bytes = 0;
-  bool quant_compute = false;
 };
 
 }  // namespace
@@ -334,8 +333,6 @@ int main() {
               return body;
             }
             serve::Engine engine(model_or.MoveValue(), ecfg);
-            pr.quant_compute = engine.effective_quant_exec() ==
-                               serve::QuantExecMode::kQuantCompute;
             auto logits_or = ServeAll(&engine, eval_nodes, &pr.qps);
             if (!logits_or.ok()) {
               body.status = logits_or.status();
@@ -368,7 +365,6 @@ int main() {
                 {"resident", static_cast<double>(pr.resident)},
                 {"fp_resident", static_cast<double>(fp.resident)},
                 {"bundle_bytes", static_cast<double>(pr.bundle_bytes)},
-                {"quant_compute", pr.quant_compute ? 1.0 : 0.0},
             };
           });
       if (!rec.ok()) {

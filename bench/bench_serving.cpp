@@ -151,7 +151,7 @@ Result<ScenarioResult> RunScenario(const serve::Checkpoint& ckpt,
   ecfg.cache.accel_budget_bytes = cache_budget;
   ecfg.cache.host_budget_bytes = cache_budget;
   ecfg.max_queue = 4 * ecfg.max_batch;   // bounds queue wait, forces sheds
-  ecfg.slo.target_p99_ms = 5.0;          // adaptive hold vs this p99 SLO
+  ecfg.target_p99_ms = 5.0;              // adaptive hold vs this p99 SLO
   serve::Engine engine(std::move(model), ecfg);
   engine.Start();
 
@@ -389,9 +389,10 @@ int main() {
               capacity_qps);
 
   // The scenario grid: one cell per (arrival process, client policy). The
-  // ON/OFF mean sits *at* capacity so its ON windows offer 5x capacity —
-  // the acceptance burst. Typed sheds are the success mode there; the
-  // retry twin shows the well-behaved client recovering them.
+  // ON/OFF base rate sits at capacity, so its ON windows offer 5x capacity
+  // — the acceptance burst — and, with the OFF windows dry, it offers 2x
+  // capacity on average. Typed sheds are the success mode there; the retry
+  // twin shows the well-behaved client recovering them.
   struct Scenario {
     const char* name;
     serve::ArrivalProcess process;

@@ -67,8 +67,9 @@ Result<QuantReport> CheckQuantConformance(const std::string& filter_name,
   std::vector<Matrix> terms;
   SGNN_RETURN_IF_ERROR(filter->Precompute(ctx, x, &terms));
 
-  // Quantize + dequantize each term: exactly what the serving layer's
-  // dequantize-on-load path feeds CombineTerms.
+  // Quantize + dequantize each term and combine in fp: the term codec's
+  // error alone. The fused serving path computes the same per-channel sum
+  // with the scales folded into the probed combine weights.
   std::vector<Matrix> dq_terms;
   dq_terms.reserve(terms.size());
   for (const Matrix& t : terms) {

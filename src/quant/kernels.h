@@ -60,7 +60,7 @@ class QuantizedMlp {
   /// long-tailed activation-like data). InvalidArgument for kFp32.
   static Result<QuantizedMlp> FromMlp(const nn::Mlp& mlp, Precision precision);
 
-  /// Restore path: append an already-quantized layer (checkpoint load).
+  /// Restore path: append an already-quantized layer (serve::RestoreModel).
   void AddLayer(QuantizedMatrix w, Matrix b);
 
   bool empty() const { return layers_.empty(); }
@@ -98,8 +98,8 @@ void CombineStagedF16(const uint16_t* staged, int64_t b, const Matrix& eff,
 /// reads out weight row k exactly. A seeded random probe then validates the
 /// diagonal model against the filter's own CombineTerms; on mismatch
 /// `*diagonal` is false and cw is left valid-but-unusable — callers must
-/// fall back to dequantize-and-CombineTerms (the engine does, so a future
-/// non-diagonal filter degrades gracefully instead of serving garbage).
+/// not serve from it (serve::RestoreModel fails with FailedPrecondition,
+/// so a future non-diagonal filter is refused instead of serving garbage).
 /// `num_terms`/`f` describe the term bundles; the filter must already be
 /// precomputed. cw is (num_terms x f) on the host.
 [[nodiscard]] Status ProbeCombineWeights(filters::SpectralFilter* filter,

@@ -187,9 +187,9 @@ void QuantizedMatrix::MoveToDevice(Device device) {
 }
 
 // Only the payload registers with the tracker: scales() is a mutable
-// handle (Quantize and ReadQuantized attach scales after construction), so
-// including it in the tracked size would let a post-registration resize
-// desync alloc/free pairs. Payload bytes dominate anyway.
+// handle (Quantize attaches scales after construction), so including it in
+// the tracked size would let a post-registration resize desync alloc/free
+// pairs. Payload bytes dominate anyway.
 void QuantizedMatrix::Register() const {
   if (!data_.empty()) DeviceTracker::Global().OnAlloc(device_, data_.size());
 }
@@ -316,67 +316,6 @@ void Dequantize(const QuantizedMatrix& q, Matrix* out) {
       }
     }
   });
-}
-
-void AppendQuantized(const QuantizedMatrix& q, serialize::Writer* w) {
-  w->PutU8(static_cast<uint8_t>(q.precision()));
-  w->PutI64(q.rows());
-  w->PutI64(q.cols());
-  w->PutU32(static_cast<uint32_t>(q.scales().size()));
-  for (const float s : q.scales()) w->PutF32(s);
-  if (q.precision() == Precision::kFp16) {
-    // fp16 payloads cross machines as explicit little-endian u16.
-    for (int64_t i = 0; i < q.size(); ++i) w->PutU16(q.f16()[i]);
-  } else {
-    w->PutBytes(q.i8(), static_cast<size_t>(q.size()));
-  }
-}
-
-Status ReadQuantized(serialize::Reader* r, Device device, QuantizedMatrix* out,
-                     int64_t max_elems) {
-  uint8_t prec_raw = 0;
-  int64_t rows = 0, cols = 0;
-  uint32_t num_scales = 0;
-  SGNN_RETURN_IF_ERROR(r->U8(&prec_raw));
-  SGNN_RETURN_IF_ERROR(r->I64(&rows));
-  SGNN_RETURN_IF_ERROR(r->I64(&cols));
-  if (prec_raw != static_cast<uint8_t>(Precision::kFp16) &&
-      prec_raw != static_cast<uint8_t>(Precision::kInt8)) {
-    return Status::IOError("quantized payload: unknown precision tag " +
-                           std::to_string(prec_raw));
-  }
-  const auto precision = static_cast<Precision>(prec_raw);
-  if (rows < 0 || cols < 0 || (cols > 0 && rows > max_elems / cols)) {
-    return Status::IOError("quantized payload: implausible shape " +
-                           std::to_string(rows) + "x" + std::to_string(cols));
-  }
-  SGNN_RETURN_IF_ERROR(r->U32(&num_scales));
-  if (precision == Precision::kFp16 && num_scales != 0) {
-    return Status::IOError("quantized payload: fp16 carries no scales");
-  }
-  if (precision == Precision::kInt8 && num_scales != 0 &&
-      num_scales != static_cast<uint64_t>(cols)) {
-    return Status::IOError("quantized payload: scale count " +
-                           std::to_string(num_scales) + " != cols " +
-                           std::to_string(cols));
-  }
-  SGNN_RETURN_IF_ERROR(r->CheckCount(num_scales, sizeof(float)));
-  std::vector<float> scales(num_scales);
-  for (float& s : scales) SGNN_RETURN_IF_ERROR(r->F32(&s));
-  SGNN_RETURN_IF_ERROR(r->CheckCount(
-      rows * cols, precision == Precision::kFp16 ? sizeof(uint16_t) : 1));
-  QuantizedMatrix q(precision, rows, cols, device);
-  q.scales() = std::move(scales);
-  if (precision == Precision::kFp16) {
-    for (int64_t i = 0; i < q.size(); ++i) {
-      SGNN_RETURN_IF_ERROR(r->U16(&q.f16()[i]));
-    }
-  } else {
-    SGNN_RETURN_IF_ERROR(
-        r->Raw(q.i8(), static_cast<size_t>(q.size())));
-  }
-  *out = std::move(q);
-  return Status::OK();
 }
 
 }  // namespace sgnn::quant

@@ -34,7 +34,6 @@
 
 #include "tensor/device.h"
 #include "tensor/matrix.h"
-#include "tensor/serialize.h"
 #include "tensor/status.h"
 
 namespace sgnn::quant {
@@ -153,18 +152,6 @@ Result<QuantizedMatrix> Quantize(const Matrix& m, Precision precision,
 /// int8 path requires owned scales. Row-parallel and bit-identical at any
 /// thread count (each output element depends on exactly one input element).
 void Dequantize(const QuantizedMatrix& q, Matrix* out);
-
-/// Appends `q` as (u8 precision, i64 rows, i64 cols, u32 scale count,
-/// f32 scales, payload bytes — int8 raw / fp16 as little-endian u16).
-void AppendQuantized(const QuantizedMatrix& q, serialize::Writer* w);
-
-/// Reads a QuantizedMatrix written by AppendQuantized onto `device`.
-/// Rejects negative / implausibly large shapes (> max_elems, or more than
-/// the bytes left) and malformed precision or scale counts with IOError,
-/// mirroring serialize::ReadMatrix.
-[[nodiscard]] Status ReadQuantized(serialize::Reader* r, Device device,
-                                   QuantizedMatrix* out,
-                                   int64_t max_elems = int64_t{1} << 32);
 
 }  // namespace sgnn::quant
 

@@ -1,11 +1,45 @@
 #include "runtime/fault_injection.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "tensor/device.h"
 
 namespace sgnn::runtime {
+
+namespace {
+
+/// Parses all of `value` as a decimal count: digits only (no sign, no
+/// space, nothing after), and no overflow.
+bool ParseCount(const std::string& value, uint64_t* out) {
+  if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `value` as a finite number; the [0, 1] range is checked
+/// once the whole plan is read.
+bool ParseProbability(const std::string& value, double* out) {
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
 
 Result<FaultPlan> ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
@@ -22,14 +56,19 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text) {
     }
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
+    bool parsed = false;
     if (key == "accel_nth") {
-      plan.accel_alloc_fail_nth = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseCount(value, &plan.accel_alloc_fail_nth);
     } else if (key == "accel_prob") {
-      plan.accel_alloc_fail_prob = std::atof(value.c_str());
+      parsed = ParseProbability(value, &plan.accel_alloc_fail_prob);
     } else if (key == "seed") {
-      plan.seed = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseCount(value, &plan.seed);
     } else {
       return Status::InvalidArgument("unknown fault plan key: " + key);
+    }
+    if (!parsed) {
+      return Status::InvalidArgument("malformed fault plan value for " + key +
+                                     ": '" + value + "'");
     }
   }
   if (plan.accel_alloc_fail_prob < 0.0 || plan.accel_alloc_fail_prob > 1.0) {

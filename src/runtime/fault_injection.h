@@ -32,8 +32,11 @@ struct FaultPlan {
   uint64_t seed = 1;
 };
 
-/// Parses "accel_nth=120,accel_prob=0.01,seed=7". Unknown keys are
-/// rejected. Used by SPECTRAL_FAULT_PLAN.
+/// Parses "accel_nth=120,accel_prob=0.01,seed=7". Unknown keys and values
+/// that are not wholly a number (a sign on a count, a non-finite
+/// probability) are rejected with InvalidArgument naming the key, and a
+/// probability outside [0, 1] with InvalidArgument. Used by
+/// SPECTRAL_FAULT_PLAN.
 [[nodiscard]] Result<FaultPlan> ParseFaultPlan(const std::string& text);
 
 /// Process-wide injector. Arm() installs the DeviceTracker hook; Disarm()

@@ -28,22 +28,18 @@ const Bundle* TieredCache::Get(int64_t node) {
   // MakeAccelRoom's demotions cannot collide with it.
   Entry entry = std::move(*slot.it);
   const size_t need = entry.bundle.bytes();
-  const bool quantized = entry.bundle.quantized();
   host_bytes_ -= need;
-  if (quantized) host_quant_bytes_ -= need;
   host_.erase(slot.it);
   if (need <= config_.accel_budget_bytes) {
     MakeAccelRoom(need);
     entry.bundle.MoveToDevice(Device::kAccel);
     accel_bytes_ += need;
-    if (quantized) accel_quant_bytes_ += need;
     accel_.push_front(std::move(entry));
     slot.on_accel = true;
     slot.it = accel_.begin();
   } else {
     // Too big to ever pin: stays a host entry, just bumped to MRU.
     host_bytes_ += need;
-    if (quantized) host_quant_bytes_ += need;
     host_.push_front(std::move(entry));
     slot.on_accel = false;
     slot.it = host_.begin();
@@ -59,7 +55,6 @@ void TieredCache::Put(int64_t node, Bundle bundle) {
     MakeAccelRoom(need);
     entry.bundle.MoveToDevice(Device::kAccel);
     accel_bytes_ += need;
-    if (entry.bundle.quantized()) accel_quant_bytes_ += need;
     accel_.push_front(std::move(entry));
     index_[node] = Slot{true, accel_.begin()};
     ++stats_.insertions;
@@ -81,8 +76,6 @@ void TieredCache::Clear() {
   index_.clear();
   accel_bytes_ = 0;
   host_bytes_ = 0;
-  accel_quant_bytes_ = 0;
-  host_quant_bytes_ = 0;
 }
 
 void TieredCache::MakeAccelRoom(size_t need) {
@@ -91,7 +84,6 @@ void TieredCache::MakeAccelRoom(size_t need) {
     accel_.pop_back();
     const size_t victim_bytes = victim.bundle.bytes();
     accel_bytes_ -= victim_bytes;
-    if (victim.bundle.quantized()) accel_quant_bytes_ -= victim_bytes;
     ++stats_.demotions;
     victim.bundle.MoveToDevice(Device::kHost);
     const int64_t victim_node = victim.node;
@@ -109,7 +101,6 @@ void TieredCache::MakeHostRoom(size_t need) {
     const Entry& victim = host_.back();
     const size_t victim_bytes = victim.bundle.bytes();
     host_bytes_ -= victim_bytes;
-    if (victim.bundle.quantized()) host_quant_bytes_ -= victim_bytes;
     index_.erase(victim.node);
     host_.pop_back();
     ++stats_.evictions;
@@ -121,7 +112,6 @@ void TieredCache::InsertHost(Entry entry) {
   MakeHostRoom(need);
   entry.bundle.MoveToDevice(Device::kHost);
   host_bytes_ += need;
-  if (entry.bundle.quantized()) host_quant_bytes_ += need;
   const int64_t node = entry.node;
   host_.push_front(std::move(entry));
   index_[node] = Slot{false, host_.begin()};

@@ -103,14 +103,6 @@ class TieredCache {
   const CacheConfig& config() const { return config_; }
   size_t accel_bytes() const { return accel_bytes_; }
   size_t host_bytes() const { return host_bytes_; }
-  /// Resident bytes split by precision class, per tier — quantized bundles
-  /// are the whole point of the cache-fit story (docs/QUANTIZATION.md), so
-  /// the accounting distinguishes them from fp bytes instead of reporting
-  /// one opaque total.
-  size_t accel_quant_bytes() const { return accel_quant_bytes_; }
-  size_t host_quant_bytes() const { return host_quant_bytes_; }
-  size_t accel_fp_bytes() const { return accel_bytes_ - accel_quant_bytes_; }
-  size_t host_fp_bytes() const { return host_bytes_ - host_quant_bytes_; }
   size_t entries() const { return index_.size(); }
 
  private:
@@ -138,8 +130,6 @@ class TieredCache {
   std::unordered_map<int64_t, Slot> index_;
   size_t accel_bytes_ = 0;
   size_t host_bytes_ = 0;
-  size_t accel_quant_bytes_ = 0;
-  size_t host_quant_bytes_ = 0;
 };
 
 }  // namespace sgnn::serve

@@ -1,6 +1,6 @@
 #include "serve/checkpoint.h"
 
-#include "sparse/serialize.h"
+#include "sparse/csr.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 
@@ -8,9 +8,8 @@ namespace sgnn::serve {
 
 namespace {
 
-/// Frame magic of both checkpoint versions (tensor/serialize.h).
+/// Frame magic of the checkpoint (tensor/serialize.h).
 constexpr char kMagic[] = "SGNNCKPT";
-constexpr uint32_t kFlagHasProp = 1u << 0;
 
 /// Sanity caps for count fields, so a corrupt length cannot drive a huge
 /// allocation before the per-element bounds checks kick in.
@@ -44,10 +43,9 @@ void EncodePayload(const Checkpoint& c, serialize::Writer* w) {
   w->PutI32(c.meta.num_classes);
   w->PutF64(c.meta.rho);
   w->PutU64(c.meta.seed);
-  if (c.has_prop) sparse::AppendCsr(c.prop, w);
 }
 
-Status DecodePayload(serialize::Reader* r, uint32_t flags, Checkpoint* c) {
+Status DecodePayload(serialize::Reader* r, Checkpoint* c) {
   SGNN_RETURN_IF_ERROR(r->Str(&c->filter_name, /*max_len=*/256));
   SGNN_RETURN_IF_ERROR(r->I32(&c->hops));
   SGNN_RETURN_IF_ERROR(r->F64(&c->hp.alpha));
@@ -98,10 +96,6 @@ Status DecodePayload(serialize::Reader* r, uint32_t flags, Checkpoint* c) {
   SGNN_RETURN_IF_ERROR(r->I32(&c->meta.num_classes));
   SGNN_RETURN_IF_ERROR(r->F64(&c->meta.rho));
   SGNN_RETURN_IF_ERROR(r->U64(&c->meta.seed));
-  c->has_prop = (flags & kFlagHasProp) != 0;
-  if (c->has_prop) {
-    SGNN_RETURN_IF_ERROR(sparse::ReadCsr(r, Device::kHost, &c->prop));
-  }
   if (r->remaining() != 0) {
     return Status::IOError("trailing bytes after checkpoint payload");
   }
@@ -154,114 +148,6 @@ Status ValidateStructure(const Checkpoint& c) {
 Result<std::unique_ptr<filters::SpectralFilter>> CreateFilterFromSpec(
     const Checkpoint& c) {
   return filters::CreateFilter(c.filter_name, c.hops, c.hp, c.feature_dim);
-}
-
-void EncodeQuantPayload(const QuantCheckpoint& c, serialize::Writer* w) {
-  w->PutStr(c.filter_name);
-  w->PutI32(c.hops);
-  w->PutF64(c.hp.alpha);
-  w->PutF64(c.hp.alpha2);
-  w->PutF64(c.hp.beta);
-  w->PutF64(c.hp.beta2);
-  w->PutF64(c.hp.jacobi_a);
-  w->PutF64(c.hp.jacobi_b);
-  w->PutI64(c.feature_dim);
-  w->PutU8(static_cast<uint8_t>(c.precision));
-  w->PutU8(static_cast<uint8_t>(c.calib.policy));
-  w->PutF64(c.calib.percentile);
-  w->PutI64(c.calib.sample_rows);
-  w->PutU64(c.calib.seed);
-  quant::AppendQuantized(c.qtheta, w);
-  w->PutI32(c.phi1_layers);
-  w->PutI64(c.phi1_in);
-  w->PutI64(c.phi1_hidden);
-  w->PutI64(c.phi1_out);
-  w->PutF64(c.dropout);
-  w->PutU32(static_cast<uint32_t>(c.qweights.size()));
-  for (size_t l = 0; l < c.qweights.size(); ++l) {
-    quant::AppendQuantized(c.qweights[l], w);
-    serialize::AppendMatrix(c.biases[l], w);
-  }
-  w->PutU32(static_cast<uint32_t>(c.qterms.size()));
-  for (const quant::QuantizedMatrix& t : c.qterms) {
-    quant::AppendQuantized(t, w);
-  }
-  w->PutStr(c.meta.dataset);
-  w->PutI64(c.meta.n);
-  w->PutI32(c.meta.num_classes);
-  w->PutF64(c.meta.rho);
-  w->PutU64(c.meta.seed);
-}
-
-Status DecodeQuantPayload(serialize::Reader* r, QuantCheckpoint* c) {
-  SGNN_RETURN_IF_ERROR(r->Str(&c->filter_name, /*max_len=*/256));
-  SGNN_RETURN_IF_ERROR(r->I32(&c->hops));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.alpha));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.alpha2));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.beta));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.beta2));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.jacobi_a));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->hp.jacobi_b));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->feature_dim));
-  uint8_t precision = 0, policy = 0;
-  SGNN_RETURN_IF_ERROR(r->U8(&precision));
-  SGNN_RETURN_IF_ERROR(r->U8(&policy));
-  if (precision != static_cast<uint8_t>(quant::Precision::kFp16) &&
-      precision != static_cast<uint8_t>(quant::Precision::kInt8)) {
-    return Status::IOError("corrupt quantized checkpoint: precision tag " +
-                           std::to_string(precision));
-  }
-  if (policy > static_cast<uint8_t>(quant::CalibPolicy::kPercentile)) {
-    return Status::IOError("corrupt quantized checkpoint: calib policy " +
-                           std::to_string(policy));
-  }
-  c->precision = static_cast<quant::Precision>(precision);
-  c->calib.policy = static_cast<quant::CalibPolicy>(policy);
-  SGNN_RETURN_IF_ERROR(r->F64(&c->calib.percentile));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->calib.sample_rows));
-  SGNN_RETURN_IF_ERROR(r->U64(&c->calib.seed));
-  SGNN_RETURN_IF_ERROR(
-      quant::ReadQuantized(r, Device::kHost, &c->qtheta, kMaxTheta));
-  SGNN_RETURN_IF_ERROR(r->I32(&c->phi1_layers));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->phi1_in));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->phi1_hidden));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->phi1_out));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->dropout));
-  uint32_t layer_count = 0;
-  SGNN_RETURN_IF_ERROR(r->U32(&layer_count));
-  if (c->phi1_layers < 0 ||
-      static_cast<uint32_t>(c->phi1_layers) > kMaxLayers ||
-      layer_count != static_cast<uint32_t>(c->phi1_layers)) {
-    return Status::IOError("corrupt quantized phi1 spec: layers=" +
-                           std::to_string(c->phi1_layers) + " stored=" +
-                           std::to_string(layer_count));
-  }
-  c->qweights.resize(layer_count);
-  c->biases.resize(layer_count);
-  for (uint32_t l = 0; l < layer_count; ++l) {
-    SGNN_RETURN_IF_ERROR(
-        quant::ReadQuantized(r, Device::kHost, &c->qweights[l]));
-    SGNN_RETURN_IF_ERROR(serialize::ReadMatrix(r, Device::kHost,
-                                               &c->biases[l]));
-  }
-  uint32_t term_count = 0;
-  SGNN_RETURN_IF_ERROR(r->U32(&term_count));
-  if (term_count > kMaxTerms) {
-    return Status::IOError("corrupt term count " + std::to_string(term_count));
-  }
-  c->qterms.resize(term_count);
-  for (auto& t : c->qterms) {
-    SGNN_RETURN_IF_ERROR(quant::ReadQuantized(r, Device::kHost, &t));
-  }
-  SGNN_RETURN_IF_ERROR(r->Str(&c->meta.dataset, /*max_len=*/256));
-  SGNN_RETURN_IF_ERROR(r->I64(&c->meta.n));
-  SGNN_RETURN_IF_ERROR(r->I32(&c->meta.num_classes));
-  SGNN_RETURN_IF_ERROR(r->F64(&c->meta.rho));
-  SGNN_RETURN_IF_ERROR(r->U64(&c->meta.seed));
-  if (r->remaining() != 0) {
-    return Status::IOError("trailing bytes after checkpoint payload");
-  }
-  return Status::OK();
 }
 
 /// Structural checks for the quantized image, mirroring ValidateStructure:
@@ -374,19 +260,21 @@ Result<Checkpoint> BuildCheckpoint(const std::string& filter_name, int hops,
 Status SaveCheckpoint(const Checkpoint& ckpt, const std::string& path) {
   serialize::Writer payload;
   EncodePayload(ckpt, &payload);
-  return serialize::WriteFramedFile(path, kMagic, kCheckpointVersion,
-                                   ckpt.has_prop ? kFlagHasProp : 0u, payload);
+  return serialize::WriteFramedFile(path, kMagic, kCheckpointVersion, 0u,
+                                   payload);
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  // A version-2 (quantized) file fails here with kFailedPrecondition: a v1
-  // reader never reinterprets foreign-precision bytes as fp32 fields.
   SGNN_ASSIGN_OR_RETURN(
       serialize::FramedFile file,
       serialize::ReadFramedFile(path, kMagic, kCheckpointVersion));
+  if (file.flags != 0) {
+    return Status::IOError("unknown checkpoint flags " +
+                           std::to_string(file.flags) + " in " + path);
+  }
   Checkpoint c;
   serialize::Reader r = file.reader();
-  SGNN_RETURN_IF_ERROR(DecodePayload(&r, file.flags, &c));
+  SGNN_RETURN_IF_ERROR(DecodePayload(&r, &c));
   SGNN_RETURN_IF_ERROR(ValidateStructure(c));
   // Hyperparameter validation: a checkpoint that decodes cleanly can still
   // carry out-of-range values (hand edits preserve the CRC when re-packed);
@@ -414,7 +302,6 @@ Result<QuantCheckpoint> QuantizeCheckpoint(const Checkpoint& ckpt,
   q.hp = ckpt.hp;
   q.feature_dim = ckpt.feature_dim;
   q.precision = precision;
-  q.calib = calib;
   // θ and weights use exact absmax — their full range is known, clipping
   // only helps long-tailed sample statistics (the terms).
   const quant::CalibConfig absmax;
@@ -445,28 +332,6 @@ Result<QuantCheckpoint> QuantizeCheckpoint(const Checkpoint& ckpt,
   }
   q.meta = ckpt.meta;
   return q;
-}
-
-Status SaveQuantCheckpoint(const QuantCheckpoint& ckpt,
-                           const std::string& path) {
-  serialize::Writer payload;
-  EncodeQuantPayload(ckpt, &payload);
-  return serialize::WriteFramedFile(path, kMagic, kQuantCheckpointVersion, 0u,
-                                   payload);
-}
-
-Result<QuantCheckpoint> LoadQuantCheckpoint(const std::string& path) {
-  SGNN_ASSIGN_OR_RETURN(
-      serialize::FramedFile file,
-      serialize::ReadFramedFile(path, kMagic, kQuantCheckpointVersion));
-  QuantCheckpoint c;
-  serialize::Reader r = file.reader();
-  SGNN_RETURN_IF_ERROR(DecodeQuantPayload(&r, &c));
-  SGNN_RETURN_IF_ERROR(ValidateQuantStructure(c));
-  auto probe =
-      filters::CreateFilter(c.filter_name, c.hops, c.hp, c.feature_dim);
-  if (!probe.ok()) return probe.status();
-  return c;
 }
 
 Result<ServableModel> RestoreModel(const Checkpoint& ckpt) {
@@ -562,28 +427,23 @@ Result<ServableModel> RestoreModel(const QuantCheckpoint& ckpt) {
         std::to_string(warm_terms.size()) + ")");
   }
 
-  // Dequantize-on-load consumer: a plain fp φ1 built from the expanded
-  // weights, so the existing fp kernels serve unchanged.
-  model.phi1 = nn::Mlp(ckpt.phi1_layers, ckpt.phi1_in, ckpt.phi1_hidden,
-                       ckpt.phi1_out, ckpt.dropout, Device::kAccel);
-  auto& layers = model.phi1.layers();
-  for (size_t l = 0; l < layers.size(); ++l) {
-    Matrix w(ckpt.qweights[l].rows(), ckpt.qweights[l].cols(), Device::kHost);
-    quant::Dequantize(ckpt.qweights[l], &w);
-    ops::Copy(w, &layers[l].weight().value());
-    ops::Copy(ckpt.biases[l], &layers[l].bias().value());
+  // The fused path serves the combine from its probed weights, which is
+  // exact only for a linear, channel-diagonal CombineTerms.
+  bool diagonal = false;
+  SGNN_RETURN_IF_ERROR(quant::ProbeCombineWeights(
+      model.filter.get(), static_cast<int64_t>(ckpt.qterms.size()), f,
+      &model.combine_w, &diagonal));
+  if (!diagonal) {
+    return Status::FailedPrecondition(
+        "RestoreModel: filter " + ckpt.filter_name +
+        " combines its terms non-linearly or across channels; the quantized "
+        "path cannot serve it");
   }
-
-  // Quantized-compute consumer: quantized φ1 on the accelerator plus the
-  // probed combine weights for the fused staged-bundle combine.
   for (size_t l = 0; l < ckpt.qweights.size(); ++l) {
     quant::QuantizedMatrix w = ckpt.qweights[l];
     w.MoveToDevice(Device::kAccel);
     model.qphi1.AddLayer(std::move(w), ckpt.biases[l].CloneTo(Device::kAccel));
   }
-  SGNN_RETURN_IF_ERROR(quant::ProbeCombineWeights(
-      model.filter.get(), static_cast<int64_t>(ckpt.qterms.size()), f,
-      &model.combine_w, &model.combine_diagonal));
 
   model.qterms = ckpt.qterms;
   model.quantized = true;

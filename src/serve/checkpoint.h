@@ -6,16 +6,15 @@
 // restore), the learned θ/γ coefficients, the trained φ1 weights, and the
 // MB-precomputed per-hop terms. The graph itself is NOT required to serve:
 // Precompute ran once at export, and a query is a row gather + CombineTerms
-// + φ1 forward (paper Section 2.2). Optionally the normalized propagation
-// matrix is embedded so an operator can refresh the terms offline after a
-// graph update.
+// + φ1 forward (paper Section 2.2). A quantized model is built from this
+// image in memory (QuantizeCheckpoint, then RestoreModel); only the fp32
+// image is ever written to disk.
 //
 // Wire format: the tensor/serialize.h file frame (magic "SGNNCKPT", version
-// 1 for fp32 and 2 for quantized, flags bit 0 = embedded propagation
-// matrix) around the payload tabled in docs/SERVING.md. All multi-byte
+// 1, flags 0) around the payload tabled in docs/SERVING.md. All multi-byte
 // values are little-endian. Load rejects, with a typed Status:
-//   * wrong magic, size mismatch, CRC mismatch, counts or shapes the
-//     payload cannot hold ................... IOError
+//   * wrong magic, flags other than 0, size mismatch, CRC mismatch, counts
+//     or shapes the payload cannot hold ..... IOError
 //   * unsupported version ................... FailedPrecondition
 //   * out-of-range hyperparameters .......... InvalidArgument (the
 //     CreateFilter validation — a hand-edited α=0 fails here, not as NaN
@@ -34,21 +33,13 @@
 #include "nn/mlp.h"
 #include "quant/kernels.h"
 #include "quant/quantize.h"
-#include "sparse/csr.h"
 #include "tensor/matrix.h"
 #include "tensor/status.h"
 
 namespace sgnn::serve {
 
-/// Current fp32 checkpoint format version (header field).
+/// Current checkpoint format version (header field).
 inline constexpr uint32_t kCheckpointVersion = 1;
-
-/// Quantized checkpoint format version. The version field doubles as the
-/// precision-class discriminator: a version-1 reader handed quantized bytes
-/// fails with the same typed kFailedPrecondition as any other future
-/// version — foreign-precision payloads can never be half-parsed as fp32
-/// (wire format table in docs/QUANTIZATION.md).
-inline constexpr uint32_t kQuantCheckpointVersion = 2;
 
 /// Provenance recorded alongside the model (journal rows and `sgnn_serve
 /// info` reporting; not needed to execute queries).
@@ -86,10 +77,6 @@ struct Checkpoint {
   std::vector<Matrix> terms;
 
   CheckpointMeta meta;
-
-  /// Optional embedded propagation matrix Ã (flags bit 0).
-  bool has_prop = false;
-  sparse::CsrMatrix prop;
 };
 
 /// Assembles a checkpoint from a trained mini-batch export. The filter
@@ -109,12 +96,11 @@ struct Checkpoint {
 /// consistency, and the filter hyperparameters (via CreateFilter).
 [[nodiscard]] Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
-/// In-memory image of a version-2 (quantized) checkpoint: the same filter
-/// spec and provenance as Checkpoint, with θ, φ1 weights, and MB terms
-/// stored as quantized payloads. Biases stay fp32 (O(out_dim) bytes; their
-/// error lands directly on the logits). Quantized checkpoints never embed
-/// the propagation matrix — a graph refresh re-runs Precompute on the fp
-/// artifact and re-quantizes, so flags are always 0.
+/// In-memory image of a quantized model: the same filter spec and
+/// provenance as Checkpoint, with θ, φ1 weights, and MB terms stored as
+/// quantized payloads. Biases stay fp32 (O(out_dim) bytes; their error
+/// lands directly on the logits). Built by QuantizeCheckpoint from a
+/// validated fp image and consumed by RestoreModel; it has no file format.
 struct QuantCheckpoint {
   std::string filter_name;
   int hops = 10;
@@ -122,7 +108,6 @@ struct QuantCheckpoint {
   int64_t feature_dim = 0;
 
   quant::Precision precision = quant::Precision::kInt8;
-  quant::CalibConfig calib;  ///< provenance: how the term scales were picked
 
   /// Learned θ/γ as a (1 x K) quantized row. Per-channel absmax over a
   /// single row stores each θ exactly (q = ±127, scale = |θ|/127), so int8
@@ -137,7 +122,8 @@ struct QuantCheckpoint {
   std::vector<quant::QuantizedMatrix> qweights;  ///< per-layer W (absmax)
   std::vector<Matrix> biases;                    ///< per-layer b, fp32
 
-  /// MB terms quantized per-channel under `calib` (owned scales).
+  /// MB terms quantized per-channel under the calibration QuantizeCheckpoint
+  /// was given (owned scales).
   std::vector<quant::QuantizedMatrix> qterms;
 
   CheckpointMeta meta;
@@ -151,26 +137,12 @@ struct QuantCheckpoint {
     const Checkpoint& ckpt, quant::Precision precision,
     const quant::CalibConfig& calib);
 
-/// Writes `ckpt` to `path` (atomic; header version kQuantCheckpointVersion).
-[[nodiscard]] Status SaveQuantCheckpoint(const QuantCheckpoint& ckpt,
-                                         const std::string& path);
-
-/// Reads and fully validates a quantized checkpoint. A version-1 (fp) file
-/// fails with kFailedPrecondition, symmetric to LoadCheckpoint rejecting
-/// version-2 bytes.
-[[nodiscard]] Result<QuantCheckpoint> LoadQuantCheckpoint(
-    const std::string& path);
-
 /// A restored model ready to serve: validated filter with θ restored (and
-/// bank term-slicing initialized), φ1 with weights on the accelerator, and
-/// the host-resident term matrices.
-///
-/// Quantized restores populate both consumption modes (docs/QUANTIZATION.md
-/// decision guide): `phi1` + per-batch dequantized terms back the
-/// dequantize-on-load path, `qphi1` + `combine_w` back the quantized-
-/// compute fast path. `combine_diagonal` records whether the probe
-/// validated the filter's CombineTerms as linear channel-diagonal; engines
-/// must fall back to dequantize-on-load when it is false.
+/// bank term-slicing initialized) plus, for an fp32 image, φ1 with weights
+/// on the accelerator and the host-resident term matrices. A quantized
+/// image fills the quantized fields instead: the quantized terms and φ1
+/// and the probed combine weights that the fused int8/fp16 path serves
+/// from (docs/QUANTIZATION.md).
 struct ServableModel {
   std::unique_ptr<filters::SpectralFilter> filter;
   nn::Mlp phi1;
@@ -182,7 +154,6 @@ struct ServableModel {
   std::vector<quant::QuantizedMatrix> qterms;  ///< host; owned scales
   quant::QuantizedMlp qphi1;
   Matrix combine_w;  ///< (num_terms x F) probed combine weights, host
-  bool combine_diagonal = false;
 };
 
 /// Materializes a ServableModel from a checkpoint image. Runs the full
@@ -192,8 +163,10 @@ struct ServableModel {
 [[nodiscard]] Result<ServableModel> RestoreModel(const Checkpoint& ckpt);
 
 /// Quantized counterpart: same validation path, then probes the filter's
-/// combine weights (quant::ProbeCombineWeights) and materializes both the
-/// dequantized fp φ1 and the quantized φ1.
+/// combine weights (quant::ProbeCombineWeights) and materializes the
+/// quantized φ1. FailedPrecondition naming the filter when the probe finds
+/// its CombineTerms not linear and channel-diagonal, since the fused path
+/// could not reproduce it.
 [[nodiscard]] Result<ServableModel> RestoreModel(const QuantCheckpoint& ckpt);
 
 }  // namespace sgnn::serve

@@ -9,30 +9,24 @@
 namespace sgnn::serve {
 
 double OverloadStats::ShedRate() const {
-  const uint64_t denom = submitted + rejected_on_stop;
-  if (denom == 0) return 0.0;
-  return static_cast<double>(shed_total()) / static_cast<double>(denom);
+  if (submitted == 0) return 0.0;
+  return static_cast<double>(shed_total()) / static_cast<double>(submitted);
 }
 
-SloController::SloController(SloConfig config, double initial_wait_ms)
-    : config_(config),
+SloController::SloController(double target_p99_ms, double initial_wait_ms)
+    : target_p99_ms_(target_p99_ms),
       max_wait_ms_(std::max(0.0, initial_wait_ms)),
-      wait_ms_(max_wait_ms_) {
-  config_.min_wait_ms = std::max(0.0, config_.min_wait_ms);
-  config_.grow = std::max(1.0, config_.grow);
-  config_.shrink = std::min(1.0, std::max(0.01, config_.shrink));
-  config_.window = std::max(1, config_.window);
-  if (config_.min_wait_ms > max_wait_ms_) config_.min_wait_ms = max_wait_ms_;
-}
+      min_wait_ms_(std::min(kMinWaitMs, max_wait_ms_)),
+      wait_ms_(max_wait_ms_) {}
 
 double SloController::Update(double window_p99_ms, double mean_batch_fill) {
   if (!enabled()) return wait_ms_;
-  if (window_p99_ms > config_.target_p99_ms) {
-    wait_ms_ = std::max(config_.min_wait_ms, wait_ms_ * config_.shrink);
-  } else if (mean_batch_fill >= config_.fill_threshold) {
-    wait_ms_ = std::min(max_wait_ms_, wait_ms_ * config_.grow);
+  if (window_p99_ms > target_p99_ms_) {
+    wait_ms_ = std::max(min_wait_ms_, wait_ms_ * kShrink);
+  } else if (mean_batch_fill >= kFillThreshold) {
+    wait_ms_ = std::min(max_wait_ms_, wait_ms_ * kGrow);
   } else {
-    wait_ms_ = std::max(config_.min_wait_ms, wait_ms_ * config_.shrink);
+    wait_ms_ = std::max(min_wait_ms_, wait_ms_ * kShrink);
   }
   return wait_ms_;
 }
@@ -41,34 +35,25 @@ Engine::Engine(ServableModel model, EngineConfig config)
     : model_(std::move(model)),
       config_(config),
       cache_(config.cache),
-      slo_(config.slo, std::max(0.0, config.max_wait_ms)),
+      slo_(config.target_p99_ms, std::max(0.0, config.max_wait_ms)),
       current_wait_ms_(std::max(0.0, config.max_wait_ms)) {
   config_.max_batch = std::max(1, config_.max_batch);
   config_.max_wait_ms = std::max(0.0, config_.max_wait_ms);
   config_.max_queue = std::max(0, config_.max_queue);
   if (model_.quantized && !model_.qterms.empty()) {
+    // Fold the per-term channel scales into the probed combine weights
+    // once, so the fused combine pays one multiply per element.
+    const auto t = static_cast<int64_t>(model_.qterms.size());
     const int64_t f = model_.qterms[0].cols();
-    query_bytes_ = model_.qterms.size() * static_cast<size_t>(f) *
-                   quant::ElemSize(model_.precision);
-    quant_compute_ = config_.quant_exec == QuantExecMode::kQuantCompute &&
-                     model_.combine_diagonal;
-    if (quant_compute_) {
-      // Fold the per-term channel scales into the probed combine weights
-      // once, so the fused combine pays one multiply per element.
-      const auto t = static_cast<int64_t>(model_.qterms.size());
-      eff_ = Matrix(t, f, Device::kHost);
-      const bool int8 = model_.precision == quant::Precision::kInt8;
-      for (int64_t k = 0; k < t; ++k) {
-        const auto& scales = model_.qterms[static_cast<size_t>(k)].scales();
-        for (int64_t c = 0; c < f; ++c) {
-          const float s = int8 ? scales[static_cast<size_t>(c)] : 1.0f;
-          eff_.at(k, c) = model_.combine_w.at(k, c) * s;
-        }
+    eff_ = Matrix(t, f, Device::kHost);
+    const bool int8 = model_.precision == quant::Precision::kInt8;
+    for (int64_t k = 0; k < t; ++k) {
+      const auto& scales = model_.qterms[static_cast<size_t>(k)].scales();
+      for (int64_t c = 0; c < f; ++c) {
+        const float s = int8 ? scales[static_cast<size_t>(c)] : 1.0f;
+        eff_.at(k, c) = model_.combine_w.at(k, c) * s;
       }
     }
-  } else if (!model_.terms.empty()) {
-    query_bytes_ = model_.terms.size() *
-                   static_cast<size_t>(model_.terms[0].cols()) * sizeof(float);
   }
 }
 
@@ -142,96 +127,47 @@ Status Engine::ServeQuantLocked(const std::vector<int64_t>& nodes,
   const int64_t f = model_.qterms[0].cols();
   const bool int8 = model_.precision == quant::Precision::kInt8;
   const size_t elem = quant::ElemSize(model_.precision);
-  const size_t bundle_elems = num_terms * static_cast<size_t>(f);
   const size_t row_bytes = static_cast<size_t>(f) * elem;
+  const size_t bundle_bytes = num_terms * row_bytes;
 
-  // Gather stage. The cache holds scale-less quantized bundles either way;
-  // the two exec modes differ in what each batch makes of the payload:
-  //   * quant-compute: raw bytes staged contiguously for the fused combine;
-  //   * dequant-on-load: expanded to the fp32 per-term batch matrices the
-  //     unchanged fp kernels consume.
-  std::vector<int8_t> staged8;
-  std::vector<uint16_t> staged16;
-  std::vector<Matrix> batch_terms;
-  if (quant_compute_) {
-    if (int8) {
-      staged8.resize(static_cast<size_t>(b) * bundle_elems);
-    } else {
-      staged16.resize(static_cast<size_t>(b) * bundle_elems);
-    }
-  } else {
-    batch_terms.resize(num_terms);
-    for (size_t k = 0; k < num_terms; ++k) {
-      batch_terms[k] = Matrix(b, f, Device::kAccel);
-    }
-  }
-
-  auto consume = [&](int64_t i, const quant::QuantizedMatrix& q) {
-    if (quant_compute_) {
-      void* dst = int8 ? static_cast<void*>(
-                             staged8.data() + static_cast<size_t>(i) *
-                                                  bundle_elems)
-                       : static_cast<void*>(
-                             staged16.data() + static_cast<size_t>(i) *
-                                                   bundle_elems);
-      const void* src = int8 ? static_cast<const void*>(q.i8())
-                             : static_cast<const void*>(q.f16());
-      std::memcpy(dst, src, bundle_elems * elem);
-      return;
-    }
-    for (size_t k = 0; k < num_terms; ++k) {
-      float* dst = batch_terms[k].row(i);
-      if (int8) {
-        const float* scales = model_.qterms[k].scales().data();
-        const int8_t* src = q.i8row(static_cast<int64_t>(k));
-        for (int64_t c = 0; c < f; ++c) {
-          dst[c] = scales[c] * static_cast<float>(src[c]);
-        }
-      } else {
-        const uint16_t* src = q.f16row(static_cast<int64_t>(k));
-        for (int64_t c = 0; c < f; ++c) dst[c] = quant::F16ToF32(src[c]);
-      }
-    }
-  };
-
+  // Gather stage: each node's scale-less quantized bundle, from the cache or
+  // freshly gathered, is staged raw and contiguously for the fused combine.
+  const size_t staged_elems =
+      static_cast<size_t>(b) * num_terms * static_cast<size_t>(f);
+  std::vector<int8_t> staged8(int8 ? staged_elems : 0);
+  std::vector<uint16_t> staged16(int8 ? 0 : staged_elems);
+  char* staged = int8 ? reinterpret_cast<char*>(staged8.data())
+                      : reinterpret_cast<char*>(staged16.data());
   for (int64_t i = 0; i < b; ++i) {
     const int64_t node = nodes[static_cast<size_t>(i)];
+    char* dst = staged + static_cast<size_t>(i) * bundle_bytes;
     const Bundle* cached = cache_.Get(node);
     if (cached != nullptr) {
-      consume(i, cached->q);
+      std::memcpy(dst, cached->q.i8(), bundle_bytes);
       continue;
     }
     quant::QuantizedMatrix fresh(model_.precision,
                                  static_cast<int64_t>(num_terms), f,
                                  Device::kHost);
     for (size_t k = 0; k < num_terms; ++k) {
-      char* dst = reinterpret_cast<char*>(fresh.i8()) +
-                  k * static_cast<size_t>(f) * elem;
       const char* src =
           reinterpret_cast<const char*>(model_.qterms[k].i8()) +
-          static_cast<size_t>(node) * static_cast<size_t>(f) * elem;
-      std::memcpy(dst, src, row_bytes);
+          static_cast<size_t>(node) * row_bytes;
+      std::memcpy(reinterpret_cast<char*>(fresh.i8()) + k * row_bytes, src,
+                  row_bytes);
     }
-    consume(i, fresh);  // before Put — the cache owns (and may drop) it
+    // Staged before Put: the cache owns (and may drop) the bundle.
+    std::memcpy(dst, fresh.i8(), bundle_bytes);
     cache_.Put(node, Bundle(std::move(fresh)));
   }
 
   Matrix h(b, f, Device::kAccel);
-  if (quant_compute_) {
-    if (int8) {
-      quant::CombineStagedInt8(staged8.data(), b, eff_, &h);
-    } else {
-      quant::CombineStagedF16(staged16.data(), b, eff_, &h);
-    }
-    model_.qphi1.ForwardInference(h, logits);
+  if (int8) {
+    quant::CombineStagedInt8(staged8.data(), b, eff_, &h);
   } else {
-    std::vector<const Matrix*> ptrs;
-    ptrs.reserve(num_terms);
-    for (const Matrix& m : batch_terms) ptrs.push_back(&m);
-    Matrix hc;
-    model_.filter->CombineTerms(ptrs, &hc, /*cache=*/false);
-    model_.phi1.ForwardInference(hc, logits);
+    quant::CombineStagedF16(staged16.data(), b, eff_, &h);
   }
+  model_.qphi1.ForwardInference(h, logits);
   ++batches_;
   queries_ += static_cast<uint64_t>(b);
   return Status::OK();
@@ -273,8 +209,7 @@ void Engine::Stop() {
 std::future<QueryResult> Engine::Submit(int64_t node, double deadline_ms) {
   Pending pending;
   pending.node = node;
-  pending.deadline_ms =
-      deadline_ms > 0.0 ? deadline_ms : config_.default_deadline_ms;
+  pending.deadline_ms = deadline_ms;
   std::future<QueryResult> fut = pending.promise.get_future();
   if (node < 0 || node >= model_.meta.n) {
     QueryResult r;
@@ -293,9 +228,9 @@ std::future<QueryResult> Engine::Submit(int64_t node, double deadline_ms) {
       return fut;
     }
     ++overload_.submitted;
-    // Admission control: bounded queue depth and bounded staging bytes.
-    // Shedding here, with a retryable code, is what keeps p99 finite under
-    // a burst — the queue never grows past what the budgets allow.
+    // Admission control: bounded queue depth. Shedding here, with a
+    // retryable code, is what keeps p99 finite under a burst — the queue
+    // never grows past what the budget allows.
     if (config_.max_queue > 0 &&
         queue_.size() >= static_cast<size_t>(config_.max_queue)) {
       ++overload_.shed_queue_full;
@@ -303,17 +238,6 @@ std::future<QueryResult> Engine::Submit(int64_t node, double deadline_ms) {
       r.status = Status::Unavailable(
           "queue depth budget exhausted (" +
           std::to_string(config_.max_queue) + " queued)");
-      pending.promise.set_value(std::move(r));
-      return fut;
-    }
-    if (config_.max_queued_bytes > 0 &&
-        (queue_.size() + 1) * query_bytes_ > config_.max_queued_bytes) {
-      ++overload_.shed_queue_bytes;
-      QueryResult r;
-      r.status = Status::Unavailable(
-          "queued-bytes budget exhausted (" +
-          std::to_string(queue_.size() * query_bytes_) + " of " +
-          std::to_string(config_.max_queued_bytes) + " bytes queued)");
       pending.promise.set_value(std::move(r));
       return fut;
     }
@@ -327,7 +251,6 @@ std::future<QueryResult> Engine::Submit(int64_t node, double deadline_ms) {
 void Engine::DispatchLoop() {
   for (;;) {
     std::vector<Pending> batch;
-    bool reject_batch = false;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -345,32 +268,13 @@ void Engine::DispatchLoop() {
               lock, std::chrono::duration<double, std::milli>(left));
         }
       }
-      if (stopping_ && !config_.drain_on_stop) {
-        // Non-drain shutdown: satisfy every queued future with a typed
-        // rejection instead of serving it. Re-checked *after* the hold —
-        // a Stop() that lands mid-hold must not promote still-queued
-        // queries into a served batch.
-        batch.reserve(queue_.size());
-        while (!queue_.empty()) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-        overload_.rejected_on_stop += batch.size();
-        reject_batch = true;
-      } else {
-        const size_t take =
-            std::min(queue_.size(), static_cast<size_t>(config_.max_batch));
-        batch.reserve(take);
-        for (size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
+      const size_t take =
+          std::min(queue_.size(), static_cast<size_t>(config_.max_batch));
+      batch.reserve(take);
+      for (size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
-    }
-    if (reject_batch) {
-      RejectPending(&batch,
-                    Status::Unavailable("engine stopped before dispatch"));
-      continue;
     }
     // Deadline shed at dequeue: an expired query gets a typed rejection
     // now instead of kernel time — its client has already moved on, and
@@ -440,14 +344,13 @@ void Engine::ServeAndFulfill(std::vector<Pending>* batch) {
       p.promise.set_value(std::move(r));
     }
 
-    // SLO controller step: one per `window` served queries, fed the
+    // SLO controller step: one per kWindow served queries, fed the
     // interval p99 (cumulative histogram diffed against the last step's
     // snapshot) and the window's mean batch occupancy.
     if (slo_.enabled()) {
       window_queries_ += batch->size();
       window_batches_ += 1;
-      if (window_queries_ >=
-          static_cast<uint64_t>(slo_.config().window)) {
+      if (window_queries_ >= static_cast<uint64_t>(SloController::kWindow)) {
         const LatencyHistogram interval = latency_.DiffFrom(window_snapshot_);
         const double fill =
             static_cast<double>(window_queries_) /
@@ -475,8 +378,6 @@ Engine::CacheUsage Engine::GetCacheUsage() const {
   CacheUsage usage;
   usage.accel_bytes = cache_.accel_bytes();
   usage.host_bytes = cache_.host_bytes();
-  usage.accel_quant_bytes = cache_.accel_quant_bytes();
-  usage.host_quant_bytes = cache_.host_quant_bytes();
   usage.entries = cache_.entries();
   return usage;
 }

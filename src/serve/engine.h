@@ -16,8 +16,8 @@
 // defined behavior when offered load exceeds capacity —
 //
 //   * admission control — Submit() sheds with a typed kUnavailable when the
-//     queue depth or the queued staging bytes exceed their budgets, so the
-//     queue (and therefore p99) is bounded instead of growing without limit;
+//     queue depth reaches its budget, so the queue (and therefore p99) is
+//     bounded instead of growing without limit;
 //   * deadline propagation — a query may carry a deadline; the dispatcher
 //     sheds expired queries at *dequeue* (kDeadlineExceeded) instead of
 //     spending kernel time computing logits the client already abandoned;
@@ -26,9 +26,8 @@
 //     recent p99 violates the SLO or load is light, and grows toward
 //     `max_wait_ms` while batches are filling and the SLO has headroom
 //     (SloController below);
-//   * shutdown — Stop() never leaves a future unsatisfied: it drains the
-//     queue (default) or typed-rejects it (`drain_on_stop = false`,
-//     kUnavailable), and the destructor does the same.
+//   * shutdown — Stop() never leaves a future unsatisfied: it serves the
+//     queue before joining the dispatcher, and the destructor does the same.
 //
 // All serving is serialized under one engine mutex: the filter's
 // CombineTerms mutates internal cache state and the tiered bundle cache
@@ -56,20 +55,6 @@
 
 namespace sgnn::serve {
 
-/// Knobs of the SLO-aware hold-time controller. Disabled (fixed hold =
-/// `EngineConfig::max_wait_ms`) unless `target_p99_ms > 0`.
-struct SloConfig {
-  double target_p99_ms = 0.0;  ///< p99 latency SLO; 0 disables adaptation
-  double min_wait_ms = 0.02;   ///< hold-time floor (never fully busy-poll)
-  double grow = 1.5;           ///< hold growth per in-SLO, high-fill window
-  double shrink = 0.5;         ///< hold decay per violating or light window
-  int window = 64;             ///< served queries per controller step
-  /// Mean batch occupancy (batch size / max_batch) at or above which a
-  /// window counts as "pressure" — batches are filling, so a longer hold
-  /// buys bigger batches rather than idle waiting.
-  double fill_threshold = 0.5;
-};
-
 /// AIMD-style hold-time controller: one Update per served window, fed from
 /// the engine's own latency histogram (interval p99 via DiffFrom) and the
 /// window's mean batch occupancy. The law, in SLO terms:
@@ -85,37 +70,34 @@ struct SloConfig {
 ///
 /// Deliberately a plain deterministic function of its inputs so the
 /// convergence tests (serve_overload_test.cc) drive it with synthetic
-/// windows, no timing involved.
+/// windows, no timing involved. Disabled (fixed hold) unless the target
+/// p99 is positive.
 class SloController {
  public:
-  /// `initial_wait_ms` is also the upper bound the hold may grow back to.
-  SloController(SloConfig config, double initial_wait_ms);
+  static constexpr double kMinWaitMs = 0.02;  ///< hold floor (no busy-poll)
+  static constexpr double kGrow = 1.5;    ///< per in-SLO, high-fill window
+  static constexpr double kShrink = 0.5;  ///< per violating or light window
+  static constexpr int kWindow = 64;      ///< served queries per step
+  /// Mean batch occupancy (batch size / max_batch) at or above which a
+  /// window counts as "pressure" — batches are filling, so a longer hold
+  /// buys bigger batches rather than idle waiting.
+  static constexpr double kFillThreshold = 0.5;
 
-  bool enabled() const { return config_.target_p99_ms > 0.0; }
+  /// `initial_wait_ms` is also the upper bound the hold may grow back to;
+  /// the floor is kMinWaitMs, or `initial_wait_ms` when that is smaller.
+  SloController(double target_p99_ms, double initial_wait_ms);
+
+  bool enabled() const { return target_p99_ms_ > 0.0; }
   double wait_ms() const { return wait_ms_; }
-  const SloConfig& config() const { return config_; }
 
   /// One control step over a served window; returns the new hold time.
   double Update(double window_p99_ms, double mean_batch_fill);
 
  private:
-  SloConfig config_;
+  double target_p99_ms_;
   double max_wait_ms_;
+  double min_wait_ms_;
   double wait_ms_;
-};
-
-/// How a quantized model executes queries (fp models ignore this; see the
-/// decision guide in docs/QUANTIZATION.md).
-enum class QuantExecMode {
-  /// Cache holds quantized bundles; each batch expands them to fp32 and
-  /// reuses the unchanged fp kernels (CombineTerms + fp φ1).
-  kDequantOnLoad = 0,
-  /// Fused quantized combine over the staged int8/fp16 bundles plus the
-  /// quantized φ1 GEMM. Requires the probed combine weights; the engine
-  /// silently falls back to kDequantOnLoad when the restore marked the
-  /// filter's combine non-diagonal (`effective_quant_exec` reports which
-  /// path actually runs).
-  kQuantCompute = 1,
 };
 
 /// Engine knobs (the bench_serving / bench_quant sweep axes).
@@ -123,21 +105,11 @@ struct EngineConfig {
   int max_batch = 64;        ///< dispatcher coalescing ceiling (≥ 1)
   double max_wait_ms = 1.0;  ///< max hold on a partial batch
   CacheConfig cache;         ///< bundle-cache tier budgets
-  QuantExecMode quant_exec = QuantExecMode::kQuantCompute;
-
-  // --- admission control (0 = unbounded, the pre-overload behavior) ---
-  int max_queue = 0;             ///< queue-depth budget, in queries
-  size_t max_queued_bytes = 0;   ///< budget on queued staging bytes
-                                 ///< (queries x per-query gather bytes)
-  /// Deadline stamped on queries submitted without one; 0 = none.
-  double default_deadline_ms = 0.0;
-
-  /// Stop()/destructor policy for still-queued queries: serve them (true)
-  /// or typed-reject them with kUnavailable (false). Either way every
-  /// future is satisfied.
-  bool drain_on_stop = true;
-
-  SloConfig slo;  ///< adaptive hold-time controller (off by default)
+  /// Queue-depth budget, in queries; 0 = unbounded.
+  int max_queue = 0;
+  /// p99 latency SLO of the adaptive hold-time controller; 0 keeps the hold
+  /// fixed at `max_wait_ms`.
+  double target_p99_ms = 0.0;
 };
 
 /// Outcome of one Submit()ed query.
@@ -151,21 +123,15 @@ struct QueryResult {
 /// Admission/shed counters plus the controller's live hold time. Snapshot
 /// via Engine::GetOverloadStats; monotonic so benches diff across phases.
 struct OverloadStats {
-  uint64_t submitted = 0;         ///< Submit() calls that reached admission
-  uint64_t admitted = 0;          ///< enqueued for dispatch
-  uint64_t shed_queue_full = 0;   ///< kUnavailable: queue-depth budget
-  uint64_t shed_queue_bytes = 0;  ///< kUnavailable: queued-bytes budget
-  uint64_t shed_deadline = 0;     ///< kDeadlineExceeded at dequeue
-  uint64_t rejected_on_stop = 0;  ///< kUnavailable: queued at a non-drain
-                                  ///< Stop
-  uint64_t served_ok = 0;         ///< fulfilled with logits
-  uint64_t served_late = 0;       ///< of served_ok: finished past deadline
-  double current_wait_ms = 0.0;   ///< live partial-batch hold time
+  uint64_t submitted = 0;        ///< Submit() calls that reached admission
+  uint64_t admitted = 0;         ///< enqueued for dispatch
+  uint64_t shed_queue_full = 0;  ///< kUnavailable: queue-depth budget
+  uint64_t shed_deadline = 0;    ///< kDeadlineExceeded at dequeue
+  uint64_t served_ok = 0;        ///< fulfilled with logits
+  uint64_t served_late = 0;      ///< of served_ok: finished past deadline
+  double current_wait_ms = 0.0;  ///< live partial-batch hold time
 
-  uint64_t shed_total() const {
-    return shed_queue_full + shed_queue_bytes + shed_deadline +
-           rejected_on_stop;
-  }
+  uint64_t shed_total() const { return shed_queue_full + shed_deadline; }
   /// Fraction of admission-checked queries shed (any cause; 0 when idle).
   double ShedRate() const;
   /// Queries that produced in-deadline logits, the numerator of goodput.
@@ -184,19 +150,6 @@ class Engine {
   int64_t num_nodes() const { return model_.meta.n; }
   int64_t num_classes() const { return model_.meta.num_classes; }
   const CheckpointMeta& meta() const { return model_.meta; }
-  /// Staging bytes one queued query will gather (the max_queued_bytes
-  /// unit): num_terms x feature-width elements at the model's precision —
-  /// a quantized model's queries queue ~4x (int8) or 2x (fp16) lighter.
-  size_t query_bytes() const { return query_bytes_; }
-
-  /// The execution mode actually serving queries: kQuantCompute only when
-  /// configured AND the model is quantized AND its combine probe validated
-  /// channel-diagonal; kDequantOnLoad otherwise (also for fp models, where
-  /// it means "plain fp serving").
-  QuantExecMode effective_quant_exec() const {
-    return quant_compute_ ? QuantExecMode::kQuantCompute
-                          : QuantExecMode::kDequantOnLoad;
-  }
 
   /// Synchronous batched serving: fills `logits` with one row per node (on
   /// the accelerator, shape |nodes| x num_classes). InvalidArgument when any
@@ -210,8 +163,7 @@ class Engine {
   /// with FailedPrecondition.
   void Start();
 
-  /// Joins the dispatcher after satisfying every queued future — served
-  /// when `drain_on_stop`, rejected with kUnavailable otherwise (idempotent;
+  /// Joins the dispatcher after serving every queued query (idempotent;
   /// also run by the destructor).
   void Stop();
 
@@ -220,17 +172,14 @@ class Engine {
   /// polluting the batch it would have joined. Admission control may shed
   /// immediately with kUnavailable. `deadline_ms` (> 0) bounds the query's
   /// useful lifetime from this call; an expired query is shed at dequeue
-  /// with kDeadlineExceeded instead of being computed. 0 applies
-  /// `EngineConfig::default_deadline_ms`.
+  /// with kDeadlineExceeded instead of being computed. 0 means none.
   std::future<QueryResult> Submit(int64_t node, double deadline_ms = 0.0);
 
-  /// Resident-byte snapshot of the bundle cache, split by tier and by
-  /// precision class (the cache-fit axis of bench_quant).
+  /// Resident-byte snapshot of the bundle cache, split by tier (the
+  /// cache-fit axis of bench_quant).
   struct CacheUsage {
     size_t accel_bytes = 0;
     size_t host_bytes = 0;
-    size_t accel_quant_bytes = 0;
-    size_t host_quant_bytes = 0;
     size_t entries = 0;
   };
   CacheUsage GetCacheUsage() const;
@@ -262,11 +211,9 @@ class Engine {
 
   ServableModel model_;
   EngineConfig config_;
-  size_t query_bytes_ = 0;
-  bool quant_compute_ = false;  ///< fused path active (see accessor)
   /// (num_terms x F) effective combine weights for the fused path: probed
   /// combine weight x per-term channel scale (int8) or the weight alone
-  /// (fp16). Empty unless quant_compute_.
+  /// (fp16). Empty for an fp model.
   Matrix eff_;
 
   mutable std::mutex serve_mu_;  ///< model, cache, metrics

@@ -7,13 +7,25 @@
 #include <utility>
 
 #include "eval/table.h"
+#include "runtime/retry.h"
 
 namespace sgnn::serve {
 namespace {
 
-/// Built-in diurnal shape: 24 "hours" with an overnight trough and an
-/// evening peak, mean 1 by construction after normalization.
-const std::vector<double>& DefaultDiurnalProfile() {
+// ON/OFF shape: ON windows at kBurstMultiplier x mean for the first
+// kOnFraction of every kPeriodMs period, dry OFF windows in between.
+constexpr double kBurstMultiplier = 5.0;
+constexpr double kOnFraction = 0.4;
+constexpr double kPeriodMs = 50.0;
+
+// Query mix: kHotFraction of queries land on the hottest kHotNodeFraction
+// of nodes.
+constexpr double kHotFraction = 0.8;
+constexpr double kHotNodeFraction = 0.1;
+
+/// Diurnal shape: 24 "hours" with an overnight trough and an evening peak,
+/// mean 1 by construction after normalization.
+const std::vector<double>& DiurnalProfile() {
   static const std::vector<double> kProfile = {
       0.30, 0.20, 0.15, 0.12, 0.12, 0.18, 0.35, 0.60,  // night -> morning
       0.90, 1.10, 1.25, 1.35, 1.40, 1.35, 1.30, 1.35,  // working day
@@ -25,7 +37,7 @@ const std::vector<double>& DefaultDiurnalProfile() {
 double ProfileMean(const std::vector<double>& profile) {
   double sum = 0.0;
   for (const double v : profile) sum += v;
-  return profile.empty() ? 1.0 : sum / static_cast<double>(profile.size());
+  return sum / static_cast<double>(profile.size());
 }
 
 /// Peak rate over the schedule — the thinning envelope λ_max.
@@ -34,15 +46,11 @@ double PeakRate(const LoadGenConfig& config) {
     case ArrivalProcess::kPoisson:
       return config.mean_qps;
     case ArrivalProcess::kOnOff:
-      return config.mean_qps * std::max(1.0, config.burst_multiplier);
+      return config.mean_qps * kBurstMultiplier;
     case ArrivalProcess::kDiurnal: {
-      const std::vector<double>& profile = config.diurnal_profile.empty()
-                                               ? DefaultDiurnalProfile()
-                                               : config.diurnal_profile;
-      const double mean = ProfileMean(profile);
-      double peak = 0.0;
-      for (const double v : profile) peak = std::max(peak, v);
-      return mean > 0.0 ? config.mean_qps * peak / mean : config.mean_qps;
+      const std::vector<double>& profile = DiurnalProfile();
+      const double peak = *std::max_element(profile.begin(), profile.end());
+      return config.mean_qps * peak / ProfileMean(profile);
     }
   }
   return config.mean_qps;
@@ -55,31 +63,17 @@ double RateAtMs(const LoadGenConfig& config, double t_ms) {
     case ArrivalProcess::kPoisson:
       return config.mean_qps;
     case ArrivalProcess::kOnOff: {
-      const double period = std::max(1e-6, config.period_ms);
-      const double duty = std::min(1.0, std::max(1e-6, config.on_fraction));
-      const double mult = std::max(1.0, config.burst_multiplier);
-      const double phase = std::fmod(t_ms, period) / period;
-      if (phase < duty) return config.mean_qps * mult;
-      // Duty-cycle compensation keeps the long-run mean at mean_qps:
-      // duty·mult + (1-duty)·off = 1. Clamped at 0 when the burst alone
-      // already exceeds the mean budget.
-      const double off = (1.0 - duty * mult) / (1.0 - duty);
-      return config.mean_qps * std::max(0.0, off);
+      const double phase = std::fmod(t_ms, kPeriodMs) / kPeriodMs;
+      return phase < kOnFraction ? config.mean_qps * kBurstMultiplier : 0.0;
     }
     case ArrivalProcess::kDiurnal: {
-      const std::vector<double>& profile = config.diurnal_profile.empty()
-                                               ? DefaultDiurnalProfile()
-                                               : config.diurnal_profile;
-      if (profile.empty() || config.duration_ms <= 0.0) {
-        return config.mean_qps;
-      }
-      const double mean = ProfileMean(profile);
+      if (config.duration_ms <= 0.0) return config.mean_qps;
+      const std::vector<double>& profile = DiurnalProfile();
       const double pos = std::min(
           std::max(t_ms / config.duration_ms, 0.0), 1.0 - 1e-12);
       const auto bin = static_cast<size_t>(
           pos * static_cast<double>(profile.size()));
-      return mean > 0.0 ? config.mean_qps * profile[bin] / mean
-                        : config.mean_qps;
+      return config.mean_qps * profile[bin] / ProfileMean(profile);
     }
   }
   return config.mean_qps;
@@ -95,7 +89,7 @@ std::vector<Arrival> MakeSchedule(const LoadGenConfig& config,
   const double lambda_max = PeakRate(config);  // arrivals per second
   const auto hot = static_cast<uint64_t>(std::max<int64_t>(
       1, static_cast<int64_t>(static_cast<double>(num_nodes) *
-                              config.hot_node_fraction)));
+                              kHotNodeFraction)));
   double t_ms = 0.0;
   for (;;) {
     // Thinning (Lewis & Shedler): homogeneous exponential gaps at the peak
@@ -108,7 +102,7 @@ std::vector<Arrival> MakeSchedule(const LoadGenConfig& config,
     Arrival a;
     a.at_ms = t_ms;
     a.node = static_cast<int64_t>(
-        rng.Bernoulli(config.hot_fraction)
+        rng.Bernoulli(kHotFraction)
             ? rng.UniformInt(hot)
             : rng.UniformInt(static_cast<uint64_t>(num_nodes)));
     a.deadline_ms = config.deadline_ms;
@@ -166,7 +160,7 @@ ReplayStats Replay(const std::vector<Arrival>& schedule,
             if (st.ok()) r = std::move(again);
             return st;
           },
-          config.backoff, rng);
+          runtime::BackoffConfig{}, rng);
       if (final_status.ok()) ++stats.recovered;
       if (!final_status.ok()) r.status = final_status;
     }

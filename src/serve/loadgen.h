@@ -9,13 +9,18 @@
 //
 //   * Poisson — memoryless arrivals at a constant mean rate; the classic
 //     open-loop baseline.
-//   * ON/OFF — square-wave bursts: rate jumps to `burst_multiplier` x mean
-//     during ON windows and drops between them (duty-cycle-compensated so
-//     the long-run mean stays `mean_qps`). This is the process that trips
-//     admission control.
-//   * diurnal replay — a piecewise-constant daily rate profile compressed
-//     onto the run duration, for slow ramp behavior (cache warm-up, SLO
-//     controller tracking).
+//   * ON/OFF — square-wave bursts of 50 ms period: the rate is 5 x
+//     `mean_qps` during the ON window, the first 40% of each period, and 0
+//     in the rest. The long-run mean is therefore 2 x `mean_qps`, not
+//     `mean_qps`: at this shape the OFF windows are dry. This is the
+//     process that trips admission control.
+//   * diurnal replay — a built-in 24-bin daily rate profile (overnight
+//     trough, evening peak) compressed onto the run duration with mean
+//     `mean_qps`, for slow ramp behavior (cache warm-up, SLO controller
+//     tracking).
+//
+// Every process draws 80% of its queries from the hottest 10% of nodes
+// (the skew tiered caching exists for).
 //
 // Schedules are produced by thinning a homogeneous Poisson process at the
 // peak rate through the deterministic seeded Rng, so a scenario replays
@@ -24,8 +29,9 @@
 //
 // Replay() drives a schedule against a submit function (an Engine's) in
 // real time and aggregates goodput/shed-rate/latency, retrying
-// kUnavailable sheds through runtime::RetryWithBackoff when configured —
-// the well-behaved-client half of the admission-control contract.
+// kUnavailable sheds through runtime::RetryWithBackoff (default
+// BackoffConfig) when configured — the well-behaved-client half of the
+// admission-control contract.
 
 #ifndef SGNN_SERVE_LOADGEN_H_
 #define SGNN_SERVE_LOADGEN_H_
@@ -36,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/retry.h"
 #include "serve/engine.h"
 #include "serve/metrics.h"
 #include "tensor/rng.h"
@@ -52,24 +57,10 @@ enum class ArrivalProcess {
 /// Load-shape knobs; defaults give a modest Poisson stream.
 struct LoadGenConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
-  double mean_qps = 2000.0;   ///< long-run average arrival rate
+  /// Base arrival rate: the long-run average for Poisson and diurnal; ON/OFF
+  /// offers 5x it in ON windows and averages 2x it.
+  double mean_qps = 2000.0;
   double duration_ms = 250.0; ///< schedule length
-
-  // ON/OFF burst shape.
-  double burst_multiplier = 5.0;  ///< ON-window rate, in multiples of mean
-  double on_fraction = 0.4;       ///< duty cycle: ON share of each period
-  double period_ms = 50.0;        ///< burst period
-
-  /// Diurnal replay: relative rate per equal-width bin spread across the
-  /// duration, normalized so the long-run mean stays `mean_qps`. Empty
-  /// uses a built-in 24-bin day shape (overnight trough, evening peak).
-  std::vector<double> diurnal_profile;
-
-  // Query mix: `hot_fraction` of queries land on the hottest
-  // `hot_node_fraction` of nodes (the skew tiered caching exists for).
-  double hot_fraction = 0.8;
-  double hot_node_fraction = 0.1;
-
   double deadline_ms = 0.0;  ///< per-query deadline passed to Submit; 0=none
   uint64_t seed = 1;
 };
@@ -93,8 +84,7 @@ std::vector<Arrival> MakeSchedule(const LoadGenConfig& config,
 
 /// Replay policy: how the driver reacts to kUnavailable sheds.
 struct ReplayConfig {
-  bool retry = false;  ///< re-submit shed queries with backoff
-  runtime::BackoffConfig backoff;
+  bool retry = false;  ///< re-submit shed queries with the default backoff
   /// Called with every query's final outcome (after any retries), in
   /// schedule order — benches hang the admitted-logits-vs-singleton
   /// bit-identity check here.

@@ -174,26 +174,6 @@ void RunRows(const CsrMatrix& a, const Matrix& x, Matrix* out,
 
 }  // namespace
 
-Status ValidateCsrArrays(int64_t n, const std::vector<int64_t>& indptr,
-                         const std::vector<int32_t>& indices) {
-  if (n < 0 || indptr.size() != static_cast<size_t>(n) + 1) {
-    return Status::IOError("CSR indptr must have n+1 entries");
-  }
-  if (indptr.front() != 0 ||
-      indptr.back() != static_cast<int64_t>(indices.size())) {
-    return Status::IOError("inconsistent CSR indptr");
-  }
-  for (size_t i = 0; i + 1 < indptr.size(); ++i) {
-    if (indptr[i] > indptr[i + 1]) {
-      return Status::IOError("non-monotonic CSR indptr");
-    }
-  }
-  for (const int32_t c : indices) {
-    if (c < 0 || c >= n) return Status::IOError("CSR column index out of range");
-  }
-  return Status::OK();
-}
-
 CsrMatrix::CsrMatrix(int64_t n, std::vector<int64_t> indptr,
                      std::vector<int32_t> indices, std::vector<float> values,
                      Device device)

@@ -81,14 +81,6 @@ class CsrMatrix {
   std::vector<float> values_;
 };
 
-/// Checks raw CSR arrays read from untrusted bytes against what CsrMatrix
-/// and its kernels assume: n+1 indptr entries running from 0 to
-/// indices.size() without decreasing, and every column index in [0, n).
-/// Returns IOError naming the first violation.
-[[nodiscard]] Status ValidateCsrArrays(int64_t n,
-                                       const std::vector<int64_t>& indptr,
-                                       const std::vector<int32_t>& indices);
-
 }  // namespace sgnn::sparse
 
 #endif  // SGNN_SPARSE_CSR_H_

@@ -40,13 +40,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void Writer::PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-void Writer::PutU16(uint16_t v) {
-  buf_.push_back(static_cast<char>(v & 0xFFu));
-  buf_.push_back(static_cast<char>((v >> 8) & 0xFFu));
-}
-
 void Writer::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
@@ -91,21 +84,6 @@ Status Reader::Take(size_t n, const uint8_t** out) {
   }
   *out = data_ + pos_;
   pos_ += n;
-  return Status::OK();
-}
-
-Status Reader::U8(uint8_t* v) {
-  const uint8_t* p = nullptr;
-  SGNN_RETURN_IF_ERROR(Take(1, &p));
-  *v = p[0];
-  return Status::OK();
-}
-
-Status Reader::U16(uint16_t* v) {
-  const uint8_t* p = nullptr;
-  SGNN_RETURN_IF_ERROR(Take(2, &p));
-  *v = static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
-                             (static_cast<uint16_t>(p[1]) << 8));
   return Status::OK();
 }
 
@@ -174,13 +152,6 @@ Status Reader::CheckCount(int64_t count, size_t elem_size) const {
                            ", only " + std::to_string(remaining()) +
                            " bytes left");
   }
-  return Status::OK();
-}
-
-Status Reader::Raw(void* out, size_t size) {
-  const uint8_t* p = nullptr;
-  SGNN_RETURN_IF_ERROR(Take(size, &p));
-  std::memcpy(out, p, size);
   return Status::OK();
 }
 

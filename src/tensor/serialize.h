@@ -1,7 +1,7 @@
 // Endianness-safe binary serialization and the one on-disk file frame.
 //
-// Every binary file the repo writes (checkpoints, shard plans, graph files)
-// is a frame around a payload built with these codecs. Every multi-byte
+// The one binary file the repo writes, the fp32 serving checkpoint, is a
+// frame around a payload built with these codecs. Every multi-byte
 // value is written as explicit little-endian bytes, so an artifact written
 // on one machine restores bit-identically on any other regardless of host
 // byte order. Readers are bounds-checked and return typed Status instead of
@@ -9,8 +9,8 @@
 // which turns a truncated, bit-flipped or inflated file into a clean
 // IOError instead of undefined behavior or an abort.
 //
-// Frame layout (28-byte header, then the payload; docs/SERVING.md lists
-// every format's magic and version):
+// Frame layout (28-byte header, then the payload; docs/SERVING.md tables
+// the checkpoint's magic, version and payload):
 //
 //   offset  size  field
 //        0     8  magic         format tag, e.g. "SGNNCKPT"
@@ -50,8 +50,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 /// counterparts.
 class Writer {
  public:
-  void PutU8(uint8_t v);
-  void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI32(int32_t v);
@@ -80,8 +78,6 @@ class Reader {
   Reader(const void* data, size_t size)
       : data_(static_cast<const uint8_t*>(data)), size_(size) {}
 
-  [[nodiscard]] Status U8(uint8_t* v);
-  [[nodiscard]] Status U16(uint16_t* v);
   [[nodiscard]] Status U32(uint32_t* v);
   [[nodiscard]] Status U64(uint64_t* v);
   [[nodiscard]] Status I32(int32_t* v);
@@ -91,9 +87,6 @@ class Reader {
   /// Reads a u32 length prefix then that many bytes. `max_len` bounds the
   /// allocation so a corrupt length field cannot OOM the process.
   [[nodiscard]] Status Str(std::string* s, uint32_t max_len = 1u << 20);
-  /// Copies exactly `size` raw bytes (no length prefix) into `out`, which
-  /// must already have room. IOError when fewer bytes remain.
-  [[nodiscard]] Status Raw(void* out, size_t size);
 
   /// IOError unless `count` elements of `elem_size` bytes each fit in the
   /// bytes left (a negative count never fits). Every reader that sizes an

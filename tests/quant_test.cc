@@ -1,18 +1,19 @@
 // Tests for the quantized inference path: codec round-trip error bounds
 // (per channel), exhaustive fp16 bit round-trip, calibration determinism
-// under a fixed seed, typed rejection of precision-mismatched checkpoints
-// (both directions), v2 round trips and fp drift under both calibration
-// policies, quantized serving bit-stability (sync and async) at 1 and hw
-// kernel threads in both consumption modes, and tiered-cache byte
-// accounting with mixed-precision bundles.
+// under a fixed seed, fp drift of in-memory quantized images under both
+// calibration policies, quantized serving bit-stability (sync and async)
+// at 1 and hw kernel threads, the engine's cache bytes for quantized
+// bundles, the combine-weight probe's verdict on non-diagonal combines,
+// and the quantized MLP kernels.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -22,19 +23,15 @@
 #include "nn/mlp.h"
 #include "quant/kernels.h"
 #include "quant/quantize.h"
-#include "serve/cache.h"
 #include "serve/checkpoint.h"
 #include "serve/engine.h"
+#include "sparse/csr.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
 namespace sgnn::quant {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Rng rng(seed);
@@ -195,30 +192,6 @@ serve::Checkpoint TrainCheckpoint(const std::string& filter_name) {
 
 // --- typed precision rejection -----------------------------------------------
 
-TEST(PrecisionRejection, QuantLoaderRejectsFpBytesAsFailedPrecondition) {
-  const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
-  const std::string path = TempPath("fp_as_quant.ckpt");
-  ASSERT_TRUE(serve::SaveCheckpoint(ckpt, path).ok());
-  const auto r = serve::LoadQuantCheckpoint(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
-      << r.status().ToString();
-  std::remove(path.c_str());
-}
-
-TEST(PrecisionRejection, FpLoaderRejectsQuantBytesAsFailedPrecondition) {
-  const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
-  auto q_or = serve::QuantizeCheckpoint(ckpt, Precision::kInt8, CalibConfig{});
-  ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
-  const std::string path = TempPath("quant_as_fp.ckpt");
-  ASSERT_TRUE(serve::SaveQuantCheckpoint(q_or.value(), path).ok());
-  const auto r = serve::LoadCheckpoint(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
-      << r.status().ToString();
-  std::remove(path.c_str());
-}
-
 TEST(PrecisionRejection, QuantizeCheckpointRejectsFp32Target) {
   const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
   const auto q =
@@ -227,9 +200,9 @@ TEST(PrecisionRejection, QuantizeCheckpointRejectsFp32Target) {
   EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- quantized checkpoint round-trip -----------------------------------------
+// --- quantized image drift ---------------------------------------------------
 
-/// The term calibrations each round trip runs under: the default absmax and
+/// The term calibrations each drift check runs under: the default absmax and
 /// percentile over a held-out half of the rows. fp16 ignores both.
 std::vector<CalibConfig> Calibrations(int64_t n) {
   CalibConfig percentile;
@@ -239,40 +212,6 @@ std::vector<CalibConfig> Calibrations(int64_t n) {
 }
 
 class QuantRoundTrip : public testing::TestWithParam<Precision> {};
-
-TEST_P(QuantRoundTrip, SaveLoadServeBitIdentical) {
-  const serve::Checkpoint ckpt = TrainCheckpoint("chebyshev");
-  std::vector<int64_t> nodes;
-  for (int64_t i = 0; i < ckpt.meta.n; i += 7) nodes.push_back(i);
-  auto serve_with = [&nodes](const serve::QuantCheckpoint& qc) {
-    auto model_or = serve::RestoreModel(qc);
-    EXPECT_TRUE(model_or.ok()) << model_or.status().ToString();
-    serve::Engine engine(model_or.MoveValue(), {});
-    Matrix logits;
-    EXPECT_TRUE(engine.ServeBatch(nodes, &logits).ok());
-    return logits;
-  };
-
-  for (const CalibConfig& calib : Calibrations(ckpt.meta.n)) {
-    SCOPED_TRACE(CalibPolicyName(calib.policy));
-    auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), calib);
-    ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
-    // One file per precision: ctest runs the parameters concurrently.
-    const std::string path = TempPath(std::string("quant_rt_") +
-                                      PrecisionName(GetParam()) + ".ckpt");
-    ASSERT_TRUE(serve::SaveQuantCheckpoint(q_or.value(), path).ok());
-    auto loaded_or = serve::LoadQuantCheckpoint(path);
-    ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded_or.value().calib.policy, calib.policy);
-
-    const Matrix before = serve_with(q_or.value());
-    const Matrix after = serve_with(loaded_or.value());
-    ASSERT_EQ(before.rows(), after.rows());
-    ASSERT_EQ(before.cols(), after.cols());
-    EXPECT_EQ(std::memcmp(before.data(), after.data(), before.bytes()), 0);
-  }
-}
 
 TEST_P(QuantRoundTrip, LogitsTrackFpServingWithinTolerance) {
   const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
@@ -325,18 +264,12 @@ INSTANTIATE_TEST_SUITE_P(Precisions, QuantRoundTrip,
 
 // --- quantized serving determinism -------------------------------------------
 
-class QuantDeterminism
-    : public testing::TestWithParam<serve::QuantExecMode> {};
-
-TEST_P(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
+TEST(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
   const serve::Checkpoint ckpt = TrainCheckpoint("gnn_lf_hf");
   auto q_or = serve::QuantizeCheckpoint(ckpt, Precision::kInt8, CalibConfig{});
   ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
   std::vector<int64_t> nodes;
   for (int64_t i = 0; i < ckpt.meta.n; i += 5) nodes.push_back(i);
-
-  serve::EngineConfig cfg;
-  cfg.quant_exec = GetParam();
 
   const int hw = parallel::NumThreads();
   std::vector<int> counts = {1};
@@ -346,8 +279,7 @@ TEST_P(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
     parallel::SetNumThreads(counts[ci]);
     auto model_or = serve::RestoreModel(q_or.value());
     ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
-    serve::Engine engine(model_or.MoveValue(), cfg);
-    EXPECT_EQ(engine.effective_quant_exec(), GetParam());
+    serve::Engine engine(model_or.MoveValue(), {});
     Matrix batched;
     ASSERT_TRUE(engine.ServeBatch(nodes, &batched).ok());
     for (size_t i = 0; i < nodes.size(); ++i) {
@@ -385,53 +317,7 @@ TEST_P(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
   parallel::SetNumThreads(0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ExecModes, QuantDeterminism,
-                         testing::Values(serve::QuantExecMode::kDequantOnLoad,
-                                         serve::QuantExecMode::kQuantCompute));
-
-// --- mixed-precision cache accounting ----------------------------------------
-
-TEST(MixedPrecisionCache, QuantBytesTrackedSeparately) {
-  // fp bundle: 4x8 floats = 128 B. int8 bundle: 4x8 bytes = 32 B
-  // (scale-less, like the engine's per-node bundles).
-  serve::CacheConfig cfg;
-  cfg.accel_budget_bytes = 160;  // fits one fp + one int8 exactly
-  cfg.host_budget_bytes = 128;
-  serve::TieredCache cache(cfg);
-
-  Matrix fp(4, 8, Device::kHost);
-  fp.Fill(1.0f);
-  cache.Put(1, serve::Bundle(std::move(fp)));
-  QuantizedMatrix q8(Precision::kInt8, 4, 8, Device::kHost);
-  cache.Put(2, serve::Bundle(std::move(q8)));
-
-  EXPECT_EQ(cache.accel_bytes(), 160u);
-  EXPECT_EQ(cache.accel_quant_bytes(), 32u);
-  EXPECT_EQ(cache.host_bytes(), 0u);
-  EXPECT_EQ(cache.host_quant_bytes(), 0u);
-
-  // A second fp bundle overflows accel: LRU (the fp bundle, 128 B) demotes
-  // to host; the quantized counter follows the quantized entry, not the
-  // tier totals.
-  Matrix fp2(4, 8, Device::kHost);
-  fp2.Fill(2.0f);
-  cache.Put(3, serve::Bundle(std::move(fp2)));
-  EXPECT_EQ(cache.host_bytes(), 128u);
-  EXPECT_EQ(cache.host_quant_bytes(), 0u);
-  EXPECT_EQ(cache.accel_quant_bytes(), 32u);
-  EXPECT_LE(cache.accel_bytes(), cfg.accel_budget_bytes);
-
-  // Promote-on-hit keeps the split consistent when the quantized entry
-  // moves between tiers.
-  const serve::Bundle* b2 = cache.Get(2);
-  ASSERT_NE(b2, nullptr);
-  EXPECT_TRUE(b2->quantized());
-  EXPECT_EQ(cache.accel_quant_bytes() + cache.host_quant_bytes(), 32u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.accel_quant_bytes(), 0u);
-  EXPECT_EQ(cache.host_quant_bytes(), 0u);
-}
+// --- quantized cache accounting ----------------------------------------------
 
 TEST(MixedPrecisionCache, EngineUsageReportsQuantSplit) {
   const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
@@ -448,11 +334,102 @@ TEST(MixedPrecisionCache, EngineUsageReportsQuantSplit) {
   Matrix logits;
   ASSERT_TRUE(engine.ServeBatch(nodes, &logits).ok());
   const serve::Engine::CacheUsage usage = engine.GetCacheUsage();
-  EXPECT_GT(usage.entries, 0u);
-  // A quantized model's cache holds only quantized bundles.
-  EXPECT_EQ(usage.accel_quant_bytes + usage.host_quant_bytes,
-            usage.accel_bytes + usage.host_bytes);
-  EXPECT_GT(usage.accel_quant_bytes + usage.host_quant_bytes, 0u);
+  EXPECT_EQ(usage.entries, nodes.size());
+  // A quantized model's cache holds only its scale-less int8 bundles: one
+  // byte per term element, a quarter of the fp32 bundle.
+  const size_t bundle_bytes =
+      ckpt.terms.size() * static_cast<size_t>(ckpt.phi1_in);
+  EXPECT_EQ(usage.accel_bytes + usage.host_bytes,
+            usage.entries * bundle_bytes);
+}
+
+// --- combine-weight probe ----------------------------------------------------
+
+/// A test-only decoupled filter whose CombineTerms is `combine`; every
+/// other member is inert.
+class CombineOnlyFilter : public filters::SpectralFilter {
+ public:
+  using Combine =
+      std::function<void(const std::vector<const Matrix*>&, Matrix*)>;
+  explicit CombineOnlyFilter(Combine combine) : combine_(std::move(combine)) {}
+
+  const std::string& name() const override { return name_; }
+  filters::FilterType type() const override {
+    return filters::FilterType::kFixed;
+  }
+  void ResetParameters(Rng*) override {}
+  void Forward(const filters::FilterContext&, const Matrix&, Matrix*,
+               bool) override {}
+  void Backward(const filters::FilterContext&, const Matrix&,
+                Matrix*) override {}
+  void ClearCache() override {}
+  double Response(double) const override { return 0.0; }
+  bool SupportsMiniBatch() const override { return true; }
+  Status Precompute(const filters::FilterContext&, const Matrix&,
+                    std::vector<Matrix>*) override {
+    return Status::OK();
+  }
+  void CombineTerms(const std::vector<const Matrix*>& terms, Matrix* y,
+                    bool) override {
+    *y = Matrix(terms[0]->rows(), terms[0]->cols(), terms[0]->device());
+    combine_(terms, y);
+  }
+  void BackwardCombine(const std::vector<const Matrix*>&,
+                       const Matrix&) override {}
+  nn::ScalarParams& params() override { return params_; }
+
+ private:
+  std::string name_ = "combine_only";
+  Combine combine_;
+  nn::ScalarParams params_;
+};
+
+bool ProbeSaysDiagonal(filters::SpectralFilter* filter, int64_t num_terms,
+                       int64_t f) {
+  Matrix cw;
+  bool diagonal = false;
+  EXPECT_TRUE(ProbeCombineWeights(filter, num_terms, f, &cw, &diagonal).ok());
+  return diagonal;
+}
+
+TEST(CombineProbe, RejectsAffineAndChannelMixingCombines) {
+  constexpr int64_t kTerms = 3;
+  constexpr int64_t kF = 6;
+  // Sum of the terms plus 1: maps the zero bundle off zero.
+  CombineOnlyFilter affine(
+      [](const std::vector<const Matrix*>& terms, Matrix* y) {
+        for (int64_t c = 0; c < y->cols(); ++c) {
+          float sum = 1.0f;
+          for (const Matrix* t : terms) sum += t->at(0, c);
+          y->at(0, c) = sum;
+        }
+      });
+  EXPECT_FALSE(ProbeSaysDiagonal(&affine, kTerms, kF));
+
+  // Sum of the terms, each output channel read from the next input channel:
+  // linear, and passes the unit probes, but not channel-diagonal.
+  CombineOnlyFilter mixing(
+      [](const std::vector<const Matrix*>& terms, Matrix* y) {
+        const int64_t f = y->cols();
+        for (int64_t c = 0; c < f; ++c) {
+          float sum = 0.0f;
+          for (const Matrix* t : terms) sum += t->at(0, (c + 1) % f);
+          y->at(0, c) = sum;
+        }
+      });
+  EXPECT_FALSE(ProbeSaysDiagonal(&mixing, kTerms, kF));
+
+  // A registered filter passes once its warm-up Precompute has run.
+  auto cheb_or = filters::CreateFilter("chebyshev", kTerms - 1, {}, kF);
+  ASSERT_TRUE(cheb_or.ok()) << cheb_or.status().ToString();
+  auto cheb = cheb_or.MoveValue();
+  sparse::CsrMatrix unit(1, {0, 1}, {0}, {1.0f}, Device::kHost);
+  std::vector<Matrix> warm;
+  ASSERT_TRUE(cheb->Precompute(filters::FilterContext{&unit, Device::kHost},
+                               Matrix(1, kF, Device::kHost), &warm)
+                  .ok());
+  ASSERT_EQ(static_cast<int64_t>(warm.size()), kTerms);
+  EXPECT_TRUE(ProbeSaysDiagonal(cheb.get(), kTerms, kF));
 }
 
 // --- quantized MLP kernels ---------------------------------------------------

@@ -218,6 +218,18 @@ TEST(FaultPlanParse, RejectsUnknownKeysAndBadProbs) {
   EXPECT_FALSE(ParseFaultPlan("accel_prob=1.5").ok());
   EXPECT_FALSE(ParseFaultPlan("accel_prob=-0.1").ok());
   EXPECT_FALSE(ParseFaultPlan("io_prob=-0.1").ok());
+  // Each value must be a number as a whole: no words, no sign on a count,
+  // no NaN, no empty seed.
+  for (const char* bad : {"accel_nth=abc", "accel_prob=x", "accel_nth=-1",
+                          "accel_prob=nan", "seed="}) {
+    const auto p = ParseFaultPlan(bad);
+    ASSERT_FALSE(p.ok()) << bad;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << bad;
+    const std::string text = bad;
+    EXPECT_NE(p.status().message().find(text.substr(0, text.find('='))),
+              std::string::npos)
+        << p.status().ToString();
+  }
 }
 
 TEST(FaultInjector, NthAllocFaultLatchesOomOnce) {

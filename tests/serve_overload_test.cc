@@ -1,6 +1,6 @@
 // Tests for serving overload semantics: typed admission-control sheds
-// (queue depth and queued bytes), deadline shed-at-dequeue, drain vs
-// typed-reject shutdown with a full queue, the SLO hold-time controller
+// (queue depth), deadline shed-at-dequeue, shutdown that serves a full
+// queue, the SLO hold-time controller
 // (synthetic windows and in-engine convergence), LatencyHistogram interval
 // diffs, RetryWithBackoff recovery of forced sheds, and a verified
 // load-generator replay of an ON/OFF burst — the engine-level paths at 1
@@ -171,30 +171,6 @@ TEST(Admission, QueueDepthBudgetShedsTyped) {
   }
 }
 
-TEST(Admission, QueuedBytesBudgetShedsTyped) {
-  EngineConfig cfg = PinnedConfig();
-  Engine probe(Restore(CkptV1()), cfg);
-  ASSERT_GT(probe.query_bytes(), 0u);
-
-  cfg.max_queued_bytes = 2 * probe.query_bytes();
-  Engine engine(Restore(CkptV1()), cfg);
-  engine.Start();
-  std::vector<std::future<QueryResult>> admitted;
-  admitted.push_back(engine.Submit(0));
-  admitted.push_back(engine.Submit(1));
-  QueryResult shed = engine.Submit(2).get();
-  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable)
-      << shed.status.ToString();
-
-  const OverloadStats stats = engine.GetOverloadStats();
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_EQ(stats.shed_queue_bytes, 1u);
-  EXPECT_EQ(stats.shed_queue_full, 0u);
-
-  engine.Stop();
-  for (auto& fut : admitted) EXPECT_TRUE(fut.get().status.ok());
-}
-
 TEST(Admission, OutOfRangeNodeFailsWithoutTouchingAdmission) {
   Engine engine(Restore(CkptV1()), PinnedConfig());
   engine.Start();
@@ -288,18 +264,6 @@ TEST(Deadline, ExpiredQueriesShedAtDequeueWithoutKernelTime) {
   }
 }
 
-TEST(Deadline, DefaultDeadlineAppliesToBareSubmits) {
-  EngineConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_wait_ms = 120.0;
-  cfg.default_deadline_ms = 15.0;
-  Engine engine(Restore(CkptV1()), cfg);
-  engine.Start();
-  QueryResult r = engine.Submit(0).get();  // no explicit deadline
-  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
-  engine.Stop();
-}
-
 TEST(Deadline, PartitionServesLiveQueriesFromTheSameBatch) {
   // Two expired and two live queries dequeue together: the expired pair is
   // typed-shed, the live pair is served — and bit-identical to singleton.
@@ -345,37 +309,17 @@ TEST(Shutdown, StopDrainsFullQueue) {
   EXPECT_EQ(engine.GetOverloadStats().served_ok, 16u);
 }
 
-TEST(Shutdown, NonDrainStopTypedRejectsFullQueue) {
-  // Regression: a full queue at Stop must never leave a future unsatisfied
-  // — with drain_on_stop=false every queued query resolves kUnavailable.
-  EngineConfig cfg = PinnedConfig();
-  cfg.drain_on_stop = false;
-  Engine engine(Restore(CkptV1()), cfg);
-  engine.Start();
-  std::vector<std::future<QueryResult>> queued;
-  for (int i = 0; i < 16; ++i) queued.push_back(engine.Submit(i));
-  engine.Stop();
-  for (auto& fut : queued) {
-    QueryResult r = fut.get();
-    EXPECT_EQ(r.status.code(), StatusCode::kUnavailable)
-        << r.status.ToString();
-  }
-  const OverloadStats stats = engine.GetOverloadStats();
-  EXPECT_EQ(stats.rejected_on_stop, 16u);
-  EXPECT_EQ(stats.served_ok, 0u);
-}
-
 TEST(Shutdown, DestructorSatisfiesQueuedFutures) {
   std::vector<std::future<QueryResult>> queued;
   {
-    EngineConfig cfg = PinnedConfig();
-    cfg.drain_on_stop = false;
-    Engine engine(Restore(CkptV1()), cfg);
+    Engine engine(Restore(CkptV1()), PinnedConfig());
     engine.Start();
     for (int i = 0; i < 8; ++i) queued.push_back(engine.Submit(i));
-  }  // destructor runs Stop
+  }  // destructor runs Stop, which serves the queue
   for (auto& fut : queued) {
-    EXPECT_EQ(fut.get().status.code(), StatusCode::kUnavailable);
+    QueryResult r = fut.get();
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_FALSE(r.logits.empty());
   }
 }
 
@@ -413,32 +357,26 @@ TEST(Shutdown, ConcurrentStopsJoinExactlyOnce) {
 // --- SLO controller ----------------------------------------------------------
 
 TEST(SloController, DisabledKeepsFixedHold) {
-  SloController ctl(SloConfig{}, 1.0);
+  SloController ctl(/*target_p99_ms=*/0.0, 1.0);
   EXPECT_FALSE(ctl.enabled());
   EXPECT_DOUBLE_EQ(ctl.Update(1000.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(ctl.Update(0.0, 0.0), 1.0);
 }
 
 TEST(SloController, ViolationShrinksToFloor) {
-  SloConfig slo;
-  slo.target_p99_ms = 5.0;
-  slo.min_wait_ms = 0.02;
-  SloController ctl(slo, 1.0);
+  SloController ctl(/*target_p99_ms=*/5.0, 1.0);
   double prev = ctl.wait_ms();
   for (int i = 0; i < 10; ++i) {
     const double next = ctl.Update(/*window_p99_ms=*/50.0, /*fill=*/1.0);
     EXPECT_LE(next, prev);  // violation always shrinks, even at full fill
     prev = next;
   }
-  EXPECT_DOUBLE_EQ(ctl.wait_ms(), 0.02);
+  EXPECT_DOUBLE_EQ(ctl.wait_ms(), SloController::kMinWaitMs);
 }
 
 TEST(SloController, PressureGrowsBackToCeiling) {
-  SloConfig slo;
-  slo.target_p99_ms = 5.0;
-  slo.min_wait_ms = 0.02;
-  SloController ctl(slo, 1.0);
-  while (ctl.wait_ms() > slo.min_wait_ms) ctl.Update(50.0, 1.0);
+  SloController ctl(/*target_p99_ms=*/5.0, 1.0);
+  while (ctl.wait_ms() > SloController::kMinWaitMs) ctl.Update(50.0, 1.0);
   // In-SLO windows with batches filling: hold grows, clamped at the
   // configured ceiling (the original max_wait_ms).
   double prev = ctl.wait_ms();
@@ -452,13 +390,10 @@ TEST(SloController, PressureGrowsBackToCeiling) {
 }
 
 TEST(SloController, LightLoadShrinksTowardFloor) {
-  SloConfig slo;
-  slo.target_p99_ms = 5.0;
-  slo.min_wait_ms = 0.02;
-  SloController ctl(slo, 1.0);
+  SloController ctl(/*target_p99_ms=*/5.0, 1.0);
   // In-SLO but empty batches: waiting cannot fill them, so the hold decays.
   for (int i = 0; i < 10; ++i) ctl.Update(1.0, 0.05);
-  EXPECT_DOUBLE_EQ(ctl.wait_ms(), 0.02);
+  EXPECT_DOUBLE_EQ(ctl.wait_ms(), SloController::kMinWaitMs);
 }
 
 TEST(SloController, EngineConvergesHoldToFloorUnderLightSerialLoad) {
@@ -471,19 +406,18 @@ TEST(SloController, EngineConvergesHoldToFloorUnderLightSerialLoad) {
     EngineConfig cfg;
     cfg.max_batch = 64;
     cfg.max_wait_ms = 1.0;
-    cfg.slo.target_p99_ms = 1000.0;  // never violated
-    cfg.slo.min_wait_ms = 0.02;
-    cfg.slo.window = 8;
+    cfg.target_p99_ms = 1000.0;  // never violated
     Engine engine(Restore(CkptV1()), cfg);
     engine.Start();
     EXPECT_DOUBLE_EQ(engine.GetOverloadStats().current_wait_ms, 1.0);
-    for (int i = 0; i < 80; ++i) {
+    for (int i = 0; i < 10 * SloController::kWindow; ++i) {
       QueryResult r = engine.Submit(i % engine.num_nodes()).get();
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     }
     engine.Stop();
     // 10 windows of shrink x0.5 from 1.0 clamps at the 0.02 floor.
-    EXPECT_DOUBLE_EQ(engine.GetOverloadStats().current_wait_ms, 0.02);
+    EXPECT_DOUBLE_EQ(engine.GetOverloadStats().current_wait_ms,
+                     SloController::kMinWaitMs);
   }
 }
 
@@ -537,27 +471,21 @@ TEST(LoadGen, SchedulesAreSeedDeterministic) {
   EXPECT_TRUE(differs);  // different seed, different process draw
 }
 
-TEST(LoadGen, OnOffRateAlternatesAndPreservesTheMean) {
+TEST(LoadGen, OnOffRateAlternatesAndDoublesTheMean) {
   LoadGenConfig load;
   load.process = ArrivalProcess::kOnOff;
   load.mean_qps = 1000.0;
-  load.burst_multiplier = 5.0;
-  load.on_fraction = 0.4;
-  load.period_ms = 50.0;
   load.duration_ms = 200.0;
   EXPECT_DOUBLE_EQ(RateAtMs(load, 1.0), 5000.0);  // ON window
-  EXPECT_DOUBLE_EQ(RateAtMs(load, 30.0), 0.0);    // 0.4*5 >= 1: OFF is dry
+  EXPECT_DOUBLE_EQ(RateAtMs(load, 30.0), 0.0);    // OFF window is dry
 
-  // With a burst that fits inside the mean budget (duty*mult < 1), the
-  // duty-cycle compensation keeps the long-run mean at mean_qps exactly.
-  load.burst_multiplier = 2.0;
-  EXPECT_DOUBLE_EQ(RateAtMs(load, 1.0), 2000.0);
+  // 5x mean for 40% of each 50 ms period: the long-run rate is 2x mean.
   double sum = 0.0;
   const int steps = 1000;
   for (int i = 0; i < steps; ++i) {
     sum += RateAtMs(load, 50.0 * i / steps);
   }
-  EXPECT_NEAR(sum / steps, 1000.0, 30.0);
+  EXPECT_NEAR(sum / steps, 2000.0, 30.0);
 }
 
 TEST(LoadGen, BurstReplayWithRetryAccountsEveryQuery) {
@@ -576,7 +504,6 @@ TEST(LoadGen, BurstReplayWithRetryAccountsEveryQuery) {
   LoadGenConfig load;
   load.process = ArrivalProcess::kOnOff;
   load.mean_qps = 2000.0;
-  load.burst_multiplier = 5.0;
   load.duration_ms = 100.0;
   load.deadline_ms = 50.0;
   load.seed = 3;

@@ -182,6 +182,21 @@ TEST_F(CheckpointRejection, WrongVersionIsFailedPrecondition) {
       << r.status().ToString();
 }
 
+TEST_F(CheckpointRejection, NonZeroFlagsIsIOError) {
+  const std::string clean = ReadAll();
+  // The u32 flags follow the version; the CRC covers only the payload, so
+  // the frame still verifies and the checkpoint reader must refuse it.
+  for (const char flags : {1, 2}) {
+    std::string bytes = clean;
+    bytes[12] = flags;
+    WriteAll(bytes);
+    const auto r = LoadCheckpoint(path_);
+    ASSERT_FALSE(r.ok()) << "flags " << int{flags};
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+        << r.status().ToString();
+  }
+}
+
 TEST_F(CheckpointRejection, WrongMagicIsIOError) {
   std::string bytes = ReadAll();
   bytes[0] = 'X';

@@ -145,6 +145,7 @@ int main(int argc, char** argv) {
     std::string marker;
     if (!rec.ok()) {
       marker = std::string(" (") + runtime::CellStatusName(rec.status) + ")";
+      if (!rec.detail.empty()) marker += ": " + rec.detail;
       any_bad = true;
     } else {
       metrics.push_back(rec.test_metric * 100.0);

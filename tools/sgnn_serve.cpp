@@ -213,7 +213,6 @@ int RunInfo(const std::string& path) {
               c.meta.dataset.c_str(), static_cast<long long>(c.meta.n),
               c.meta.num_classes, c.meta.rho,
               static_cast<unsigned long long>(c.meta.seed));
-  std::printf("  prop     %s\n", c.has_prop ? "embedded" : "absent");
   return 0;
 }
 
