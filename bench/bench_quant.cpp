@@ -321,13 +321,8 @@ int main() {
           key,
           [&]() -> models::TrainResult {
             models::TrainResult body;
-            auto q_or =
-                serve::QuantizeCheckpoint(ckpt, point.precision, calib);
-            if (!q_or.ok()) {
-              body.status = q_or.status();
-              return body;
-            }
-            auto model_or = serve::RestoreModel(q_or.value());
+            auto model_or =
+                serve::RestoreModel(ckpt, point.precision, calib);
             if (!model_or.ok()) {
               body.status = model_or.status();
               return body;

@@ -9,10 +9,15 @@ namespace sgnn::eval {
 
 namespace {
 
-/// Jackson damping coefficient g_k for an M-moment expansion; suppresses
+/// Chebyshev moments of every expansion (resolution).
+constexpr int kMoments = 48;
+/// Random probe vectors of the density estimate (variance).
+constexpr int kProbes = 8;
+
+/// Jackson damping coefficient g_k of the kMoments expansion; suppresses
 /// Gibbs oscillations of the truncated Chebyshev series.
-double Jackson(int k, int moments) {
-  const double m = moments + 1.0;
+double Jackson(int k) {
+  const double m = kMoments + 1.0;
   return ((m - k) * std::cos(M_PI * k / m) +
           std::sin(M_PI * k / m) / std::tan(M_PI / m)) /
          m;
@@ -26,12 +31,12 @@ void ApplyShifted(const sparse::CsrMatrix& norm, const std::vector<float>& v,
 }
 
 /// Chebyshev coefficients of the indicator of [a, b] ⊂ [-1, 1].
-std::vector<double> IndicatorCoefficients(double a, double b, int moments) {
-  std::vector<double> c(static_cast<size_t>(moments));
+std::vector<double> IndicatorCoefficients(double a, double b) {
+  std::vector<double> c(static_cast<size_t>(kMoments));
   const double ta = std::acos(std::max(-1.0, std::min(1.0, b)));  // θ small
   const double tb = std::acos(std::max(-1.0, std::min(1.0, a)));  // θ large
   c[0] = (tb - ta) / M_PI;
-  for (int k = 1; k < moments; ++k) {
+  for (int k = 1; k < kMoments; ++k) {
     c[static_cast<size_t>(k)] =
         2.0 * (std::sin(k * tb) - std::sin(k * ta)) / (k * M_PI);
   }
@@ -44,17 +49,17 @@ std::vector<double> KpmSpectralDensity(const sparse::CsrMatrix& norm,
                                        const KpmConfig& config) {
   const int64_t n = norm.n();
   SGNN_CHECK(n > 0, "KpmSpectralDensity: empty graph");
-  std::vector<double> moments(static_cast<size_t>(config.moments), 0.0);
+  std::vector<double> moments(static_cast<size_t>(kMoments), 0.0);
   Rng rng(config.seed * 0xA0761D6478BD642FULL + 41);
   std::vector<float> v(static_cast<size_t>(n)), prev(static_cast<size_t>(n)),
       cur(static_cast<size_t>(n)), next;
-  for (int probe = 0; probe < config.probes; ++probe) {
+  for (int probe = 0; probe < kProbes; ++probe) {
     // Rademacher probe.
     for (auto& e : v) e = rng.Bernoulli(0.5) ? 1.0f : -1.0f;
     // μ_k += <v, T_k(B) v> / n.
     cur = v;                       // T_0 v
     std::fill(prev.begin(), prev.end(), 0.0f);
-    for (int k = 0; k < config.moments; ++k) {
+    for (int k = 0; k < kMoments; ++k) {
       double dot = 0.0;
       for (int64_t i = 0; i < n; ++i) {
         dot += double(v[static_cast<size_t>(i)]) * cur[static_cast<size_t>(i)];
@@ -73,7 +78,7 @@ std::vector<double> KpmSpectralDensity(const sparse::CsrMatrix& norm,
       cur = next;
     }
   }
-  for (auto& m : moments) m /= config.probes;
+  for (auto& m : moments) m /= kProbes;
 
   // Evaluate the damped series at bin centers over y ∈ (-1, 1), then map to
   // λ = y + 1 ∈ (0, 2) and normalize to unit mass.
@@ -81,11 +86,10 @@ std::vector<double> KpmSpectralDensity(const sparse::CsrMatrix& norm,
   double total = 0.0;
   for (int b = 0; b < config.bins; ++b) {
     const double y = -1.0 + (b + 0.5) * 2.0 / config.bins;
-    double f = Jackson(0, config.moments) * moments[0];
+    double f = Jackson(0) * moments[0];
     double tkm1 = 1.0, tk = y;
-    for (int k = 1; k < config.moments; ++k) {
-      f += 2.0 * Jackson(k, config.moments) * moments[static_cast<size_t>(k)] *
-           tk;
+    for (int k = 1; k < kMoments; ++k) {
+      f += 2.0 * Jackson(k) * moments[static_cast<size_t>(k)] * tk;
       const double tnext = 2.0 * y * tk - tkm1;
       tkm1 = tk;
       tk = tnext;
@@ -101,8 +105,7 @@ std::vector<double> KpmSpectralDensity(const sparse::CsrMatrix& norm,
 }
 
 std::vector<double> SignalBandEnergy(const sparse::CsrMatrix& norm,
-                                     const Matrix& x, int num_bands,
-                                     int moments) {
+                                     const Matrix& x, int num_bands) {
   SGNN_CHECK(x.rows() == norm.n(), "SignalBandEnergy: shape mismatch");
   SGNN_CHECK(num_bands >= 1, "SignalBandEnergy: need at least one band");
   const int64_t n = x.rows();
@@ -115,7 +118,7 @@ std::vector<double> SignalBandEnergy(const sparse::CsrMatrix& norm,
   for (int b = 0; b < num_bands; ++b) {
     const double lo = -1.0 + b * 2.0 / num_bands;
     const double hi = -1.0 + (b + 1) * 2.0 / num_bands;
-    coeffs.push_back(IndicatorCoefficients(lo, hi, moments));
+    coeffs.push_back(IndicatorCoefficients(lo, hi));
   }
   for (int64_t f = 0; f < x.cols(); ++f) {
     for (int64_t i = 0; i < n; ++i) {
@@ -129,12 +132,12 @@ std::vector<double> SignalBandEnergy(const sparse::CsrMatrix& norm,
     std::vector<double> acc(static_cast<size_t>(num_bands), 0.0);
     cur = v;
     std::fill(prev.begin(), prev.end(), 0.0f);
-    for (int k = 0; k < moments; ++k) {
+    for (int k = 0; k < kMoments; ++k) {
       double dot = 0.0;
       for (int64_t i = 0; i < n; ++i) {
         dot += double(v[static_cast<size_t>(i)]) * cur[static_cast<size_t>(i)];
       }
-      const double damped = Jackson(k, moments) * dot;
+      const double damped = Jackson(k) * dot;
       for (int b = 0; b < num_bands; ++b) {
         acc[static_cast<size_t>(b)] +=
             coeffs[static_cast<size_t>(b)][static_cast<size_t>(k)] * damped;
@@ -166,8 +169,7 @@ std::vector<double> SignalBandEnergy(const sparse::CsrMatrix& norm,
 
 std::vector<double> LabelBandEnergy(const sparse::CsrMatrix& norm,
                                     const std::vector<int32_t>& labels,
-                                    int32_t num_classes, int num_bands,
-                                    int moments) {
+                                    int32_t num_classes, int num_bands) {
   SGNN_CHECK(static_cast<int64_t>(labels.size()) == norm.n(),
              "LabelBandEnergy: label count mismatch");
   Matrix onehot(norm.n(), num_classes, Device::kHost);
@@ -180,7 +182,7 @@ std::vector<double> LabelBandEnergy(const sparse::CsrMatrix& norm,
   ops::ColumnSum(onehot, &mean);
   ops::Scale(static_cast<float>(-1.0 / static_cast<double>(norm.n())), &mean);
   ops::AddRowBroadcast(mean, &onehot);
-  return SignalBandEnergy(norm, onehot, num_bands, moments);
+  return SignalBandEnergy(norm, onehot, num_bands);
 }
 
 double MeanSignalFrequency(const sparse::CsrMatrix& norm, const Matrix& x) {

@@ -4,8 +4,8 @@
 // examining the graph spectrum and where the label signal lives in it.
 // This module makes that actionable at scale:
 //   * KPM spectral density: the eigenvalue distribution of L̃ estimated by
-//     the kernel polynomial method (Chebyshev moments of random probes with
-//     Jackson damping) — O(moments · m) time, no eigenvectors.
+//     the kernel polynomial method (48 Chebyshev moments of 8 random probes
+//     with Jackson damping) — O(moments · m) time, no eigenvectors.
 //   * Signal band energy: how much of a node signal's energy falls into
 //     low / mid / high frequency bands, computed with Chebyshev band-pass
 //     projectors — the quantity that predicts which filter family fits.
@@ -24,8 +24,6 @@ namespace sgnn::eval {
 
 /// Configuration for the kernel polynomial method.
 struct KpmConfig {
-  int moments = 48;     ///< Chebyshev moments (resolution)
-  int probes = 8;       ///< random probe vectors (variance)
   int bins = 32;        ///< histogram bins over λ ∈ [0, 2]
   uint64_t seed = 1;
 };
@@ -37,18 +35,17 @@ std::vector<double> KpmSpectralDensity(const sparse::CsrMatrix& norm,
 
 /// Fraction of signal energy per spectral band. Bands partition [0, 2] into
 /// `num_bands` equal intervals; entry b is ||P_b x||² / ||x||² where P_b is
-/// a Jackson-damped Chebyshev band projector. Columns of x are averaged.
+/// a Jackson-damped 48-moment Chebyshev band projector. Columns of x are
+/// averaged.
 std::vector<double> SignalBandEnergy(const sparse::CsrMatrix& norm,
-                                     const Matrix& x, int num_bands = 4,
-                                     int moments = 48);
+                                     const Matrix& x, int num_bands = 4);
 
 /// Band energy of the one-hot class-indicator signal (labels spread over
 /// columns); the paper's heterophily story in spectral form: homophilous
 /// labels concentrate in low bands, heterophilous in high ones.
 std::vector<double> LabelBandEnergy(const sparse::CsrMatrix& norm,
                                     const std::vector<int32_t>& labels,
-                                    int32_t num_classes, int num_bands = 4,
-                                    int moments = 48);
+                                    int32_t num_classes, int num_bands = 4);
 
 /// Exact mean frequency of a signal: the Rayleigh quotient
 /// Σ_f x_fᵀ L̃ x_f / Σ_f x_fᵀ x_f ∈ [0, 2] — one SpMM, no approximation.

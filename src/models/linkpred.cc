@@ -12,6 +12,9 @@ namespace sgnn::models {
 
 namespace {
 
+/// Fraction of edges held out as test positives.
+constexpr double kTestFrac = 0.2;
+
 /// One scored node pair.
 struct EdgeSample {
   int32_t u;
@@ -65,7 +68,7 @@ TrainResult TrainLinkPrediction(const graph::Graph& g,
   std::vector<std::pair<int32_t, int32_t>> edges = CollectEdges(g);
   Shuffle(&edges, &rng);
   const auto n_test =
-      static_cast<size_t>(config.test_frac * static_cast<double>(edges.size()));
+      static_cast<size_t>(kTestFrac * static_cast<double>(edges.size()));
   auto make_samples = [&](size_t begin, size_t end) {
     std::vector<EdgeSample> samples;
     samples.reserve((end - begin) * (1 + static_cast<size_t>(config.neg_ratio)));

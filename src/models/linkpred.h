@@ -22,13 +22,12 @@ struct LinkPredConfig {
   TrainConfig base;
   /// Negative samples per positive edge (paper's κ is 2-10).
   int neg_ratio = 2;
-  /// Fraction of edges held out as test positives.
-  double test_frac = 0.2;
 };
 
 /// Runs decoupled MB link prediction with the given filter: precompute
 /// filtered embeddings, then train an MLP scorer on edge batches. The
-/// result's test_metric is the test ROC-AUC, and its final_train_loss the
+/// result's test_metric is the ROC-AUC on 20% of the edges, held out as
+/// test positives with their negatives, and its final_train_loss the
 /// last batch's binary cross-entropy. There are no eval rounds, so
 /// val_metric stays 0. A batch size below 1 or an FB-only filter returns
 /// InvalidArgument.

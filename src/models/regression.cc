@@ -9,6 +9,13 @@
 
 namespace sgnn::models {
 
+namespace {
+
+/// Random input signal channels per regression problem.
+constexpr int64_t kSignalDim = 4;
+
+}  // namespace
+
 RegressionProblem BuildRegressionProblem(const graph::Graph& g,
                                          const RegressionConfig& config) {
   RegressionProblem problem;
@@ -18,7 +25,7 @@ RegressionProblem BuildRegressionProblem(const graph::Graph& g,
   SGNN_CHECK(eig.ok(), "regression graph eigendecomposition failed");
   problem.eig = eig.MoveValue();
   Rng rng(config.seed * 0xA24BAED4963EE407ULL + 19);
-  problem.x = Matrix(g.n, config.signal_dim, Device::kHost);
+  problem.x = Matrix(g.n, kSignalDim, Device::kHost);
   problem.x.FillNormal(&rng);
   return problem;
 }

@@ -28,7 +28,6 @@ struct RegressionConfig {
   nn::AdamConfig filter_opt{1e-2, 0.9, 0.999, 1e-8, 0.0};
   double rho = 0.5;
   uint64_t seed = 1;
-  int signal_dim = 4;  ///< number of random input signal channels
 };
 
 /// Outcome of one regression run.
@@ -42,7 +41,7 @@ struct RegressionResult {
 struct RegressionProblem {
   sparse::CsrMatrix norm;        ///< normalized adjacency Ã
   eval::EigenDecomposition eig;  ///< spectrum of L̃ = I - Ã
-  Matrix x;                      ///< input signals (n x signal_dim)
+  Matrix x;                      ///< 4 random input signals (n x 4)
 };
 
 /// Builds the shared problem for a graph (eigendecomposes L̃; n <= ~1500).

@@ -53,8 +53,7 @@ bool EpochLoop::LatchOom() {
 
 bool EpochLoop::ShouldStop(double loss, const Matrix& grad) {
   if (LatchOom()) return true;
-  if (config_.divergence_check &&
-      (!std::isfinite(loss) || !ops::AllFinite(grad))) {
+  if (!std::isfinite(loss) || !ops::AllFinite(grad)) {
     result_->diverged = true;
     result_->status =
         Status::NumericalError("non-finite training loss or gradient");
@@ -72,7 +71,6 @@ bool EpochLoop::ShouldStop(double loss, const Matrix& grad) {
 
 void EpochLoop::Run(const EpochBodies& bodies) {
   double train_ms_total = 0.0;
-  int stale_rounds = 0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     eval::Stopwatch sw;
     const EpochOutput out = bodies.epoch();
@@ -81,14 +79,7 @@ void EpochLoop::Run(const EpochBodies& bodies) {
     if (ShouldStop(out.loss, out.grad)) break;
     const bool round = (epoch + 1) % config_.eval_every == 0 ||
                        epoch + 1 == config_.epochs;
-    if (config_.timing_only || !bodies.evaluate || !round) continue;
-    const double best_before = best_val_;
-    bodies.evaluate();
-    if (best_val_ > best_before) {
-      stale_rounds = 0;
-    } else if (++stale_rounds > config_.patience) {
-      break;
-    }
+    if (!config_.timing_only && bodies.evaluate && round) bodies.evaluate();
   }
 
   // An aborted run must not keep allocating or burn past its deadline.

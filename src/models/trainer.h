@@ -31,7 +31,6 @@ namespace sgnn::models {
 struct TrainConfig {
   int epochs = 120;
   int eval_every = 5;          ///< eval-round cadence (epochs)
-  int patience = 1000;         ///< rounds without a new best before a stop
   int hidden = 64;             ///< hidden width F
   int phi0_layers = 1;         ///< FB and GP default 1; MB must use 0
   int phi1_layers = 1;         ///< FB and GP default 1; MB default 2
@@ -51,9 +50,6 @@ struct TrainConfig {
   /// run stops and is marked timed_out — the cell-level analogue of the
   /// paper's "(OOM)" table entries.
   double deadline_ms = 0.0;
-  /// NaN/Inf divergence detection on the training loss (and, in the
-  /// full-graph schemes, the loss gradient) after every epoch.
-  bool divergence_check = true;
   /// Capture the trained φ1, filter θ snapshot, and (MB) the precomputed
   /// terms in TrainResult::exported, the artifact the serving checkpoint
   /// (serve/checkpoint.h) persists. MB-only: serving needs the decoupled
@@ -199,8 +195,7 @@ class EpochLoop {
   /// Runs config.epochs epochs. After each come the guards (latched
   /// accelerator OOM, non-finite loss or gradient, deadline), which end the
   /// run with their status, then an eval round every eval_every epochs and
-  /// after the last (none when timing_only); more than `patience` rounds in
-  /// a row without a new best end it early. Then infer and finish, skipped
+  /// after the last (none when timing_only). Then infer and finish, skipped
   /// once a guard fired, and the StageStats fill.
   void Run(const EpochBodies& bodies);
 

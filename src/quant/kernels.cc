@@ -111,19 +111,9 @@ Result<QuantizedMlp> QuantizedMlp::FromMlp(const nn::Mlp& mlp,
   for (const nn::Linear& layer : mlp.layers()) {
     SGNN_ASSIGN_OR_RETURN(QuantizedMatrix w,
                           Quantize(layer.weight().value(), precision, absmax));
-    q.AddLayer(std::move(w), layer.bias().value());
+    q.layers_.push_back(QuantizedLinear{std::move(w), layer.bias().value()});
   }
   return q;
-}
-
-void QuantizedMlp::AddLayer(QuantizedMatrix w, Matrix b) {
-  layers_.push_back(QuantizedLinear{std::move(w), std::move(b)});
-}
-
-size_t QuantizedMlp::bytes() const {
-  size_t total = 0;
-  for (const QuantizedLinear& l : layers_) total += l.w.bytes() + l.b.bytes();
-  return total;
 }
 
 void QuantizedMlp::ForwardInference(const Matrix& x, Matrix* out) const {

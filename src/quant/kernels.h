@@ -55,21 +55,18 @@ class QuantizedMlp {
  public:
   QuantizedMlp() = default;
 
-  /// Quantizes every layer of `mlp` at `precision` (weights always use
-  /// absmax calibration — their exact range is known, clipping only helps
-  /// long-tailed activation-like data). InvalidArgument for kFp32.
+  /// Quantizes every layer of `mlp` at `precision`, on the device of its
+  /// weights; biases are copied at fp32. Weights always use absmax
+  /// calibration — their exact range is known, clipping only helps
+  /// long-tailed activation-like data. A quantized serve::RestoreModel
+  /// builds its φ1 this way. InvalidArgument for kFp32.
   static Result<QuantizedMlp> FromMlp(const nn::Mlp& mlp, Precision precision);
-
-  /// Restore path: append an already-quantized layer (serve::RestoreModel).
-  void AddLayer(QuantizedMatrix w, Matrix b);
 
   bool empty() const { return layers_.empty(); }
   const std::vector<QuantizedLinear>& layers() const { return layers_; }
   Precision precision() const {
     return layers_.empty() ? Precision::kFp32 : layers_[0].w.precision();
   }
-  /// Payload + scale + bias bytes across all layers (model-size reporting).
-  size_t bytes() const;
 
   /// out must be pre-shaped (x.rows, last out_dim). Identity when empty,
   /// mirroring nn::Mlp.
@@ -98,8 +95,9 @@ void CombineStagedF16(const uint16_t* staged, int64_t b, const Matrix& eff,
 /// reads out weight row k exactly. A seeded random probe then validates the
 /// diagonal model against the filter's own CombineTerms; on mismatch
 /// `*diagonal` is false and cw is left valid-but-unusable — callers must
-/// not serve from it (serve::RestoreModel fails with FailedPrecondition,
-/// so a future non-diagonal filter is refused instead of serving garbage).
+/// not serve from it (a quantized serve::RestoreModel fails with
+/// FailedPrecondition, so a future non-diagonal filter is refused instead of
+/// serving garbage).
 /// `num_terms`/`f` describe the term bundles; the filter must already be
 /// precomputed. cw is (num_terms x f) on the host.
 [[nodiscard]] Status ProbeCombineWeights(filters::SpectralFilter* filter,

@@ -15,8 +15,8 @@ namespace {
 /// ops.cc's kElementGrain).
 constexpr int64_t kElementGrain = int64_t{1} << 15;
 
-/// Largest finite magnitude representable in binary16.
-constexpr float kF16Max = 65504.0f;
+/// The |v| percentile CalibPolicy::kPercentile clips each channel to.
+constexpr double kClipPercentile = 99.5;
 
 int64_t RowGrain(int64_t cols) {
   return std::max<int64_t>(1, kElementGrain / std::max<int64_t>(1, cols));
@@ -35,14 +35,6 @@ const char* PrecisionName(Precision p) {
     case Precision::kFp32: return "fp32";
     case Precision::kFp16: return "fp16";
     case Precision::kInt8: return "int8";
-  }
-  return "?";
-}
-
-const char* CalibPolicyName(CalibPolicy p) {
-  switch (p) {
-    case CalibPolicy::kAbsMax: return "absmax";
-    case CalibPolicy::kPercentile: return "percentile";
   }
   return "?";
 }
@@ -225,7 +217,6 @@ std::vector<float> CalibrateScales(const Matrix& m, const CalibConfig& calib) {
   }
 
   const bool percentile = calib.policy == CalibPolicy::kPercentile;
-  const double p = std::clamp(calib.percentile, 1e-6, 100.0);
   // Column-parallel: each chunk owns a column range, so scale writes never
   // race and the result is identical at any thread count.
   parallel::ParallelFor(0, cols, RowGrain(static_cast<int64_t>(sample.size())),
@@ -243,7 +234,8 @@ std::vector<float> CalibrateScales(const Matrix& m, const CalibConfig& calib) {
       float clip = absmax;
       if (percentile && !mags.empty()) {
         const auto idx = static_cast<size_t>(
-            std::llround((p / 100.0) * static_cast<double>(mags.size() - 1)));
+            std::llround((kClipPercentile / 100.0) *
+                         static_cast<double>(mags.size() - 1)));
         std::nth_element(mags.begin(), mags.begin() + idx, mags.end());
         clip = mags[idx];
         // An all-but-outlier-zero channel would get a zero step and erase

@@ -15,7 +15,7 @@
 //
 // Calibration picks the int8 clipping range per channel from a held-out
 // sample of rows (the "query sample"): absmax uses the exact per-channel
-// max |v| (no clipping, coarsest step), percentile clips to the p-th
+// max |v| (no clipping, coarsest step), percentile clips to the 99.5th
 // percentile of |v| so a single outlier row cannot blow up the step size
 // for every other value in the channel. All sampling is seeded (tensor
 // Rng), so calibration is deterministic — quantizing the same checkpoint
@@ -49,14 +49,12 @@ enum class Precision : uint8_t {
 /// How the int8 clipping range is chosen per channel. Ignored for fp16.
 enum class CalibPolicy : uint8_t {
   kAbsMax = 0,      ///< scale = max|v| / 127 over the calibration sample
-  kPercentile = 1,  ///< scale = p-th percentile of |v| / 127 (clips outliers)
+  kPercentile = 1,  ///< scale = 99.5th percentile of |v| / 127 (clips outliers)
 };
 
 /// Calibration knobs (documented in docs/QUANTIZATION.md).
 struct CalibConfig {
   CalibPolicy policy = CalibPolicy::kAbsMax;
-  /// Percentile in (0, 100] for kPercentile. 100 degenerates to absmax.
-  double percentile = 99.5;
   /// Rows sampled (without replacement, seeded) for calibration statistics.
   /// 0 or >= rows means every row participates.
   int64_t sample_rows = 0;
@@ -65,7 +63,6 @@ struct CalibConfig {
 };
 
 const char* PrecisionName(Precision p);
-const char* CalibPolicyName(CalibPolicy p);
 
 /// Bytes per stored element (1 for int8, 2 for fp16, 4 for fp32).
 size_t ElemSize(Precision p);

@@ -4,47 +4,43 @@
 #include <chrono>
 #include <thread>
 
-#include "eval/table.h"
-
 namespace sgnn::runtime {
 
-double BackoffDelayMs(const BackoffConfig& config, int retry, Rng* rng) {
-  double delay = config.initial_delay_ms;
+namespace {
+
+constexpr int kMaxAttempts = 5;            ///< total tries, the first included
+constexpr double kInitialDelayMs = 0.5;    ///< sleep before the second try
+constexpr double kMultiplier = 2.0;        ///< delay growth per retry
+constexpr double kMaxDelayMs = 50.0;       ///< per-sleep ceiling
+/// Each sleep is scaled by a seeded draw from [1 - kJitter, 1 + kJitter].
+constexpr double kJitter = 0.25;
+
+}  // namespace
+
+double BackoffDelayMs(int retry, Rng* rng) {
+  double delay = kInitialDelayMs;
   for (int i = 1; i < retry; ++i) {
-    delay *= std::max(1.0, config.multiplier);
-    if (delay >= config.max_delay_ms) break;
+    delay *= kMultiplier;
+    if (delay >= kMaxDelayMs) break;
   }
-  delay = std::min(delay, config.max_delay_ms);
-  if (config.jitter > 0.0 && rng != nullptr) {
-    delay *= rng->Uniform(1.0 - config.jitter, 1.0 + config.jitter);
-  }
-  return std::max(0.0, delay);
+  delay = std::min(delay, kMaxDelayMs);
+  if (rng != nullptr) delay *= rng->Uniform(1.0 - kJitter, 1.0 + kJitter);
+  return delay;
 }
 
-Status RetryWithBackoff(const std::function<Status()>& op,
-                        const BackoffConfig& config, Rng* rng,
+Status RetryWithBackoff(const std::function<Status()>& op, Rng* rng,
                         RetryStats* stats) {
-  const int max_attempts = std::max(1, config.max_attempts);
-  eval::Stopwatch budget;
   RetryStats local;
   Status last = Status::OK();
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     ++local.attempts;
     last = op();
     if (last.code() != StatusCode::kUnavailable) break;
-    if (attempt == max_attempts) break;
-    const double delay = BackoffDelayMs(config, attempt, rng);
-    // Honor the overall deadline: never start a sleep that would overrun
-    // it, and give up when the budget is already spent.
-    if (config.deadline_ms > 0.0 &&
-        budget.ElapsedMs() + delay > config.deadline_ms) {
-      break;
-    }
+    if (attempt == kMaxAttempts) break;
+    const double delay = BackoffDelayMs(attempt, rng);
     local.slept_ms += delay;
-    if (delay > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay));
-    }
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(delay));
   }
   if (stats != nullptr) *stats = local;
   return last;

@@ -9,9 +9,10 @@
 //
 // Backoff delays are drawn from a caller-owned seeded Rng, so a load
 // generator's retry schedule replays bit-identically run to run; only the
-// actual sleeping reads the wall clock. An overall deadline bounds the total
-// attempt+sleep budget: when it expires the last kUnavailable is returned
-// unchanged (the caller sees *why* it gave up, not a synthetic timeout).
+// actual sleeping reads the wall clock. The schedule is fixed: at most 5
+// attempts, 0.5 ms before the second, doubling per retry up to 50 ms, each
+// sleep scaled by a seeded draw from [0.75, 1.25] — 7.5 ms of nominal sleep
+// in all, at least 5.6 ms.
 
 #ifndef SGNN_RUNTIME_RETRY_H_
 #define SGNN_RUNTIME_RETRY_H_
@@ -23,20 +24,6 @@
 
 namespace sgnn::runtime {
 
-/// Backoff policy knobs.
-struct BackoffConfig {
-  int max_attempts = 5;        ///< total tries, including the first (>= 1)
-  double initial_delay_ms = 0.5;  ///< sleep before the second attempt
-  double multiplier = 2.0;        ///< delay growth per retry (>= 1)
-  double max_delay_ms = 50.0;     ///< per-sleep ceiling
-  /// Uniform jitter fraction: each sleep is scaled by a seeded draw from
-  /// [1 - jitter, 1 + jitter]. 0 disables jitter (exact exponential).
-  double jitter = 0.25;
-  /// Overall wall-clock budget across all attempts and sleeps; attempts
-  /// whose next backoff sleep would overrun it are not made. <= 0 disables.
-  double deadline_ms = 0.0;
-};
-
 /// What the retry loop did — for goodput accounting in the load generator.
 struct RetryStats {
   int attempts = 0;       ///< operations actually invoked
@@ -44,18 +31,18 @@ struct RetryStats {
 };
 
 /// Invokes `op` until it returns anything other than kUnavailable, up to
-/// `config.max_attempts` tries, sleeping a jittered exponential backoff
-/// between attempts. Returns the first non-kUnavailable status (OK or a
-/// terminal error), or the last kUnavailable when attempts or the overall
-/// deadline run out. `rng` drives the jitter and must outlive the call;
-/// `stats` (optional) reports attempts and total scheduled sleep.
+/// 5 tries, sleeping BackoffDelayMs between attempts. Returns the first
+/// non-kUnavailable status (OK or a terminal error), or the last
+/// kUnavailable when the attempts run out. `rng` drives the jitter and must
+/// outlive the call; `stats` (optional) reports attempts and total
+/// scheduled sleep.
 [[nodiscard]] Status RetryWithBackoff(const std::function<Status()>& op,
-                                      const BackoffConfig& config, Rng* rng,
-                                      RetryStats* stats = nullptr);
+                                      Rng* rng, RetryStats* stats = nullptr);
 
 /// The delay (ms) scheduled before retry number `retry` (1-based), jittered
-/// by `rng`. Exposed so tests can assert the schedule without sleeping.
-double BackoffDelayMs(const BackoffConfig& config, int retry, Rng* rng);
+/// by `rng` (exact when null). Exposed so tests can assert the schedule
+/// without sleeping.
+double BackoffDelayMs(int retry, Rng* rng);
 
 }  // namespace sgnn::runtime
 

@@ -70,14 +70,6 @@ void TieredCache::Put(int64_t node, Bundle bundle) {
   ++stats_.evictions;
 }
 
-void TieredCache::Clear() {
-  accel_.clear();
-  host_.clear();
-  index_.clear();
-  accel_bytes_ = 0;
-  host_bytes_ = 0;
-}
-
 void TieredCache::MakeAccelRoom(size_t need) {
   while (!accel_.empty() && accel_bytes_ + need > config_.accel_budget_bytes) {
     Entry victim = std::move(accel_.back());

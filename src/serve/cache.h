@@ -86,7 +86,7 @@ class TieredCache {
 
   /// Looks up `node`, updating recency. A host-tier hit promotes the bundle
   /// back to the accel tier. Returns the resident bundle, or nullptr on a
-  /// miss. The pointer is valid until the next Get/Put/Clear.
+  /// miss. The pointer is valid until the next Get or Put.
   const Bundle* Get(int64_t node);
 
   /// Caches `bundle` (any device; the cache re-homes it). Entries land on
@@ -95,9 +95,6 @@ class TieredCache {
   /// tier; bundles no tier can hold are dropped (counted as an eviction).
   /// `node` must not already be resident (engine only Puts after a miss).
   void Put(int64_t node, Bundle bundle);
-
-  /// Drops every entry from both tiers (not counted as evictions).
-  void Clear();
 
   const CacheStats& stats() const { return stats_; }
   const CacheConfig& config() const { return config_; }

@@ -150,71 +150,20 @@ Result<std::unique_ptr<filters::SpectralFilter>> CreateFilterFromSpec(
   return filters::CreateFilter(c.filter_name, c.hops, c.hp, c.feature_dim);
 }
 
-/// Structural checks for the quantized image, mirroring ValidateStructure:
-/// every payload must carry the checkpoint's declared precision, int8
-/// payloads must own their scales, and the shapes must be consistent with
-/// the φ1 spec and meta before anything is trusted.
-Status ValidateQuantStructure(const QuantCheckpoint& c) {
-  if (c.phi1_layers < 1) {
-    return Status::IOError("checkpoint carries no phi1 layers");
+/// θ as a quantized model serves it: one (1 x K) row quantized under
+/// absmax and read back. Per-channel absmax over a single row stores each θ
+/// as q = ±127 with scale |θ|/127, so int8 keeps fp32 precision; fp16
+/// rounds each θ to half precision.
+Result<std::vector<double>> RoundTripTheta(const std::vector<double>& theta,
+                                           quant::Precision precision) {
+  Matrix row(1, static_cast<int64_t>(theta.size()), Device::kHost);
+  for (size_t i = 0; i < theta.size(); ++i) {
+    row.at(0, static_cast<int64_t>(i)) = static_cast<float>(theta[i]);
   }
-  if (c.qterms.empty()) {
-    return Status::IOError("checkpoint carries no precomputed terms");
-  }
-  auto check_payload = [&](const quant::QuantizedMatrix& q,
-                           const std::string& what) -> Status {
-    if (q.precision() != c.precision) {
-      return Status::IOError(what + " precision disagrees with checkpoint (" +
-                             quant::PrecisionName(q.precision()) + " vs " +
-                             quant::PrecisionName(c.precision) + ")");
-    }
-    if (c.precision == quant::Precision::kInt8 &&
-        static_cast<int64_t>(q.scales().size()) != q.cols()) {
-      return Status::IOError(what + " int8 payload is missing scales");
-    }
-    return Status::OK();
-  };
-  if (c.qtheta.size() > 0) {
-    SGNN_RETURN_IF_ERROR(check_payload(c.qtheta, "theta"));
-    if (c.qtheta.rows() != 1) {
-      return Status::IOError("theta payload must be a single row");
-    }
-  }
-  const int64_t n = c.qterms[0].rows();
-  const int64_t f = c.qterms[0].cols();
-  for (const auto& t : c.qterms) {
-    SGNN_RETURN_IF_ERROR(check_payload(t, "term"));
-    if (t.rows() != n || t.cols() != f) {
-      return Status::IOError("inconsistent term shapes in checkpoint");
-    }
-  }
-  if (n != c.meta.n) {
-    return Status::IOError("term row count disagrees with meta node count");
-  }
-  if (f != c.phi1_in) {
-    return Status::IOError("term width disagrees with phi1 input dim");
-  }
-  if (c.qweights.size() != static_cast<size_t>(c.phi1_layers) ||
-      c.biases.size() != c.qweights.size()) {
-    return Status::IOError("phi1 layer payload count mismatch");
-  }
-  for (int l = 0; l < c.phi1_layers; ++l) {
-    const int64_t in = (l == 0) ? c.phi1_in : c.phi1_hidden;
-    const int64_t out = (l == c.phi1_layers - 1) ? c.phi1_out : c.phi1_hidden;
-    const auto& w = c.qweights[static_cast<size_t>(l)];
-    const Matrix& b = c.biases[static_cast<size_t>(l)];
-    SGNN_RETURN_IF_ERROR(
-        check_payload(w, "phi1 layer " + std::to_string(l) + " weight"));
-    if (w.rows() != in || w.cols() != out || b.rows() != 1 ||
-        b.cols() != out) {
-      return Status::IOError("phi1 weight shape mismatch at layer " +
-                             std::to_string(l));
-    }
-  }
-  if (c.phi1_out != c.meta.num_classes) {
-    return Status::IOError("phi1 output dim disagrees with meta class count");
-  }
-  return Status::OK();
+  SGNN_ASSIGN_OR_RETURN(quant::QuantizedMatrix q,
+                        quant::Quantize(row, precision, {}));
+  quant::Dequantize(q, &row);
+  return std::vector<double>(row.data(), row.data() + row.size());
 }
 
 }  // namespace
@@ -284,57 +233,9 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
   return c;
 }
 
-Result<QuantCheckpoint> QuantizeCheckpoint(const Checkpoint& ckpt,
-                                           quant::Precision precision,
-                                           const quant::CalibConfig& calib) {
-  if (precision == quant::Precision::kFp32) {
-    return Status::InvalidArgument(
-        "QuantizeCheckpoint: fp32 is not a quantized target");
-  }
-  auto validated = ValidateStructure(ckpt);
-  if (!validated.ok()) {
-    return Status::InvalidArgument("QuantizeCheckpoint: " +
-                                   validated.message());
-  }
-  QuantCheckpoint q;
-  q.filter_name = ckpt.filter_name;
-  q.hops = ckpt.hops;
-  q.hp = ckpt.hp;
-  q.feature_dim = ckpt.feature_dim;
-  q.precision = precision;
-  // θ and weights use exact absmax — their full range is known, clipping
-  // only helps long-tailed sample statistics (the terms).
-  const quant::CalibConfig absmax;
-  if (!ckpt.theta.empty()) {
-    Matrix theta(1, static_cast<int64_t>(ckpt.theta.size()), Device::kHost);
-    for (size_t i = 0; i < ckpt.theta.size(); ++i) {
-      theta.at(0, static_cast<int64_t>(i)) = static_cast<float>(ckpt.theta[i]);
-    }
-    SGNN_ASSIGN_OR_RETURN(q.qtheta, quant::Quantize(theta, precision, absmax));
-  }
-  q.phi1_layers = ckpt.phi1_layers;
-  q.phi1_in = ckpt.phi1_in;
-  q.phi1_hidden = ckpt.phi1_hidden;
-  q.phi1_out = ckpt.phi1_out;
-  q.dropout = ckpt.dropout;
-  for (int l = 0; l < ckpt.phi1_layers; ++l) {
-    SGNN_ASSIGN_OR_RETURN(
-        quant::QuantizedMatrix w,
-        quant::Quantize(ckpt.phi1_weights[static_cast<size_t>(2 * l)],
-                        precision, absmax));
-    q.qweights.push_back(std::move(w));
-    q.biases.push_back(ckpt.phi1_weights[static_cast<size_t>(2 * l + 1)]);
-  }
-  for (const Matrix& t : ckpt.terms) {
-    SGNN_ASSIGN_OR_RETURN(quant::QuantizedMatrix qt,
-                          quant::Quantize(t, precision, calib));
-    q.qterms.push_back(std::move(qt));
-  }
-  q.meta = ckpt.meta;
-  return q;
-}
-
-Result<ServableModel> RestoreModel(const Checkpoint& ckpt) {
+Result<ServableModel> RestoreModel(const Checkpoint& ckpt,
+                                   quant::Precision precision,
+                                   const quant::CalibConfig& calib) {
   SGNN_RETURN_IF_ERROR(ValidateStructure(ckpt));
   ServableModel model;
   SGNN_ASSIGN_OR_RETURN(model.filter, CreateFilterFromSpec(ckpt));
@@ -350,7 +251,16 @@ Result<ServableModel> RestoreModel(const Checkpoint& ckpt) {
         " disagrees with filter parameter count " +
         std::to_string(params.size()));
   }
-  if (!ckpt.theta.empty()) params.Reset(ckpt.theta);
+  const bool quantized = precision != quant::Precision::kFp32;
+  if (!ckpt.theta.empty()) {
+    if (quantized) {
+      SGNN_ASSIGN_OR_RETURN(const std::vector<double> theta,
+                            RoundTripTheta(ckpt.theta, precision));
+      params.Reset(theta);
+    } else {
+      params.Reset(ckpt.theta);
+    }
+  }
 
   // Warm-up precompute on a single self-looped node: bank filters size
   // their per-channel term slices during Precompute, and the slice layout
@@ -378,60 +288,17 @@ Result<ServableModel> RestoreModel(const Checkpoint& ckpt) {
     ops::Copy(ckpt.phi1_weights[2 * l], &layers[l].weight().value());
     ops::Copy(ckpt.phi1_weights[2 * l + 1], &layers[l].bias().value());
   }
-  model.terms = ckpt.terms;
   model.meta = ckpt.meta;
-  return model;
-}
-
-Result<ServableModel> RestoreModel(const QuantCheckpoint& ckpt) {
-  SGNN_RETURN_IF_ERROR(ValidateQuantStructure(ckpt));
-  ServableModel model;
-  SGNN_ASSIGN_OR_RETURN(model.filter,
-                        filters::CreateFilter(ckpt.filter_name, ckpt.hops,
-                                              ckpt.hp, ckpt.feature_dim));
-  if (!model.filter->SupportsMiniBatch()) {
-    return Status::InvalidArgument(
-        "RestoreModel: filter " + ckpt.filter_name +
-        " does not support the decoupled scheme; nothing to serve");
-  }
-  auto& params = model.filter->params();
-  if (params.size() != static_cast<size_t>(ckpt.qtheta.size())) {
-    return Status::IOError(
-        "checkpoint theta count " + std::to_string(ckpt.qtheta.size()) +
-        " disagrees with filter parameter count " +
-        std::to_string(params.size()));
-  }
-  if (ckpt.qtheta.size() > 0) {
-    Matrix theta(1, ckpt.qtheta.cols(), Device::kHost);
-    quant::Dequantize(ckpt.qtheta, &theta);
-    std::vector<double> values(static_cast<size_t>(theta.cols()));
-    for (int64_t i = 0; i < theta.cols(); ++i) {
-      values[static_cast<size_t>(i)] = theta.at(0, i);
-    }
-    params.Reset(values);
-  }
-
-  // Same warm-up as the fp restore: initialize bank term slicing and check
-  // the stored term count against the filter structure.
-  const int64_t f = ckpt.qterms[0].cols();
-  sparse::CsrMatrix unit(1, {0, 1}, {0}, {1.0f}, Device::kHost);
-  filters::FilterContext warm_ctx{&unit, Device::kHost};
-  Matrix warm_x(1, f, Device::kHost);
-  std::vector<Matrix> warm_terms;
-  SGNN_RETURN_IF_ERROR(
-      model.filter->Precompute(warm_ctx, warm_x, &warm_terms));
-  if (warm_terms.size() != ckpt.qterms.size()) {
-    return Status::IOError(
-        "checkpoint term count " + std::to_string(ckpt.qterms.size()) +
-        " disagrees with filter structure (expected " +
-        std::to_string(warm_terms.size()) + ")");
+  if (!quantized) {
+    model.terms = ckpt.terms;
+    return model;
   }
 
   // The fused path serves the combine from its probed weights, which is
   // exact only for a linear, channel-diagonal CombineTerms.
   bool diagonal = false;
   SGNN_RETURN_IF_ERROR(quant::ProbeCombineWeights(
-      model.filter.get(), static_cast<int64_t>(ckpt.qterms.size()), f,
+      model.filter.get(), static_cast<int64_t>(ckpt.terms.size()), f,
       &model.combine_w, &diagonal));
   if (!diagonal) {
     return Status::FailedPrecondition(
@@ -439,16 +306,16 @@ Result<ServableModel> RestoreModel(const QuantCheckpoint& ckpt) {
         " combines its terms non-linearly or across channels; the quantized "
         "path cannot serve it");
   }
-  for (size_t l = 0; l < ckpt.qweights.size(); ++l) {
-    quant::QuantizedMatrix w = ckpt.qweights[l];
-    w.MoveToDevice(Device::kAccel);
-    model.qphi1.AddLayer(std::move(w), ckpt.biases[l].CloneTo(Device::kAccel));
+  SGNN_ASSIGN_OR_RETURN(model.qphi1,
+                        quant::QuantizedMlp::FromMlp(model.phi1, precision));
+  model.phi1 = nn::Mlp();
+  for (const Matrix& t : ckpt.terms) {
+    SGNN_ASSIGN_OR_RETURN(quant::QuantizedMatrix qt,
+                          quant::Quantize(t, precision, calib));
+    model.qterms.push_back(std::move(qt));
   }
-
-  model.qterms = ckpt.qterms;
   model.quantized = true;
-  model.precision = ckpt.precision;
-  model.meta = ckpt.meta;
+  model.precision = precision;
   return model;
 }
 

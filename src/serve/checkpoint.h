@@ -6,9 +6,9 @@
 // restore), the learned θ/γ coefficients, the trained φ1 weights, and the
 // MB-precomputed per-hop terms. The graph itself is NOT required to serve:
 // Precompute ran once at export, and a query is a row gather + CombineTerms
-// + φ1 forward (paper Section 2.2). A quantized model is built from this
-// image in memory (QuantizeCheckpoint, then RestoreModel); only the fp32
-// image is ever written to disk.
+// + φ1 forward (paper Section 2.2). RestoreModel builds the servable model
+// from this image at fp32, fp16 or int8; only the fp32 image is ever
+// written to disk.
 //
 // Wire format: the tensor/serialize.h file frame (magic "SGNNCKPT", version
 // 1, flags 0) around the payload tabled in docs/SERVING.md. All multi-byte
@@ -96,53 +96,12 @@ struct Checkpoint {
 /// consistency, and the filter hyperparameters (via CreateFilter).
 [[nodiscard]] Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
-/// In-memory image of a quantized model: the same filter spec and
-/// provenance as Checkpoint, with θ, φ1 weights, and MB terms stored as
-/// quantized payloads. Biases stay fp32 (O(out_dim) bytes; their error
-/// lands directly on the logits). Built by QuantizeCheckpoint from a
-/// validated fp image and consumed by RestoreModel; it has no file format.
-struct QuantCheckpoint {
-  std::string filter_name;
-  int hops = 10;
-  filters::FilterHyperParams hp;
-  int64_t feature_dim = 0;
-
-  quant::Precision precision = quant::Precision::kInt8;
-
-  /// Learned θ/γ as a (1 x K) quantized row. Per-channel absmax over a
-  /// single row stores each θ exactly (q = ±127, scale = |θ|/127), so int8
-  /// θ restores to fp32 precision.
-  quant::QuantizedMatrix qtheta;
-
-  int phi1_layers = 0;
-  int64_t phi1_in = 0;
-  int64_t phi1_hidden = 0;
-  int64_t phi1_out = 0;
-  double dropout = 0.0;
-  std::vector<quant::QuantizedMatrix> qweights;  ///< per-layer W (absmax)
-  std::vector<Matrix> biases;                    ///< per-layer b, fp32
-
-  /// MB terms quantized per-channel under the calibration QuantizeCheckpoint
-  /// was given (owned scales).
-  std::vector<quant::QuantizedMatrix> qterms;
-
-  CheckpointMeta meta;
-};
-
-/// Post-training quantization of a validated fp checkpoint. Terms are
-/// calibrated under `calib` (the held-out query sample); weights and θ
-/// always use exact absmax. InvalidArgument for kFp32 or a structurally
-/// inconsistent `ckpt`.
-[[nodiscard]] Result<QuantCheckpoint> QuantizeCheckpoint(
-    const Checkpoint& ckpt, quant::Precision precision,
-    const quant::CalibConfig& calib);
-
 /// A restored model ready to serve: validated filter with θ restored (and
-/// bank term-slicing initialized) plus, for an fp32 image, φ1 with weights
-/// on the accelerator and the host-resident term matrices. A quantized
-/// image fills the quantized fields instead: the quantized terms and φ1
-/// and the probed combine weights that the fused int8/fp16 path serves
-/// from (docs/QUANTIZATION.md).
+/// bank term-slicing initialized) plus, at fp32, φ1 with weights on the
+/// accelerator and the host-resident term matrices. A quantized restore
+/// fills the quantized fields instead: the quantized terms and φ1 and the
+/// probed combine weights that the fused int8/fp16 path serves from
+/// (docs/QUANTIZATION.md).
 struct ServableModel {
   std::unique_ptr<filters::SpectralFilter> filter;
   nn::Mlp phi1;
@@ -156,18 +115,19 @@ struct ServableModel {
   Matrix combine_w;  ///< (num_terms x F) probed combine weights, host
 };
 
-/// Materializes a ServableModel from a checkpoint image. Runs the full
-/// CreateFilter validation, checks θ and term counts against the restored
-/// filter's structure, and verifies every weight shape. `ckpt.terms` are
-/// copied so the image stays reusable.
-[[nodiscard]] Result<ServableModel> RestoreModel(const Checkpoint& ckpt);
-
-/// Quantized counterpart: same validation path, then probes the filter's
-/// combine weights (quant::ProbeCombineWeights) and materializes the
-/// quantized φ1. FailedPrecondition naming the filter when the probe finds
-/// its CombineTerms not linear and channel-diagonal, since the fused path
-/// could not reproduce it.
-[[nodiscard]] Result<ServableModel> RestoreModel(const QuantCheckpoint& ckpt);
+/// Materializes a ServableModel from a checkpoint image at `precision`.
+/// Every precision runs the same checks first: structure, the full
+/// CreateFilter validation, and θ and term counts against the filter.
+/// fp32 copies `ckpt.terms`, so the image stays reusable. int8 and fp16
+/// round-trip θ through the precision, quantize φ1 (QuantizedMlp::FromMlp)
+/// and the terms (per channel under `calib`, the held-out query sample),
+/// and probe the combine weights: FailedPrecondition naming the filter
+/// when its CombineTerms is not linear and channel-diagonal, since the
+/// fused path could not reproduce it.
+[[nodiscard]] Result<ServableModel> RestoreModel(
+    const Checkpoint& ckpt,
+    quant::Precision precision = quant::Precision::kFp32,
+    const quant::CalibConfig& calib = {});
 
 }  // namespace sgnn::serve
 

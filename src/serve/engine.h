@@ -134,8 +134,6 @@ struct OverloadStats {
   uint64_t shed_total() const { return shed_queue_full + shed_deadline; }
   /// Fraction of admission-checked queries shed (any cause; 0 when idle).
   double ShedRate() const;
-  /// Queries that produced in-deadline logits, the numerator of goodput.
-  uint64_t goodput_queries() const { return served_ok - served_late; }
 };
 
 /// Serves node-classification queries against one restored model.

@@ -160,7 +160,7 @@ ReplayStats Replay(const std::vector<Arrival>& schedule,
             if (st.ok()) r = std::move(again);
             return st;
           },
-          runtime::BackoffConfig{}, rng);
+          rng);
       if (final_status.ok()) ++stats.recovered;
       if (!final_status.ok()) r.status = final_status;
     }

@@ -29,9 +29,8 @@
 //
 // Replay() drives a schedule against a submit function (an Engine's) in
 // real time and aggregates goodput/shed-rate/latency, retrying
-// kUnavailable sheds through runtime::RetryWithBackoff (default
-// BackoffConfig) when configured — the well-behaved-client half of the
-// admission-control contract.
+// kUnavailable sheds through runtime::RetryWithBackoff when configured —
+// the well-behaved-client half of the admission-control contract.
 
 #ifndef SGNN_SERVE_LOADGEN_H_
 #define SGNN_SERVE_LOADGEN_H_
@@ -84,7 +83,7 @@ std::vector<Arrival> MakeSchedule(const LoadGenConfig& config,
 
 /// Replay policy: how the driver reacts to kUnavailable sheds.
 struct ReplayConfig {
-  bool retry = false;  ///< re-submit shed queries with the default backoff
+  bool retry = false;  ///< re-submit shed queries through RetryWithBackoff
   /// Called with every query's final outcome (after any retries), in
   /// schedule order — benches hang the admitted-logits-vs-singleton
   /// bit-identity check here.

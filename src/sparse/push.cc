@@ -75,13 +75,6 @@ PushStats ApproxPprPush(const CsrMatrix& norm, const PushConfig& config,
       }
     }
     if (frontier.empty()) break;
-    if (config.max_pushes > 0) {
-      const int64_t remaining = config.max_pushes - stats.pushes;
-      if (remaining <= 0) break;
-      if (static_cast<int64_t>(frontier.size()) > remaining) {
-        frontier.resize(static_cast<size_t>(remaining));
-      }
-    }
     const int64_t fs = static_cast<int64_t>(frontier.size());
     stats.pushes += fs;
 

@@ -41,8 +41,6 @@ struct PushConfig {
   /// Residual threshold: node u pushes while |r[u]| > epsilon * (deg(u)+1).
   /// Smaller = more accurate and slower; 0 reproduces the exact limit.
   double epsilon = 1e-4;
-  /// Hard cap on total pushes (safety valve; 0 = unlimited).
-  int64_t max_pushes = 0;
 };
 
 /// Statistics of one push run.

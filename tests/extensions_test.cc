@@ -159,18 +159,6 @@ TEST(Push, SparseSeedTouchesFewEdges) {
   EXPECT_GT(out[17], 0.1f);  // most mass stays at the seed
 }
 
-TEST(Push, MaxPushesCapRespected) {
-  graph::Graph g = TestGraph(0.8, 400);
-  auto norm = NormOf(g);
-  std::vector<float> x(static_cast<size_t>(g.n), 1.0f);
-  sparse::PushConfig cfg;
-  cfg.epsilon = 1e-9;
-  cfg.max_pushes = 10;
-  std::vector<float> out;
-  const auto stats = sparse::ApproxPprPush(norm, cfg, x, &out);
-  EXPECT_LE(stats.pushes, 10);
-}
-
 TEST(Push, MatrixVersionMatchesColumns) {
   graph::Graph g = TestGraph(0.8, 300);
   auto norm = NormOf(g);

@@ -63,7 +63,6 @@ LinkPredConfig FastLinkPredConfig() {
   c.base.batch_size = 512;
   c.base.seed = 7;
   c.neg_ratio = 2;
-  c.test_frac = 0.2;
   return c;
 }
 

@@ -1,6 +1,6 @@
 // Tests for the quantized inference path: codec round-trip error bounds
 // (per channel), exhaustive fp16 bit round-trip, calibration determinism
-// under a fixed seed, fp drift of in-memory quantized images under both
+// under a fixed seed, fp drift of quantized restores under both
 // calibration policies, quantized serving bit-stability (sync and async)
 // at 1 and hw kernel threads, the engine's cache bytes for quantized
 // bundles, the combine-weight probe's verdict on non-diagonal combines,
@@ -100,7 +100,6 @@ TEST(Int8Codec, PercentileClipsOutlierNotChannel) {
   CalibConfig absmax;
   CalibConfig pct;
   pct.policy = CalibPolicy::kPercentile;
-  pct.percentile = 99.0;
   const auto s_abs = CalibrateScales(m, absmax);
   const auto s_pct = CalibrateScales(m, pct);
   EXPECT_GT(s_abs[0], 5.0f);   // ~1000/127
@@ -123,7 +122,6 @@ TEST(Calibration, SampledScalesAreDeterministicUnderFixedSeed) {
   const Matrix m = RandomMatrix(512, 8, 11);
   CalibConfig calib;
   calib.policy = CalibPolicy::kPercentile;
-  calib.percentile = 99.5;
   calib.sample_rows = 128;
   calib.seed = 0xBEEF;
   const auto a = CalibrateScales(m, calib);
@@ -190,17 +188,7 @@ serve::Checkpoint TrainCheckpoint(const std::string& filter_name) {
   return ckpt_or.MoveValue();
 }
 
-// --- typed precision rejection -----------------------------------------------
-
-TEST(PrecisionRejection, QuantizeCheckpointRejectsFp32Target) {
-  const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
-  const auto q =
-      serve::QuantizeCheckpoint(ckpt, Precision::kFp32, CalibConfig{});
-  ASSERT_FALSE(q.ok());
-  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
-}
-
-// --- quantized image drift ---------------------------------------------------
+// --- quantized restore drift -------------------------------------------------
 
 /// The term calibrations each drift check runs under: the default absmax and
 /// percentile over a held-out half of the rows. fp16 ignores both.
@@ -224,20 +212,19 @@ TEST_P(QuantRoundTrip, LogitsTrackFpServingWithinTolerance) {
   ASSERT_TRUE(fp_engine.ServeBatch(nodes, &fp_logits).ok());
 
   for (const CalibConfig& calib : Calibrations(ckpt.meta.n)) {
-    SCOPED_TRACE(CalibPolicyName(calib.policy));
-    auto q_or = serve::QuantizeCheckpoint(ckpt, GetParam(), calib);
-    ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
+    SCOPED_TRACE(calib.policy == CalibPolicy::kAbsMax ? "absmax"
+                                                      : "percentile");
+    auto q_model = serve::RestoreModel(ckpt, GetParam(), calib);
+    ASSERT_TRUE(q_model.ok()) << q_model.status().ToString();
     // The terms carry the scales of the requested calibration.
-    ASSERT_EQ(q_or.value().qterms.size(), ckpt.terms.size());
+    const auto& qterms = q_model.value().qterms;
+    ASSERT_EQ(qterms.size(), ckpt.terms.size());
     if (GetParam() == Precision::kInt8) {
       for (size_t t = 0; t < ckpt.terms.size(); ++t) {
-        EXPECT_EQ(q_or.value().qterms[t].scales(),
-                  CalibrateScales(ckpt.terms[t], calib))
+        EXPECT_EQ(qterms[t].scales(), CalibrateScales(ckpt.terms[t], calib))
             << "term " << t;
       }
     }
-    auto q_model = serve::RestoreModel(q_or.value());
-    ASSERT_TRUE(q_model.ok()) << q_model.status().ToString();
     serve::Engine q_engine(q_model.MoveValue(), {});
     Matrix q_logits;
     ASSERT_TRUE(q_engine.ServeBatch(nodes, &q_logits).ok());
@@ -266,8 +253,6 @@ INSTANTIATE_TEST_SUITE_P(Precisions, QuantRoundTrip,
 
 TEST(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
   const serve::Checkpoint ckpt = TrainCheckpoint("gnn_lf_hf");
-  auto q_or = serve::QuantizeCheckpoint(ckpt, Precision::kInt8, CalibConfig{});
-  ASSERT_TRUE(q_or.ok()) << q_or.status().ToString();
   std::vector<int64_t> nodes;
   for (int64_t i = 0; i < ckpt.meta.n; i += 5) nodes.push_back(i);
 
@@ -277,7 +262,7 @@ TEST(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
   Matrix reference;
   for (size_t ci = 0; ci < counts.size(); ++ci) {
     parallel::SetNumThreads(counts[ci]);
-    auto model_or = serve::RestoreModel(q_or.value());
+    auto model_or = serve::RestoreModel(ckpt, Precision::kInt8);
     ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
     serve::Engine engine(model_or.MoveValue(), {});
     Matrix batched;
@@ -321,10 +306,8 @@ TEST(QuantDeterminism, BatchedEqualsSingletonAcrossThreadCounts) {
 
 TEST(MixedPrecisionCache, EngineUsageReportsQuantSplit) {
   const serve::Checkpoint ckpt = TrainCheckpoint("ppr");
-  auto q_or = serve::QuantizeCheckpoint(ckpt, Precision::kInt8, CalibConfig{});
-  ASSERT_TRUE(q_or.ok());
-  auto model_or = serve::RestoreModel(q_or.value());
-  ASSERT_TRUE(model_or.ok());
+  auto model_or = serve::RestoreModel(ckpt, Precision::kInt8);
+  ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
   serve::EngineConfig cfg;
   cfg.cache.accel_budget_bytes = 1 << 20;
   cfg.cache.host_budget_bytes = 1 << 20;

@@ -553,14 +553,8 @@ TEST(Journal, ShedStatusRoundTrips) {
 
 // --- RetryWithBackoff --------------------------------------------------------
 
-/// Zero-delay backoff so retry-logic tests never actually sleep.
-BackoffConfig InstantBackoff(int max_attempts) {
-  BackoffConfig config;
-  config.max_attempts = max_attempts;
-  config.initial_delay_ms = 0.0;
-  config.max_delay_ms = 0.0;
-  return config;
-}
+/// Sum of the fixed schedule's four sleeps without jitter: 0.5 + 1 + 2 + 4.
+constexpr double kNominalSleepMs = 7.5;
 
 TEST(RetryWithBackoff, RetriesUnavailableUntilSuccess) {
   Rng rng(1);
@@ -571,7 +565,7 @@ TEST(RetryWithBackoff, RetriesUnavailableUntilSuccess) {
         ++calls;
         return calls < 3 ? Status::Unavailable("overloaded") : Status::OK();
       },
-      InstantBackoff(5), &rng, &stats);
+      &rng, &stats);
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(stats.attempts, 3);
@@ -584,14 +578,16 @@ TEST(RetryWithBackoff, OnlyUnavailableIsRetryable) {
         Status::IOError("disk"), Status::Internal("bug")}) {
     Rng rng(1);
     int calls = 0;
+    RetryStats stats;
     const Status s = RetryWithBackoff(
         [&]() {
           ++calls;
           return terminal;
         },
-        InstantBackoff(5), &rng);
+        &rng, &stats);
     EXPECT_EQ(s.code(), terminal.code());
     EXPECT_EQ(calls, 1) << terminal.ToString();
+    EXPECT_EQ(stats.slept_ms, 0.0) << terminal.ToString();
   }
 }
 
@@ -604,62 +600,35 @@ TEST(RetryWithBackoff, ExhaustedAttemptsReturnLastUnavailable) {
         ++calls;
         return Status::Unavailable("still overloaded");
       },
-      InstantBackoff(3), &rng, &stats);
+      &rng, &stats);
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.attempts, 3);
-}
-
-TEST(RetryWithBackoff, HonorsOverallDeadline) {
-  // The first retry delay (50ms) would overrun the 1ms budget, so the
-  // helper gives up after one attempt instead of sleeping past it.
-  BackoffConfig config;
-  config.max_attempts = 10;
-  config.initial_delay_ms = 50.0;
-  config.max_delay_ms = 50.0;
-  config.jitter = 0.0;
-  config.deadline_ms = 1.0;
-  Rng rng(1);
-  int calls = 0;
-  RetryStats stats;
-  const Status s = RetryWithBackoff(
-      [&]() {
-        ++calls;
-        return Status::Unavailable("overloaded");
-      },
-      config, &rng, &stats);
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(stats.slept_ms, 0.0);
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(stats.attempts, 5);
+  // Four jittered sleeps, each within ±25% of its nominal delay.
+  EXPECT_GE(stats.slept_ms, 0.75 * kNominalSleepMs);
+  EXPECT_LE(stats.slept_ms, 1.25 * kNominalSleepMs);
 }
 
 TEST(BackoffDelay, GrowsGeometricallyAndCaps) {
-  BackoffConfig config;
-  config.initial_delay_ms = 1.0;
-  config.multiplier = 2.0;
-  config.max_delay_ms = 8.0;
-  config.jitter = 0.0;
-  EXPECT_DOUBLE_EQ(BackoffDelayMs(config, 1, nullptr), 1.0);
-  EXPECT_DOUBLE_EQ(BackoffDelayMs(config, 2, nullptr), 2.0);
-  EXPECT_DOUBLE_EQ(BackoffDelayMs(config, 3, nullptr), 4.0);
-  EXPECT_DOUBLE_EQ(BackoffDelayMs(config, 4, nullptr), 8.0);
-  EXPECT_DOUBLE_EQ(BackoffDelayMs(config, 9, nullptr), 8.0);  // capped
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(1, nullptr), 0.5);
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(2, nullptr), 1.0);
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(3, nullptr), 2.0);
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(4, nullptr), 4.0);
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(7, nullptr), 32.0);
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(8, nullptr), 50.0);  // capped
+  EXPECT_DOUBLE_EQ(BackoffDelayMs(20, nullptr), 50.0);
 }
 
 TEST(BackoffDelay, JitterIsSeedDeterministicAndBounded) {
-  BackoffConfig config;
-  config.initial_delay_ms = 10.0;
-  config.multiplier = 1.0;
-  config.max_delay_ms = 10.0;
-  config.jitter = 0.25;
   Rng a(7);
   Rng b(7);
   for (int retry = 1; retry <= 16; ++retry) {
-    const double da = BackoffDelayMs(config, retry, &a);
-    const double db = BackoffDelayMs(config, retry, &b);
+    const double nominal = BackoffDelayMs(retry, nullptr);
+    const double da = BackoffDelayMs(retry, &a);
+    const double db = BackoffDelayMs(retry, &b);
     EXPECT_DOUBLE_EQ(da, db);  // same seed, same jitter sequence
-    EXPECT_GE(da, 10.0 * 0.75);
-    EXPECT_LE(da, 10.0 * 1.25);
+    EXPECT_GE(da, nominal * 0.75);
+    EXPECT_LE(da, nominal * 1.25);
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the serving subsystem: checkpoint round-trips across filter
-// families, typed rejection of corrupt/old/hand-edited files, batched-vs-
+// families, typed rejection of corrupt/old/hand-edited files and of
+// inconsistent in-memory images at every precision, batched-vs-
 // singleton bit-identity at 1 and hw kernel threads, tiered-cache LRU and
 // byte accounting against the DeviceTracker, and the no-grad φ1 inference
 // forward's memory contract.
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -154,6 +156,18 @@ class CheckpointRejection : public testing::Test {
   std::string path_;
 };
 
+/// Restores `image` at fp32, int8 and fp16: each must fail with `code`.
+void ExpectRejectedAtEveryPrecision(const Checkpoint& image, StatusCode code) {
+  for (const quant::Precision p :
+       {quant::Precision::kFp32, quant::Precision::kInt8,
+        quant::Precision::kFp16}) {
+    const auto m = RestoreModel(image, p);
+    ASSERT_FALSE(m.ok()) << quant::PrecisionName(p);
+    EXPECT_EQ(m.status().code(), code)
+        << quant::PrecisionName(p) << ": " << m.status().ToString();
+  }
+}
+
 TEST_F(CheckpointRejection, TruncatedFileIsIOError) {
   const std::string bytes = ReadAll();
   WriteAll(bytes.substr(0, bytes.size() / 2));
@@ -247,17 +261,19 @@ TEST_F(CheckpointRejection, HandEditedAlphaZeroIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
       << r.status().ToString();
   // RestoreModel from an in-memory hand-edited image hits the same wall.
-  const auto m = RestoreModel(bad);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  ExpectRejectedAtEveryPrecision(bad, StatusCode::kInvalidArgument);
 }
 
 TEST_F(CheckpointRejection, ThetaCountMismatchRejected) {
   Checkpoint bad = ckpt_;
   bad.theta.push_back(0.25);  // ppr is fixed: must stay empty
-  const auto m = RestoreModel(bad);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kIOError) << m.status().ToString();
+  ExpectRejectedAtEveryPrecision(bad, StatusCode::kIOError);
+}
+
+TEST_F(CheckpointRejection, TermRowCountMismatchRejected) {
+  Checkpoint bad = ckpt_;
+  ++bad.meta.n;  // every term now has one row fewer than the meta claims
+  ExpectRejectedAtEveryPrecision(bad, StatusCode::kIOError);
 }
 
 // --- engine determinism ------------------------------------------------------
@@ -368,9 +384,10 @@ TEST(TieredCache, LruDemotionEvictionAndCounters) {
   CacheConfig cfg;
   cfg.accel_budget_bytes = 256;
   cfg.host_budget_bytes = 128;
-  TieredCache cache(cfg);
   const size_t accel_before = DeviceTracker::Global().live_bytes(
       Device::kAccel);
+  auto cache_owner = std::make_unique<TieredCache>(cfg);
+  TieredCache& cache = *cache_owner;
 
   EXPECT_EQ(cache.Get(1), nullptr);  // miss on empty
   cache.Put(1, MakeBundle(4, 8, 1.0f));
@@ -412,8 +429,8 @@ TEST(TieredCache, LruDemotionEvictionAndCounters) {
             accel_before + cache.accel_bytes());
 
   EXPECT_GT(cache.stats().HitRate(), 0.0);
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
+  // Destroying the cache frees every bundle it still holds.
+  cache_owner.reset();
   EXPECT_EQ(DeviceTracker::Global().live_bytes(Device::kAccel), accel_before);
 }
 

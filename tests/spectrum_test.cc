@@ -39,8 +39,6 @@ TEST(KpmDensity, MatchesExactHistogram) {
   auto norm = sparse::NormalizeAdjacency(g.adj, 0.5);
   KpmConfig cfg;
   cfg.bins = 8;
-  cfg.moments = 64;
-  cfg.probes = 16;
   const auto density = KpmSpectralDensity(norm, cfg);
   // Exact histogram from the dense spectrum.
   Matrix lap = DenseLaplacian(norm);
@@ -88,7 +86,7 @@ TEST(BandEnergy, EigenvectorConcentratesInItsBand) {
   if (pick < 0) GTEST_SKIP() << "no eigenvalue near 0.75 in this graph";
   Matrix vec(g.n, 1, Device::kHost);
   for (int64_t r = 0; r < g.n; ++r) vec.at(r, 0) = eig.vectors.at(r, pick);
-  const auto bands = SignalBandEnergy(norm, vec, 4, 64);
+  const auto bands = SignalBandEnergy(norm, vec, 4);
   EXPECT_GT(bands[1], 0.6);
 }
 

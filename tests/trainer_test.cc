@@ -142,19 +142,6 @@ TEST(FullBatch, NanDivergenceAborts) {
   EXPECT_FALSE(r.oom);
 }
 
-TEST(FullBatch, DivergenceCheckCanBeDisabled) {
-  graph::Graph g = EasyGraph();
-  graph::Splits s = graph::RandomSplits(g.n, 1);
-  auto f = filters::CreateFilter("ppr", 4).MoveValue();
-  TrainConfig c = FastConfig();
-  c.epochs = 10;
-  c.weights_opt.lr = 1e18;
-  c.filter_opt.lr = 1e18;
-  c.divergence_check = false;
-  TrainResult r = TrainFullBatch(g, s, graph::Metric::kAccuracy, f.get(), c);
-  EXPECT_FALSE(r.diverged);
-}
-
 /// A short run of one of the eight training schemes, with `filter` where
 /// the scheme takes one.
 TrainResult RunScheme(const std::string& scheme, const graph::Graph& g,
