@@ -32,7 +32,7 @@ int main() {
   // Exact PPR reference: a deep truncation (K = 40, tail mass < 1e-4) so
   // the error column isolates push error instead of truncation mismatch.
   filters::FilterHyperParams hp;
-  auto exact_or = bench::MakeFilter("ppr", 40, g.features.cols(), hp);
+  auto exact_or = filters::CreateFilter("ppr", 40, hp, g.features.cols());
   if (!exact_or.ok()) {
     std::printf("cannot build exact PPR reference: %s\n",
                 exact_or.status().ToString().c_str());

@@ -48,8 +48,8 @@ int main() {
       {
         const auto r = sup.Run({ds, name, "gp", 1}, [&] {
           models::TrainResult tr;
-          auto f = bench::MakeFilter(name, bench::UniversalHops(),
-                                     g.features.cols());
+          auto f = filters::CreateFilter(name, bench::UniversalHops(), {},
+                                         g.features.cols());
           if (!f.ok()) {
             tr.status = f.status();
             return tr;

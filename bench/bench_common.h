@@ -74,16 +74,6 @@ inline models::TrainConfig UniversalConfig(bool mini_batch) {
 /// Paper's universal hop count.
 inline int UniversalHops() { return 10; }
 
-/// Creates a filter for a dataset (passes the attribute dimension through
-/// for AdaGNN). Unknown names and bad hyperparameters come back as a non-OK
-/// Result for the caller — typically the supervised runner, which records
-/// the cell as SKIPPED — instead of aborting the whole binary.
-inline Result<std::unique_ptr<filters::SpectralFilter>> MakeFilter(
-    const std::string& name, int hops, int64_t feature_dim,
-    filters::FilterHyperParams hp = {}) {
-  return filters::CreateFilter(name, hops, hp, feature_dim);
-}
-
 /// Probes whether filter `name` constructs and supports the mini-batch
 /// scheme. Construction failures are journaled through the supervisor as a
 /// terminal SKIPPED cell under `key` (earlier versions dropped the Result's
@@ -93,7 +83,7 @@ inline Result<std::unique_ptr<filters::SpectralFilter>> MakeFilter(
 inline bool ProbeMiniBatch(runtime::Supervisor* sup,
                            const runtime::CellKey& key,
                            const std::string& name) {
-  auto probe = MakeFilter(name, 2, 8);
+  auto probe = filters::CreateFilter(name, 2, {}, 8);
   if (probe.ok()) return probe.value()->SupportsMiniBatch();
   if (sup->Find(key) == nullptr) {
     sup->Skip(key, runtime::CellStatus::kSkipped, probe.status().ToString());

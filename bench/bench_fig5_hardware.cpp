@@ -60,8 +60,8 @@ int main() {
         {"penn94_sim", name, "fb", 1},
         [&] {
           models::TrainResult tr;
-          auto filter_or = bench::MakeFilter(name, bench::UniversalHops(),
-                                             g.features.cols());
+          auto filter_or = filters::CreateFilter(
+              name, bench::UniversalHops(), {}, g.features.cols());
           if (!filter_or.ok()) {
             tr.status = filter_or.status();
             return tr;
@@ -130,7 +130,8 @@ int main() {
     Matrix spmm_out(g.n, g.features.cols(), Device::kHost);
     Matrix gemm_out(g.n, 64, Device::kHost);
     auto filter_or =
-        bench::MakeFilter("linear", bench::UniversalHops(), g.features.cols());
+        filters::CreateFilter("linear", bench::UniversalHops(), {},
+                              g.features.cols());
 
     eval::Table sweep({"Threads", "SpMM ms", "GEMM ms", "FB epoch ms",
                        "Epoch speedup"});

@@ -38,8 +38,8 @@ int main() {
     const auto rec = sup.Run(
         {"ppa_sim", name, "mb", 1, "linkpred"},
         [&] {
-          auto filter_or = bench::MakeFilter(name, bench::UniversalHops(),
-                                             g.features.cols());
+          auto filter_or = filters::CreateFilter(
+              name, bench::UniversalHops(), {}, g.features.cols());
           if (!filter_or.ok()) {
             models::TrainResult tr;
             tr.status = filter_or.status();

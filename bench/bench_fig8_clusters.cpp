@@ -31,8 +31,8 @@ int main() {
           {ds, name, "fb", 1, "clusters"},
           [&] {
             models::TrainResult tr;
-            auto filter_or = bench::MakeFilter(name, bench::UniversalHops(),
-                                               g.features.cols());
+            auto filter_or = filters::CreateFilter(
+                name, bench::UniversalHops(), {}, g.features.cols());
             if (!filter_or.ok()) {
               tr.status = filter_or.status();
               return tr;

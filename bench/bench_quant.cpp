@@ -233,8 +233,8 @@ int main() {
     cfg.epochs = bench::FullMode() ? 35 : 10;
     cfg.export_model = true;
     auto filter_or =
-        bench::MakeFilter(filter_name, bench::UniversalHops(),
-                          g.features.cols());
+        filters::CreateFilter(filter_name, bench::UniversalHops(), {},
+                              g.features.cols());
     if (!filter_or.ok()) {
       std::fprintf(stderr, "%s\n", filter_or.status().ToString().c_str());
       return 1;

@@ -49,7 +49,7 @@ int main() {
       runtime::CellKey key{"sbm_regression", name, "fb", 1, signal.name};
       const auto rec = sup.Run(key, [&] {
         models::TrainResult tr;
-        auto filter_or = bench::MakeFilter(name, bench::UniversalHops(), 4);
+        auto filter_or = filters::CreateFilter(name, bench::UniversalHops(), {}, 4);
         if (!filter_or.ok()) {
           tr.status = filter_or.status();
           return tr;

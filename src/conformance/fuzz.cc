@@ -179,7 +179,8 @@ TrialResult CheckCaseAgainstOracle(const FuzzCase& c,
   return {fails.empty(), fails};
 }
 
-FuzzCase ShrinkCase(FuzzCase c, const CaseCheck& check, int budget) {
+FuzzCase ShrinkCase(FuzzCase c, const CaseCheck& check) {
+  int budget = 256;  // check invocations
   auto fails = [&check, &budget](const FuzzCase& t) {
     if (budget <= 0) return false;
     --budget;
@@ -265,8 +266,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, runtime::Supervisor* supervisor,
       f.seed = seed;
       f.family = c.family;
       f.detail = result.detail;
-      f.minimal =
-          options.shrink ? ShrinkCase(c, property, options.shrink_budget) : c;
+      f.minimal = ShrinkCase(c, property);
       ++report.failures;
       report.failing.push_back(std::move(f));
     }

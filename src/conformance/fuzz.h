@@ -69,9 +69,6 @@ struct FuzzOptions {
   int trials = 50;
   /// Filter subset to check per trial; empty = all 27.
   std::vector<std::string> filters;
-  /// Shrink failing cases (bounded delta-debugging budget).
-  bool shrink = true;
-  int shrink_budget = 256;
 };
 
 /// Deterministic seed → case mapping.
@@ -87,14 +84,14 @@ TrialResult CheckCaseAgainstOracle(const FuzzCase& c,
 
 /// Greedily shrinks a failing case: node-range removal, edge-chunk removal,
 /// then hop reduction, keeping any mutation for which `check` still fails.
-/// `budget` bounds total check invocations.
-FuzzCase ShrinkCase(FuzzCase c, const CaseCheck& check, int budget = 256);
+/// Stops after 256 check invocations.
+FuzzCase ShrinkCase(FuzzCase c, const CaseCheck& check);
 
-/// Runs `options.trials` seeded trials. When `supervisor` is non-null each
-/// trial is journaled as a cell (dataset=family, seed=trial seed) and
-/// already-terminal trials are skipped on resume. `check` overrides the
-/// oracle property (used by the shrinker self-test); pass nullptr for the
-/// default.
+/// Runs `options.trials` seeded trials and shrinks every failing case. When
+/// `supervisor` is non-null each trial is journaled as a cell
+/// (dataset=family, seed=trial seed) and already-terminal trials are skipped
+/// on resume. `check` overrides the oracle property (used by the shrinker
+/// self-test); pass nullptr for the default.
 FuzzReport RunFuzz(const FuzzOptions& options, runtime::Supervisor* supervisor,
                    const CaseCheck& check = nullptr);
 

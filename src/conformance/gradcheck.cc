@@ -14,6 +14,9 @@
 namespace sgnn::conformance {
 namespace {
 
+// Base relative FD step (scaled by max(1, |θ|) per coordinate).
+constexpr double kFdStep = 0.0625;
+
 // One perturbable coordinate: get/set through whatever storage (double
 // ScalarParams entry or float Matrix cell) the block lives in. `get` reads
 // the value as actually stored, so the FD denominator uses the represented
@@ -106,8 +109,8 @@ GradBlockReport CheckBlock(const std::string& name, size_t size,
   report.tolerance = opt.tolerance;
   report.detail = std::move(detail);
   for (size_t i : SampleCoords(size, opt.max_coords, opt.seed)) {
-    const double fd = adaptive ? AdaptiveFd(coord_at(i), eval, opt.step)
-                               : RichardsonFd(coord_at(i), eval, opt.step);
+    const double fd = adaptive ? AdaptiveFd(coord_at(i), eval, kFdStep)
+                               : RichardsonFd(coord_at(i), eval, kFdStep);
     const double err = RelErr(fd, analytic_at(i));
     report.max_rel_error = std::max(report.max_rel_error, err);
     ++report.checked;

@@ -38,8 +38,6 @@ namespace sgnn::conformance {
 struct GradCheckOptions {
   int hops = 5;
   double tolerance = 1e-4;
-  /// Base relative FD step (scaled by max(1, |θ|) per coordinate).
-  double step = 0.0625;
   /// Coordinates probed per block; larger blocks are subsampled
   /// deterministically from `seed`.
   size_t max_coords = 48;

@@ -236,7 +236,9 @@ Result<OracleReport> CheckSpectralConformance(const std::string& filter_name,
   report.rel_error =
       report.degenerate_basis ? 0.0 : RelativeFrobenius(y, ref);
 
-  if (options.check_minibatch && filter->SupportsMiniBatch()) {
+  // The mini-batch path (Precompute + CombineTerms) must match the
+  // full-batch Forward for every filter that supports it.
+  if (filter->SupportsMiniBatch()) {
     std::vector<Matrix> terms;
     Status st = filter->Precompute(ctx, x, &terms);
     if (!st.ok()) {

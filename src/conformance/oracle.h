@@ -39,9 +39,6 @@ namespace sgnn::conformance {
 struct OracleOptions {
   int hops = 6;
   filters::FilterHyperParams hp;
-  /// Also check the mini-batch path (Precompute + CombineTerms) against the
-  /// full-batch Forward for filters that support it.
-  bool check_minibatch = true;
 };
 
 /// Outcome of one filter-vs-oracle comparison.

@@ -180,10 +180,6 @@ void Adj(const FilterContext& ctx, const Matrix& x, Matrix* y);
 /// y = L̃ x = x - Ã x.
 void Lap(const FilterContext& ctx, const Matrix& x, Matrix* y);
 
-/// y = (cI + dÃ) x.
-void Affine(const FilterContext& ctx, float c, float d, const Matrix& x,
-            Matrix* y);
-
 }  // namespace propagate
 
 }  // namespace sgnn::filters

@@ -34,13 +34,6 @@ void Lap(const FilterContext& ctx, const Matrix& x, Matrix* y) {
   ops::Axpy(1.0f, x, y);
 }
 
-void Affine(const FilterContext& ctx, float c, float d, const Matrix& x,
-            Matrix* y) {
-  ctx.Propagate(x, y);
-  ops::Scale(d, y);
-  ops::Axpy(c, x, y);
-}
-
 }  // namespace propagate
 
 PolynomialBasisFilter::PolynomialBasisFilter(std::string name, FilterType type,

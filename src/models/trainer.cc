@@ -16,6 +16,36 @@
 
 namespace sgnn::models {
 
+namespace {
+
+// A sharded run's plan and the operator its hops apply (docs/SHARDING.md).
+// The operator points into the plan, so the pair never copies or moves.
+struct Sharding {
+  explicit Sharding(shard::ShardPlan p) : plan(std::move(p)), op(&plan) {}
+  Sharding(const Sharding&) = delete;
+  Sharding& operator=(const Sharding&) = delete;
+
+  shard::ShardPlan plan;
+  shard::ShardedSpmmOperator op;
+};
+
+// Null unless config.num_shards > 1.
+std::unique_ptr<Sharding> MakeSharding(const sparse::CsrMatrix& norm,
+                                       const TrainConfig& config) {
+  if (config.num_shards <= 1) return nullptr;
+  return std::make_unique<Sharding>(shard::BuildShardPlan(
+      norm, shard::PartitionOptions{config.num_shards, config.seed}));
+}
+
+// The shard fields of a finished run's stats; a no-op when unsharded.
+void RecordSharding(const Sharding* sharding, StageStats* stats) {
+  if (sharding == nullptr) return;
+  stats->shards = sharding->plan.num_shards;
+  stats->shard_spills = sharding->op.stats().shard_spills;
+}
+
+}  // namespace
+
 EpochLoop::EpochLoop(const TrainConfig& config, TrainResult* result)
     : config_(config), result_(result) {
   result_->stats.threads = parallel::NumThreads();
@@ -178,22 +208,10 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
   // host-resident and only per-shard propagation working sets visit the
   // accelerator, each under its sub-budget. The Device tag never changes
   // kernel arithmetic, so both forms produce identical bits.
-  const bool is_sharded = config.num_shards > 1;
-  const Device run_device = is_sharded ? Device::kHost : Device::kAccel;
   sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, config.rho);
-  std::unique_ptr<shard::ShardPlan> plan;
-  std::unique_ptr<shard::ShardedSpmmOperator> shard_op;
-  if (is_sharded) {
-    plan = std::make_unique<shard::ShardPlan>(shard::BuildShardPlan(
-        norm, shard::PartitionOptions{config.num_shards, config.seed}));
-    shard::ShardExecOptions shard_opts;
-    shard_opts.compute_device = Device::kAccel;
-    shard_opts.shard_budget_bytes = config.shard_budget_bytes;
-    shard_op = std::make_unique<shard::ShardedSpmmOperator>(plan.get(),
-                                                            shard_opts);
-  } else {
-    norm.MoveToDevice(Device::kAccel);
-  }
+  const std::unique_ptr<Sharding> sharding = MakeSharding(norm, config);
+  const Device run_device = sharding ? Device::kHost : Device::kAccel;
+  if (!sharding) norm.MoveToDevice(Device::kAccel);
   Matrix x = g.features.CloneTo(run_device);
 
   filter->ResetParameters(&rng);
@@ -207,7 +225,7 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
   phi1.Init(&rng);
 
   filters::FilterContext ctx{&norm, run_device};
-  ctx.op = shard_op.get();
+  if (sharding) ctx.op = &sharding->op;
 
   // One eval-mode pass: φ0 -> g(L̃) -> φ1.
   auto forward = [&](Matrix* h0, Matrix* hf, Matrix* logits) {
@@ -267,10 +285,7 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
     }
   };
   loop.Run(bodies);
-  if (is_sharded) {
-    result.stats.shards = config.num_shards;
-    result.stats.shard_spills = shard_op->stats().shard_spills;
-  }
+  RecordSharding(sharding.get(), &result.stats);
   return result;
 }
 
@@ -295,22 +310,13 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
   // accelerator under sub-budgets instead of touching the whole graph at
   // once; terms still land host-resident and bit-identical.
   sparse::CsrMatrix norm;
-  std::unique_ptr<shard::ShardPlan> plan;
-  std::unique_ptr<shard::ShardedSpmmOperator> shard_op;
+  std::unique_ptr<Sharding> sharding;
   std::vector<Matrix> terms;
   loop.RunPrecompute([&] {
     norm = sparse::NormalizeAdjacency(g.adj, config.rho);
+    sharding = MakeSharding(norm, config);
     filters::FilterContext host_ctx{&norm, Device::kHost};
-    if (config.num_shards > 1) {
-      plan = std::make_unique<shard::ShardPlan>(shard::BuildShardPlan(
-          norm, shard::PartitionOptions{config.num_shards, config.seed}));
-      shard::ShardExecOptions shard_opts;
-      shard_opts.compute_device = Device::kAccel;
-      shard_opts.shard_budget_bytes = config.shard_budget_bytes;
-      shard_op = std::make_unique<shard::ShardedSpmmOperator>(plan.get(),
-                                                              shard_opts);
-      host_ctx.op = shard_op.get();
-    }
+    if (sharding) host_ctx.op = &sharding->op;
     return filter->Precompute(host_ctx, g.features, &terms);
   });
   if (!result.status.ok()) return result;
@@ -423,10 +429,7 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
     }
   };
   loop.Run(bodies);
-  if (config.num_shards > 1) {
-    result.stats.shards = config.num_shards;
-    result.stats.shard_spills = shard_op->stats().shard_spills;
-  }
+  RecordSharding(sharding.get(), &result.stats);
   return result;
 }
 

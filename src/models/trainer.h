@@ -58,15 +58,13 @@ struct TrainConfig {
   /// Sharded propagation (docs/SHARDING.md): when > 1, the propagation
   /// matrix is split into this many edge-cut shards and every hop runs
   /// shard-by-shard through a shard::ShardedSpmmOperator under per-shard
-  /// accelerator sub-budgets. FB keeps graph and representations
-  /// host-resident and streams only shard working sets through the
-  /// accelerator; MB precompute streams shard hops the same way. Results
-  /// are bit-identical to unsharded at any shard count and thread count.
+  /// accelerator sub-budgets of accel capacity / num_shards. FB keeps graph
+  /// and representations host-resident and streams only shard working sets
+  /// through the accelerator; MB precompute streams shard hops the same
+  /// way. A shard over its sub-budget spills host-side instead of failing
+  /// (StageStats::shard_spills). Results are bit-identical to unsharded at
+  /// any shard count and thread count.
   int num_shards = 0;
-  /// Per-shard accelerator budget in bytes (0 = accel capacity /
-  /// num_shards). A shard whose working set exceeds it spills host-side
-  /// instead of failing; spills are counted in StageStats::shard_spills.
-  size_t shard_budget_bytes = 0;
 };
 
 /// Per-stage efficiency measurements (paper Tables 9/11, Figure 2).
@@ -85,7 +83,7 @@ struct StageStats {
   /// Shard count propagation ran with (0 = unsharded).
   int shards = 0;
   /// Shard-hops whose working set exceeded the per-shard accelerator
-  /// sub-budget and ran host-side (journaled as SHARD_SPILL cells).
+  /// sub-budget and ran host-side (journaled in the cell's record).
   int64_t shard_spills = 0;
 };
 

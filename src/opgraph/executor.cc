@@ -89,15 +89,6 @@ Status Execute(const Graph& graph, const Plan& plan) {
         ops::Axpy(n.alpha, storage.Src(n.in0), out);
         break;
       }
-      case OpKind::kGemm:
-        ops::Gemm(storage.Src(n.in0), storage.Src(n.in1), out);
-        break;
-      case OpKind::kElementwise: {
-        const Matrix& x = storage.Src(n.in0);
-        if (&x != out) ops::Copy(x, out);
-        ops::ReluInPlace(out);
-        break;
-      }
       case OpKind::kFusedSpmmAffine:
         // Bit-identical to the unfused chain, minus its scratch values.
         n.spmm->ApplyAffine(storage.Src(n.in0), n.ca, storage.SrcOrNull(n.in1),

@@ -87,26 +87,6 @@ ValueId Graph::Axpy(float alpha, ValueId x, ValueId y) {
   return AddNode(n, yi.rows, yi.cols);
 }
 
-ValueId Graph::Gemm(ValueId a, ValueId b) {
-  const ValueInfo& ai = At(a);
-  const ValueInfo& bi = At(b);
-  SGNN_CHECK(ai.cols == bi.rows, "opgraph: gemm inner dimension mismatch");
-  Node n;
-  n.kind = OpKind::kGemm;
-  n.in0 = a;
-  n.in1 = b;
-  return AddNode(n, ai.rows, bi.cols);
-}
-
-ValueId Graph::Elementwise(EwKind kind, ValueId x) {
-  const ValueInfo& xi = At(x);
-  Node n;
-  n.kind = OpKind::kElementwise;
-  n.ew = kind;
-  n.in0 = x;
-  return AddNode(n, xi.rows, xi.cols);
-}
-
 void Graph::MarkOutput(ValueId v, Matrix* dest) {
   SGNN_CHECK(dest != nullptr, "opgraph: null output destination");
   SGNN_CHECK(v >= 0 && v < num_values(), "opgraph: value id out of range");

@@ -66,18 +66,12 @@ enum class OpKind : uint8_t {
   kSpmm,             ///< out = A·in0
   kScale,            ///< out = alpha·in0
   kAxpy,             ///< out = alpha·in0 + in1 (in1 is the accumulate side)
-  kGemm,             ///< out = in0·in1 (dense)
-  kElementwise,      ///< out = ew(in0)
   kFusedSpmmAffine,  ///< out = ca·(A·in0) + ci·in1 + cp·in2
 };
-
-/// Elementwise flavor for kElementwise.
-enum class EwKind : uint8_t { kRelu };
 
 /// One recorded operation. At most three inputs; exactly one output value.
 struct Node {
   OpKind kind = OpKind::kZero;
-  EwKind ew = EwKind::kRelu;
   float alpha = 0.0f;  ///< kScale / kAxpy coefficient
   /// kFusedSpmmAffine coefficients: out = ca·(A·in0) + ci·in1 + cp·in2,
   /// one SpmmOperator::ApplyAffine call. The CSR operator applies the tail
@@ -135,12 +129,6 @@ class Graph {
   /// out = alpha·x + y. `y` is the accumulate side (the in-place target),
   /// which the planner may alias when y dies here.
   ValueId Axpy(float alpha, ValueId x, ValueId y);
-
-  /// out = a·b (dense GEMM).
-  ValueId Gemm(ValueId a, ValueId b);
-
-  /// out = ew(x).
-  ValueId Elementwise(EwKind kind, ValueId x);
 
   /// Pins `v` to the caller-owned destination `dest`. Each destination may
   /// be marked once; inputs may be marked (the executor copies them out).

@@ -9,12 +9,11 @@ namespace sgnn::opgraph {
 namespace {
 
 // The input a node may legally overwrite in place: the kernel's in-place
-// target. SpMM/GEMM/fused kernels read their inputs while writing the
+// target. SpMM and fused kernels read their inputs while writing the
 // output, so they never alias.
 ValueId AliasSource(const Node& n) {
   switch (n.kind) {
     case OpKind::kScale:
-    case OpKind::kElementwise:
       return n.in0;
     case OpKind::kAxpy:
       return n.in1;

@@ -6,12 +6,11 @@
 // alias-legal chains so an accumulator (Zero → Axpy → Axpy…) lives in the
 // caller's matrix from the start, updated in place — or
 // (b) a buffer from an exact-shape reuse pool, aliasing the dying input of
-// Scale/Elementwise (in0) and Axpy (in1, the accumulate side) in place when
-// legal.
+// Scale (in0) and Axpy (in1, the accumulate side) in place when legal.
 //
 // Alias legality: the source value must be pool-backed (not external, not
 // pinned to an output), die at the consuming node, and match the output
-// shape. SpMM / GEMM / fused outputs are never aliased — their kernels read
+// shape. SpMM and fused outputs are never aliased — their kernels read
 // inputs while writing the output.
 //
 // The emitted plan predicts peak bytes exactly: the executor allocates all

@@ -184,8 +184,6 @@ const char* CellStatusName(CellStatus status) {
     case CellStatus::kDiverged: return "DIVERGED";
     case CellStatus::kSkipped: return "SKIPPED";
     case CellStatus::kFailed: return "FAILED";
-    case CellStatus::kShed: return "SHED";
-    case CellStatus::kShardSpill: return "SHARD_SPILL";
   }
   return "FAILED";
 }
@@ -196,8 +194,6 @@ CellStatus CellStatusFromName(const std::string& name) {
   if (name == "TIMEOUT") return CellStatus::kTimeout;
   if (name == "DIVERGED") return CellStatus::kDiverged;
   if (name == "SKIPPED") return CellStatus::kSkipped;
-  if (name == "SHED") return CellStatus::kShed;
-  if (name == "SHARD_SPILL") return CellStatus::kShardSpill;
   return CellStatus::kFailed;
 }
 

@@ -30,16 +30,9 @@ enum class CellStatus {
   kDiverged,  ///< NaN/Inf loss or gradient
   kSkipped,   ///< cell not runnable (bad filter name, FB-only filter, ...)
   kFailed,    ///< any other non-OK status (IO error, precompute failure)
-  kShed,      ///< serving admission control rejected the whole cell's load
-              ///< (kUnavailable) — the overload analogue of an OOM row
-  kShardSpill,  ///< sharded run completed, but one or more shard working
-                ///< sets exceeded their accelerator sub-budget and ran
-                ///< host-side (docs/SHARDING.md); non-terminal companion
-                ///< record of an OK cell
 };
 
-/// "OK" / "OOM" / "TIMEOUT" / "DIVERGED" / "SKIPPED" / "FAILED" / "SHED" /
-/// "SHARD_SPILL".
+/// "OK" / "OOM" / "TIMEOUT" / "DIVERGED" / "SKIPPED" / "FAILED".
 const char* CellStatusName(CellStatus status);
 
 /// Parses a CellStatusName string; defaults to kFailed for unknown input.

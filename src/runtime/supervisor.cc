@@ -65,11 +65,6 @@ void Supervisor::FillFromResult(const models::TrainResult& result,
       // The cell cannot run: a bad hyperparameter, or a filter name
       // CreateFilter does not know (however the scheme built its filter).
       record->status = CellStatus::kSkipped;
-    } else if (code == StatusCode::kUnavailable) {
-      // A serving cell whose load was entirely shed by admission control:
-      // journaled as SHED so overload sweeps keep the row (and its shed
-      // counters in extras) the way efficiency tables keep "(OOM)" rows.
-      record->status = CellStatus::kShed;
     } else {
       record->status = CellStatus::kFailed;
     }
@@ -77,19 +72,6 @@ void Supervisor::FillFromResult(const models::TrainResult& result,
     record->status = CellStatus::kOk;
   }
   if (!result.status.ok()) record->detail = result.status.ToString();
-}
-
-void Supervisor::JournalShardSpills(const CellRecord& record) {
-  if (record.status != CellStatus::kOk || record.stats.shard_spills <= 0) {
-    return;
-  }
-  CellRecord spill = record;
-  spill.terminal = false;  // companion line; the OK record owns resume
-  spill.status = CellStatus::kShardSpill;
-  spill.detail = std::to_string(record.stats.shard_spills) +
-                 " shard hop(s) exceeded the per-shard accelerator "
-                 "sub-budget and ran host-side";
-  journal_->Append(bench_, spill);
 }
 
 CellRecord Supervisor::Run(const CellKey& key, const RunFn& body,
@@ -106,7 +88,6 @@ CellRecord Supervisor::Run(const CellKey& key, const RunFn& body,
   record.wall_ms = sw.ElapsedMs();
   FillFromResult(result, &record);
   if (post && record.ok()) post(result, &record);
-  JournalShardSpills(record);
   journal_->Append(bench_, record);
   return record;
 }
@@ -179,7 +160,6 @@ CellRecord Supervisor::RunTraining(const CellKey& key, const graph::Graph& g,
   record.wall_ms = sw.ElapsedMs();
   FillFromResult(result, &record);
   if (post && record.ok()) post(result, &record);
-  JournalShardSpills(record);
   journal_->Append(bench_, record);
   return record;
 }

@@ -90,12 +90,6 @@ class Supervisor {
   static void FillFromResult(const models::TrainResult& result,
                              CellRecord* record);
 
-  /// Appends the non-terminal SHARD_SPILL companion record for an OK cell
-  /// whose sharded run spilled shard working sets host-side. The OK record
-  /// stays the terminal one, so resume semantics are unchanged; the spill
-  /// line makes the degradation auditable per cell.
-  void JournalShardSpills(const CellRecord& record);
-
   std::string bench_;
   std::unique_ptr<Journal> journal_;
   size_t resumed_ = 0;

@@ -57,12 +57,10 @@ void TieredCache::Put(int64_t node, Bundle bundle) {
     accel_bytes_ += need;
     accel_.push_front(std::move(entry));
     index_[node] = Slot{true, accel_.begin()};
-    ++stats_.insertions;
     return;
   }
   if (need <= config_.host_budget_bytes) {
     InsertHost(std::move(entry));
-    ++stats_.insertions;
     return;
   }
   // No tier can ever hold it; count the drop so a mis-sized budget shows up

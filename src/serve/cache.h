@@ -69,7 +69,6 @@ struct CacheStats {
   uint64_t accel_hits = 0;  ///< found pinned on the accelerator
   uint64_t host_hits = 0;   ///< found in the demoted host tier
   uint64_t misses = 0;      ///< not cached; caller must gather
-  uint64_t insertions = 0;  ///< bundles accepted by Put
   uint64_t demotions = 0;   ///< accel → host moves (accel budget pressure)
   uint64_t evictions = 0;   ///< bundles dropped entirely (host overflow)
 

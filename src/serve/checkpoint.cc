@@ -314,7 +314,6 @@ Result<ServableModel> RestoreModel(const Checkpoint& ckpt,
                           quant::Quantize(t, precision, calib));
     model.qterms.push_back(std::move(qt));
   }
-  model.quantized = true;
   model.precision = precision;
   return model;
 }

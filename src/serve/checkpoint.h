@@ -108,7 +108,6 @@ struct ServableModel {
   std::vector<Matrix> terms;
   CheckpointMeta meta;
 
-  bool quantized = false;
   quant::Precision precision = quant::Precision::kFp32;
   std::vector<quant::QuantizedMatrix> qterms;  ///< host; owned scales
   quant::QuantizedMlp qphi1;

@@ -40,7 +40,7 @@ Engine::Engine(ServableModel model, EngineConfig config)
   config_.max_batch = std::max(1, config_.max_batch);
   config_.max_wait_ms = std::max(0.0, config_.max_wait_ms);
   config_.max_queue = std::max(0, config_.max_queue);
-  if (model_.quantized && !model_.qterms.empty()) {
+  if (model_.precision != quant::Precision::kFp32 && !model_.qterms.empty()) {
     // Fold the per-term channel scales into the probed combine weights
     // once, so the fused combine pays one multiply per element.
     const auto t = static_cast<int64_t>(model_.qterms.size());
@@ -77,7 +77,9 @@ Status Engine::ServeBatchLocked(const std::vector<int64_t>& nodes,
     *logits = Matrix();
     return Status::OK();
   }
-  if (model_.quantized) return ServeQuantLocked(nodes, logits);
+  if (model_.precision != quant::Precision::kFp32) {
+    return ServeQuantLocked(nodes, logits);
+  }
   const auto b = static_cast<int64_t>(nodes.size());
   const size_t num_terms = model_.terms.size();
   const int64_t f = model_.terms[0].cols();

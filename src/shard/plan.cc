@@ -7,7 +7,6 @@ ShardPlan BuildShardPlan(const sparse::CsrMatrix& prop,
   ShardPlan plan;
   plan.num_shards = options.num_shards;
   plan.n = prop.n();
-  plan.options = options;
   plan.partition = GreedyBfsPartition(prop, options);
   plan.stats = ComputeEdgeCut(prop, plan.partition);
   plan.slices.resize(static_cast<size_t>(options.num_shards));

@@ -50,7 +50,6 @@ struct ShardSlice {
 struct ShardPlan {
   int num_shards = 1;
   int64_t n = 0;           ///< global dimension
-  PartitionOptions options;
   Partition partition;
   std::vector<ShardSlice> slices;
   EdgeCutStats stats;      ///< cut and halo counters, fully populated

@@ -1,31 +1,14 @@
 #include "shard/spmm.h"
 
-#include <algorithm>
 #include <cstring>
 
+#include "tensor/device.h"
 #include "tensor/status.h"
 
 namespace sgnn::shard {
 
-ShardedSpmmOperator::ShardedSpmmOperator(const ShardPlan* plan,
-                                         const ShardExecOptions& options)
-    : plan_(plan), options_(options) {
+ShardedSpmmOperator::ShardedSpmmOperator(const ShardPlan* plan) : plan_(plan) {
   SGNN_CHECK(plan_ != nullptr, "sharded operator needs a plan");
-  ResetStats();
-}
-
-void ShardedSpmmOperator::ResetStats() {
-  stats_ = ShardStats{};
-  stats_.num_shards = plan_->num_shards;
-  stats_.shard_peak_bytes.assign(static_cast<size_t>(plan_->num_shards), 0);
-  stats_.shard_spill_counts.assign(static_cast<size_t>(plan_->num_shards), 0);
-}
-
-size_t ShardedSpmmOperator::ResolvedBudget() const {
-  if (options_.shard_budget_bytes > 0) return options_.shard_budget_bytes;
-  const size_t capacity = DeviceTracker::Global().accel_capacity();
-  if (capacity == 0) return 0;  // unlimited
-  return capacity / static_cast<size_t>(std::max(1, plan_->num_shards));
 }
 
 void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
@@ -35,7 +18,9 @@ void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
   ++stats_.applies;
   const int64_t f = x.cols();
   const size_t row_bytes = static_cast<size_t>(f) * sizeof(float);
-  const size_t budget = ResolvedBudget();
+  // Each shard's accelerator sub-budget (0 = unlimited).
+  const size_t budget = DeviceTracker::Global().accel_capacity() /
+                        static_cast<size_t>(plan_->num_shards);
 
   // Shards execute and merge in ascending shard order — the same
   // ordered-lane-merge discipline sparse/push.cc uses for frontier lanes.
@@ -52,14 +37,13 @@ void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
     const size_t mat_bytes = static_cast<size_t>(local_n) * row_bytes;
     const size_t working = slice.local.bytes() + 2 * mat_bytes;
 
-    Device dev = options_.compute_device;
-    if (dev == Device::kAccel && budget > 0 && working > budget) {
+    Device dev = Device::kAccel;
+    if (budget > 0 && working > budget) {
       // Spill: the shard cannot fit its accelerator sub-budget, so this hop
       // computes host-side (identical bits — the tag changes placement
-      // only). Callers surface the count as SHARD_SPILL journal cells.
+      // only).
       dev = Device::kHost;
       ++stats_.shard_spills;
-      ++stats_.shard_spill_counts[static_cast<size_t>(s)];
     }
 
     // Halo exchange: gather the rows this shard reads (owned ++ halo) from
@@ -69,8 +53,6 @@ void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
       std::memcpy(local_x.row(i), x.row(slice.gather[static_cast<size_t>(i)]),
                   row_bytes);
     }
-    stats_.halo_rows_gathered += slice.halo_count();
-    stats_.halo_bytes_gathered += static_cast<size_t>(slice.halo_count()) * row_bytes;
 
     // The slice streams onto the compute device for the hop. Slices are
     // stored host-side in the (shared, const) plan, so residency is
@@ -80,8 +62,6 @@ void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
       auto& tracker = DeviceTracker::Global();
       tracker.OnAlloc(Device::kAccel, slice.local.bytes());
       slice.local.SpMM(local_x, &local_out);
-      stats_.shard_peak_bytes[static_cast<size_t>(s)] =
-          std::max(stats_.shard_peak_bytes[static_cast<size_t>(s)], working);
       tracker.OnFree(Device::kAccel, slice.local.bytes());
     } else {
       slice.local.SpMM(local_x, &local_out);

@@ -64,7 +64,6 @@ class Writer {
 
   const std::string& buffer() const { return buf_; }
   size_t size() const { return buf_.size(); }
-  std::string&& MoveBuffer() { return std::move(buf_); }
 
  private:
   std::string buf_;

@@ -1031,51 +1031,6 @@ TEST(CollectAnnotationsTest, IndexesGuardedRequiresAndExcludes) {
   EXPECT_EQ(idx.excludes_held["Engine"]["Stop"].count("queue_mu_"), 1u);
 }
 
-// --- JSON output + fingerprints ---------------------------------------------
-
-TEST(JsonOutputTest, RoundTripsFingerprints) {
-  const auto f = Lint("src/graph/x.cc", "int t = rand();\n");
-  ASSERT_FALSE(f.empty());
-  const std::string json = sgnn::lint::FindingsToJson(f, 1);
-  EXPECT_NE(json.find("\"files\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"count\": " + std::to_string(f.size())),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"severity\": \"error\""), std::string::npos) << json;
-  const auto fps = sgnn::lint::FingerprintsFromJson(json);
-  EXPECT_EQ(fps.size(), f.size());
-  for (const Finding& x : f) {
-    EXPECT_EQ(fps.count(x.Fingerprint()), 1u) << x.Fingerprint();
-  }
-}
-
-TEST(JsonOutputTest, UnparseableBaselineFailsOpen) {
-  EXPECT_TRUE(sgnn::lint::FingerprintsFromJson("not json at all").empty());
-  EXPECT_TRUE(sgnn::lint::FingerprintsFromJson("").empty());
-}
-
-TEST(FingerprintTest, StableWhenFindingShiftsDownTheFile) {
-  const auto a = Lint("src/graph/x.cc", "int t = rand();\n");
-  const auto b = Lint("src/graph/x.cc", "\n\n// padding\nint t = rand();\n");
-  ASSERT_EQ(a.size(), 1u) << Render(a);
-  ASSERT_EQ(b.size(), 1u) << Render(b);
-  EXPECT_NE(a[0].line, b[0].line);
-  EXPECT_EQ(a[0].Fingerprint(), b[0].Fingerprint());
-}
-
-TEST(FingerprintTest, DistinguishesFileRuleAndMessage) {
-  Finding base{"src/a.cc", 10, "hygiene", "float equality"};
-  Finding other_file = base;
-  other_file.file = "src/b.cc";
-  Finding other_rule = base;
-  other_rule.rule = "determinism";
-  Finding other_msg = base;
-  other_msg.message = "different text";
-  EXPECT_NE(base.Fingerprint(), other_file.Fingerprint());
-  EXPECT_NE(base.Fingerprint(), other_rule.Fingerprint());
-  EXPECT_NE(base.Fingerprint(), other_msg.Fingerprint());
-}
-
 // --- pass 1: status-function collection -------------------------------------
 
 TEST(CollectStatusFunctionsTest, FindsDeclarationsAndDefinitions) {

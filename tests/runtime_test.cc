@@ -536,21 +536,6 @@ TEST(Supervisor, KillAndResumeRoundTripIsBitIdentical) {
   std::remove(path.c_str());
 }
 
-// --- kShed journal status ----------------------------------------------------
-
-TEST(Journal, ShedStatusRoundTrips) {
-  EXPECT_STREQ(CellStatusName(CellStatus::kShed), "SHED");
-  EXPECT_EQ(CellStatusFromName("SHED"), CellStatus::kShed);
-
-  CellRecord rec;
-  rec.key = {"ds", "filter", "mb", 1, "overload/onoff"};
-  rec.status = CellStatus::kShed;
-  const std::string line = EncodeRecord("serving", rec);
-  auto back_or = DecodeRecord(line);
-  ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
-  EXPECT_EQ(back_or.value().status, CellStatus::kShed);
-}
-
 // --- RetryWithBackoff --------------------------------------------------------
 
 /// Sum of the fixed schedule's four sleeps without jitter: 0.5 + 1 + 2 + 4.

@@ -3,8 +3,8 @@
 // sharded-vs-unsharded bit-identity across the nine fuzz graph families x
 // shard counts x thread counts (raw operator, filter forward, precompute
 // terms), per-shard budget/spill semantics against DeviceTracker, the
-// OOM-unsharded-completes-sharded memory demo, SHARD_SPILL journaling, and
-// a sharded kill-and-resume Supervisor round trip.
+// OOM-unsharded-completes-sharded memory demo, spill journaling, and a
+// sharded kill-and-resume Supervisor round trip.
 
 #include <gtest/gtest.h>
 
@@ -289,6 +289,10 @@ TEST(ShardBitIdentity, ConformanceCheckerPassesRepresentativeFilters) {
 
 // --- budgets and spills ------------------------------------------------------
 
+// Each shard's sub-budget is accel capacity / K. A capacity too small for
+// any shard spills every hop host-side, one that fits the largest working
+// set keeps every hop on the accelerator, and 0 (unlimited) never spills.
+// The bits never change.
 TEST(ShardBudget, SpillsOverBudgetHopsHostSideWithIdenticalBits) {
   auto& tracker = DeviceTracker::Global();
   tracker.ResetAll();
@@ -298,53 +302,46 @@ TEST(ShardBudget, SpillsOverBudgetHopsHostSideWithIdenticalBits) {
   prop.SpMM(x, &y_ref);
 
   const shard::ShardPlan plan = shard::BuildShardPlan(prop, {4, 3});
-
-  // A 1-byte budget forces every shard hop to spill; bits must not change.
-  shard::ShardExecOptions tiny;
-  tiny.compute_device = Device::kAccel;
-  tiny.shard_budget_bytes = 1;
-  const shard::ShardedSpmmOperator spilling(&plan, tiny);
-  Matrix y(80, 8, Device::kHost);
-  spilling.Apply(x, &y);
-  EXPECT_TRUE(BitIdentical(y, y_ref));
-  EXPECT_GT(spilling.stats().shard_spills, 0);
-  EXPECT_EQ(spilling.stats().applies, 1);
-  for (const size_t peak : spilling.stats().shard_peak_bytes) {
-    EXPECT_EQ(peak, 0u);  // nothing ever ran on the accelerator
+  // A shard's working set: its slice plus the gathered input and output.
+  int64_t non_empty = 0;
+  size_t largest = 0;
+  for (const shard::ShardSlice& slice : plan.slices) {
+    if (slice.owned_count() == 0) continue;
+    ++non_empty;
+    const size_t mat_bytes =
+        static_cast<size_t>(slice.local_n()) * 8 * sizeof(float);
+    largest = std::max(largest, slice.local.bytes() + 2 * mat_bytes);
   }
+  ASSERT_GT(non_empty, 0);
+
+  // One Apply at `capacity`; returns its spill count.
+  auto spills_at = [&](size_t capacity) {
+    tracker.set_accel_capacity(capacity);
+    tracker.ResetPeak();
+    const shard::ShardedSpmmOperator op(&plan);
+    Matrix y(80, 8, Device::kHost);
+    op.Apply(x, &y);
+    EXPECT_TRUE(BitIdentical(y, y_ref)) << "capacity " << capacity;
+    EXPECT_EQ(op.stats().applies, 1);
+    return op.stats().shard_spills;
+  };
+
+  // 4 B at K = 4 is a 1-byte sub-budget: every non-empty shard spills and
+  // nothing reaches the accelerator.
+  EXPECT_EQ(spills_at(4), non_empty);
   EXPECT_EQ(tracker.peak_bytes(Device::kAccel), 0u);
 
-  // A generous budget keeps every hop on the accelerator: no spills, and
-  // every shard's recorded peak stays within the sub-budget.
-  shard::ShardExecOptions roomy;
-  roomy.compute_device = Device::kAccel;
-  roomy.shard_budget_bytes = 64u << 20;
-  const shard::ShardedSpmmOperator on_accel(&plan, roomy);
-  Matrix y2(80, 8, Device::kHost);
-  on_accel.Apply(x, &y2);
-  EXPECT_TRUE(BitIdentical(y2, y_ref));
-  EXPECT_EQ(on_accel.stats().shard_spills, 0);
-  ASSERT_EQ(on_accel.stats().shard_peak_bytes.size(), 4u);
-  for (const size_t peak : on_accel.stats().shard_peak_bytes) {
-    EXPECT_GT(peak, 0u);
-    EXPECT_LE(peak, on_accel.ResolvedBudget());
-  }
-  EXPECT_FALSE(tracker.accel_oom());
-  tracker.ResetAll();
-}
+  // K x the largest working set fits every shard, one at a time.
+  EXPECT_EQ(spills_at(4 * largest), 0);
+  EXPECT_GT(tracker.peak_bytes(Device::kAccel), 0u);
+  EXPECT_LE(tracker.peak_bytes(Device::kAccel), largest);
+  // One byte less and the largest shard outgrows its sub-budget: the
+  // budget is split K ways, not granted whole to each shard.
+  EXPECT_GE(spills_at(4 * largest - 1), 1);
 
-TEST(ShardBudget, DefaultBudgetIsCapacityOverShardCount) {
-  auto& tracker = DeviceTracker::Global();
-  tracker.ResetAll();
-  const sparse::CsrMatrix prop = SmallProp(16, 2);
-  const shard::ShardPlan plan = shard::BuildShardPlan(prop, {4, 1});
-  shard::ShardExecOptions opts;
-  opts.compute_device = Device::kAccel;
-  const shard::ShardedSpmmOperator op(&plan, opts);
-  tracker.set_accel_capacity(1u << 20);
-  EXPECT_EQ(op.ResolvedBudget(), (1u << 20) / 4);
-  tracker.set_accel_capacity(0);
-  EXPECT_EQ(op.ResolvedBudget(), 0u);  // unlimited
+  // 0 is unlimited, and the default later tests expect.
+  EXPECT_EQ(spills_at(0), 0);
+  EXPECT_FALSE(tracker.accel_oom());
   tracker.ResetAll();
 }
 
@@ -484,9 +481,8 @@ TEST(ShardBudget, ShardedPrecomputeOomReportsOomRun) {
 
 // --- supervisor integration --------------------------------------------------
 
-// An OK sharded cell that spilled gets a non-terminal SHARD_SPILL companion
-// record ahead of its terminal OK record, and resume still serves the cell
-// from the journal.
+// An OK sharded cell that spilled journals one line, its terminal OK record,
+// which carries the spill count; resume serves the cell from the journal.
 TEST(ShardSupervisor, JournalsShardSpillCompanionRecords) {
   auto& tracker = DeviceTracker::Global();
   tracker.ResetAll();
@@ -504,21 +500,27 @@ TEST(ShardSupervisor, JournalsShardSpillCompanionRecords) {
   cfg.eval_every = 2;
   cfg.hidden = 16;
   cfg.num_shards = 4;
-  cfg.shard_budget_bytes = 1;  // every shard hop spills
 
   const std::string path = TempPath("shard_spill.jsonl");
   std::remove(path.c_str());
   const runtime::CellKey key{"small", "chebyshev", "fb", 1, "K=4"};
   {
     runtime::Supervisor sup("shard_spill", path);
+    // A 4-byte capacity at K = 4 is a 1-byte sub-budget, so every shard
+    // hop spills. Sharded FB keeps everything else on the host, so the
+    // OOM guard (and the FB -> MB fallback) never fires.
+    tracker.set_accel_capacity(4);
     const runtime::CellRecord rec =
         sup.RunTraining(key, g, s, graph::Metric::kAccuracy, cfg);
-    ASSERT_TRUE(rec.ok());
+    tracker.set_accel_capacity(0);
+    ASSERT_TRUE(rec.ok()) << rec.detail;
+    EXPECT_FALSE(rec.fell_back);
     EXPECT_EQ(rec.stats.shards, 4);
     EXPECT_GT(rec.stats.shard_spills, 0);
+    EXPECT_EQ(rec.stats.peak_accel_bytes, 0u);
   }
-  // The journal holds one non-terminal SHARD_SPILL line plus the terminal
-  // OK line for the cell.
+  // The journal holds one line for the cell: the terminal OK record, with
+  // the spill count.
   {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
@@ -529,7 +531,13 @@ TEST(ShardSupervisor, JournalsShardSpillCompanionRecords) {
       contents.append(buf, got);
     }
     std::fclose(f);
-    EXPECT_NE(contents.find("SHARD_SPILL"), std::string::npos) << contents;
+    const size_t eol = contents.find('\n');
+    ASSERT_EQ(eol + 1, contents.size()) << contents;
+    auto line_or = runtime::DecodeRecord(contents.substr(0, eol));
+    ASSERT_TRUE(line_or.ok()) << line_or.status().ToString();
+    EXPECT_TRUE(line_or.value().terminal);
+    EXPECT_TRUE(line_or.value().ok());
+    EXPECT_GT(line_or.value().stats.shard_spills, 0);
   }
   {
     runtime::Supervisor sup("shard_spill", path);

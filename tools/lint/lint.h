@@ -70,12 +70,6 @@ struct Finding {
 
   /// "file:line: [rule] message" — the format editors can jump on.
   std::string ToString() const;
-
-  /// Stable 16-hex-digit identity for CI baseline diffs: FNV-1a over
-  /// file + rule + digit-normalized message. Deliberately excludes the
-  /// line number (and digits inside the message), so unrelated edits that
-  /// shift a finding down the file do not churn the baseline.
-  std::string Fingerprint() const;
 };
 
 /// Pass-1 index of the thread-safety and REQUIRES/EXCLUDES annotations
@@ -166,21 +160,6 @@ std::vector<Finding> LintSource(const std::string& path,
 /// Maps a repo-relative path to its layer name ("tensor", "bench", ...) or
 /// "" when the file is outside the layered tree.
 std::string LayerOf(const std::string& path);
-
-// --- machine-readable output (tools/lint/json.cc) --------------------------
-
-/// Serializes findings as the JSON document CI diffs:
-///   {"files": N, "count": M, "findings": [{"file", "line", "rule",
-///    "severity", "fingerprint", "message"}, ...]}
-/// Every finding carries severity "error" (the gate fails on any finding);
-/// the field exists so the schema never has to change shape.
-std::string FindingsToJson(const std::vector<Finding>& findings,
-                           size_t files_scanned);
-
-/// Extracts the fingerprint set from a previous --format=json run (the CI
-/// baseline). Tolerant of whitespace; anything unparseable yields the
-/// empty set, which suppresses nothing.
-std::set<std::string> FingerprintsFromJson(const std::string& json);
 
 }  // namespace sgnn::lint
 

@@ -1,16 +1,13 @@
 // sgnn_lint command-line driver.
 //
-//   sgnn_lint [--rules] [--format=text|json] [--baseline=<file.json>]
-//             [--budget-ms=N] [repo_root]
+//   sgnn_lint [--rules] [--budget-ms=N] [repo_root]
 //
 // Walks src/, bench/, tools/, tests/ under `repo_root` (default: the
 // current directory), runs the two lint passes (see lint.h), prints one
-// "file:line: [rule] message" per finding (or the JSON document CI diffs,
-// with --format=json), and exits non-zero when any finding survives.
+// "file:line: [rule] message" per finding, and exits non-zero when any
+// finding survives. An unknown `--` argument, or a root with no lintable
+// file, is a usage error (exit 2): a gate that lints nothing must fail.
 //
-//   --baseline=f   suppress findings whose fingerprint appears in a
-//                  previous --format=json run; CI gates on *new* findings
-//                  while a cleanup of pre-existing ones is in flight.
 //   --budget-ms=N  fail (exit 3) when the whole run exceeds N ms of wall
 //                  clock; keeps the lint gate's latency an enforced
 //                  contract instead of a slow creep. The measured time is
@@ -83,40 +80,21 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(determinism): lint runtime budget, not benchmark timing
 
   std::string root = ".";
-  bool json = false;
   long budget_ms = -1;
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rules") == 0) {
       PrintRules();
       return 0;
     }
-    if (std::strncmp(argv[i], "--format=", 9) == 0) {
-      const char* fmt = argv[i] + 9;
-      if (std::strcmp(fmt, "json") == 0) {
-        json = true;
-      } else if (std::strcmp(fmt, "text") != 0) {
-        std::fprintf(stderr, "sgnn_lint: unknown format \"%s\"\n", fmt);
-        return 2;
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-      continue;
-    }
     if (std::strncmp(argv[i], "--budget-ms=", 12) == 0) {
       budget_ms = std::strtol(argv[i] + 12, nullptr, 10);
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "sgnn_lint: unknown argument \"%s\"\n", argv[i]);
+      return 2;
+    }
     root = argv[i];
-  }
-
-  std::set<std::string> baseline;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!ReadFile(baseline_path, &text)) return 2;
-    baseline = sgnn::lint::FingerprintsFromJson(text);
   }
 
   // Gather the lintable files in deterministic order.
@@ -131,6 +109,13 @@ int main(int argc, char** argv) {
     }
   }
   std::sort(files.begin(), files.end());
+  if (files.empty()) {
+    std::fprintf(stderr,
+                 "sgnn_lint: no lintable file under \"%s\" (src, bench, "
+                 "tools, tests)\n",
+                 root.c_str());
+    return 2;
+  }
 
   // Pass 1: collect Status/Result-returning function names and thread-
   // safety annotations tree-wide (so engine.cc sees engine.h's contracts).
@@ -147,25 +132,12 @@ int main(int argc, char** argv) {
   }
 
   // Pass 2: rules.
-  std::vector<sgnn::lint::Finding> findings;
-  size_t baselined = 0;
+  size_t findings = 0;
   for (const auto& [rel, text] : sources) {
-    for (sgnn::lint::Finding& f :
+    for (const sgnn::lint::Finding& f :
          sgnn::lint::LintSource(rel, text, config)) {
-      if (!baseline.empty() && baseline.count(f.Fingerprint()) > 0) {
-        ++baselined;
-        continue;
-      }
-      findings.push_back(std::move(f));
-    }
-  }
-
-  if (json) {
-    std::fputs(sgnn::lint::FindingsToJson(findings, sources.size()).c_str(),
-               stdout);
-  } else {
-    for (const sgnn::lint::Finding& f : findings) {
       std::printf("%s\n", f.ToString().c_str());
+      ++findings;
     }
   }
 
@@ -173,17 +145,13 @@ int main(int argc, char** argv) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t0)  // NOLINT(determinism): lint runtime budget, not benchmark timing
           .count();
-  std::fprintf(stderr, "sgnn_lint: %zu file(s), %zu finding(s)", sources.size(),
-               findings.size());
-  if (baselined > 0) {
-    std::fprintf(stderr, " (%zu baselined)", baselined);
-  }
-  std::fprintf(stderr, ", %lld ms\n", static_cast<long long>(elapsed_ms));
+  std::fprintf(stderr, "sgnn_lint: %zu file(s), %zu finding(s), %lld ms\n",
+               sources.size(), findings, static_cast<long long>(elapsed_ms));
   if (budget_ms >= 0 && elapsed_ms > budget_ms) {
     std::fprintf(stderr,
                  "sgnn_lint: runtime budget exceeded (%lld ms > %ld ms)\n",
                  static_cast<long long>(elapsed_ms), budget_ms);
     return 3;
   }
-  return findings.empty() ? 0 : 1;
+  return findings == 0 ? 0 : 1;
 }
