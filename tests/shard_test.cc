@@ -289,10 +289,41 @@ TEST(ShardBitIdentity, ConformanceCheckerPassesRepresentativeFilters) {
 
 // --- budgets and spills ------------------------------------------------------
 
-// Each shard's sub-budget is accel capacity / K. A capacity too small for
-// any shard spills every hop host-side, one that fits the largest working
-// set keeps every hop on the accelerator, and 0 (unlimited) never spills.
-// The bits never change.
+/// Largest working set (CSR slice plus gathered input and output) of any
+/// shard in `plan` for a `cols`-wide input, and the count of non-empty
+/// shards.
+size_t LargestWorkingSet(const shard::ShardPlan& plan, int64_t cols,
+                         int64_t* non_empty) {
+  *non_empty = 0;
+  size_t largest = 0;
+  for (const shard::ShardSlice& slice : plan.slices) {
+    if (slice.owned_count() == 0) continue;
+    ++*non_empty;
+    const size_t mat_bytes =
+        static_cast<size_t>(slice.local_n() * cols) * sizeof(float);
+    largest = std::max(largest, slice.local.bytes() + 2 * mat_bytes);
+  }
+  return largest;
+}
+
+/// One sharded Apply of `x` under accel `capacity`; checks the bits against
+/// `y_ref` and returns the spill count.
+int64_t SpillsAt(const shard::ShardPlan& plan, const Matrix& x,
+                 const Matrix& y_ref, size_t capacity) {
+  auto& tracker = DeviceTracker::Global();
+  tracker.set_accel_capacity(capacity);
+  tracker.ResetPeak();
+  const shard::ShardedSpmmOperator op(&plan);
+  Matrix y(x.rows(), x.cols(), Device::kHost);
+  op.Apply(x, &y);
+  EXPECT_TRUE(BitIdentical(y, y_ref)) << "capacity " << capacity;
+  EXPECT_EQ(op.stats().applies, 1);
+  return op.stats().shard_spills;
+}
+
+// A capacity too small for any shard spills every hop host-side, one that
+// fits the largest working set K times keeps every hop on the accelerator,
+// and 0 (unlimited) never spills. The bits never change.
 TEST(ShardBudget, SpillsOverBudgetHopsHostSideWithIdenticalBits) {
   auto& tracker = DeviceTracker::Global();
   tracker.ResetAll();
@@ -302,46 +333,47 @@ TEST(ShardBudget, SpillsOverBudgetHopsHostSideWithIdenticalBits) {
   prop.SpMM(x, &y_ref);
 
   const shard::ShardPlan plan = shard::BuildShardPlan(prop, {4, 3});
-  // A shard's working set: its slice plus the gathered input and output.
   int64_t non_empty = 0;
-  size_t largest = 0;
-  for (const shard::ShardSlice& slice : plan.slices) {
-    if (slice.owned_count() == 0) continue;
-    ++non_empty;
-    const size_t mat_bytes =
-        static_cast<size_t>(slice.local_n()) * 8 * sizeof(float);
-    largest = std::max(largest, slice.local.bytes() + 2 * mat_bytes);
-  }
+  const size_t largest = LargestWorkingSet(plan, 8, &non_empty);
   ASSERT_GT(non_empty, 0);
-
-  // One Apply at `capacity`; returns its spill count.
-  auto spills_at = [&](size_t capacity) {
-    tracker.set_accel_capacity(capacity);
-    tracker.ResetPeak();
-    const shard::ShardedSpmmOperator op(&plan);
-    Matrix y(80, 8, Device::kHost);
-    op.Apply(x, &y);
-    EXPECT_TRUE(BitIdentical(y, y_ref)) << "capacity " << capacity;
-    EXPECT_EQ(op.stats().applies, 1);
-    return op.stats().shard_spills;
-  };
 
   // 4 B at K = 4 is a 1-byte sub-budget: every non-empty shard spills and
   // nothing reaches the accelerator.
-  EXPECT_EQ(spills_at(4), non_empty);
+  EXPECT_EQ(SpillsAt(plan, x, y_ref, 4), non_empty);
   EXPECT_EQ(tracker.peak_bytes(Device::kAccel), 0u);
 
   // K x the largest working set fits every shard, one at a time.
-  EXPECT_EQ(spills_at(4 * largest), 0);
+  EXPECT_EQ(SpillsAt(plan, x, y_ref, 4 * largest), 0);
   EXPECT_GT(tracker.peak_bytes(Device::kAccel), 0u);
   EXPECT_LE(tracker.peak_bytes(Device::kAccel), largest);
-  // One byte less and the largest shard outgrows its sub-budget: the
-  // budget is split K ways, not granted whole to each shard.
-  EXPECT_GE(spills_at(4 * largest - 1), 1);
 
   // 0 is unlimited, and the default later tests expect.
-  EXPECT_EQ(spills_at(0), 0);
+  EXPECT_EQ(SpillsAt(plan, x, y_ref, 0), 0);
   EXPECT_FALSE(tracker.accel_oom());
+  tracker.ResetAll();
+}
+
+// Each shard's sub-budget is accel capacity / K, at every K: K x the largest
+// working set fits, and one byte less makes the largest shard spill, so the
+// capacity is split K ways rather than granted whole to each shard.
+TEST(ShardBudget, DefaultBudgetIsCapacityOverShardCount) {
+  auto& tracker = DeviceTracker::Global();
+  tracker.ResetAll();
+  const sparse::CsrMatrix prop = SmallProp(80, 25);
+  const Matrix x = RandomMatrix(80, 8, 26);
+  Matrix y_ref(80, 8, Device::kHost);
+  prop.SpMM(x, &y_ref);
+
+  for (const int k : {2, 4}) {
+    const shard::ShardPlan plan = shard::BuildShardPlan(prop, {k, 3});
+    int64_t non_empty = 0;
+    const size_t largest = LargestWorkingSet(plan, 8, &non_empty);
+    ASSERT_GT(non_empty, 1) << "K=" << k;
+    const size_t fits = static_cast<size_t>(k) * largest;
+    EXPECT_EQ(SpillsAt(plan, x, y_ref, fits), 0) << "K=" << k;
+    EXPECT_GE(SpillsAt(plan, x, y_ref, fits - 1), 1) << "K=" << k;
+  }
+  tracker.set_accel_capacity(0);
   tracker.ResetAll();
 }
 
