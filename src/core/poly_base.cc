@@ -210,7 +210,7 @@ Status PolynomialBasisFilter::Precompute(const FilterContext& ctx,
 }
 
 void PolynomialBasisFilter::CombineTerms(const std::vector<const Matrix*>& batch_terms,
-                                         Matrix* y, bool cache) {
+                                         Matrix* y, bool /*cache*/) {
   SGNN_CHECK(!batch_terms.empty(), "CombineTerms: no terms");
   if (type_ == FilterType::kFixed) {
     *y = *batch_terms[0];
@@ -225,7 +225,6 @@ void PolynomialBasisFilter::CombineTerms(const std::vector<const Matrix*>& batch
     if (theta[k] != 0.0)
       ops::Axpy(static_cast<float>(theta[k]), *batch_terms[k], y);
   }
-  if (cache) combine_theta_ = theta;
 }
 
 void PolynomialBasisFilter::BackwardCombine(

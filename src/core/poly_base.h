@@ -95,7 +95,6 @@ class PolynomialBasisFilter : public SpectralFilter {
   virtual void AccumulateRawGrad(const std::vector<double>& eff_grad);
 
   /// Hop count configured at construction time (paper's universal K).
-  void set_hops(int hops) { hops_ = hops; }
   int hops() const { return hops_; }
 
   FilterHyperParams hp_;
@@ -119,7 +118,6 @@ class PolynomialBasisFilter : public SpectralFilter {
   int hops_ = 10;
   bool has_cache_ = false;
   std::vector<Matrix> cached_terms_;
-  std::vector<double> combine_theta_;  // θ snapshot used by CombineTerms
 };
 
 }  // namespace sgnn::filters

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
@@ -109,86 +110,34 @@ float F16ToF32(uint16_t h) {
 
 QuantizedMatrix::QuantizedMatrix(Precision precision, int64_t rows,
                                  int64_t cols, Device device)
-    : precision_(precision), rows_(rows), cols_(cols), device_(device) {
+    : precision_(precision), rows_(rows), cols_(cols) {
   SGNN_CHECK(rows >= 0 && cols >= 0, "QuantizedMatrix: negative shape");
   SGNN_CHECK(precision != Precision::kFp32,
              "QuantizedMatrix: fp32 payloads are plain Matrix");
   data_.assign(static_cast<size_t>(rows * cols) * ElemSize(precision), 0);
-  Register();
-}
-
-QuantizedMatrix::QuantizedMatrix(const QuantizedMatrix& other)
-    : precision_(other.precision_),
-      rows_(other.rows_),
-      cols_(other.cols_),
-      device_(other.device_),
-      data_(other.data_),
-      scales_(other.scales_) {
-  Register();
-}
-
-QuantizedMatrix& QuantizedMatrix::operator=(const QuantizedMatrix& other) {
-  if (this == &other) return *this;
-  Unregister();
-  precision_ = other.precision_;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  device_ = other.device_;
-  data_ = other.data_;
-  scales_ = other.scales_;
-  Register();
-  return *this;
+  tracked_ = DeviceBytes(device, data_.size());
 }
 
 QuantizedMatrix::QuantizedMatrix(QuantizedMatrix&& other) noexcept
     : precision_(other.precision_),
-      rows_(other.rows_),
-      cols_(other.cols_),
-      device_(other.device_),
+      rows_(std::exchange(other.rows_, 0)),
+      cols_(std::exchange(other.cols_, 0)),
       data_(std::move(other.data_)),
-      scales_(std::move(other.scales_)) {
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.data_.clear();
-  other.scales_.clear();
-}
+      scales_(std::move(other.scales_)),
+      tracked_(std::move(other.tracked_)) {}
 
 QuantizedMatrix& QuantizedMatrix::operator=(QuantizedMatrix&& other) noexcept {
   if (this == &other) return *this;
-  Unregister();
   precision_ = other.precision_;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  device_ = other.device_;
+  rows_ = std::exchange(other.rows_, 0);
+  cols_ = std::exchange(other.cols_, 0);
   data_ = std::move(other.data_);
   scales_ = std::move(other.scales_);
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.data_.clear();
-  other.scales_.clear();
+  tracked_ = std::move(other.tracked_);
   return *this;
 }
 
-QuantizedMatrix::~QuantizedMatrix() { Unregister(); }
-
-void QuantizedMatrix::MoveToDevice(Device device) {
-  if (device == device_) return;
-  Unregister();
-  device_ = device;
-  Register();
-}
-
-// Only the payload registers with the tracker: scales() is a mutable
-// handle (Quantize attaches scales after construction), so including it in
-// the tracked size would let a post-registration resize desync alloc/free
-// pairs. Payload bytes dominate anyway.
-void QuantizedMatrix::Register() const {
-  if (!data_.empty()) DeviceTracker::Global().OnAlloc(device_, data_.size());
-}
-
-void QuantizedMatrix::Unregister() const {
-  if (!data_.empty()) DeviceTracker::Global().OnFree(device_, data_.size());
-}
+void QuantizedMatrix::MoveToDevice(Device device) { tracked_.MoveTo(device); }
 
 std::vector<float> CalibrateScales(const Matrix& m, const CalibConfig& calib) {
   const int64_t rows = m.rows(), cols = m.cols();

@@ -21,9 +21,9 @@
 // Rng), so calibration is deterministic — quantizing the same checkpoint
 // twice yields bit-identical payloads (asserted in tests/quant_test.cc).
 //
-// QuantizedMatrix mirrors tensor::Matrix's device accounting: payload bytes
-// register with the global DeviceTracker, so cache budgets and bench memory
-// reports see quantized bundles at their true (reduced) size.
+// QuantizedMatrix holds a DeviceBytes: payload bytes register with the
+// global DeviceTracker, so cache budgets and bench memory reports see
+// quantized bundles at their true (reduced) size.
 
 #ifndef SGNN_QUANT_QUANTIZE_H_
 #define SGNN_QUANT_QUANTIZE_H_
@@ -86,19 +86,21 @@ class QuantizedMatrix {
   QuantizedMatrix(Precision precision, int64_t rows, int64_t cols,
                   Device device = Device::kHost);
 
-  QuantizedMatrix(const QuantizedMatrix& other);
-  QuantizedMatrix& operator=(const QuantizedMatrix& other);
+  QuantizedMatrix(const QuantizedMatrix& other) = default;
+  QuantizedMatrix& operator=(const QuantizedMatrix& other) = default;
+  /// Moves leave `other` a 0x0 matrix on its device.
   QuantizedMatrix(QuantizedMatrix&& other) noexcept;
   QuantizedMatrix& operator=(QuantizedMatrix&& other) noexcept;
-  ~QuantizedMatrix();
+  ~QuantizedMatrix() = default;
 
   Precision precision() const { return precision_; }
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t size() const { return rows_ * cols_; }
-  Device device() const { return device_; }
+  Device device() const { return tracked_.device(); }
 
-  /// Tracked footprint: payload bytes plus owned scale bytes.
+  /// Footprint: payload bytes plus owned scale bytes. The DeviceTracker
+  /// sees the payload only (see tracked_).
   size_t bytes() const { return data_.size() + scales_.size() * sizeof(float); }
 
   /// Payload accessors. i8* is valid only at kInt8, f16* only at kFp16.
@@ -122,15 +124,15 @@ class QuantizedMatrix {
   void MoveToDevice(Device device);
 
  private:
-  void Register() const;
-  void Unregister() const;
-
   Precision precision_ = Precision::kFp32;
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  Device device_ = Device::kHost;
   std::vector<uint8_t> data_;   ///< rows*cols elements of ElemSize bytes
   std::vector<float> scales_;
+  // Only the payload is tracked. Quantize attaches the scales after
+  // construction, so counting them would change the tracked bytes of every
+  // int8 model; the payload dominates anyway.
+  DeviceBytes tracked_;  ///< data_ bytes on device(); last, see DeviceBytes
 };
 
 /// Per-channel int8 scales for `m` under `calib`: scales[c] = clip_c / 127

@@ -55,17 +55,13 @@ void ShardedSpmmOperator::Apply(const Matrix& x, Matrix* out) const {
     }
 
     // The slice streams onto the compute device for the hop. Slices are
-    // stored host-side in the (shared, const) plan, so residency is
-    // accounted directly instead of re-tagging the matrix.
+    // stored host-side in the (shared, const) plan, so an accelerator hop
+    // accounts the slice's bytes for this shard's turn instead of
+    // re-tagging the matrix.
     Matrix local_out(local_n, f, dev);
-    if (dev == Device::kAccel) {
-      auto& tracker = DeviceTracker::Global();
-      tracker.OnAlloc(Device::kAccel, slice.local.bytes());
-      slice.local.SpMM(local_x, &local_out);
-      tracker.OnFree(Device::kAccel, slice.local.bytes());
-    } else {
-      slice.local.SpMM(local_x, &local_out);
-    }
+    const DeviceBytes resident(
+        dev, dev == Device::kAccel ? slice.local.bytes() : 0);
+    slice.local.SpMM(local_x, &local_out);
 
     // Ordered merge: scatter the owned rows of the local product back into
     // the global output. Local row i is exactly global row owned[i].

@@ -178,7 +178,6 @@ CsrMatrix::CsrMatrix(int64_t n, std::vector<int64_t> indptr,
                      std::vector<int32_t> indices, std::vector<float> values,
                      Device device)
     : n_(n),
-      device_(device),
       indptr_(std::move(indptr)),
       indices_(std::move(indices)),
       values_(std::move(values)) {
@@ -189,78 +188,32 @@ CsrMatrix::CsrMatrix(int64_t n, std::vector<int64_t> indptr,
   SGNN_CHECK(indptr_.empty() ||
                  indptr_.back() == static_cast<int64_t>(indices_.size()),
              "CsrMatrix: indptr end must equal nnz");
-  Register();
-}
-
-CsrMatrix::CsrMatrix(const CsrMatrix& other)
-    : n_(other.n_),
-      device_(other.device_),
-      indptr_(other.indptr_),
-      indices_(other.indices_),
-      values_(other.values_) {
-  Register();
-}
-
-CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
-  if (this == &other) return *this;
-  Unregister();
-  n_ = other.n_;
-  device_ = other.device_;
-  indptr_ = other.indptr_;
-  indices_ = other.indices_;
-  values_ = other.values_;
-  Register();
-  return *this;
+  tracked_ = DeviceBytes(device, bytes());
 }
 
 CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
-    : n_(other.n_),
-      device_(other.device_),
+    : n_(std::exchange(other.n_, 0)),
       indptr_(std::move(other.indptr_)),
       indices_(std::move(other.indices_)),
-      values_(std::move(other.values_)) {
-  other.n_ = 0;
-  other.indptr_.clear();
-  other.indices_.clear();
-  other.values_.clear();
-}
+      values_(std::move(other.values_)),
+      tracked_(std::move(other.tracked_)) {}
 
 CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
   if (this == &other) return *this;
-  Unregister();
-  n_ = other.n_;
-  device_ = other.device_;
+  n_ = std::exchange(other.n_, 0);
   indptr_ = std::move(other.indptr_);
   indices_ = std::move(other.indices_);
   values_ = std::move(other.values_);
-  other.n_ = 0;
-  other.indptr_.clear();
-  other.indices_.clear();
-  other.values_.clear();
+  tracked_ = std::move(other.tracked_);
   return *this;
 }
-
-CsrMatrix::~CsrMatrix() { Unregister(); }
 
 size_t CsrMatrix::bytes() const {
   return indptr_.size() * sizeof(int64_t) + indices_.size() * sizeof(int32_t) +
          values_.size() * sizeof(float);
 }
 
-void CsrMatrix::Register() const {
-  if (bytes() > 0) DeviceTracker::Global().OnAlloc(device_, bytes());
-}
-
-void CsrMatrix::Unregister() const {
-  if (bytes() > 0) DeviceTracker::Global().OnFree(device_, bytes());
-}
-
-void CsrMatrix::MoveToDevice(Device device) {
-  if (device == device_) return;
-  Unregister();
-  device_ = device;
-  Register();
-}
+void CsrMatrix::MoveToDevice(Device device) { tracked_.MoveTo(device); }
 
 void CsrMatrix::SpMM(const Matrix& x, Matrix* out) const {
   RunRows(*this, x, out, {});

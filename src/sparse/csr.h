@@ -30,15 +30,16 @@ class CsrMatrix {
             std::vector<int32_t> indices, std::vector<float> values,
             Device device = Device::kHost);
 
-  CsrMatrix(const CsrMatrix& other);
-  CsrMatrix& operator=(const CsrMatrix& other);
+  CsrMatrix(const CsrMatrix& other) = default;
+  CsrMatrix& operator=(const CsrMatrix& other) = default;
+  /// Moves leave `other` an empty n = 0 matrix on its device.
   CsrMatrix(CsrMatrix&& other) noexcept;
   CsrMatrix& operator=(CsrMatrix&& other) noexcept;
-  ~CsrMatrix();
+  ~CsrMatrix() = default;
 
   int64_t n() const { return n_; }
   int64_t nnz() const { return static_cast<int64_t>(indices_.size()); }
-  Device device() const { return device_; }
+  Device device() const { return tracked_.device(); }
 
   const std::vector<int64_t>& indptr() const { return indptr_; }
   const std::vector<int32_t>& indices() const { return indices_; }
@@ -71,14 +72,11 @@ class CsrMatrix {
   std::vector<double> RowSums() const;
 
  private:
-  void Register() const;
-  void Unregister() const;
-
   int64_t n_ = 0;
-  Device device_ = Device::kHost;
   std::vector<int64_t> indptr_;
   std::vector<int32_t> indices_;
   std::vector<float> values_;
+  DeviceBytes tracked_;  ///< bytes() on device(); last, see DeviceBytes
 };
 
 }  // namespace sgnn::sparse

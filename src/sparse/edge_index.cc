@@ -4,8 +4,7 @@
 
 namespace sgnn::sparse {
 
-EdgeIndex::EdgeIndex(const CsrMatrix& csr, Device device)
-    : n_(csr.n()), device_(device) {
+EdgeIndex::EdgeIndex(const CsrMatrix& csr, Device device) : n_(csr.n()) {
   src_.reserve(static_cast<size_t>(csr.nnz()));
   dst_.reserve(static_cast<size_t>(csr.nnz()));
   weight_.reserve(static_cast<size_t>(csr.nnz()));
@@ -20,49 +19,12 @@ EdgeIndex::EdgeIndex(const CsrMatrix& csr, Device device)
       weight_.push_back(values[static_cast<size_t>(p)]);
     }
   }
-  Register();
-}
-
-EdgeIndex::~EdgeIndex() { Unregister(); }
-
-EdgeIndex::EdgeIndex(EdgeIndex&& other) noexcept
-    : n_(other.n_),
-      device_(other.device_),
-      src_(std::move(other.src_)),
-      dst_(std::move(other.dst_)),
-      weight_(std::move(other.weight_)) {
-  other.n_ = 0;
-  other.src_.clear();
-  other.dst_.clear();
-  other.weight_.clear();
-}
-
-EdgeIndex& EdgeIndex::operator=(EdgeIndex&& other) noexcept {
-  if (this == &other) return *this;
-  Unregister();
-  n_ = other.n_;
-  device_ = other.device_;
-  src_ = std::move(other.src_);
-  dst_ = std::move(other.dst_);
-  weight_ = std::move(other.weight_);
-  other.n_ = 0;
-  other.src_.clear();
-  other.dst_.clear();
-  other.weight_.clear();
-  return *this;
+  tracked_ = DeviceBytes(device, bytes());
 }
 
 size_t EdgeIndex::bytes() const {
   return src_.size() * sizeof(int32_t) + dst_.size() * sizeof(int32_t) +
          weight_.size() * sizeof(float);
-}
-
-void EdgeIndex::Register() const {
-  if (bytes() > 0) DeviceTracker::Global().OnAlloc(device_, bytes());
-}
-
-void EdgeIndex::Unregister() const {
-  if (bytes() > 0) DeviceTracker::Global().OnFree(device_, bytes());
 }
 
 void EdgeIndex::PropagateGatherScatter(const Matrix& x, Matrix* out) const {
@@ -73,7 +35,7 @@ void EdgeIndex::PropagateGatherScatter(const Matrix& x, Matrix* out) const {
   const int64_t e = num_edges();
   // Gather: one weighted message per edge. This buffer is what inflates the
   // EI backend's memory to O(mF).
-  Matrix messages(e, f, device_);
+  Matrix messages(e, f, device());
   for (int64_t p = 0; p < e; ++p) {
     const float* xrow = x.row(src_[static_cast<size_t>(p)]);
     float* mrow = messages.row(p);

@@ -24,15 +24,12 @@ class EdgeIndex {
   /// Builds from a CSR matrix (keeps the same weights).
   explicit EdgeIndex(const CsrMatrix& csr, Device device = Device::kHost);
 
-  ~EdgeIndex();
   EdgeIndex(const EdgeIndex&) = delete;
   EdgeIndex& operator=(const EdgeIndex&) = delete;
-  EdgeIndex(EdgeIndex&& other) noexcept;
-  EdgeIndex& operator=(EdgeIndex&& other) noexcept;
 
   int64_t n() const { return n_; }
   int64_t num_edges() const { return static_cast<int64_t>(src_.size()); }
-  Device device() const { return device_; }
+  Device device() const { return tracked_.device(); }
 
   /// Storage bytes of the COO arrays.
   size_t bytes() const;
@@ -43,14 +40,11 @@ class EdgeIndex {
   void PropagateGatherScatter(const Matrix& x, Matrix* out) const;
 
  private:
-  void Register() const;
-  void Unregister() const;
-
   int64_t n_ = 0;
-  Device device_ = Device::kHost;
   std::vector<int32_t> src_;
   std::vector<int32_t> dst_;
   std::vector<float> weight_;
+  DeviceBytes tracked_;  ///< bytes() on device(); last, see DeviceBytes
 };
 
 }  // namespace sgnn::sparse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace sgnn {
 
@@ -90,6 +91,53 @@ void DeviceTracker::ResetAll() {
   peak_[0] = peak_[1] = 0;
   accel_oom_ = false;
   oom_events_ = 0;
+}
+
+DeviceBytes::DeviceBytes(Device device, size_t bytes)
+    : device_(device), bytes_(bytes) {
+  Allocate();
+}
+
+DeviceBytes::DeviceBytes(const DeviceBytes& other)
+    : device_(other.device_), bytes_(other.bytes_) {
+  Allocate();
+}
+
+DeviceBytes& DeviceBytes::operator=(const DeviceBytes& other) {
+  if (this == &other) return *this;
+  Release();
+  device_ = other.device_;
+  bytes_ = other.bytes_;
+  Allocate();
+  return *this;
+}
+
+DeviceBytes::DeviceBytes(DeviceBytes&& other) noexcept
+    : device_(other.device_), bytes_(std::exchange(other.bytes_, 0)) {}
+
+DeviceBytes& DeviceBytes::operator=(DeviceBytes&& other) noexcept {
+  if (this == &other) return *this;
+  Release();
+  device_ = other.device_;
+  bytes_ = std::exchange(other.bytes_, 0);
+  return *this;
+}
+
+DeviceBytes::~DeviceBytes() { Release(); }
+
+void DeviceBytes::MoveTo(Device device) {
+  if (device == device_) return;
+  Release();
+  device_ = device;
+  Allocate();
+}
+
+void DeviceBytes::Allocate() const {
+  if (bytes_ > 0) DeviceTracker::Global().OnAlloc(device_, bytes_);
+}
+
+void DeviceBytes::Release() const {
+  if (bytes_ > 0) DeviceTracker::Global().OnFree(device_, bytes_);
 }
 
 std::string FormatBytes(size_t bytes) {

@@ -3,10 +3,11 @@
 // The paper evaluates GPU-vs-RAM memory placement (full-batch keeps the graph
 // and all representations on the GPU; decoupled mini-batch keeps them in host
 // RAM and streams batches). This repo has no GPU, so we reproduce the *memory
-// semantics*: every Matrix is tagged with a Device, a global DeviceTracker
-// accounts live and peak bytes per device, and allocations on the simulated
-// accelerator beyond a configurable capacity latch an OOM flag that training
-// pipelines surface exactly where the paper reports "(OOM)".
+// semantics*: every tensor holds a DeviceBytes that reports its bytes on a
+// Device to a global DeviceTracker, which accounts live and peak bytes per
+// device, and allocations on the simulated accelerator beyond a configurable
+// capacity latch an OOM flag that training pipelines surface exactly where
+// the paper reports "(OOM)".
 //
 // Timing is measured on the real CPU; a per-device speed factor lets the
 // Figure-5 hardware study replay measured stage times under a different
@@ -37,7 +38,8 @@ class DeviceTracker {
   /// The process-wide tracker instance.
   static DeviceTracker& Global();
 
-  /// Records an allocation of `bytes` on `device`.
+  /// Records an allocation of `bytes` on `device`. Library code reports
+  /// through DeviceBytes, which pairs each OnAlloc with its OnFree.
   void OnAlloc(Device device, size_t bytes);
 
   /// Records a release of `bytes` on `device`.
@@ -86,6 +88,40 @@ class DeviceTracker {
   bool accel_oom_ SGNN_GUARDED_BY(mu_) = false;
   size_t oom_events_ SGNN_GUARDED_BY(mu_) = 0;
   AllocFaultHook alloc_fault_hook_ SGNN_GUARDED_BY(mu_);
+};
+
+/// The one owner of a buffer's registration with DeviceTracker::Global().
+/// Construction and copy register `bytes` on `device`; a move hands the
+/// registration over, leaving the source on its device with 0 bytes;
+/// MoveTo re-homes the bytes; destruction releases exactly what was
+/// registered. A 0-byte count never reaches the tracker or its fault hook.
+///
+/// Tensor types hold one as their last data member, so their defaulted
+/// copy-assign copies the data first and then frees the old bytes before
+/// registering the new.
+class DeviceBytes {
+ public:
+  DeviceBytes() = default;
+  DeviceBytes(Device device, size_t bytes);
+  DeviceBytes(const DeviceBytes& other);
+  DeviceBytes& operator=(const DeviceBytes& other);
+  DeviceBytes(DeviceBytes&& other) noexcept;
+  DeviceBytes& operator=(DeviceBytes&& other) noexcept;
+  ~DeviceBytes();
+
+  Device device() const { return device_; }
+  size_t bytes() const { return bytes_; }
+
+  /// Re-homes the bytes onto `device` (simulated transfer): released on the
+  /// old device, then registered on the new one. No-op when already there.
+  void MoveTo(Device device);
+
+ private:
+  void Allocate() const;
+  void Release() const;
+
+  Device device_ = Device::kHost;
+  size_t bytes_ = 0;
 };
 
 /// Formats a byte count as "1.23 GB" / "45.6 MB" for table output.

@@ -2,66 +2,36 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 namespace sgnn {
 
 Matrix::Matrix(int64_t rows, int64_t cols, Device device)
-    : rows_(rows), cols_(cols), device_(device) {
+    : rows_(rows), cols_(cols) {
   SGNN_CHECK(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
   data_.assign(static_cast<size_t>(rows) * cols, 0.0f);
-  Register();
+  tracked_ = DeviceBytes(device, bytes());
 }
 
-Matrix::Matrix(const Matrix& other)
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      device_(other.device_),
-      data_(other.data_) {
-  Register();
-}
-
-Matrix& Matrix::operator=(const Matrix& other) {
-  if (this == &other) return *this;
-  Unregister();
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  device_ = other.device_;
-  data_ = other.data_;
-  Register();
-  return *this;
-}
+// Defaulted here rather than in the header, so every caller shares one
+// out-of-line copy and destructor instead of inlining the tracker calls.
+Matrix::Matrix(const Matrix& other) = default;
+Matrix& Matrix::operator=(const Matrix& other) = default;
+Matrix::~Matrix() = default;
 
 Matrix::Matrix(Matrix&& other) noexcept
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      device_(other.device_),
-      data_(std::move(other.data_)) {
-  other.rows_ = 0;
-  other.cols_ = 0;
-  // Ownership of the registered bytes moves with the data; `other` now holds
-  // an empty buffer and must not unregister them on destruction.
-}
+    : rows_(std::exchange(other.rows_, 0)),
+      cols_(std::exchange(other.cols_, 0)),
+      data_(std::move(other.data_)),
+      tracked_(std::move(other.tracked_)) {}
 
 Matrix& Matrix::operator=(Matrix&& other) noexcept {
   if (this == &other) return *this;
-  Unregister();
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  device_ = other.device_;
+  rows_ = std::exchange(other.rows_, 0);
+  cols_ = std::exchange(other.cols_, 0);
   data_ = std::move(other.data_);
-  other.rows_ = 0;
-  other.cols_ = 0;
+  tracked_ = std::move(other.tracked_);
   return *this;
-}
-
-Matrix::~Matrix() { Unregister(); }
-
-void Matrix::Register() const {
-  if (bytes() > 0) DeviceTracker::Global().OnAlloc(device_, bytes());
-}
-
-void Matrix::Unregister() const {
-  if (bytes() > 0) DeviceTracker::Global().OnFree(device_, bytes());
 }
 
 void Matrix::Fill(float value) {
@@ -76,12 +46,7 @@ void Matrix::FillUniform(Rng* rng, float lo, float hi) {
   for (auto& v : data_) v = static_cast<float>(rng->Uniform(lo, hi));
 }
 
-void Matrix::MoveToDevice(Device device) {
-  if (device == device_) return;
-  Unregister();
-  device_ = device;
-  Register();
-}
+void Matrix::MoveToDevice(Device device) { tracked_.MoveTo(device); }
 
 Matrix Matrix::CloneTo(Device device) const {
   Matrix out(rows_, cols_, device);
@@ -90,7 +55,7 @@ Matrix Matrix::CloneTo(Device device) const {
 }
 
 Matrix Matrix::GatherRows(const std::vector<int32_t>& indices) const {
-  Matrix out(static_cast<int64_t>(indices.size()), cols_, device_);
+  Matrix out(static_cast<int64_t>(indices.size()), cols_, device());
   for (size_t i = 0; i < indices.size(); ++i) {
     SGNN_CHECK(indices[i] >= 0 && indices[i] < rows_,
                "GatherRows index out of range");

@@ -21,13 +21,14 @@ namespace sgnn {
 class Matrix {
  public:
   /// Empty 0x0 matrix on the host.
-  Matrix() : rows_(0), cols_(0), device_(Device::kHost) {}
+  Matrix() = default;
 
   /// Zero-initialized rows x cols matrix placed on `device`.
   Matrix(int64_t rows, int64_t cols, Device device = Device::kHost);
 
   Matrix(const Matrix& other);
   Matrix& operator=(const Matrix& other);
+  /// Moves leave `other` a 0x0 matrix on its device.
   Matrix(Matrix&& other) noexcept;
   Matrix& operator=(Matrix&& other) noexcept;
   ~Matrix();
@@ -35,7 +36,7 @@ class Matrix {
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t size() const { return rows_ * cols_; }
-  Device device() const { return device_; }
+  Device device() const { return tracked_.device(); }
   size_t bytes() const { return static_cast<size_t>(size()) * sizeof(float); }
 
   float* data() { return data_.data(); }
@@ -74,13 +75,10 @@ class Matrix {
   bool AllClose(const Matrix& other, float tol = 1e-5f) const;
 
  private:
-  void Register() const;
-  void Unregister() const;
-
-  int64_t rows_;
-  int64_t cols_;
-  Device device_;
+  int64_t rows_ = 0;
+  int64_t cols_ = 0;
   std::vector<float> data_;
+  DeviceBytes tracked_;  ///< bytes() on device(); last, see DeviceBytes
 };
 
 }  // namespace sgnn

@@ -841,10 +841,10 @@ TEST(DevicePairingTest, QuietWhenEveryPathReleases) {
 }
 
 TEST(DevicePairingTest, ResourceOwnerClassIsExempt) {
-  // Matrix registers in Allocate and releases in the dtor: its methods hold
-  // one side of the pair by design (config.resource_owner_types).
+  // DeviceBytes registers in Allocate and releases in the dtor: its methods
+  // hold one side of the pair by design (config.resource_owner_types).
   const auto f = Lint("src/tensor/x.cc", R"cc(
-    void Matrix::Allocate(size_t bytes) {
+    void DeviceBytes::Allocate(size_t bytes) {
       DeviceTracker::Global().OnAlloc(device_, bytes);
     }
   )cc");

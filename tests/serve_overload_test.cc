@@ -10,12 +10,17 @@
 // queue budget and a hold (`max_wait_ms`) that outlives the test step, the
 // dispatcher parks mid-hold with every admitted query still *in the queue*
 // — so admission decisions, shutdown behavior, and deadline expiry are
-// exercised without racing the dispatcher.
+// exercised without racing the dispatcher. The retry test needs the hold to
+// end on cue instead, so it parks the dispatcher at an allocation latch
+// (AllocLatch) that the test itself opens.
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,6 +34,7 @@
 #include "serve/loadgen.h"
 #include "serve/metrics.h"
 #include "runtime/retry.h"
+#include "tensor/device.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -180,23 +186,73 @@ TEST(Admission, OutOfRangeNodeFailsWithoutTouchingAdmission) {
   engine.Stop();
 }
 
+/// Parks every tracked allocation made off the constructing thread (the
+/// engine's dispatcher) until Open(). The hook shares the latch state, so a
+/// thread still leaving it never touches freed memory; the destructor opens
+/// the latch and uninstalls the hook.
+class AllocLatch {
+ public:
+  AllocLatch() : state_(std::make_shared<State>()) {
+    DeviceTracker::Global().SetAllocFaultHook(
+        [state = state_, owner = std::this_thread::get_id()](Device, size_t) {
+          if (std::this_thread::get_id() == owner) return false;
+          std::unique_lock<std::mutex> lock(state->mu);
+          state->parked = true;
+          state->cv.notify_all();
+          state->cv.wait(lock, [&] { return state->open; });
+          return false;
+        });
+  }
+  ~AllocLatch() {
+    Open();
+    DeviceTracker::Global().SetAllocFaultHook(nullptr);
+  }
+  AllocLatch(const AllocLatch&) = delete;
+  AllocLatch& operator=(const AllocLatch&) = delete;
+
+  /// Blocks until another thread is parked at the latch.
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock, [&] { return state_->parked; });
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_;
+};
+
 TEST(Admission, ForcedShedsRecoverThroughRetryWithBackoff) {
-  // A full queue held for 3 ms sheds the burst; the backoff schedule, at
-  // least 5.6 ms of sleep over five attempts, outlasts the hold and
-  // re-admits every shed query once the held batch is served.
+  // The dispatcher parks at an allocation latch while serving the first
+  // query, so the queue fills to its budget and the whole burst sheds. The
+  // first retried query is shed once more; its next attempt opens the latch
+  // and waits for every admitted query, so it finds room in the queue.
   constexpr int kBudget = 8;
   constexpr int kBurst = 24;
   EngineConfig cfg;
   cfg.max_batch = 64;
-  cfg.max_wait_ms = 3.0;
+  cfg.max_wait_ms = 0.0;
   cfg.max_queue = kBudget;
   Engine engine(Restore(CkptV1()), cfg);
+  AllocLatch latch;
   engine.Start();
   const int64_t n = engine.num_nodes();
   std::vector<std::future<QueryResult>> admitted;
+  admitted.push_back(engine.Submit(0));
+  latch.WaitParked();
   for (int i = 0; i < kBudget; ++i) admitted.push_back(engine.Submit(i % n));
-  // Sheds resolve at once, so the burst fits inside the hold unless the
-  // host stalls; a burst query admitted after the hold is simply served.
   std::vector<int64_t> shed_nodes;
   for (int i = 0; i < kBurst; ++i) {
     if (engine.Submit(i % n).get().status.code() ==
@@ -204,27 +260,36 @@ TEST(Admission, ForcedShedsRecoverThroughRetryWithBackoff) {
       shed_nodes.push_back(i % n);
     }
   }
-  EXPECT_FALSE(shed_nodes.empty());
+  EXPECT_EQ(shed_nodes.size(), static_cast<size_t>(kBurst));
 
   Rng rng(11);
   std::vector<std::pair<int64_t, std::vector<float>>> recovered;
+  int retried = 0;
   for (const int64_t node : shed_nodes) {
     QueryResult r;
+    int attempts = 0;
     const Status s = runtime::RetryWithBackoff(
         [&] {
+          if (attempts++ > 0) {
+            latch.Open();
+            for (auto& fut : admitted) fut.wait();
+          }
           r = engine.Submit(node).get();
           return r.status;
         },
         &rng);
     EXPECT_TRUE(s.ok()) << "node " << node << ": " << s.ToString();
+    if (attempts > 1) ++retried;
     recovered.emplace_back(node, std::move(r.logits));
   }
+  EXPECT_EQ(retried, 1);
+  latch.Open();
   for (auto& fut : admitted) EXPECT_TRUE(fut.get().status.ok());
   engine.Stop();
 
   const OverloadStats stats = engine.GetOverloadStats();
-  EXPECT_GE(stats.shed_queue_full, shed_nodes.size());
-  EXPECT_EQ(stats.served_ok, static_cast<uint64_t>(kBudget + kBurst));
+  EXPECT_EQ(stats.shed_queue_full, static_cast<uint64_t>(kBurst + 1));
+  EXPECT_EQ(stats.served_ok, static_cast<uint64_t>(1 + kBudget + kBurst));
   for (const auto& [node, logits] : recovered) {
     EXPECT_TRUE(SameRow(logits, SingletonRow(&engine, node))) << node;
   }

@@ -301,8 +301,6 @@ TEST(EdgeIndex, MessageBufferCostsEdgeMemory) {
   CsrMatrix a = PathGraph();
   EdgeIndex ei(a, Device::kAccel);
   t.ResetAll();
-  // NOLINTNEXTLINE(device-pairing): tracker accounting test drives OnAlloc directly; ResetAll below restores the zero baseline
-  t.OnAlloc(Device::kAccel, 0);  // establish baseline
   Matrix x(4, 8, Device::kHost);
   Matrix y(4, 8, Device::kHost);
   t.ResetPeak();

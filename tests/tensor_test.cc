@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "quant/quantize.h"
+#include "sparse/csr.h"
 #include "tensor/cpu.h"
 #include "tensor/device.h"
 #include "tensor/gemm_kernels.h"
@@ -330,6 +332,187 @@ TEST(DeviceTracker, ConcurrentCapacityCrossingLatchesOnce) {
   t.ResetAll();
 }
 
+// --- DeviceBytes: the one owner of a tensor's tracker registration --------
+
+TEST(DeviceBytes, ConstructionAndCopyEachRegister) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  {
+    const DeviceBytes a(Device::kAccel, 64);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 64u);
+    const DeviceBytes b(a);
+    EXPECT_EQ(b.device(), Device::kAccel);
+    EXPECT_EQ(b.bytes(), 64u);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 128u);
+  }
+  EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+  t.ResetAll();
+}
+
+TEST(DeviceBytes, CopyAssignFreesOldBytesBeforeRegisteringNew) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  DeviceBytes target(Device::kAccel, 100);
+  const DeviceBytes source(Device::kAccel, 60);
+  t.ResetPeak();
+  target = source;
+  // Registering before freeing would have peaked at 100 + 60 + 60.
+  EXPECT_EQ(t.peak_bytes(Device::kAccel), 160u);
+  EXPECT_EQ(t.live_bytes(Device::kAccel), 120u);
+  EXPECT_EQ(target.bytes(), 60u);
+  t.ResetAll();
+}
+
+TEST(DeviceBytes, SelfAssignKeepsRegistration) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  {
+    DeviceBytes d(Device::kHost, 32);
+    DeviceBytes& alias = d;
+    d = alias;
+    EXPECT_EQ(d.bytes(), 32u);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 32u);
+    d = std::move(alias);
+    EXPECT_EQ(d.bytes(), 32u);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 32u);
+  }
+  EXPECT_EQ(t.live_bytes(Device::kHost), 0u);
+  t.ResetAll();
+}
+
+TEST(DeviceBytes, MoveHandsOverAndLeavesSourceEmptyOnItsDevice) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  {
+    DeviceBytes a(Device::kAccel, 48);
+    DeviceBytes b(std::move(a));
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 48u);
+    EXPECT_EQ(a.bytes(), 0u);
+    EXPECT_EQ(a.device(), Device::kAccel);
+    DeviceBytes c(Device::kAccel, 16);
+    c = std::move(b);  // frees c's 16, takes b's 48
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 48u);
+    EXPECT_EQ(b.bytes(), 0u);
+    EXPECT_EQ(c.bytes(), 48u);
+  }
+  EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+  t.ResetAll();
+}
+
+TEST(DeviceBytes, MoveToRehomesBytesAndIsNoOpOnSameDevice) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  int calls = 0;
+  t.SetAllocFaultHook([&](Device, size_t) {
+    ++calls;
+    return false;
+  });
+  {
+    DeviceBytes d(Device::kHost, 40);
+    d.MoveTo(Device::kAccel);
+    EXPECT_EQ(d.device(), Device::kAccel);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 0u);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 40u);
+    EXPECT_EQ(calls, 2);
+    d.MoveTo(Device::kAccel);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 40u);
+    EXPECT_EQ(calls, 2);
+  }
+  EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+  t.SetAllocFaultHook(nullptr);
+  t.ResetAll();
+}
+
+TEST(DeviceBytes, ZeroBytesNeverReachTheAllocHook) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  int calls = 0;
+  t.SetAllocFaultHook([&](Device, size_t) {
+    ++calls;
+    return true;
+  });
+  {
+    DeviceBytes d(Device::kAccel, 0);
+    DeviceBytes copy(d);
+    copy = d;
+    d.MoveTo(Device::kHost);
+    d.MoveTo(Device::kAccel);
+    const Matrix empty(0, 5, Device::kAccel);
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_FALSE(t.accel_oom());
+  t.SetAllocFaultHook(nullptr);
+  t.ResetAll();
+}
+
+/// Builds a non-empty instance of each tensor type that holds a DeviceBytes.
+template <typename T>
+T MakeOwner(Device device);
+template <>
+Matrix MakeOwner<Matrix>(Device device) {
+  return Matrix(3, 5, device);
+}
+template <>
+sparse::CsrMatrix MakeOwner<sparse::CsrMatrix>(Device device) {
+  return sparse::CsrMatrix(2, {0, 1, 2}, {1, 0}, {0.5f, 0.5f}, device);
+}
+template <>
+quant::QuantizedMatrix MakeOwner<quant::QuantizedMatrix>(Device device) {
+  return quant::QuantizedMatrix(quant::Precision::kInt8, 3, 5, device);
+}
+
+bool IsEmptyShape(const Matrix& m) { return m.rows() == 0 && m.cols() == 0; }
+bool IsEmptyShape(const sparse::CsrMatrix& m) {
+  return m.n() == 0 && m.nnz() == 0;
+}
+bool IsEmptyShape(const quant::QuantizedMatrix& m) {
+  return m.rows() == 0 && m.cols() == 0;
+}
+
+template <typename T>
+class TensorOwner : public ::testing::Test {};
+using OwnerTypes =
+    ::testing::Types<Matrix, sparse::CsrMatrix, quant::QuantizedMatrix>;
+TYPED_TEST_SUITE(TensorOwner, OwnerTypes);
+
+TYPED_TEST(TensorOwner, CopyMoveAndMoveToDeviceKeepOneRegistration) {
+  auto& t = DeviceTracker::Global();
+  t.ResetAll();
+  {
+    const TypeParam a = MakeOwner<TypeParam>(Device::kHost);
+    const size_t b = a.bytes();
+    ASSERT_GT(b, 0u);
+    EXPECT_EQ(t.live_bytes(Device::kHost), b);
+
+    TypeParam copy(a);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 2 * b);
+
+    TypeParam assigned = MakeOwner<TypeParam>(Device::kAccel);
+    assigned = a;  // frees the accel bytes, registers a host copy
+    EXPECT_EQ(assigned.device(), Device::kHost);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 3 * b);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+
+    TypeParam moved(std::move(copy));
+    EXPECT_TRUE(IsEmptyShape(copy));
+    EXPECT_EQ(t.live_bytes(Device::kHost), 3 * b);
+
+    TypeParam target = MakeOwner<TypeParam>(Device::kAccel);
+    target = std::move(moved);  // frees the accel bytes, takes moved's
+    EXPECT_TRUE(IsEmptyShape(moved));
+    EXPECT_EQ(target.device(), Device::kHost);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 3 * b);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+
+    target.MoveToDevice(Device::kAccel);
+    EXPECT_EQ(t.live_bytes(Device::kHost), 2 * b);
+    EXPECT_EQ(t.live_bytes(Device::kAccel), b);
+  }
+  EXPECT_EQ(t.live_bytes(Device::kHost), 0u);
+  EXPECT_EQ(t.live_bytes(Device::kAccel), 0u);
+  t.ResetAll();
+}
+
 TEST(FormatBytes, HumanReadable) {
   EXPECT_EQ(FormatBytes(512), "512 B");
   EXPECT_EQ(FormatBytes(2048), "2.0 KB");
@@ -433,8 +616,9 @@ Matrix RandomWithZeros(int64_t rows, int64_t cols, Rng* rng) {
 }
 
 bool SameBits(const Matrix& x, const Matrix& y) {
+  // An empty matrix has a null data(), which memcmp must not see.
   return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+         (x.bytes() == 0 || std::memcmp(x.data(), y.data(), x.bytes()) == 0);
 }
 
 /// The three products of one path.

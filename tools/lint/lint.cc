@@ -586,8 +586,7 @@ Config Config::Default() {
   // reach an OnFree(device, ...) on all paths, unless the enclosing class
   // owns the bytes RAII-style (releases in its destructor).
   c.resource_pairs = {{"OnAlloc", "OnFree"}};
-  c.resource_owner_types = {"Matrix", "CsrMatrix", "EdgeIndex",
-                            "QuantizedMatrix"};
+  c.resource_owner_types = {"DeviceBytes"};
   c.known_rules = {"discarded-status", "layering",      "parallel-safety",
                    "determinism",      "hygiene",       "nolint-policy",
                    "lock-discipline",  "device-pairing", "status-flow"};

@@ -127,7 +127,7 @@ struct Config {
   std::map<std::string, std::string> resource_pairs;
 
   /// Classes that *own* a tracked resource RAII-style (register in the
-  /// ctor/Register, release in the dtor/Unregister): their methods hold
+  /// ctor or a helper, release in the dtor or a helper): their methods hold
   /// one side of a pair by design and are exempt from device-pairing.
   std::set<std::string> resource_owner_types;
 

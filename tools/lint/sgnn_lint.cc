@@ -11,21 +11,24 @@
 //   --budget-ms=N  fail (exit 3) when the whole run exceeds N ms of wall
 //                  clock; keeps the lint gate's latency an enforced
 //                  contract instead of a slow creep. The measured time is
-//                  always printed to stderr.
+//                  always printed to stderr. N must be wholly a
+//                  non-negative integer; anything else is a usage error.
 //
 // Wired into CTest as `lint_repo` and into the build as the `lint`
 // target, so a rule regression fails `ctest -R lint` instead of landing
 // in a table.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "lint/lint.h"
@@ -87,7 +90,16 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (std::strncmp(argv[i], "--budget-ms=", 12) == 0) {
-      budget_ms = std::strtol(argv[i] + 12, nullptr, 10);
+      const std::string_view value(argv[i] + 12);
+      const char* end = value.data() + value.size();
+      const auto [stop, ec] = std::from_chars(value.data(), end, budget_ms);
+      if (ec != std::errc() || stop != end || budget_ms < 0) {
+        std::fprintf(stderr,
+                     "sgnn_lint: --budget-ms needs a non-negative integer, "
+                     "got \"%s\"\n",
+                     argv[i] + 12);
+        return 2;
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) {
